@@ -1,18 +1,18 @@
-"""Columnar scan kernels and the out-of-core mmap store vs. the batched tier.
+"""Columnar scan kernels and the out-of-core mmap store vs. the batched path.
 
 Runs a packed-vocabulary variant of the Section 5 synthetic workload
 (Figure 2 defaults — ``p = 50``, ``|F1| = 12``, MAX-PAT-LENGTH 6 — with
 the noise alphabet trimmed so the ``(offset, feature)`` vocabulary packs
 into the 64 ``uint64`` bit lanes) and measures the two claims of the
-columnar tier:
+columnar kernels, which mine every store input:
 
 * **scan path** — both scans as vectorized column ops: letter counting
   as one unpack-and-sum pass, hit collection as chunked ``np.unique``
   plus the shift/OR projection sweep, candidate verification as a
   broadcast subset reduction.  Timed as :func:`repro.core.hitset.mine_store`
-  over a prebuilt store against a cold batched mine of the same series
-  (the PR 5 scan path), exact output equality enforced across all three
-  kernel tiers.
+  over a prebuilt store against a cold in-memory (batched) mine of the
+  same series, exact output equality enforced against a cold store mine
+  and a cold per-candidate mine (:func:`legacy_cold_mine`).
 * **out-of-core store** — a multi-million-slot series encoded straight
   to a spilled ``.seg`` file (``StoreOptions.spill_bytes``), then mined
   from the mmap'd column in a subprocess whose peak RSS never scales
@@ -26,7 +26,7 @@ Run standalone (writes ``BENCH_columnar.json`` at the repo root)::
     PYTHONPATH=src python benchmarks/bench_columnar.py --quick    # CI smoke
 
 ``--check`` exits non-zero when the columnar scan path fails its speedup
-bar (10x full, 3x quick), when any kernel tier diverges, or when the
+bar (10x full, 3x quick), when any mining path diverges, or when the
 out-of-core subprocess exceeds the RSS budget — the CI smoke gate
 against silent kernel regressions.
 
@@ -46,10 +46,14 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.core.candidates import generate_candidate_masks
 from repro.core.hitset import mine_single_period_hitset, mine_store
+from repro.core.maxpattern import find_frequent_one_patterns
+from repro.core.pattern import Pattern
 from repro.kernels.store import SegmentStore, StoreOptions
 from repro.synth.generator import SyntheticSpec
 from repro.synth.workloads import FIGURE2_MIN_CONF, FIGURE2_PERIOD
+from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
 #: Scan-path workload sizes: the paper's long length for the real
 #: measurement, a small series for the --quick CI smoke run.
@@ -97,8 +101,7 @@ def packed_figure2_series(length: int, seed: int = 0):
 
     The stock figure2 generator draws noise from an 88-feature surplus
     alphabet at arbitrary offsets, which blows the ``(offset, feature)``
-    vocabulary far past 64 letters and forces the columnar tier into its
-    wide fallback.  One noise feature keeps the same noise *load* while
+    vocabulary far past 64 letters, where no store column exists.  One noise feature keeps the same noise *load* while
     bounding the vocabulary at ``12 + 50 = 62`` letters.
     """
     spec = SyntheticSpec(
@@ -119,6 +122,37 @@ def letter_map(result) -> dict:
         "|".join(f"{offset}:{feature}" for offset, feature in sorted(p.letters)): count
         for p, count in result.items()
     }
+
+
+def columnar_cold_mine(series, period: int, min_conf: float):
+    """A cold store mine: the interned encode pass, then the column scans."""
+    return mine_store(SegmentStore.from_series_interned(series, period), min_conf)
+
+
+def legacy_cold_mine(series, period: int, min_conf: float) -> dict:
+    """A cold mine whose derivation counts one candidate at a time.
+
+    Both scans as in the miner; Algorithm 4.2 then walks the stored hits
+    once per candidate (:meth:`MaxSubpatternTree.count_of_mask`) instead
+    of one superset-sum pass — the per-candidate baseline.
+    """
+    one = find_frequent_one_patterns(series, period, min_conf)
+    if one.is_empty:
+        return {}
+    tree = MaxSubpatternTree(one.max_pattern)
+    tree.insert_all_segments(series)
+    vocab = tree.vocab
+    counts = {vocab.bit_of(letter): c for letter, c in one.letters.items()}
+    level = set(counts)
+    while level:
+        next_level = set()
+        for candidate in generate_candidate_masks(level):
+            total = tree.count_of_mask(candidate)  # repro: ignore[REP701] -- the per-candidate baseline this benchmark measures against
+            if total >= one.threshold:
+                counts[candidate] = total
+                next_level.add(candidate)
+        level = next_level
+    return {Pattern.from_mask(vocab, mask): c for mask, c in counts.items()}
 
 
 # -- out-of-core workload ----------------------------------------------------
@@ -270,25 +304,22 @@ def run_benchmark(
     series = packed_figure2_series(length, seed=seed)
     period, min_conf = FIGURE2_PERIOD, FIGURE2_MIN_CONF
 
-    # -- cold mines across all three tiers, exact equality enforced -----
-    columnar = mine_single_period_hitset(series, period, min_conf, kernel="columnar")
-    batched = mine_single_period_hitset(series, period, min_conf, kernel="batched")
-    legacy = mine_single_period_hitset(series, period, min_conf, kernel="legacy")
+    # -- cold mines along all three paths, exact equality enforced -----
+    columnar = columnar_cold_mine(series, period, min_conf)
+    batched = mine_single_period_hitset(series, period, min_conf)
+    legacy = legacy_cold_mine(series, period, min_conf)
     equivalent = letter_map(columnar) == letter_map(batched) == letter_map(legacy)
     if not equivalent:
         raise AssertionError("columnar mine diverged from batched/legacy")
 
     columnar_cold_s = _best_of(
-        repeats,
-        lambda: mine_single_period_hitset(series, period, min_conf, kernel="columnar"),
+        repeats, lambda: columnar_cold_mine(series, period, min_conf)
     )
     batched_cold_s = _best_of(
-        repeats,
-        lambda: mine_single_period_hitset(series, period, min_conf, kernel="batched"),
+        repeats, lambda: mine_single_period_hitset(series, period, min_conf)
     )
     legacy_cold_s = _best_of(
-        max(1, repeats - 2),
-        lambda: mine_single_period_hitset(series, period, min_conf, kernel="legacy"),
+        max(1, repeats - 2), lambda: legacy_cold_mine(series, period, min_conf)
     )
 
     # -- scan path: vectorized column ops over a prebuilt store ---------
@@ -339,7 +370,7 @@ def check_report(report: dict, quick: bool) -> list[str]:
     bar = SPEEDUP_BAR_QUICK if quick else SPEEDUP_BAR_FULL
     failures = []
     if not report["equivalent_output"]:
-        failures.append("kernel tiers disagree on the frequent set")
+        failures.append("mining paths disagree on the frequent set")
     if report["speedup_scan"] < bar:
         failures.append(
             f"columnar scan path {report['speedup_scan']:.2f}x < {bar:.0f}x bar"

@@ -2,10 +2,10 @@
 
 Runs the Section 5 synthetic workload (Figure 2 defaults: ``p = 50``,
 ``|F1| = 12``, MAX-PAT-LENGTH 6) through the single-threaded hit-set miner
-twice — once on the interned-vocabulary bitmask kernels (``encode=True``,
-the default everywhere) and once on the legacy ``frozenset[Letter]`` path
-(``encode=False``, the CLI's ``--no-encode``) — verifying exact output
-equality and recording wall-clock speedups.
+twice — once on the interned-vocabulary bitmask kernels (the miner) and
+once on the ``frozenset[Letter]`` scan 2 they replaced (:func:`legacy_mine`,
+one letter-set :meth:`MaxSubpatternTree.insert_segment` per segment) —
+verifying exact output equality and recording wall-clock speedups.
 
 Run standalone (writes ``BENCH_encoding.json`` at the repo root)::
 
@@ -37,17 +37,45 @@ from pathlib import Path
 
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.maxpattern import find_frequent_one_patterns
+from repro.core.pattern import Pattern
 from repro.synth.workloads import (
     FIGURE2_MIN_CONF,
     FIGURE2_PERIOD,
     figure2_series,
 )
+from repro.timeseries.feature_series import FeatureSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
 #: Table 1 workload sizes: the paper's long Figure 2 length for the real
 #: measurement, a small series for the --quick CI smoke run.
 LENGTH_FULL = 500_000
 LENGTH_QUICK = 30_000
+
+
+def legacy_scan2(tree: MaxSubpatternTree, series: FeatureSeries) -> None:
+    """Scan 2 on letter sets: one hit and one insertion per segment."""
+    for segment in series.segments(tree.max_pattern.period):
+        tree.insert_segment(segment)
+
+
+def legacy_mine(
+    series: FeatureSeries, period: int, min_conf: float
+) -> dict[Pattern, int]:
+    """The hit-set miner with the letter-set scan 2 (the pre-encoding path).
+
+    Scan 1 and the derivation are the miner's own; only the hit
+    registration differs.
+    """
+    one = find_frequent_one_patterns(series, period, min_conf)
+    if one.is_empty:
+        return {}
+    tree = MaxSubpatternTree(one.max_pattern)
+    legacy_scan2(tree, series)
+    counts, _ = tree.derive_frequent(one.threshold, one.letters)
+    return {
+        Pattern.from_letters(period, letters): count
+        for letters, count in counts.items()
+    }
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -71,23 +99,15 @@ def run_benchmark(
     period, min_conf = FIGURE2_PERIOD, FIGURE2_MIN_CONF
 
     # -- end-to-end hit-set runs (scan 1 + scan 2 + derivation) ----------
-    encoded_result = mine_single_period_hitset(
-        series, period, min_conf, encode=True
-    )
-    legacy_result = mine_single_period_hitset(
-        series, period, min_conf, encode=False
-    )
-    if dict(encoded_result.items()) != dict(legacy_result.items()):
+    encoded_result = mine_single_period_hitset(series, period, min_conf)
+    if dict(encoded_result.items()) != legacy_mine(series, period, min_conf):
         raise AssertionError("encoded hit-set output diverged from legacy")
     encoded_s = _best_of(
         repeats,
         lambda: mine_single_period_hitset(series, period, min_conf),
     )
     legacy_s = _best_of(
-        repeats,
-        lambda: mine_single_period_hitset(
-            series, period, min_conf, encode=False
-        ),
+        repeats, lambda: legacy_mine(series, period, min_conf)
     )
 
     # -- scan-2 hot path in isolation ------------------------------------
@@ -98,7 +118,10 @@ def run_benchmark(
 
     def scan2(encode: bool) -> MaxSubpatternTree:
         tree = MaxSubpatternTree(one.max_pattern)
-        tree.insert_all_segments(series, encode=encode)
+        if encode:
+            tree.insert_all_segments(series)
+        else:
+            legacy_scan2(tree, series)
         return tree
 
     if scan2(True).hit_counts() != scan2(False).hit_counts():

@@ -30,7 +30,7 @@ import time
 from collections.abc import Sequence
 
 from repro.analysis.periodogram import suggest_periods
-from repro.core.errors import ReproError
+from repro.core.errors import MiningError, ReproError
 from repro.core.miner import PartialPeriodicMiner
 from repro.core.result import MiningResult
 from repro.synth.generator import SyntheticSpec
@@ -44,10 +44,9 @@ def add_mining_args(
     """Install the mining-parameter options shared by ``mine`` and ``serve``.
 
     Both subcommands drive the same engine, so their knobs must stay in
-    lockstep: confidence threshold, counting kernel, cache directory,
-    engine workers/backend, the legacy-encoding escape hatch, and lenient
-    loading.  ``workers_help`` overrides the ``--workers`` description
-    where the sharding context differs.
+    lockstep: confidence threshold, cache directory, engine
+    workers/backend, and lenient loading.  ``workers_help`` overrides the
+    ``--workers`` description where the sharding context differs.
     """
     parser.add_argument("--min-conf", type=float, default=0.5)
     parser.add_argument(
@@ -66,27 +65,6 @@ def add_mining_args(
         choices=("auto", "serial", "thread", "process"),
         default="auto",
         help="parallel execution backend used when --workers > 1",
-    )
-    parser.add_argument(
-        "--no-encode",
-        action="store_true",
-        help=(
-            "mine on the legacy letter-set kernels instead of the interned "
-            "bitmask kernels (identical results; for bisecting regressions)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("columnar", "batched", "legacy"),
-        default="batched",
-        help=(
-            "counting kernel: 'columnar' runs both scans as vectorized "
-            "numpy ops over the segment-store column (single encode pass; "
-            "falls back to batched past 64 letters); 'batched' answers "
-            "every candidate level from one superset-sum pass; 'legacy' "
-            "keeps the per-candidate walks (identical results; for "
-            "bisecting regressions)"
-        ),
     )
     parser.add_argument(
         "--cache-dir",
@@ -154,10 +132,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         metavar="DIR",
         help=(
-            "columnar kernel only: spill the encoded segment store to "
-            "this directory once it crosses --spill-mb, and mine it as "
-            "an mmap'd on-disk column in bounded memory (series larger "
-            "than RAM mine at disk bandwidth; see docs/kernels.md)"
+            "intern the series into a segment store mined on the columnar "
+            "kernels, spilled to this directory once it crosses "
+            "--spill-mb and mined as an mmap'd on-disk column in bounded "
+            "memory (series larger than RAM mine at disk bandwidth; "
+            "vocabularies of at most 64 letters; see docs/kernels.md)"
         ),
     )
     mine.add_argument(
@@ -166,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="MIB",
         help=(
-            "in-memory threshold before the columnar store spills to "
+            "in-memory threshold before the segment store spills to "
             "--store-dir (default 64 MiB; 0 spills unconditionally)"
         ),
     )
@@ -403,16 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("--max-letters", type=int)
     stream.add_argument(
-        "--kernel",
-        choices=("columnar", "batched", "legacy"),
-        default="batched",
-        help=(
-            "per-window counting kernel (results identical across "
-            "kernels); with --checkpoint-dir the stream stays on the "
-            "default so old checkpoints resume unchanged"
-        ),
-    )
-    stream.add_argument(
         "--tolerance",
         type=float,
         default=0.05,
@@ -517,12 +486,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuzz = commands.add_parser(
         "fuzz",
-        help="differentially fuzz the counting kernels against each other",
+        help="differentially fuzz the counting paths against an oracle",
         description=(
             "Coverage-guided differential fuzzing: randomized series are "
-            "mined through every kernel tier (columnar, batched, legacy) "
-            "plus a brute-force oracle, and the store primitives are "
-            "cross-checked against naive recomputation; any divergence "
+            "mined in memory and through a spilled segment store and "
+            "checked against a brute-force oracle and Apriori, and the "
+            "store primitives are cross-checked against naive "
+            "recomputation; any divergence "
             "is a bug.  --self-check injects known kernel bugs and fails "
             "unless the fuzzer catches every one."
         ),
@@ -648,27 +618,14 @@ def _run_mine(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.cache_dir and args.kernel == "legacy":
-        print(
-            "--cache-dir requires the batched kernel (drop --kernel legacy)",
-            file=sys.stderr,
-        )
-        return 2
     if args.store_dir is not None:
-        if args.kernel != "columnar":
-            print(
-                "--store-dir requires --kernel columnar (the spill file "
-                "is the columnar kernel's mmap'd column)",
-                file=sys.stderr,
-            )
-            return 2
         if args.period is None:
             print("--store-dir requires --period", file=sys.stderr)
             return 2
-        if args.workers > 1 or args.maximal or args.no_encode:
+        if args.workers > 1 or args.maximal:
             print(
-                "--store-dir applies to serial encoded columnar mining "
-                "(not --workers, --maximal or --no-encode)",
+                "--store-dir applies to serial mining "
+                "(not --workers or --maximal)",
                 file=sys.stderr,
             )
             return 2
@@ -695,7 +652,6 @@ def _run_mine(args: argparse.Namespace) -> int:
         series, min_conf=args.min_conf, algorithm=args.algorithm
     )
     started = time.perf_counter()
-    encode = not args.no_encode
     resilience = _resilience_from_args(args)
     cache = None
     if args.cache_dir:
@@ -717,20 +673,27 @@ def _run_mine(args: argparse.Namespace) -> int:
         )
     if args.period is not None:
         if args.maximal:
-            result = miner.mine_maximal(args.period, encode=encode)
+            result = miner.mine_maximal(args.period)
         else:
-            result = miner.mine(
-                args.period,
-                workers=args.workers,
-                backend=args.backend,
-                encode=encode,
-                kernel=args.kernel,
-                cache=cache,
-                profile=profile,
-                resilience=resilience,
-                journal_path=args.resume,
-                store=store,
-            )
+            try:
+                result = miner.mine(
+                    args.period,
+                    workers=args.workers,
+                    backend=args.backend,
+                    cache=cache,
+                    profile=profile,
+                    resilience=resilience,
+                    journal_path=args.resume,
+                    store=store,
+                )
+            except MiningError as error:
+                from repro.kernels.store import WideVocabularyError
+
+                # A vocabulary too wide for --store-dir is a usage error.
+                if not isinstance(error.__cause__, WideVocabularyError):
+                    raise
+                print(f"error: {error}", file=sys.stderr)
+                return 2
         _print_result(result, args.limit, args.maximal)
         if result.engine is not None:
             _print_engine(result.engine)
@@ -760,8 +723,6 @@ def _run_mine(args: argparse.Namespace) -> int:
             high,
             workers=args.workers,
             backend=args.backend,
-            encode=encode,
-            kernel=args.kernel,
             resilience=resilience,
             journal_path=args.resume,
         )
@@ -785,8 +746,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     config = ServeConfig(
         min_conf=args.min_conf,
-        kernel=args.kernel,
-        encode=not args.no_encode,
         mine_workers=args.workers,
         backend=args.backend,
         concurrency=args.concurrency,
@@ -945,14 +904,6 @@ def _run_stream(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         raise StreamError("--resume requires --checkpoint-dir")
     if args.checkpoint_dir:
-        if args.kernel != "batched":
-            # The durable config is compared for exact equality on
-            # resume; threading a kernel through it would strand every
-            # checkpoint written before the columnar tier existed.
-            raise StreamError(
-                "--checkpoint-dir streams run on the default kernel "
-                "(drop --kernel)"
-            )
         return _run_stream_durable(args)
 
     miner = StreamingMiner(
@@ -963,7 +914,6 @@ def _run_stream(args: argparse.Namespace) -> int:
         retirement=args.strategy,
         max_letters=args.max_letters,
         change_tolerance=args.tolerance,
-        kernel=args.kernel,
     )
 
     out_handle = None

@@ -10,8 +10,8 @@ period, exactly as analysed in the paper.
 
 from __future__ import annotations
 
-from repro.core.candidates import generate_candidate_masks, generate_candidates
-from repro.core.counting import count_candidate_masks, count_candidates
+from repro.core.candidates import generate_candidate_masks
+from repro.core.counting import count_candidate_masks
 from repro.core.errors import MiningError
 from repro.core.maxpattern import FrequentOnePatterns, find_frequent_one_patterns
 from repro.core.pattern import Letter, Pattern
@@ -26,7 +26,6 @@ def mine_single_period_apriori(
     period: int,
     min_conf: float,
     max_letters: int | None = None,
-    encode: bool = True,
 ) -> MiningResult:
     """Find all frequent partial periodic patterns of one period (Alg. 3.1).
 
@@ -40,13 +39,10 @@ def mine_single_period_apriori(
         Confidence threshold in ``(0, 1]``.
     max_letters:
         Optional cap on pattern letter count; mining stops after that level.
-        ``None`` mines until the candidate set is exhausted.
-    encode:
-        Default ``True`` runs the level loop on interned letter bitmasks
-        over the F1 vocabulary (candidate generation and counting both);
-        ``False`` keeps the legacy ``frozenset[Letter]`` levels for
-        bisection.  Results and scan counts are identical either way —
-        each level is still exactly one scan.
+        ``None`` mines until the candidate set is exhausted.  The level
+        loop runs on interned letter bitmasks over the F1 vocabulary
+        (candidate generation and counting both); each level is exactly
+        one scan.
 
     Returns
     -------
@@ -61,10 +57,7 @@ def mine_single_period_apriori(
     stats.scans = 1
     stats.candidate_counts[1] = len(one_patterns.letters)
 
-    if encode:
-        patterns = _mine_levels_encoded(series, period, one_patterns, stats, max_letters)
-    else:
-        patterns = _mine_levels_legacy(series, period, one_patterns, stats, max_letters)
+    patterns = _mine_levels_encoded(series, period, one_patterns, stats, max_letters)
     return MiningResult(
         algorithm="apriori",
         period=period,
@@ -110,42 +103,6 @@ def _mine_levels_encoded(
     return {
         Pattern.from_mask(vocab, mask): count
         for mask, count in mask_counts.items()
-    }
-
-
-def _mine_levels_legacy(
-    series: FeatureSeries,
-    period: int,
-    one_patterns: FrequentOnePatterns,
-    stats: MiningStats,
-    max_letters: int | None,
-) -> dict[Pattern, int]:
-    """The pre-encoding level loop on letter frozensets (bisection path)."""
-    counts: dict[frozenset[Letter], int] = {
-        frozenset((letter,)): count
-        for letter, count in one_patterns.letters.items()
-    }
-    frequent_level = set(counts)
-    level = 1
-    while frequent_level:
-        if max_letters is not None and level >= max_letters:
-            break
-        candidates = generate_candidates(frequent_level)
-        if not candidates:
-            break
-        level += 1
-        stats.candidate_counts[level] = len(candidates)
-        stats.scans += 1
-        level_counts = count_candidates(series, period, candidates)
-        frequent_level = set()
-        for candidate in candidates:
-            count = level_counts[candidate]
-            if count >= one_patterns.threshold:
-                counts[candidate] = count
-                frequent_level.add(candidate)
-    return {
-        Pattern.from_letters(period, letters): count
-        for letters, count in counts.items()
     }
 
 

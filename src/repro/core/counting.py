@@ -120,7 +120,6 @@ def count_candidate_masks(
     masks: Iterable[int],
     encoder: SegmentEncoder,
     store: "object | None" = None,
-    kernel: str = "batched",
 ) -> dict[int, int]:
     """Count candidate bitmasks in one scan — the encoded counting kernel.
 
@@ -134,9 +133,7 @@ def count_candidate_masks(
     store memoizes its distinct-mask pass, so callers issuing several
     counting rounds over the same vocabulary (cold verification paths,
     re-queries) should build one store and pass it back in via ``store``:
-    every round after the first then skips the scan entirely.  ``kernel``
-    selects the verification kernel exactly as in
-    :meth:`SegmentStore.count_masks`.
+    every round after the first then skips the scan entirely.
     """
     # Local import: repro.kernels pulls in higher layers (resilience) and
     # counting sits near the bottom of the package import graph.
@@ -148,7 +145,7 @@ def count_candidate_masks(
     if store is None:
         store = SegmentStore.from_series(series, period, encoder.vocab)
     assert isinstance(store, SegmentStore)
-    return store.count_masks(ordered, kernel=kernel)
+    return store.count_masks(ordered)
 
 
 def brute_force_counts(

@@ -9,27 +9,26 @@ max-pattern ``C_max``.  Scan 2 registers, for every period segment, its hit
 max-subpattern tree.  The frequency count of every pattern is then derived
 from the tree alone (Algorithm 4.2) — no further passes over the data.
 
-Both scans run on the batched kernels by default (``kernel="batched"``):
-scan 2 encodes into a contiguous :class:`~repro.kernels.store.SegmentStore`
-and the derivation answers every candidate level from one superset-sum
-pass.  ``kernel="columnar"`` goes further: a *single* encode pass interns
-the series into the store (optionally spilling to an mmap'd on-disk file
-via :class:`~repro.kernels.store.StoreOptions`), and both scans then run
-as vectorized numpy ops over the store column — letter counting as one
+In-memory series mine on the batched kernels: scan 2 encodes into a
+contiguous :class:`~repro.kernels.store.SegmentStore` and the derivation
+answers every candidate level from one superset-sum pass.  Store inputs —
+a prebuilt store (:func:`mine_store`) or a series mined with
+:class:`~repro.kernels.store.StoreOptions` — mine on the columnar kernels
+instead: one encode pass interns the series into the store (spilling to
+an mmap'd on-disk file past the threshold), and both scans then run as
+vectorized numpy ops over the store column — letter counting as one
 unpack-and-sum pass, hit collection as chunked ``np.unique`` projected
-onto the tree vocabulary.  Vocabularies too wide to pack (> 64 letters)
-fall back to the batched path transparently.  A
-:class:`~repro.kernels.cache.CountCache` removes the scans entirely on
-re-queries of the same series/period (the paper's §4.2 re-mining
-scenario): the cached scan-1 letter counts serve any ``min_conf``, and
-the cached scan-2 hit table serves any equal-or-higher ``min_conf`` by
-projection.  ``kernel="legacy"`` keeps the original per-candidate path as
-the escape hatch and equivalence oracle.
+onto the tree vocabulary.  A :class:`~repro.kernels.cache.CountCache`
+removes the scans entirely on re-queries of the same series/period (the
+paper's §4.2 re-mining scenario): the cached scan-1 letter counts serve
+any ``min_conf``, and the cached scan-2 hit table serves any
+equal-or-higher ``min_conf`` by projection.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, ContextManager
 
@@ -51,16 +50,6 @@ if TYPE_CHECKING:
     from repro.kernels.profile import MiningProfile
     from repro.kernels.store import SegmentStore, StoreOptions
 
-#: The selectable counting kernels (mirrors :data:`repro.kernels.KERNELS`).
-_KERNELS = ("columnar", "batched", "legacy")
-
-
-def _check_kernel(kernel: str) -> None:
-    if kernel not in _KERNELS:
-        raise MiningError(
-            f"unknown kernel {kernel!r}; use 'columnar', 'batched' or 'legacy'"
-        )
-
 
 def _stage(
     profile: "MiningProfile | None", name: str, items: int = 0
@@ -69,6 +58,11 @@ def _stage(
     if profile is None:
         return nullcontext()
     return profile.stage(name, items=items)
+
+
+def _check_max_letters(max_letters: int | None) -> None:
+    if max_letters is not None and max_letters < 1:
+        raise MiningError(f"max_letters must be >= 1, got {max_letters}")
 
 
 def _project_hits(store: "SegmentStore", target: LetterVocabulary) -> Counter:
@@ -80,7 +74,7 @@ def _project_hits(store: "SegmentStore", target: LetterVocabulary) -> Counter:
     masks that actually land in the tree.  Packed stores project every
     distinct mask at once with the vectorized
     :func:`~repro.kernels.columnar.remap_counts` sweep; the per-mask
-    Python remap only remains for the wide-vocabulary fallback.
+    Python remap only remains for wide (> 64-letter) stores.
     """
     table = store.vocab.remap_table(target)
     distinct = store.distinct_counts()
@@ -96,141 +90,194 @@ def _project_hits(store: "SegmentStore", target: LetterVocabulary) -> Counter:
     return hits
 
 
-class _ColumnarScan:
-    """Lazily-built state shared by both scans under ``kernel="columnar"``.
+class _Scans:
+    """Where the two scans read their data, plus the run's accounting.
 
-    The columnar tier pays for exactly one pass over the raw series: the
-    first scan that needs the data interns it into a packed
-    :class:`~repro.kernels.store.SegmentStore` (spilling to disk when
-    :class:`~repro.kernels.store.StoreOptions` says so), and every later
-    kernel runs over the stored column without touching the series again.
-    :meth:`count_scan` books that single pass in ``stats.scans`` exactly
-    once, whichever scan triggers the build.  A vocabulary too wide to
-    pack (> 64 letters) makes :meth:`store` return ``None`` and the caller
-    falls back to the batched path.
+    Subclasses answer scan 1 (:meth:`letter_counts`, every letter's
+    count) and scan 2 (:meth:`hits`, the distinct >= 2-letter hits over
+    the tree vocabulary); each books its passes in :attr:`stats` and
+    times itself as a profile stage.
     """
 
-    __slots__ = ("series", "period", "options", "counted", "_store", "_built")
+    __slots__ = ("period", "num_periods", "profile", "stats")
+
+    def __init__(
+        self, period: int, num_periods: int, profile: "MiningProfile | None"
+    ) -> None:
+        self.period = period
+        self.num_periods = num_periods
+        self.profile = profile
+        self.stats = MiningStats()
+
+    def letter_counts(self) -> Counter:
+        raise NotImplementedError
+
+    def hits(self, target: LetterVocabulary) -> Counter:
+        raise NotImplementedError
+
+
+class _SeriesScans(_Scans):
+    """The two scans over an in-memory series, on the batched kernels.
+
+    Each scan reads the series once: scan 1 counts every letter, scan 2
+    encodes the segments onto the tree vocabulary into a contiguous
+    :class:`~repro.kernels.store.SegmentStore` and keeps its distinct
+    >= 2-letter masks.
+    """
+
+    __slots__ = ("series",)
 
     def __init__(
         self,
         series: FeatureSeries,
         period: int,
-        options: "StoreOptions | None",
+        num_periods: int,
+        profile: "MiningProfile | None",
     ) -> None:
+        super().__init__(period, num_periods, profile)
         self.series = series
-        self.period = period
-        self.options = options
-        self.counted = False
+
+    def letter_counts(self) -> Counter:
+        with _stage(self.profile, "scan1", items=self.num_periods):
+            counts = letter_counts_for_segments(self.series.segments(self.period))
+        self.stats.scans += 1
+        return counts
+
+    def hits(self, target: LetterVocabulary) -> Counter:
+        from repro.kernels.store import SegmentStore
+
+        with _stage(self.profile, "scan2", items=self.num_periods):
+            hits = SegmentStore.from_series(
+                self.series, self.period, target
+            ).hit_counter()
+        self.stats.scans += 1
+        return hits
+
+
+class _StoreScans(_Scans):
+    """The two scans over a segment store, on the columnar kernels.
+
+    ``build`` returns the store; it runs once, on the first scan that
+    needs the data (a cache hit on both scans never builds it), and that
+    one pass is the only scan booked — both scans then read the stored
+    column, not the series.
+    """
+
+    __slots__ = ("build", "_store")
+
+    def __init__(
+        self,
+        build: Callable[[], "SegmentStore"],
+        period: int,
+        num_periods: int,
+        profile: "MiningProfile | None",
+    ) -> None:
+        super().__init__(period, num_periods, profile)
+        self.build = build
         self._store: "SegmentStore | None" = None
-        self._built = False
 
-    def store(self) -> "SegmentStore | None":
-        """The interned store, or ``None`` when the vocabulary is too wide."""
-        if not self._built:
-            self._built = True
-            from repro.kernels.store import SegmentStore, WideVocabularyError
-
-            try:
-                self._store = SegmentStore.from_series_interned(
-                    self.series, self.period, options=self.options
-                )
-            except WideVocabularyError:
-                self._store = None
+    def store(self) -> "SegmentStore":
+        if self._store is None:
+            self._store = self.build()
+            self.stats.scans += 1
         return self._store
 
-    def count_scan(self, stats: MiningStats) -> None:
-        """Book the single encode pass, exactly once across both scans."""
-        if not self.counted:
-            stats.scans += 1
-            self.counted = True
+    def letter_counts(self) -> Counter:
+        store = self.store()
+        with _stage(self.profile, "scan1", items=self.num_periods):
+            return store.letter_counts()
+
+    def hits(self, target: LetterVocabulary) -> Counter:
+        store = self.store()
+        with _stage(self.profile, "scan2", items=self.num_periods):
+            return _project_hits(store, target)
+
+
+def _interned_store(
+    series: FeatureSeries,
+    period: int,
+    options: "StoreOptions",
+    profile: "MiningProfile | None",
+) -> "SegmentStore":
+    """One encode pass interning ``series`` into a (possibly spilled) store.
+
+    Timed as the ``encode`` profile stage.  Only packed (<= 64-letter)
+    vocabularies have a store column; a wider one raises
+    :class:`~repro.core.errors.MiningError` naming its letter count
+    rather than quietly mining in memory.
+    """
+    from repro.encoding.codec import vocabulary_of_series
+    from repro.kernels.store import (
+        PACKED_MAX_BITS,
+        SegmentStore,
+        WideVocabularyError,
+    )
+
+    try:
+        with _stage(profile, "encode", items=series.num_periods(period)):
+            return SegmentStore.from_series_interned(
+                series, period, options=options
+            )
+    except WideVocabularyError as error:
+        letters = len(vocabulary_of_series(series, period))
+        raise MiningError(
+            f"store options need a vocabulary of at most {PACKED_MAX_BITS} "
+            f"letters, but the series has {letters} letters at period "
+            f"{period}; mine it without a store"
+        ) from error
 
 
 def _scan1(
-    series: FeatureSeries,
-    period: int,
+    scans: _Scans,
     min_conf: float,
-    cstate: "_ColumnarScan | None",
     cache: "CountCache | None",
     cache_key: object,
-    profile: "MiningProfile | None",
-    stats: MiningStats,
 ) -> FrequentOnePatterns:
     """Scan 1, consulting the count cache for the full letter counts.
 
-    Without a cache or columnar state this is
-    :func:`find_frequent_one_patterns` verbatim.  With a cache, the
-    *unfiltered* letter counts are fetched or computed and stored, so a
-    future re-query at any ``min_conf`` rebuilds its own F1 from the
-    cached counts without a scan.  With columnar state, the counts come
-    from one vectorized pass over the interned store column — the same
-    full counts, so they remain cache-compatible with the other kernels.
+    With a cache, the *unfiltered* letter counts are fetched or computed
+    and stored, so a future re-query at any ``min_conf`` rebuilds its own
+    F1 from the cached counts without a scan.  Both scan sources count
+    every letter, so their counts are cache-compatible.
     """
-    if cache is None and cstate is None:
-        with _stage(profile, "scan1"):
-            one_patterns = find_frequent_one_patterns(series, period, min_conf)
-        stats.scans += 1
-        if profile is not None:
-            profile.add_items("scan1", one_patterns.num_periods)
-        return one_patterns
-    num_periods = series.num_periods(period)
-    if num_periods == 0:
-        raise MiningError(
-            f"series of length {len(series)} has no whole period of {period}"
-        )
+    profile = scans.profile
     letter_counts = None
     if cache is not None:
         from repro.kernels.cache import CacheKey
 
         assert isinstance(cache_key, CacheKey)
         letter_counts = cache.get_letter_counts(cache_key)
-        if letter_counts is not None and profile is not None:
-            profile.count("cache_hits")
+        if profile is not None:
+            profile.count(
+                "cache_hits" if letter_counts is not None else "cache_misses"
+            )
     if letter_counts is None:
-        if cache is not None and profile is not None:
-            profile.count("cache_misses")
-        store = cstate.store() if cstate is not None else None
-        with _stage(profile, "scan1", items=num_periods):
-            if store is not None and cstate is not None:
-                letter_counts = store.letter_counts()
-                cstate.count_scan(stats)
-            else:
-                letter_counts = letter_counts_for_segments(
-                    series.segments(period)
-                )
-                stats.scans += 1
+        letter_counts = scans.letter_counts()
         if cache is not None:
             cache.put_letter_counts(cache_key, letter_counts)
-    threshold = min_count(min_conf, num_periods)
+    threshold = min_count(min_conf, scans.num_periods)
     return FrequentOnePatterns(
-        period=period,
-        num_periods=num_periods,
+        period=scans.period,
+        num_periods=scans.num_periods,
         threshold=threshold,
         letters=frequent_letter_set(letter_counts, threshold),
     )
 
 
 def _scan2(
-    series: FeatureSeries,
+    scans: _Scans,
     one_patterns: FrequentOnePatterns,
-    encode: bool,
-    kernel: str,
-    cstate: "_ColumnarScan | None",
     cache: "CountCache | None",
     cache_key: object,
-    profile: "MiningProfile | None",
-    stats: MiningStats,
 ) -> MaxSubpatternTree:
     """Scan 2: the populated max-subpattern tree, from cache when possible.
 
-    The columnar kernel reuses (or builds) the interned store and collects
-    hits as a vectorized distinct pass projected onto the tree vocabulary;
-    the batched kernel encodes the series into a contiguous
-    :class:`~repro.kernels.store.SegmentStore` and inserts once per
-    distinct hit; the legacy kernel keeps the original per-segment
-    insertion.  A cache hit rebuilds the tree from the memoized hit table
-    — zero scans — and a miss stores the freshly built table.
+    The scan source collects the distinct hits over the tree vocabulary,
+    and the tree takes one insertion per distinct hit.  A cache hit
+    rebuilds the tree from the memoized hit table — zero scans — and a
+    miss stores the freshly built table.
     """
+    profile = scans.profile
     tree = MaxSubpatternTree(one_patterns.max_pattern)
     letter_order = tree.vocab.letters
     if cache is not None:
@@ -247,37 +294,61 @@ def _scan2(
             return tree
         if profile is not None:
             profile.count("cache_misses")
-    store = cstate.store() if cstate is not None else None
-    if store is not None and cstate is not None:
-        with _stage(profile, "scan2", items=one_patterns.num_periods):
-            hits = _project_hits(store, tree.vocab)
-            cstate.count_scan(stats)
-        with _stage(profile, "tree", items=len(hits)):
-            for mask, count in hits.items():
-                tree.insert_mask(mask, count=count)
-        if profile is not None:
-            profile.count("distinct_hits", len(hits))
-    elif encode and kernel in ("batched", "columnar"):
-        from repro.kernels.store import SegmentStore
-
-        with _stage(profile, "scan2", items=one_patterns.num_periods):
-            batched_store = SegmentStore.from_series(
-                series, one_patterns.period, tree.vocab
-            )
-            hits = batched_store.hit_counter()
-        stats.scans += 1
-        with _stage(profile, "tree", items=len(hits)):
-            for mask, count in hits.items():
-                tree.insert_mask(mask, count=count)
-        if profile is not None:
-            profile.count("distinct_hits", len(hits))
-    else:
-        with _stage(profile, "scan2", items=one_patterns.num_periods):
-            tree.insert_all_segments(series, encode=encode)
-        stats.scans += 1
+    hits = scans.hits(tree.vocab)
+    with _stage(profile, "tree", items=len(hits)):
+        for mask, count in hits.items():
+            tree.insert_mask(mask, count=count)
+    if profile is not None:
+        profile.count("distinct_hits", len(hits))
     if cache is not None:
         cache.put_hit_table(cache_key, letter_order, tree.stored_hits())
     return tree
+
+
+def _mine(
+    scans: _Scans,
+    min_conf: float,
+    max_letters: int | None,
+    cache: "CountCache | None" = None,
+    cache_key: object = None,
+) -> MiningResult:
+    """Both scans from ``scans``, then the tree derivation (Alg. 3.2)."""
+    period, num_periods = scans.period, scans.num_periods
+    profile, stats = scans.profile, scans.stats
+    one_patterns = _scan1(scans, min_conf, cache, cache_key)
+    if one_patterns.is_empty:
+        return MiningResult(
+            algorithm="hitset",
+            period=period,
+            min_conf=min_conf,
+            num_periods=num_periods,
+            counts={},
+            stats=stats,
+        )
+    tree = _scan2(scans, one_patterns, cache, cache_key)
+    stats.tree_nodes = tree.node_count
+    stats.hit_set_size = tree.hit_set_size
+    with _stage(profile, "derive"):
+        letter_counts, candidate_counts = tree.derive_frequent(
+            one_patterns.threshold,
+            one_patterns.letters,
+            max_letters=max_letters,
+        )
+    stats.candidate_counts = candidate_counts
+    if profile is not None:
+        profile.add_items("derive", sum(candidate_counts.values()))
+    patterns = {
+        Pattern.from_letters(period, letters): count
+        for letters, count in letter_counts.items()
+    }
+    return MiningResult(
+        algorithm="hitset",
+        period=period,
+        min_conf=min_conf,
+        num_periods=num_periods,
+        counts=patterns,
+        stats=stats,
+    )
 
 
 def mine_single_period_hitset(
@@ -285,8 +356,6 @@ def mine_single_period_hitset(
     period: int,
     min_conf: float,
     max_letters: int | None = None,
-    encode: bool = True,
-    kernel: str = "batched",
     cache: "CountCache | None" = None,
     profile: "MiningProfile | None" = None,
     store: "StoreOptions | None" = None,
@@ -305,20 +374,6 @@ def mine_single_period_hitset(
         Optional cap on derived pattern letter count.  The complete
         frequent set is exponential on degenerate inputs; cap it when only
         short patterns are needed.  ``None`` derives everything.
-    encode:
-        Default ``True`` runs scan 2 on the encoded hot path — one bitmask
-        per segment, one tree insertion per *distinct* hit.  ``False``
-        keeps the legacy per-segment letter-set insertion (the CLI's
-        ``--no-encode`` escape hatch for bisecting regressions).  Results
-        are identical either way; still exactly two scans.
-    kernel:
-        ``"batched"`` (default) runs scan 2 on the contiguous segment
-        store and the derivation on the single-pass superset-sum kernel;
-        ``"columnar"`` interns the series into the store in one pass and
-        runs both scans as vectorized numpy ops over the column (falling
-        back to batched when the vocabulary exceeds 64 letters);
-        ``"legacy"`` keeps the original per-candidate paths (escape hatch
-        and equivalence oracle).  Results are identical.
     cache:
         Optional :class:`~repro.kernels.cache.CountCache`.  Cold queries
         populate it; re-queries of the same series and period answer from
@@ -328,12 +383,14 @@ def mine_single_period_hitset(
         Optional :class:`~repro.kernels.profile.MiningProfile` accumulating
         per-stage wall times and cache counters.
     store:
-        Optional :class:`~repro.kernels.store.StoreOptions` controlling
-        where the columnar kernel's segment store lives; with a
-        ``directory`` set, stores crossing the spill threshold encode
-        straight to an mmap'd on-disk file so the mine runs in bounded
-        memory.  Only meaningful with ``kernel="columnar"`` (and
-        ``encode=True``); raises otherwise.
+        Optional :class:`~repro.kernels.store.StoreOptions`.  The series is
+        then interned into a segment store in one encode pass (timed as the
+        ``encode`` profile stage) and mined on the columnar kernels exactly
+        as :func:`mine_store` mines a prebuilt store; with a ``directory``
+        set, stores crossing the spill threshold encode straight to an
+        mmap'd on-disk file so the mine runs in bounded memory.  Raises
+        :class:`~repro.core.errors.MiningError` when the vocabulary is
+        wider than 64 letters.
 
     Returns
     -------
@@ -341,75 +398,31 @@ def mine_single_period_hitset(
         Identical frequent set and counts to Algorithm 3.1 (a tested
         invariant), obtained with at most two scans — fewer on cache hits.
     """
-    if max_letters is not None and max_letters < 1:
-        raise MiningError(f"max_letters must be >= 1, got {max_letters}")
-    _check_kernel(kernel)
-    cstate: _ColumnarScan | None = None
-    if kernel == "columnar" and encode:
-        cstate = _ColumnarScan(series, period, store)
-    elif store is not None:
+    _check_max_letters(max_letters)
+    num_periods = series.num_periods(period)
+    if num_periods == 0:
         raise MiningError(
-            "store options require kernel='columnar' with encode=True"
+            f"series of length {len(series)} has no whole period of {period}"
         )
-    stats = MiningStats()
+    scans: _Scans
+    if store is None:
+        scans = _SeriesScans(series, period, num_periods, profile)
+    else:
+        options = store
+        scans = _StoreScans(
+            lambda: _interned_store(series, period, options, profile),
+            period,
+            num_periods,
+            profile,
+        )
     cache_key = cache.key_for(series, period) if cache is not None else None
-    one_patterns = _scan1(
-        series, period, min_conf, cstate, cache, cache_key, profile, stats
-    )
-    if one_patterns.is_empty:
-        return MiningResult(
-            algorithm="hitset",
-            period=period,
-            min_conf=min_conf,
-            num_periods=one_patterns.num_periods,
-            counts={},
-            stats=stats,
-        )
-
-    tree = _scan2(
-        series,
-        one_patterns,
-        encode,
-        kernel,
-        cstate,
-        cache,
-        cache_key,
-        profile,
-        stats,
-    )
-    stats.tree_nodes = tree.node_count
-    stats.hit_set_size = tree.hit_set_size
-
-    with _stage(profile, "derive"):
-        letter_counts, candidate_counts = tree.derive_frequent(
-            one_patterns.threshold,
-            one_patterns.letters,
-            max_letters=max_letters,
-            kernel=kernel,
-        )
-    stats.candidate_counts = candidate_counts
-    if profile is not None:
-        profile.add_items("derive", sum(candidate_counts.values()))
-    patterns = {
-        Pattern.from_letters(period, letters): count
-        for letters, count in letter_counts.items()
-    }
-    return MiningResult(
-        algorithm="hitset",
-        period=period,
-        min_conf=min_conf,
-        num_periods=one_patterns.num_periods,
-        counts=patterns,
-        stats=stats,
-    )
+    return _mine(scans, min_conf, max_letters, cache, cache_key)
 
 
 def build_hit_tree(
     series: FeatureSeries,
     period: int,
     min_conf: float,
-    encode: bool = True,
-    kernel: str = "batched",
 ) -> tuple[MaxSubpatternTree, FrequentOnePatterns]:
     """Run only the two scans and return the populated tree plus F1.
 
@@ -418,18 +431,10 @@ def build_hit_tree(
     Returns ``(tree, one_patterns)``; raises via
     :func:`~repro.core.maxpattern.find_frequent_one_patterns` on an invalid
     period and :class:`~repro.core.errors.MiningError` when F1 is empty.
-    ``encode`` and ``kernel`` select the scan-2 path exactly as in
-    :func:`mine_single_period_hitset`.
     """
-    _check_kernel(kernel)
     one_patterns = find_frequent_one_patterns(series, period, min_conf)
-    stats = MiningStats(scans=1)
-    cstate: _ColumnarScan | None = None
-    if kernel == "columnar" and encode:
-        cstate = _ColumnarScan(series, period, None)
-    tree = _scan2(
-        series, one_patterns, encode, kernel, cstate, None, None, None, stats
-    )
+    scans = _SeriesScans(series, period, one_patterns.num_periods, None)
+    tree = _scan2(scans, one_patterns, None, None)
     return tree, one_patterns
 
 
@@ -437,7 +442,6 @@ def mine_store(
     store: "SegmentStore",
     min_conf: float,
     max_letters: int | None = None,
-    kernel: str = "columnar",
     profile: "MiningProfile | None" = None,
 ) -> MiningResult:
     """Mine a prebuilt :class:`~repro.kernels.store.SegmentStore` directly.
@@ -452,61 +456,9 @@ def mine_store(
     (a tested invariant); the booked scan count is 1 because the encode
     pass already happened when the store was built.
     """
-    _check_kernel(kernel)
-    if max_letters is not None and max_letters < 1:
-        raise MiningError(f"max_letters must be >= 1, got {max_letters}")
-    stats = MiningStats()
+    _check_max_letters(max_letters)
     num_periods = len(store)
     if num_periods == 0:
         raise MiningError("segment store holds no segments; nothing to mine")
-    with _stage(profile, "scan1", items=num_periods):
-        letter_counts = store.letter_counts()
-    stats.scans += 1
-    threshold = min_count(min_conf, num_periods)
-    one_patterns = FrequentOnePatterns(
-        period=store.period,
-        num_periods=num_periods,
-        threshold=threshold,
-        letters=frequent_letter_set(letter_counts, threshold),
-    )
-    if one_patterns.is_empty:
-        return MiningResult(
-            algorithm="hitset",
-            period=store.period,
-            min_conf=min_conf,
-            num_periods=num_periods,
-            counts={},
-            stats=stats,
-        )
-    tree = MaxSubpatternTree(one_patterns.max_pattern)
-    with _stage(profile, "scan2", items=num_periods):
-        hits = _project_hits(store, tree.vocab)
-    with _stage(profile, "tree", items=len(hits)):
-        for mask, count in hits.items():
-            tree.insert_mask(mask, count=count)
-    if profile is not None:
-        profile.count("distinct_hits", len(hits))
-    stats.tree_nodes = tree.node_count
-    stats.hit_set_size = tree.hit_set_size
-    with _stage(profile, "derive"):
-        derived_counts, candidate_counts = tree.derive_frequent(
-            one_patterns.threshold,
-            one_patterns.letters,
-            max_letters=max_letters,
-            kernel=kernel,
-        )
-    stats.candidate_counts = candidate_counts
-    if profile is not None:
-        profile.add_items("derive", sum(candidate_counts.values()))
-    patterns = {
-        Pattern.from_letters(store.period, letters): count
-        for letters, count in derived_counts.items()
-    }
-    return MiningResult(
-        algorithm="hitset",
-        period=store.period,
-        min_conf=min_conf,
-        num_periods=num_periods,
-        counts=patterns,
-        stats=stats,
-    )
+    scans = _StoreScans(lambda: store, store.period, num_periods, profile)
+    return _mine(scans, min_conf, max_letters)

@@ -343,7 +343,6 @@ class SegmentPartial:
         max_letters: int | None = None,
         algorithm: str = "incremental-hitset",
         tree: MaxSubpatternTree | None = None,
-        kernel: str = "batched",
     ) -> MiningResult:
         """All frequent patterns of the summarized whole segments.
 
@@ -353,11 +352,7 @@ class SegmentPartial:
         max-subpattern tree whose hit counts already equal this partial's
         (the streaming decrement strategy keeps one alive across windows
         and hands it in instead of rebuilding); its ``C_max`` letters must
-        be exactly the current F1 letters.  ``kernel`` selects the
-        derivation kernel exactly as in
-        :meth:`MaxSubpatternTree.derive_frequent` (``"columnar"`` and
-        ``"batched"`` share the superset-sum pass; the window counters
-        themselves are scan-free either way).
+        be exactly the current F1 letters.
         """
         f1, threshold = self.frequent_one(min_conf)
         stats = MiningStats()
@@ -375,7 +370,7 @@ class SegmentPartial:
         stats.tree_nodes = tree.node_count
         stats.hit_set_size = tree.hit_set_size
         letter_counts, candidate_counts = tree.derive_frequent(
-            threshold, f1, max_letters=max_letters, kernel=kernel
+            threshold, f1, max_letters=max_letters
         )
         stats.candidate_counts = candidate_counts
         return MiningResult(
@@ -481,19 +476,15 @@ class IncrementalHitSetMiner:
         self,
         min_conf: float | None = None,
         max_letters: int | None = None,
-        kernel: str = "batched",
     ) -> MiningResult:
         """All frequent patterns of the absorbed whole segments.
 
         Identical to running Algorithm 3.2 over the accumulated series
         (trailing partial segment excluded), but touches only the
-        maintained counters — a tested invariant.  ``kernel`` selects the
-        derivation kernel (see :meth:`SegmentPartial.mine`).
+        maintained counters — a tested invariant.
         """
         min_conf = self._min_conf if min_conf is None else min_conf
-        return self._partial.mine(
-            min_conf, max_letters=max_letters, kernel=kernel
-        )
+        return self._partial.mine(min_conf, max_letters=max_letters)
 
     def merge(self, other: "IncrementalHitSetMiner") -> None:
         """Fold another miner's whole segments into this one (same period).

@@ -46,16 +46,13 @@ def mine_maximal_hitset(
     series: FeatureSeries,
     period: int,
     min_conf: float,
-    encode: bool = True,
 ) -> MiningResult:
     """Mine only the maximal frequent patterns in two scans.
 
     Runs the two scans of Algorithm 3.2 to populate the max-subpattern
     tree, then performs a MaxMiner-style set-enumeration search over the F1
     letters where every count lookup is answered from the tree.  The
-    search runs on bitmasks over the tree's vocabulary; ``encode``
-    selects the scan-2 path as in
-    :func:`~repro.core.hitset.build_hit_tree`.
+    search runs on bitmasks over the tree's vocabulary.
 
     Returns
     -------
@@ -65,7 +62,7 @@ def mine_maximal_hitset(
     """
     check_min_conf(min_conf)
     try:
-        tree, one_patterns = build_hit_tree(series, period, min_conf, encode=encode)
+        tree, one_patterns = build_hit_tree(series, period, min_conf)
     except MiningError:
         # Empty F1: re-run the cheap scan to recover num_periods for the
         # empty result.  (build_hit_tree raised before scanning twice.)

@@ -86,8 +86,6 @@ class PartialPeriodicMiner:
         algorithm: str | None = None,
         workers: int | None = None,
         backend: str = "auto",
-        encode: bool = True,
-        kernel: str = "batched",
         cache: CountCache | None = None,
         profile: MiningProfile | None = None,
         resilience: ResilienceContext | None = None,
@@ -99,13 +97,9 @@ class PartialPeriodicMiner:
         ``workers > 1`` runs the hit-set algorithm over segment shards on
         the parallel engine (:class:`repro.engine.ParallelMiner`); the
         frequent set and counts are identical to the serial run.
-        ``encode=False`` routes every path through the legacy letter-set
-        kernels (the CLI's ``--no-encode`` escape hatch), and
-        ``kernel="legacy"`` the per-candidate counting paths
-        (``--kernel legacy``); ``kernel="columnar"`` runs both scans as
-        vectorized ops over the segment-store column, and ``store`` (a
-        :class:`repro.kernels.StoreOptions`, columnar only) spills that
-        column to an mmap'd on-disk file past its threshold so the mine
+        ``store`` (a :class:`repro.kernels.StoreOptions`) interns the
+        series into a segment store, mined on the columnar kernels, that
+        spills to an mmap'd on-disk file past its threshold so the mine
         runs in bounded memory (``--store-dir``).  ``cache`` memoizes
         scan results across queries and ``profile`` collects per-stage
         timings — both hit-set only; the Apriori path ignores them.
@@ -129,7 +123,7 @@ class PartialPeriodicMiner:
                 )
             if store is not None:
                 raise MiningError(
-                    "store spill options apply to serial columnar mining; "
+                    "store spill options apply to serial mining; "
                     "the engine ships shard stores itself"
                 )
             from repro.engine.parallel import ParallelMiner
@@ -139,8 +133,6 @@ class PartialPeriodicMiner:
                 min_conf=min_conf,
                 workers=workers if workers is not None else 1,
                 backend=backend,
-                encode=encode,
-                kernel=kernel,
             ).mine(
                 period,
                 cache=cache,
@@ -153,26 +145,22 @@ class PartialPeriodicMiner:
                 self.series,
                 period,
                 min_conf,
-                encode=encode,
-                kernel=kernel,
                 cache=cache,
                 profile=profile,
                 store=store,
             )
         if algorithm == "apriori":
-            return mine_single_period_apriori(
-                self.series, period, min_conf, encode=encode
-            )
+            return mine_single_period_apriori(self.series, period, min_conf)
         raise MiningError(
             f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}"
         )
 
     def mine_maximal(
-        self, period: int, min_conf: float | None = None, encode: bool = True
+        self, period: int, min_conf: float | None = None
     ) -> MiningResult:
         """Only the maximal frequent patterns of one period (two scans)."""
         min_conf = self.min_conf if min_conf is None else min_conf
-        return mine_maximal_hitset(self.series, period, min_conf, encode=encode)
+        return mine_maximal_hitset(self.series, period, min_conf)
 
     def mine_constrained(
         self,
@@ -199,8 +187,6 @@ class PartialPeriodicMiner:
         min_repetitions: int = 1,
         workers: int | None = None,
         backend: str = "auto",
-        encode: bool = True,
-        kernel: str = "batched",
         resilience: ResilienceContext | None = None,
         journal_path: str | Path | None = None,
     ) -> MultiPeriodResult:
@@ -226,8 +212,6 @@ class PartialPeriodicMiner:
                 min_conf=min_conf,
                 workers=workers if workers is not None else 1,
                 backend=backend,
-                encode=encode,
-                kernel=kernel,
             ).mine_period_range(
                 low,
                 high,
@@ -242,8 +226,6 @@ class PartialPeriodicMiner:
             min_conf,
             shared=shared,
             min_repetitions=min_repetitions,
-            encode=encode,
-            kernel=kernel,
         )
 
     def mine_periods(
@@ -252,8 +234,6 @@ class PartialPeriodicMiner:
         min_conf: float | None = None,
         shared: bool = True,
         min_repetitions: int = 1,
-        encode: bool = True,
-        kernel: str = "batched",
     ) -> MultiPeriodResult:
         """All frequent patterns for an explicit collection of periods."""
         min_conf = self.min_conf if min_conf is None else min_conf
@@ -263,8 +243,6 @@ class PartialPeriodicMiner:
                 periods,
                 min_conf,
                 min_repetitions=min_repetitions,
-                encode=encode,
-                kernel=kernel,
             )
         return mine_periods_looping(
             self.series,
@@ -272,8 +250,6 @@ class PartialPeriodicMiner:
             min_conf,
             algorithm=self.algorithm,
             min_repetitions=min_repetitions,
-            encode=encode,
-            kernel=kernel,
         )
 
     def suggest_periods(

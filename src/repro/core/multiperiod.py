@@ -139,16 +139,11 @@ def mine_periods_looping(
     min_conf: float,
     algorithm: str = "hitset",
     min_repetitions: int = 1,
-    encode: bool = True,
-    kernel: str = "batched",
 ) -> MultiPeriodResult:
     """Algorithm 3.3: loop the single-period miner over each period.
 
     ``algorithm`` selects the inner miner: ``"hitset"`` (2 scans per
     period) or ``"apriori"`` (up to the longest-pattern length per period).
-    ``encode`` and ``kernel`` are forwarded to the hit-set miner (the
-    ``--no-encode`` / ``--kernel legacy`` escape hatches); the Apriori
-    miner has no kernel switch.
     """
     check_min_conf(min_conf)
     usable = _validated_periods(series, periods, min_repetitions)
@@ -161,13 +156,9 @@ def mine_periods_looping(
     )
     for period in usable:
         if algorithm == "hitset":
-            result = mine_single_period_hitset(
-                series, period, min_conf, encode=encode, kernel=kernel
-            )
+            result = mine_single_period_hitset(series, period, min_conf)
         else:
-            result = mine_single_period_apriori(
-                series, period, min_conf, encode=encode
-            )
+            result = mine_single_period_apriori(series, period, min_conf)
         outcome.results[period] = result
         outcome.scans += result.stats.scans
     return outcome
@@ -178,8 +169,6 @@ def mine_periods_shared(
     periods: Iterable[int],
     min_conf: float,
     min_repetitions: int = 1,
-    encode: bool = True,
-    kernel: str = "batched",
 ) -> MultiPeriodResult:
     """Algorithm 3.4: shared mining of all periods in two scans total.
 
@@ -188,11 +177,10 @@ def mine_periods_shared(
     period's segment hits and feeding each period's max-subpattern tree.
     Derivation then happens entirely in memory.
 
-    With ``encode`` (the default) scan 2 accumulates each period's running
-    hit as a plain int — one ``|=`` per slot via
+    Scan 2 accumulates each period's running hit as a plain int — one
+    ``|=`` per slot via
     :meth:`~repro.encoding.codec.SegmentEncoder.encode_slot` — and inserts
-    bitmasks; ``False`` keeps the legacy letter-set buffers (the
-    ``--no-encode`` escape hatch).  Results are identical either way.
+    bitmasks.
     """
     check_min_conf(min_conf)
     usable = _validated_periods(series, periods, min_repetitions)
@@ -227,10 +215,7 @@ def mine_periods_shared(
             trees[period] = MaxSubpatternTree(cmax)
 
     # ----- Scan 2: every period's hits in one pass ----------------------
-    if encode:
-        _shared_scan2_encoded(series, trees, usable_limit)
-    else:
-        _shared_scan2_legacy(series, trees, usable_limit)
+    _shared_scan2(series, trees, usable_limit)
 
     # ----- Derivation (in memory, no scans) ------------------------------
     outcome = MultiPeriodResult(algorithm="shared", min_conf=min_conf, scans=2)
@@ -251,7 +236,7 @@ def mine_periods_shared(
         stats.tree_nodes = tree.node_count
         stats.hit_set_size = tree.hit_set_size
         counts, candidate_counts = tree.derive_frequent(
-            thresholds[period], f1_sets[period], kernel=kernel
+            thresholds[period], f1_sets[period]
         )
         stats.candidate_counts = candidate_counts
         patterns = {
@@ -269,7 +254,7 @@ def mine_periods_shared(
     return outcome
 
 
-def _shared_scan2_encoded(
+def _shared_scan2(
     series: FeatureSeries,
     trees: dict[int, MaxSubpatternTree],
     usable_limit: dict[int, int],
@@ -293,34 +278,6 @@ def _shared_scan2_encoded(
                 buffers[period] = 0
 
 
-def _shared_scan2_legacy(
-    series: FeatureSeries,
-    trees: dict[int, MaxSubpatternTree],
-    usable_limit: dict[int, int],
-) -> None:
-    """Scan 2 of Algorithm 3.4 on letter-set buffers (bisection path)."""
-    cmax_letters = {
-        period: tree.max_pattern.letters for period, tree in trees.items()
-    }
-    buffers: dict[int, set[Letter]] = {period: set() for period in trees}
-    for index, slot in enumerate(series.iter_slots()):
-        for period, tree in trees.items():
-            if index >= usable_limit[period]:
-                continue
-            offset = index % period
-            if slot:
-                letters = cmax_letters[period]
-                for feature in slot:
-                    letter = (offset, feature)
-                    if letter in letters:
-                        buffers[period].add(letter)
-            if offset == period - 1:
-                hit = buffers[period]
-                if len(hit) >= 2:
-                    tree.insert(Pattern.from_letters(period, hit))
-                buffers[period] = set()
-
-
 def mine_period_range(
     series: FeatureSeries,
     low: int,
@@ -328,8 +285,6 @@ def mine_period_range(
     min_conf: float,
     shared: bool = True,
     min_repetitions: int = 1,
-    encode: bool = True,
-    kernel: str = "batched",
 ) -> MultiPeriodResult:
     """Convenience wrapper: mine every period in ``[low, high]``."""
     periods = period_range(low, high)
@@ -339,14 +294,10 @@ def mine_period_range(
             periods,
             min_conf,
             min_repetitions=min_repetitions,
-            encode=encode,
-            kernel=kernel,
         )
     return mine_periods_looping(
         series,
         periods,
         min_conf,
         min_repetitions=min_repetitions,
-        encode=encode,
-        kernel=kernel,
     )

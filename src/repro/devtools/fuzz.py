@@ -1,19 +1,22 @@
-"""Coverage-guided differential fuzzer for the counting kernels.
+"""Coverage-guided differential fuzzer for the counting paths.
 
-The columnar tier re-implements both scans of the hit-set method as
-vectorized array ops, and the only acceptable difference from the
-batched and legacy kernels is speed.  This module hammers that claim:
-randomized feature series are mined through every kernel tier and the
-resulting ``{letters: count}`` maps must be identical — additionally
-checked against a brute-force oracle that enumerates every subset of the
-frequent-1 letters and counts it by definition, with no shared code
-beyond the series itself.
+In-memory series mine on the batched kernels and store inputs on the
+columnar kernels; the only acceptable difference between them is speed.
+This module hammers that claim: randomized feature series are mined in
+memory and through a spilled segment store, and the resulting
+``{letters: count}`` maps must equal a brute-force oracle that
+enumerates every subset of the frequent-1 letters and counts it by
+definition, with no shared code beyond the series itself — and must
+equal the encoded Apriori miner (Algorithm 3.1), which still answers
+when the frequent-1 set is too large to enumerate.  Vocabularies wider
+than 64 letters have no store column: there the store path must refuse
+with a :class:`~repro.core.errors.MiningError`.
 
 A second, kernel-level stage compares the store primitives directly
 (``distinct_counts`` / ``letter_counts`` / ``hit_counter`` /
-``count_masks`` / the per-letter bitmap index) against naive
-pure-Python recomputations, so a bug that happens to cancel out in the
-end-to-end result is still caught at the primitive it lives in.
+``count_masks``) against naive pure-Python recomputations, so a bug
+that happens to cancel out in the end-to-end result is still caught at
+the primitive it lives in.
 
 Coverage guidance is structural, not line-based: every executed case is
 reduced to a small signature (period, vocabulary width, frequent-set
@@ -24,9 +27,9 @@ frequent sets, dense distinct tables) instead of re-rolling the same
 easy cases.
 
 The fuzzer's own alarm is tested by :func:`mutation_check`: it injects
-known bugs into :mod:`repro.kernels.columnar` (a dropped distinct row,
-an off-by-one letter count, a corrupted candidate count, a lying bitmap
-index) and demands the fuzzer report a divergence for every one.  A
+known bugs into the kernels production calls (a dropped distinct row,
+an off-by-one letter count, a corrupted candidate count, a lying hit
+counter) and demands the fuzzer report a divergence for every one.  A
 clean run proves little if the alarm cannot ring.
 
 CLI: ``ppm fuzz`` (see :func:`repro.cli.main`); CI runs a short-budget
@@ -36,20 +39,21 @@ smoke plus the mutation check.
 from __future__ import annotations
 
 import random
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import min_count
+from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.pattern import Letter
+from repro.core.result import MiningResult
 from repro.timeseries.feature_series import FeatureSeries
 
-#: Kernel tiers whose mining results must be letter-identical.
-KERNEL_TIERS = ("columnar", "batched", "legacy")
-
 #: Skip the exponential brute-force oracle past this many frequent-1
-#: letters (the kernel tiers still cross-check each other).
+#: letters (Apriori still cross-checks the mining paths).
 BRUTE_FORCE_MAX_F1 = 10
 
 #: Cap on the frequent-1 set a case may mine with: the complete frequent
@@ -144,8 +148,8 @@ def random_case(rng: random.Random) -> FuzzCase:
         period=period,
         num_segments=rng.randint(1, 40),
         # Past ~64 distinct (offset, feature) letters the store goes wide
-        # and the columnar tier must fall back; both sides of the cliff
-        # stay in range.
+        # and the store path must refuse; both sides of the cliff stay in
+        # range.
         alphabet=rng.choice((2, 3, 5, 9, 17, 40, 90)),
         planted=rng.randint(0, 2),
         planting=rng.choice((0.3, 0.6, 0.9, 1.0)),
@@ -247,10 +251,7 @@ def brute_force_patterns(
     return frequent
 
 
-def _result_map(
-    series: FeatureSeries, period: int, min_conf: float, kernel: str
-) -> dict[frozenset[Letter], int]:
-    result = mine_single_period_hitset(series, period, min_conf, kernel=kernel)
+def _result_map(result: MiningResult) -> dict[frozenset[Letter], int]:
     return {pattern.letters: count for pattern, count in result.items()}
 
 
@@ -307,39 +308,81 @@ def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
     divergences: list[Divergence] = []
 
     min_conf = _effective_conf(series, case.period, case.min_conf)
-    maps = {
-        kernel: _result_map(series, case.period, min_conf, kernel)
-        for kernel in KERNEL_TIERS
-    }
-    reference = maps["batched"]
-    for kernel in KERNEL_TIERS:
-        if maps[kernel] != reference:
-            divergences.append(
-                Divergence(
-                    case,
-                    stage=f"mine:{kernel}-vs-batched",
-                    detail=_diff_maps(maps[kernel], reference),
-                )
-            )
+    mined = _result_map(
+        mine_single_period_hitset(series, case.period, min_conf)
+    )
     oracle = brute_force_patterns(series, case.period, min_conf)
-    if oracle is not None and oracle != reference:
+    if oracle is not None and oracle != mined:
         divergences.append(
             Divergence(
                 case,
                 stage="mine:brute-force-oracle",
-                detail=_diff_maps(reference, oracle),
+                detail=_diff_maps(mined, oracle),
+            )
+        )
+    apriori = _result_map(
+        mine_single_period_apriori(series, case.period, min_conf)
+    )
+    if apriori != mined:
+        divergences.append(
+            Divergence(
+                case,
+                stage="mine:apriori",
+                detail=_diff_maps(mined, apriori),
             )
         )
 
-    wide, signature_bits = _check_primitives(case, series, divergences)
+    wide = _check_store_path(case, series, min_conf, mined, divergences)
+    signature_bits = (
+        (0, 0) if wide else _check_primitives(case, series, divergences)
+    )
     signature = (
         case.period,
         wide,
-        _bucket(len(reference)),
-        not reference,
+        _bucket(len(mined)),
+        not mined,
         signature_bits,
     )
     return divergences, signature
+
+
+def _check_store_path(
+    case: FuzzCase,
+    series: FeatureSeries,
+    min_conf: float,
+    mined: dict[frozenset[Letter], int],
+    divergences: list[Divergence],
+) -> bool:
+    """Mine through a store spilled to disk; ``True`` when the store is wide.
+
+    A wide (> 64-letter) vocabulary must be refused with a
+    :class:`~repro.core.errors.MiningError` caused by the store's
+    :class:`~repro.kernels.store.WideVocabularyError`.
+    """
+    from repro.kernels.store import StoreOptions, WideVocabularyError
+
+    with tempfile.TemporaryDirectory(prefix="ppm-fuzz-") as directory:
+        try:
+            result = mine_single_period_hitset(
+                series,
+                case.period,
+                min_conf,
+                store=StoreOptions(directory, spill_bytes=0),
+            )
+        except MiningError as error:
+            if isinstance(error.__cause__, WideVocabularyError):
+                return True
+            raise
+    spilled = _result_map(result)
+    if spilled != mined:
+        divergences.append(
+            Divergence(
+                case,
+                stage="mine:spilled-store",
+                detail=_diff_maps(spilled, mined),
+            )
+        )
+    return False
 
 
 def _bucket(value: int) -> int:
@@ -349,21 +392,16 @@ def _bucket(value: int) -> int:
 
 def _check_primitives(
     case: FuzzCase, series: FeatureSeries, divergences: list[Divergence]
-) -> tuple[bool, tuple[Any, ...]]:
-    """Differentially test the store primitives on packed stores.
+) -> tuple[Any, ...]:
+    """Differentially test the store primitives on a packed store.
 
-    Returns ``(wide, signature_bits)``; wide stores (``> 64`` letters)
-    have no column to test and contribute only their width to coverage.
+    Returns the coverage signature bits (distinct-row and width buckets).
     """
-    from repro.kernels.batched import batched_count_masks
-    from repro.kernels.store import SegmentStore, WideVocabularyError
+    from repro.kernels.store import SegmentStore
 
-    try:
-        store = SegmentStore.from_series_interned(series, case.period)
-    except WideVocabularyError:
-        return True, (0, 0)
+    store = SegmentStore.from_series_interned(series, case.period)
     if not len(store):
-        return False, (0, 0)
+        return (0, 0)
 
     rng = random.Random(case.seed ^ 0x5EED)
     naive_rows: Counter = Counter(int(mask) for mask in store)
@@ -415,34 +453,19 @@ def _check_primitives(
         )
         for mask in sample
     }
-    for name, counted in (
-        ("columnar", lambda: _columnar_counts(distinct, sample)),
-        ("batched", lambda: batched_count_masks(naive_rows.items(), sample)),
-        ("bitmap", lambda: store.bitmap_index().count_masks(sample)),
-    ):
-        observed = dict(counted())
-        if observed != naive_counts:
-            wrong = sum(
-                1
-                for mask in sample
-                if observed.get(mask) != naive_counts[mask]
+    observed = store.count_masks(sample)
+    if observed != naive_counts:
+        wrong = sum(
+            1 for mask in sample if observed.get(mask) != naive_counts[mask]
+        )
+        divergences.append(
+            Divergence(
+                case,
+                stage="store:count_masks",
+                detail=f"{wrong}/{len(sample)} candidate counts differ",
             )
-            divergences.append(
-                Divergence(
-                    case,
-                    stage=f"store:count_masks:{name}",
-                    detail=f"{wrong}/{len(sample)} candidate counts differ",
-                )
-            )
-    return False, (_bucket(len(naive_rows)), _bucket(width))
-
-
-def _columnar_counts(
-    distinct: Counter, sample: list[int]
-) -> dict[int, int]:
-    from repro.kernels import columnar
-
-    return columnar.count_masks(distinct, sample)
+        )
+    return (_bucket(len(naive_rows)), _bucket(width))
 
 
 def _submask(row: int, keep: int) -> int:
@@ -500,13 +523,14 @@ def fuzz(budget: int, seed: int = 0) -> FuzzReport:
 # ----------------------------------------------------------------------
 
 
-def _mutation_targets() -> dict[str, tuple[str, Callable[..., Any]]]:
-    """Named bugs to inject: columnar attribute -> corrupted wrapper."""
+def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
+    """Named bugs to inject: (owner, attribute) -> corrupted wrapper."""
     from repro.kernels import columnar
+    from repro.kernels.batched import SubmaskCountTable
 
     original_distinct = columnar.distinct_counts
     original_letters = columnar.letter_bit_totals
-    original_counts = columnar.count_masks
+    original_counts = SubmaskCountTable.counts
     original_hits = columnar.hit_counter
 
     def dropped_distinct_row(column: Any) -> Counter:
@@ -522,8 +546,10 @@ def _mutation_targets() -> dict[str, tuple[str, Callable[..., Any]]]:
         totals[0] += 1
         return totals
 
-    def corrupted_candidate(distinct: Counter, masks: Any) -> dict[int, int]:
-        counts = dict(original_counts(distinct, masks))
+    def corrupted_candidate(
+        table: SubmaskCountTable, masks: Any
+    ) -> dict[int, int]:
+        counts = dict(original_counts(table, masks))
         for mask in sorted(counts):
             counts[mask] += 1
             break
@@ -537,10 +563,16 @@ def _mutation_targets() -> dict[str, tuple[str, Callable[..., Any]]]:
         return counts
 
     return {
-        "dropped-distinct-row": ("distinct_counts", dropped_distinct_row),
-        "off-by-one-letter-count": ("letter_bit_totals", off_by_one_letter),
-        "corrupted-candidate-count": ("count_masks", corrupted_candidate),
-        "lying-hit-counter": ("hit_counter", lying_hits),
+        "dropped-distinct-row": (
+            columnar, "distinct_counts", dropped_distinct_row
+        ),
+        "off-by-one-letter-count": (
+            columnar, "letter_bit_totals", off_by_one_letter
+        ),
+        "corrupted-candidate-count": (
+            SubmaskCountTable, "counts", corrupted_candidate
+        ),
+        "lying-hit-counter": (columnar, "hit_counter", lying_hits),
     }
 
 
@@ -550,15 +582,13 @@ def mutation_check(budget: int = 40, seed: int = 0) -> dict[str, bool]:
     Every value in the returned mapping must be ``True`` for the fuzzer's
     alarm to be trusted; CI asserts exactly that.
     """
-    from repro.kernels import columnar
-
     caught: dict[str, bool] = {}
-    for name, (attribute, corrupted) in _mutation_targets().items():
-        original = getattr(columnar, attribute)
-        setattr(columnar, attribute, corrupted)
+    for name, (owner, attribute, corrupted) in _mutation_targets().items():
+        original = getattr(owner, attribute)
+        setattr(owner, attribute, corrupted)
         try:
             report = fuzz(budget, seed=seed)
         finally:
-            setattr(columnar, attribute, original)
+            setattr(owner, attribute, original)
         caught[name] = not report.ok
     return caught

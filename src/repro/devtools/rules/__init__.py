@@ -12,7 +12,7 @@ they guard:
   tree/engine hot paths;
 * :mod:`.resilience` — REP6xx, budgeted sleeping and bounded retries;
 * :mod:`.kernels` — REP7xx, batched counting (no per-candidate probe
-  loops outside the legacy oracle);
+  loops);
 * :mod:`.serve` — REP8xx, the serving tier's event-loop contract (no
   blocking calls inside coroutines);
 * :mod:`.streaming` — REP9xx, bounded state on unbounded feeds (every

@@ -1,7 +1,7 @@
 """Columnar-kernel rules (REP11xx).
 
-The columnar tier reinterprets the packed :class:`SegmentStore` buffer as
-a numpy ``uint64`` column and answers both scans with vectorized array
+The columnar kernels reinterpret the packed :class:`SegmentStore` buffer
+as a numpy ``uint64`` column and answer both scans with vectorized array
 ops (:mod:`repro.kernels.columnar`).  A Python ``for`` loop over the
 store's row buffer — ``self._masks``, a ``store`` iterator, or the
 ``column()`` array walked element by element — silently reintroduces the

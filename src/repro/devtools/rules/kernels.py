@@ -7,9 +7,7 @@ single-mask probes (``count_of_mask`` and friends) inside a loop quietly
 reintroduces the candidates-times-rows cost — results stay correct, only
 the asymptotics regress.  This rule makes that regression loud.
 
-The tree module itself is exempt: it is where the legacy derivation
-(``kernel="legacy"``, the equivalence oracle) legitimately lives.  A
-genuine non-batchable probe loop can be suppressed with
+A genuine non-batchable probe loop can be suppressed with
 ``# repro: ignore[REP701] -- <why the calls cannot batch>``.
 """
 
@@ -27,9 +25,6 @@ PER_CANDIDATE_PROBES = frozenset(
     {"count_of_mask", "count_of", "count_of_letters"}
 )
 
-#: The module allowed to loop over probes: the legacy derivation oracle.
-EXEMPT_MODULE = "repro.tree.max_subpattern_tree"
-
 
 @register
 class PerCandidateCountLoopRule(Rule):
@@ -43,13 +38,10 @@ class PerCandidateCountLoopRule(Rule):
         "loop costs O(candidates * tree rows); the batched kernels "
         "(MaxSubpatternTree.count_masks / repro.kernels.batched."
         "batched_count_masks) answer the whole set in one superset-sum "
-        "pass. Only the legacy oracle in repro.tree.max_subpattern_tree "
-        "may keep the per-candidate walk."
+        "pass."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.in_package(EXEMPT_MODULE):
-            return
         seen: set[tuple[int, int]] = set()
         for loop in ast.walk(ctx.tree):
             if not isinstance(loop, (ast.For, ast.While)):

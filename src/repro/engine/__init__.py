@@ -48,7 +48,6 @@ from repro.engine.executor import (
 )
 from repro.engine.merge import (
     hits_to_tree,
-    hits_to_tree_letters,
     merge_counters,
     merge_hit_counters,
     merge_trees,
@@ -64,7 +63,6 @@ from repro.engine.partition import (
 from repro.engine.stats import DegradationEvent, EngineStats, ShardStats
 from repro.engine.worker import (
     collect_shard_hits,
-    collect_shard_hits_legacy,
     count_shard_letters,
     mine_period_task,
 )
@@ -83,11 +81,9 @@ __all__ = [
     "ShardStats",
     "ThreadBackend",
     "collect_shard_hits",
-    "collect_shard_hits_legacy",
     "count_shard_letters",
     "encode_shard",
     "hits_to_tree",
-    "hits_to_tree_letters",
     "merge_counters",
     "merge_hit_counters",
     "merge_trees",

@@ -80,25 +80,6 @@ def hits_to_tree(
     return tree
 
 
-def hits_to_tree_letters(
-    period: int,
-    letter_order: Sequence[Letter],
-    hit_counter: Counter,
-) -> MaxSubpatternTree:
-    """Letter-tuple counterpart of :func:`hits_to_tree` (bisection path).
-
-    Consumes the payload of
-    :func:`~repro.engine.worker.collect_shard_hits_legacy`: a counter keyed
-    by sorted letter tuples instead of bitmasks.
-    """
-    if not letter_order:
-        raise EngineError("cannot build a tree for an empty C_max")
-    tree = MaxSubpatternTree(Pattern.from_letters(period, letter_order))
-    for letters, count in hit_counter.items():
-        tree.insert_letters(letters, count=count)
-    return tree
-
-
 def merge_trees(trees: Sequence[MaxSubpatternTree]) -> MaxSubpatternTree:
     """Fold partial trees left-to-right into the first one.
 

@@ -49,7 +49,6 @@ from repro.resilience.journal import CheckpointJournal, series_fingerprint
 from repro.encoding.vocabulary import LetterVocabulary
 from repro.engine.merge import (
     hits_to_tree,
-    hits_to_tree_letters,
     merge_counters,
     merge_trees,
 )
@@ -58,11 +57,9 @@ from repro.engine.stats import EngineStats, ShardStats
 from repro.engine.worker import (
     PeriodTask,
     collect_shard_hits,
-    collect_shard_hits_legacy,
     count_shard_letters,
     mine_period_task,
 )
-from repro.kernels import KERNELS
 from repro.kernels.cache import CountCache
 from repro.kernels.profile import MiningProfile
 from repro.timeseries.feature_series import FeatureSeries, as_feature_series
@@ -153,19 +150,6 @@ class ParallelMiner:
     chunk_size:
         Segments per shard; ``None`` splits evenly into one shard per
         worker.
-    encode:
-        Default ``True`` ships scan 2 through the bitmask kernels;
-        ``False`` routes workers and merge through the legacy letter-set
-        path (the ``--no-encode`` escape hatch).  Results are identical.
-    kernel:
-        ``"batched"`` (default) derives the frequent set on the
-        single-pass superset-sum kernel; ``"columnar"`` additionally runs
-        each worker's shard scans as vectorized numpy passes over the
-        shard's store column; ``"legacy"`` keeps the original
-        per-candidate walk (the ``--kernel legacy`` escape hatch).
-        Results are identical.  Shard stores that live on disk pickle as
-        their file path — the worker re-maps the file instead of copying
-        the buffer through the task queue.
 
     Examples
     --------
@@ -184,14 +168,8 @@ class ParallelMiner:
         workers: int | None = None,
         backend: str | ExecutionBackend = "auto",
         chunk_size: int | None = None,
-        encode: bool = True,
-        kernel: str = "batched",
     ):
         check_min_conf(min_conf)
-        if kernel not in KERNELS:
-            raise EngineError(
-                f"unknown kernel {kernel!r}; choose from {KERNELS}"
-            )
         self.series = _plain_series(series)
         self.min_conf = min_conf
         self.workers = default_workers() if workers is None else workers
@@ -199,8 +177,6 @@ class ParallelMiner:
             raise EngineError(f"workers must be >= 1, got {self.workers}")
         self.backend = backend
         self.chunk_size = chunk_size
-        self.encode = encode
-        self.kernel = kernel
 
     # ------------------------------------------------------------------
     # Single-period mining (sharded Algorithm 3.2)
@@ -269,8 +245,6 @@ class ParallelMiner:
                 shards,
                 period=period,
                 min_conf=min_conf,
-                encode=self.encode,
-                kernel=self.kernel,
             ),
         )
         cache_key = (
@@ -352,16 +326,10 @@ class ParallelMiner:
                         "hits",
                         [[offset, feature] for offset, feature in letter_order],
                     )
-                hit_worker = (
-                    collect_shard_hits
-                    if self.encode
-                    else collect_shard_hits_legacy
-                )
-                to_tree = hits_to_tree if self.encode else hits_to_tree_letters
                 scan_started = time.perf_counter()
                 outcomes = run_shards(
                     ladder,
-                    hit_worker,
+                    collect_shard_hits,
                     [(shard, letter_order) for shard in shards],
                     ctx,
                     phase="hits",
@@ -376,7 +344,7 @@ class ParallelMiner:
                 merge_started = time.perf_counter()
                 tree = merge_trees(
                     [
-                        to_tree(period, letter_order, outcome.value)
+                        hits_to_tree(period, letter_order, outcome.value)
                         for outcome in outcomes
                     ]
                 )
@@ -395,7 +363,7 @@ class ParallelMiner:
         # ----- Derivation (Algorithm 4.2, parent-side) -------------------
         derive_started = time.perf_counter()
         counts, candidate_counts = tree.derive_frequent(
-            threshold, f1, max_letters=max_letters, kernel=self.kernel
+            threshold, f1, max_letters=max_letters
         )
         engine.derive_s = time.perf_counter() - derive_started
         if profile is not None:
@@ -467,9 +435,7 @@ class ParallelMiner:
                 series=self.series.slice_segments(period, 0, num_segments),
             )
             shards.append(shard)
-            tasks.append(
-                (shard, min_conf, max_letters, self.encode, self.kernel)
-            )
+            tasks.append((shard, min_conf, max_letters))
         ctx, owned_journal = _attach_journal(
             resilience,
             journal_path,
@@ -477,8 +443,6 @@ class ParallelMiner:
                 self.series,
                 shards,
                 min_conf=min_conf,
-                encode=self.encode,
-                kernel=self.kernel,
                 max_letters=max_letters,
                 min_repetitions=min_repetitions,
             ),
@@ -498,7 +462,7 @@ class ParallelMiner:
             min_conf=min_conf,
             engine=engine,
         )
-        for (shard, _, _, _, _), outcome in zip(tasks, outcomes):
+        for (shard, _, _), outcome in zip(tasks, outcomes):
             period, num_periods, vocab_letters, payload, stat_values = outcome.value
             stats = MiningStats(
                 scans=stat_values["scans"],

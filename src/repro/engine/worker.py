@@ -33,10 +33,9 @@ LetterTask = SegmentShard
 #: bit order shared by every shard of the run.
 HitTask = tuple[SegmentShard, tuple[Letter, ...]]
 
-#: Per-period task: shard covering the whole period, threshold, letter
-#: cap, the encode flag (``--no-encode`` escape hatch), and the counting
-#: kernel name (``columnar`` / ``batched`` / ``legacy``).
-PeriodTask = tuple[SegmentShard, float, "int | None", bool, str]
+#: Per-period task: shard covering the whole period, threshold and letter
+#: cap.
+PeriodTask = tuple[SegmentShard, float, "int | None"]
 
 #: Per-period payload: period, segment count, the worker's sorted C_max
 #: vocabulary as a letter tuple, ``(mask, count)`` rows over that
@@ -76,33 +75,6 @@ def collect_shard_hits(task: HitTask) -> Counter:
     return store.hit_counter()
 
 
-def collect_shard_hits_legacy(task: HitTask) -> Counter:
-    """Scan 2 on letter sets — the pre-encoding kernel (bisection path).
-
-    Returns a counter keyed by sorted letter *tuples* instead of masks;
-    merge with :func:`repro.engine.merge.hits_to_tree_letters`.  Kept so
-    ``--no-encode`` exercises a mask-free worker end to end.
-    """
-    shard, letter_order = task
-    period = shard.period
-    cmax = frozenset(letter_order)  # repro: ignore[REP501] -- one-off setup, not per-segment
-    hits: Counter = Counter()
-    slots = shard.series.slots
-    index = 0
-    for _ in range(shard.num_segments):
-        letters = []
-        for offset in range(period):
-            slot = slots[index]
-            index += 1
-            for feature in slot:
-                letter = (offset, feature)
-                if letter in cmax:
-                    letters.append(letter)
-        if len(letters) >= 2:
-            hits[tuple(sorted(letters))] += 1
-    return hits
-
-
 def mine_period_task(task: PeriodTask) -> PeriodPayload:
     """Mine one whole period on a worker (per-period fan-out).
 
@@ -112,7 +84,7 @@ def mine_period_task(task: PeriodTask) -> PeriodPayload:
     masks over it, stats as a plain dict) so the payload pickles cheaply
     and the parent rebuilds ``Pattern`` objects once.
     """
-    shard, min_conf, max_letters, encode, kernel = task
+    shard, min_conf, max_letters = task
     period = shard.period
     letter_counts = count_shard_letters(shard)
     threshold = min_count(min_conf, shard.num_segments)
@@ -126,17 +98,13 @@ def mine_period_task(task: PeriodTask) -> PeriodPayload:
         return period, shard.num_segments, (), [], stats
     # Local import: worker.py must stay importable before merge.py during
     # package initialization.
-    from repro.engine.merge import hits_to_tree, hits_to_tree_letters
+    from repro.engine.merge import hits_to_tree
 
     letter_order = tuple(sorted(f1))
-    if encode:
-        hit_counter = collect_shard_hits((shard, letter_order))
-        tree = hits_to_tree(period, letter_order, hit_counter)
-    else:
-        hit_counter = collect_shard_hits_legacy((shard, letter_order))
-        tree = hits_to_tree_letters(period, letter_order, hit_counter)
+    hit_counter = collect_shard_hits((shard, letter_order))
+    tree = hits_to_tree(period, letter_order, hit_counter)
     counts, candidate_counts = tree.derive_frequent(
-        threshold, f1, max_letters=max_letters, kernel=kernel
+        threshold, f1, max_letters=max_letters
     )
     stats.update(
         scans=2,

@@ -5,11 +5,10 @@ The performance layer under every miner:
 * :mod:`~repro.kernels.batched` — single-pass candidate counting: the
   dense superset-sum table and the sparse projection kernel that replace
   the legacy per-candidate walks of Algorithm 4.2;
-* :mod:`~repro.kernels.columnar` — the vectorized scan tier
-  (``kernel="columnar"``): the store buffer viewed as a numpy ``uint64``
-  column, scan 1 as one unpack-and-sum pass, scan 2 as chunked
-  ``np.unique``, verification as a broadcast AND/compare reduction, and
-  per-letter occurrence bitmap indexes for sparse alphabets;
+* :mod:`~repro.kernels.columnar` — the vectorized scans over store
+  inputs: the store buffer viewed as a numpy ``uint64`` column, scan 1 as
+  one unpack-and-sum pass, scan 2 as chunked ``np.unique`` projected onto
+  the tree vocabulary;
 * :mod:`~repro.kernels.store` — :class:`SegmentStore`, the contiguous
   ``array``-backed buffer of encoded segments shared by scan 1, scan 2 and
   verification — persistable to disk (:meth:`SegmentStore.to_file` /
@@ -21,12 +20,13 @@ The performance layer under every miner:
 * :mod:`~repro.kernels.profile` — :class:`MiningProfile`, the per-stage
   wall-time/cache-counter ledger behind ``ppm mine --profile``.
 
-Every kernel is an exact drop-in: the legacy paths remain selectable
-(``kernel="legacy"`` / ``--kernel legacy``) as the equivalence oracle, the
+In-memory series mine on the batched kernels and store inputs on the
+columnar ones; there is no kernel switch.  Every kernel is exact: the
 randomized sweeps in ``tests/test_kernels.py`` / ``tests/test_columnar.py``
-hold columnar == batched == legacy == brute force, and the differential
-fuzzer (:mod:`repro.devtools.fuzz`, ``ppm fuzz``) hammers the same
-invariant across randomized corners.  See ``docs/kernels.md``.
+hold both paths equal to the brute-force counter in
+:mod:`repro.core.counting`, and the differential fuzzer
+(:mod:`repro.devtools.fuzz`, ``ppm fuzz``) hammers the same invariant
+across randomized corners.  See ``docs/kernels.md``.
 """
 
 from repro.kernels.batched import (
@@ -37,7 +37,6 @@ from repro.kernels.batched import (
     project_hit_counts,
 )
 from repro.kernels.cache import CacheKey, CacheStats, CountCache, letters_hash
-from repro.kernels.columnar import LetterBitmapIndex
 from repro.kernels.profile import MiningProfile, StageTiming
 from repro.kernels.store import (
     SegmentStore,
@@ -45,19 +44,11 @@ from repro.kernels.store import (
     WideVocabularyError,
 )
 
-#: The selectable counting kernels; "batched" is the default everywhere.
-#: "columnar" runs both scans as vectorized array ops over the store
-#: column (falling back to the batched paths when the vocabulary is too
-#: wide to pack); "legacy" keeps the per-candidate walks as the oracle.
-KERNELS = ("columnar", "batched", "legacy")
-
 __all__ = [
-    "KERNELS",
     "MAX_TABLE_BITS",
     "CacheKey",
     "CacheStats",
     "CountCache",
-    "LetterBitmapIndex",
     "MiningProfile",
     "SegmentStore",
     "StageTiming",

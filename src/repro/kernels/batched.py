@@ -1,9 +1,8 @@
 """Batched candidate counting — one pass over the hits, all candidates at once.
 
-The legacy derivation path (Algorithm 4.2 as first implemented in
-:mod:`repro.tree.max_subpattern_tree`) answers each candidate with its own
-pass over the stored hits: ``candidates x stored`` disjointness tests per
-level.  The paper's observation that the tree already holds *all* the
+A per-candidate derivation (Algorithm 4.2 read literally) answers each
+candidate with its own pass over the stored hits: ``candidates x stored``
+disjointness tests per level.  The paper's observation that the tree already holds *all* the
 information needed for *every* subpattern count invites the batched dual:
 walk the stored hits once and push each hit's count into every candidate it
 covers.
@@ -17,7 +16,7 @@ width:
   ``table[X] = sum(count(T) for T superset of X)``.  Cost ``O(2^n * n)``
   once, then every candidate of every level is a single table lookup.  With
   the paper's Table-1 parameters (``|F1| = 12``) the table has 4096 entries
-  — far below the work of even one legacy level.  When the hit rows are few
+  — far below the work of even one per-candidate level.  When the hit rows are few
   and narrow (small inputs), the same table is built as a sparse dict by
   enumerating each distinct projection's submasks instead — identical
   lookups, without paying the ``2^n`` sweep.
@@ -27,9 +26,9 @@ width:
   once), then per projection either enumerate its submasks (when
   ``2^popcount`` is small) or scan the candidate list.
 
-Both return exactly the per-candidate totals the legacy loop computes — the
-randomized sweep in ``tests/test_kernels.py`` holds them equal to each
-other and to brute force.
+Both return exactly the per-candidate totals — the randomized sweep in
+``tests/test_kernels.py`` holds them equal to each other and to brute
+force.
 """
 
 from __future__ import annotations
@@ -280,9 +279,9 @@ def derive_frequent_masks(
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Algorithm 4.2 on the batched kernels — all frequent masks at once.
 
-    Drop-in mask-level replacement for the legacy per-candidate loop in
+    The derivation behind
     :meth:`~repro.tree.max_subpattern_tree.MaxSubpatternTree.derive_frequent`:
-    same level-wise apriori-gen, but every level's candidates are counted
+    level-wise apriori-gen, where every level's candidates are counted
     by one :class:`SubmaskCountTable` lookup apiece (the table is built
     once, up front, over the F1 universe) instead of one pass over the
     stored hits apiece.
@@ -298,7 +297,7 @@ def derive_frequent_masks(
         Level 1: single-bit mask of each frequent letter to its exact count
         from the F1 scan.
     max_letters:
-        Optional cap on derived pattern size, as in the legacy path.
+        Optional cap on derived pattern size.
     table:
         Optional prebuilt :class:`SubmaskCountTable` whose universe covers
         the F1 letters — e.g. the tree's memoized full-universe table, so

@@ -15,28 +15,24 @@ scan kernel as a bulk array op instead of a Python loop:
   vectorized ``np.bitwise_count`` filter keeps the >= 2-letter hits
   (:func:`hit_counter`), and projecting hits onto the tree vocabulary is
   one shift/OR sweep per kept bit lane (:func:`remap_counts`).
-* **Verification** — candidate counts as a broadcast AND/compare reduction
-  over the distinct-mask table: ``(rows & candidate) == candidate`` for a
-  whole candidate block, then one matvec with the row counts
-  (:func:`count_masks`).
-* **Sparse alphabets** — :class:`LetterBitmapIndex` holds one packed
-  occurrence bitmap per letter; a candidate's count is the popcount of the
-  AND of its letters' bitmaps, and a letter with zero occurrences
-  short-circuits the whole candidate without touching the column.
+
+Store inputs (:func:`repro.core.hitset.mine_store` and series mined with
+:class:`~repro.kernels.store.StoreOptions`) run both scans here; the
+in-memory batched path reuses :func:`distinct_counts` and
+:func:`hit_counter` for its scan-2 store.
 
 Every kernel works in bounded chunks (:data:`CHUNK_ROWS`), so the same
 code path serves in-memory columns and mmap'd stores far larger than RAM:
 peak working memory is ``O(CHUNK_ROWS + distinct masks)`` regardless of
 column length.  All kernels are exact — the differential fuzzer
 (:mod:`repro.devtools.fuzz`) and the randomized sweeps in
-``tests/test_columnar.py`` hold them letter-identical to the batched and
-legacy tiers and to brute force.
+``tests/test_columnar.py`` hold them letter-identical to brute force.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -164,141 +160,10 @@ def remap_counts(
     )
 
 
-#: Candidate rows per broadcast block in :func:`count_masks`; bounds the
-#: ``candidates x distinct`` boolean matrix at ~``512 * distinct`` bytes.
-_CANDIDATE_BLOCK = 512
-
-
-def count_masks(
-    distinct: Counter, masks: Sequence[int]
-) -> dict[int, int]:
-    """Verification: frequency counts of many candidates in one reduction.
-
-    For each block of candidates ``C`` and the distinct rows ``R`` with
-    counts ``n``: ``covers = (R & C[:, None]) == C[:, None]`` is the
-    subset test for the whole block at once, and ``covers @ n`` the
-    per-candidate totals.  Identical results to
-    :func:`repro.kernels.batched.batched_count_masks`.
-    """
-    if not masks:
-        return {}
-    if not distinct:
-        return {int(mask): 0 for mask in masks}
-    rows = np.fromiter(distinct.keys(), np.uint64, count=len(distinct))
-    row_counts = np.fromiter(
-        distinct.values(), np.int64, count=len(distinct)
-    )
-    candidates = np.fromiter(masks, np.uint64, count=len(masks))
-    out: dict[int, int] = {}
-    for start in range(0, len(candidates), _CANDIDATE_BLOCK):
-        block = candidates[start : start + _CANDIDATE_BLOCK, None]
-        covers = (rows[None, :] & block) == block
-        totals = covers @ row_counts
-        for mask, total in zip(
-            candidates[start : start + _CANDIDATE_BLOCK].tolist(),
-            totals.tolist(),
-        ):
-            out[mask] = total
-    return out
-
-
-class LetterBitmapIndex:
-    """Per-letter occurrence bitmaps — the sparse-alphabet fast path.
-
-    Row ``i`` of :attr:`bitmaps` is a packed bitset over the segments:
-    bit ``j`` set iff segment ``j`` contains letter ``i``.  A candidate's
-    frequency count is then the popcount of the AND of its letters' rows
-    — ``O(segments / 8)`` bytes per letter instead of a pass over the
-    distinct-mask table — and any letter with zero occurrences
-    short-circuits the candidate to 0 without touching a single bitmap.
-
-    Built in one chunked pass over the column (the same bit matrix scan 1
-    unpacks), so constructing the index costs one scan and answers both
-    scan-1 letter totals (:attr:`totals`) and arbitrarily many candidate
-    verifications.
-    """
-
-    __slots__ = ("bitmaps", "totals", "num_segments")
-
-    def __init__(
-        self,
-        bitmaps: "np.ndarray",
-        totals: "np.ndarray",
-        num_segments: int,
-    ):
-        self.bitmaps = bitmaps
-        self.totals = totals
-        self.num_segments = num_segments
-
-    @classmethod
-    def from_column(cls, column: "np.ndarray") -> "LetterBitmapIndex":
-        """Build the index chunk-wise; bounded memory on mmap'd columns."""
-        column = as_uint64(column)
-        num_segments = len(column)
-        chunks: list[np.ndarray] = []
-        for start in range(0, num_segments, CHUNK_ROWS):
-            chunk = column[start : start + CHUNK_ROWS]
-            bits = np.unpackbits(chunk.view(np.uint8), bitorder="little")
-            matrix = bits.reshape(-1, COLUMN_BITS)
-            # Transpose to letter-major and pack each letter's lane; the
-            # chunk size is a multiple of 8 so chunk boundaries land on
-            # whole bitmap bytes.
-            chunks.append(
-                np.packbits(
-                    np.ascontiguousarray(matrix.T), axis=1, bitorder="little"
-                )
-            )
-        if chunks:
-            bitmaps = np.concatenate(chunks, axis=1)
-        else:
-            bitmaps = np.zeros((COLUMN_BITS, 0), np.uint8)
-        totals = np.bitwise_count(bitmaps).sum(axis=1, dtype=np.int64)
-        return cls(bitmaps, totals, num_segments)
-
-    def letter_counts(self, vocab: LetterVocabulary) -> Counter:
-        """Scan-1 state from the index (free once the index exists)."""
-        counts: Counter = Counter()
-        for letter_id, letter in enumerate(vocab):
-            total = int(self.totals[letter_id])
-            if total:
-                counts[letter] = total
-        return counts
-
-    def count_mask(self, mask: int) -> int:
-        """One candidate's frequency count by bitmap intersection."""
-        if mask == 0:
-            return self.num_segments
-        bits = sorted(
-            _iter_bits(mask), key=lambda bit: int(self.totals[bit])
-        )
-        # Rarest letter first: a zero-support letter answers immediately
-        # and the intersection shrinks fastest.
-        if int(self.totals[bits[0]]) == 0:
-            return 0
-        acc = self.bitmaps[bits[0]]
-        for bit in bits[1:]:
-            acc = acc & self.bitmaps[bit]
-        return int(np.bitwise_count(acc).sum())
-
-    def count_masks(self, masks: Iterable[int]) -> dict[int, int]:
-        """Batched candidate counts over the per-letter bitmaps."""
-        return {int(mask): self.count_mask(int(mask)) for mask in masks}
-
-
-def _iter_bits(mask: int) -> Iterable[int]:
-    """Yield the set bit positions of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 __all__ = [
     "CHUNK_ROWS",
     "COLUMN_BITS",
-    "LetterBitmapIndex",
     "as_uint64",
-    "count_masks",
     "distinct_counts",
     "hit_counter",
     "letter_bit_totals",

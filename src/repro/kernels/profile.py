@@ -1,8 +1,8 @@
 """Per-stage profiling for mining runs — the kernels' observability hook.
 
 :class:`MiningProfile` accumulates wall-clock time, item counts and event
-counters per named stage (``scan1``, ``scan2``, ``derive``, ``merge``,
-``partition``) across serial and engine runs alike.  The serial miners
+counters per named stage (``encode``, ``scan1``, ``scan2``, ``derive``,
+``merge``, ``partition``) across serial and engine runs alike.  The serial miners
 time their stages directly; the parallel engine adds its partition/merge
 overheads and fan-out wall times; the count cache reports hits and misses
 through :meth:`count`.
@@ -21,7 +21,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 #: Canonical stage order for display; unknown stages append after these.
-STAGE_ORDER = ("partition", "scan1", "tree", "scan2", "merge", "derive")
+STAGE_ORDER = (
+    "partition", "encode", "scan1", "tree", "scan2", "merge", "derive"
+)
 
 
 @dataclass(slots=True)

@@ -152,7 +152,6 @@ class SegmentStore:
         "_distinct",
         "_packed",
         "_path",
-        "_bitmaps",
     )
 
     def __init__(
@@ -175,7 +174,6 @@ class SegmentStore:
         self._packed = isinstance(self._masks, (array, np.ndarray))
         self._distinct: Counter | None = None
         self._path: Path | None = None
-        self._bitmaps: "_columnar.LetterBitmapIndex | None" = None
 
     @classmethod
     def from_series(
@@ -220,7 +218,7 @@ class SegmentStore:
     ) -> "SegmentStore":
         """One streaming scan: intern letters in arrival order while encoding.
 
-        The columnar tier's scan-1 builder — unlike :meth:`from_series`
+        The builder behind store-option mining — unlike :meth:`from_series`
         with ``vocab=None`` it never pre-scans the series for the
         vocabulary, so the whole store (and the full-vocabulary letter
         counts derivable from its column) costs exactly one pass.  Bit
@@ -228,7 +226,7 @@ class SegmentStore:
         sorted target via :meth:`LetterVocabulary.remap_table`.
 
         Raises :class:`WideVocabularyError` as soon as a 65th letter
-        appears — the caller falls back to the batched scan paths.
+        appears: wider vocabularies have no packed column.
         """
         vocab = LetterVocabulary((), period=period)
         intern = vocab.intern
@@ -584,24 +582,6 @@ class SegmentStore:
             }
         )
 
-    def bitmap_index(self) -> "_columnar.LetterBitmapIndex":
-        """The per-letter occurrence bitmap index, built once and memoized.
-
-        The sparse-alphabet verification path: a candidate's count is the
-        popcount of the AND of its letters' bitmaps, and a letter with no
-        occurrences short-circuits without touching the column.  Requires
-        a packed store.
-        """
-        if self._bitmaps is None:
-            column = self.column()
-            if column is None:
-                raise WideVocabularyError(
-                    f"store with {len(self._vocab)} letters exceeds "
-                    f"{PACKED_MAX_BITS} bits; bitmap indexes need a column"
-                )
-            self._bitmaps = _columnar.LetterBitmapIndex.from_column(column)
-        return self._bitmaps
-
     def count_mask(self, mask: int) -> int:
         """Frequency count of one candidate mask (over distinct rows)."""
         return sum(
@@ -610,26 +590,13 @@ class SegmentStore:
             if not mask & ~stored
         )
 
-    def count_masks(
-        self, masks: Sequence[int], kernel: str = "batched"
-    ) -> dict[int, int]:
+    def count_masks(self, masks: Sequence[int]) -> dict[int, int]:
         """Batched frequency counts of many candidates in one pass.
 
-        ``kernel="batched"`` delegates to
-        :func:`~repro.kernels.batched.batched_count_masks` over the
-        distinct-mask rows; ``"columnar"`` answers with the broadcast
-        AND/compare reduction (:func:`repro.kernels.columnar.count_masks`)
-        — or, when the distinct table outweighs the per-letter bitmaps
-        (``distinct * 8 > segments``), with the bitmap-intersection index.
-        Results are identical across kernels.
+        Delegates to :func:`~repro.kernels.batched.batched_count_masks`
+        over the distinct-mask rows.
         """
-        ordered = list(masks)
-        if kernel == "columnar" and self._packed:
-            distinct = self.distinct_counts()
-            if ordered and len(distinct) * 8 > len(self._masks):
-                return self.bitmap_index().count_masks(ordered)
-            return _columnar.count_masks(distinct, ordered)
-        return batched_count_masks(self.distinct_counts().items(), ordered)
+        return batched_count_masks(self.distinct_counts().items(), list(masks))
 
     def __repr__(self) -> str:
         return (

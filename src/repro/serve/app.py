@@ -77,10 +77,6 @@ class ServeConfig:
 
     #: Default confidence threshold when a request omits ``min_conf``.
     min_conf: float = 0.5
-    #: Counting kernel for every mine (mirrors ``ppm mine --kernel``).
-    kernel: str = "batched"
-    #: False routes mining through the legacy letter-set kernels.
-    encode: bool = True
     #: Per-query engine workers (mirrors ``ppm mine --workers``).
     mine_workers: int = 1
     #: Engine backend when ``mine_workers > 1``.
@@ -450,7 +446,7 @@ class MiningApp:
         started: float,
     ) -> tuple[int, dict]:
         """The post-admission pipeline: result cache, coalescing, mining."""
-        result_key = (fingerprint, period, min_conf, self.config.kernel)
+        result_key = (fingerprint, period, min_conf)
         cached = self._result_cache_get(result_key)
         if cached is not None:
             return 200, self._respond(
@@ -651,8 +647,6 @@ class MiningApp:
             period,
             workers=self.config.mine_workers,
             backend=self.config.backend,
-            encode=self.config.encode,
-            kernel=self.config.kernel,
             cache=self.cache,
             profile=profile,
         )

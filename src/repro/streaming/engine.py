@@ -70,11 +70,6 @@ class StreamingMiner:
     change_tolerance:
         Minimum confidence move for a shared pattern to be reported as
         strengthened/weakened in the per-window change feed.
-    kernel:
-        Counting kernel forwarded to every window's miner
-        (``"columnar"`` / ``"batched"`` / ``"legacy"``); the window
-        partials are scan-free counters either way, so the kernel selects
-        only the derivation pass.  Results are identical across kernels.
 
     Examples
     --------
@@ -88,7 +83,6 @@ class StreamingMiner:
         "_min_conf",
         "_max_letters",
         "_tolerance",
-        "_kernel",
         "_strategy",
         "_pending",
         "_slots_seen",
@@ -107,7 +101,6 @@ class StreamingMiner:
         retirement: str = "decrement",
         max_letters: int | None = None,
         change_tolerance: float = 0.05,
-        kernel: str = "batched",
     ):
         self._spec = WindowSpec(
             period=period,
@@ -115,16 +108,9 @@ class StreamingMiner:
             slide=window if slide is None else slide,
         )
         check_stream_params(min_conf, change_tolerance)
-        from repro.kernels import KERNELS
-
-        if kernel not in KERNELS:
-            raise StreamError(
-                f"unknown kernel {kernel!r}; choose from {KERNELS}"
-            )
         self._min_conf = min_conf
         self._max_letters = max_letters
         self._tolerance = change_tolerance
-        self._kernel = kernel
         self._strategy = make_strategy(retirement, period)
         #: Slots of the currently-incomplete segment (< period of them).
         self._pending: list[frozenset[str]] = []
@@ -207,9 +193,7 @@ class StreamingMiner:
         spec = self._spec
         index = self._windows_emitted
         result = self._strategy.mine(
-            self._min_conf,
-            max_letters=self._max_letters,
-            kernel=self._kernel,
+            self._min_conf, max_letters=self._max_letters
         )
         changes = (
             None
@@ -259,7 +243,6 @@ class StreamingMiner:
             "min_conf": self._min_conf,
             "max_letters": self._max_letters,
             "change_tolerance": self._tolerance,
-            "kernel": self._kernel,
             "strategy": self._strategy.to_state(),
             "pending": [sorted(slot) for slot in self._pending],
             "slots_seen": self._slots_seen,
@@ -275,7 +258,12 @@ class StreamingMiner:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "StreamingMiner":
-        """Rebuild a miner from :meth:`to_state` output."""
+        """Rebuild a miner from :meth:`to_state` output.
+
+        States written while the miner still had a ``kernel`` setting
+        carry a ``"kernel"`` field; it only ever chose the derivation
+        pass, which is now the same for every value, so it is ignored.
+        """
         try:
             miner = cls(
                 period=int(state["period"]),
@@ -289,9 +277,6 @@ class StreamingMiner:
                     else int(state["max_letters"])
                 ),
                 change_tolerance=float(state["change_tolerance"]),
-                # Checkpoints written before the columnar tier carry no
-                # kernel field; they resume on the default.
-                kernel=str(state.get("kernel", "batched")),
             )
             miner._strategy.restore(state["strategy"])
             miner._pending = [
@@ -327,7 +312,6 @@ class StreamingMiner:
             "slide": spec.slide,
             "strategy": self._strategy.name,
             "min_conf": self._min_conf,
-            "kernel": self._kernel,
             "slots_seen": self._slots_seen,
             "windows_emitted": self._windows_emitted,
             "retained_segments": self.retained_segments,

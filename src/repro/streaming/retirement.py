@@ -79,14 +79,8 @@ class RetirementStrategy(ABC):
         self,
         min_conf: float,
         max_letters: int | None = None,
-        kernel: str = "batched",
     ) -> MiningResult:
-        """Frequent patterns of exactly the retained segments.
-
-        ``kernel`` selects the derivation kernel of the per-window mine
-        (see :meth:`repro.core.incremental.SegmentPartial.mine`); results
-        are identical across kernels.
-        """
+        """Frequent patterns of exactly the retained segments."""
 
     def _check_retire(self, count: int) -> None:
         if count < 0:
@@ -154,7 +148,6 @@ class DecrementRetirement(RetirementStrategy):
         self,
         min_conf: float,
         max_letters: int | None = None,
-        kernel: str = "batched",
     ) -> MiningResult:
         f1, _ = self._partial.frequent_one(min_conf)
         f1_letters = frozenset(f1)
@@ -189,7 +182,6 @@ class DecrementRetirement(RetirementStrategy):
             max_letters=max_letters,
             algorithm="streaming-decrement",
             tree=tree,
-            kernel=kernel,
         )
 
     def to_state(self) -> dict[str, Any]:
@@ -254,7 +246,6 @@ class RingRetirement(RetirementStrategy):
         self,
         min_conf: float,
         max_letters: int | None = None,
-        kernel: str = "batched",
     ) -> MiningResult:
         folded = SegmentPartial(self._period, vocab=self._vocab)
         for partial in self._ring:
@@ -263,7 +254,6 @@ class RingRetirement(RetirementStrategy):
             min_conf,
             max_letters=max_letters,
             algorithm="streaming-ring",
-            kernel=kernel,
         )
 
     def to_state(self) -> dict[str, Any]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 
-from repro.core.candidates import generate_candidate_masks
 from repro.core.counting import segment_letters
 from repro.core.errors import EncodingError, MiningError, PatternError
 from repro.core.pattern import Letter, Pattern
@@ -343,26 +342,17 @@ class MaxSubpatternTree:
             Pattern.from_letters(self._max_pattern.period, hit)
         )
 
-    def insert_all_segments(
-        self, series: FeatureSeries, encode: bool = True
-    ) -> int:
+    def insert_all_segments(self, series: FeatureSeries) -> int:
         """Scan 2 of Algorithm 3.2: register the hit of every segment.
 
-        The default path encodes each segment into a bitmask
+        Encodes each segment into a bitmask
         (:class:`~repro.encoding.codec.SegmentEncoder` projects onto the
         ``C_max`` letters as a side effect), collapses identical hits in a
         counter, and inserts once per *distinct* hit — on periodic data
-        distinct hits are far fewer than segments.  ``encode=False`` keeps
-        the legacy per-segment letter-set insertion for bisection.
+        distinct hits are far fewer than segments.
 
         Returns the number of segments whose hit was stored.
         """
-        if not encode:
-            stored = 0
-            for segment in series.segments(self._max_pattern.period):
-                if self.insert_segment(segment) is not None:
-                    stored += 1
-            return stored
         encoder = SegmentEncoder(self._vocab)
         hits: Counter = Counter()
         for segment in series.segments(self._max_pattern.period):
@@ -424,9 +414,8 @@ class MaxSubpatternTree:
     def _missing_rows(self) -> list[tuple[int, int]]:
         """Memoized ``(missing_mask, count)`` rows of the non-zero nodes.
 
-        Built once per tree state and shared by every counting entry point
-        — repeated ``count_of_mask`` calls and the legacy derivation no
-        longer rescan the index per query.
+        Built once per tree state and shared by every counting entry point,
+        so repeated ``count_of_mask`` calls never rescan the index.
         """
         rows = self._stored_rows
         if rows is None:
@@ -597,7 +586,6 @@ class MaxSubpatternTree:
         threshold: int,
         f1_counts: Mapping[Letter, int],
         max_letters: int | None = None,
-        kernel: str = "batched",
     ) -> tuple[dict[frozenset[Letter], int], dict[int, int]]:
         """Algorithm 4.2: all frequent patterns from the hit counts.
 
@@ -607,14 +595,9 @@ class MaxSubpatternTree:
         on bitmasks (candidate generation included); results decode to
         letter sets once, on return.
 
-        ``kernel`` selects the counting strategy: ``"batched"`` (default)
-        answers every level from one superset-sum pass over the stored
-        hits (:func:`repro.kernels.batched.derive_frequent_masks`);
-        ``"columnar"`` shares that derivation (the columnar tier differs
-        in the scans, not here — the tree's hit rows are already the
-        distinct-mask collapse); ``"legacy"`` keeps the original
-        per-candidate loop as the escape hatch and equivalence oracle.
-        Outputs are identical.
+        Every level is answered from one superset-sum pass over the stored
+        hits (:func:`repro.kernels.batched.derive_frequent_masks`), never
+        a loop of candidates times stored rows.
 
         ``max_letters`` optionally caps the derived pattern size.  The
         complete frequent set is exponential on degenerate inputs (e.g. a
@@ -632,72 +615,23 @@ class MaxSubpatternTree:
         f1_bit_counts = {
             vocab.bit_of(letter): count for letter, count in f1_counts.items()
         }
-        if kernel in ("batched", "columnar"):
-            # The memoized full-universe table always covers F1 (F1 letters
-            # are C_max letters), so the hit rows are only materialized
-            # when no dense table exists.
-            table = self._superset_table()
-            hits = (
-                () if table is not None else self.stored_hits().items()
-            )
-            mask_counts, candidate_counts = derive_frequent_masks(
-                hits,
-                threshold,
-                f1_bit_counts,
-                max_letters=max_letters,
-                table=table,
-            )
-        elif kernel == "legacy":
-            mask_counts, candidate_counts = self._derive_frequent_legacy(
-                threshold, f1_bit_counts, max_letters
-            )
-        else:
-            raise MiningError(
-                f"unknown kernel {kernel!r}; use 'columnar', 'batched' "
-                "or 'legacy'"
-            )
+        # The memoized full-universe table always covers F1 (F1 letters
+        # are C_max letters), so the hit rows are only materialized when
+        # no dense table exists.
+        table = self._superset_table()
+        hits = () if table is not None else self.stored_hits().items()
+        mask_counts, candidate_counts = derive_frequent_masks(
+            hits,
+            threshold,
+            f1_bit_counts,
+            max_letters=max_letters,
+            table=table,
+        )
         counts = {
             vocab.decode_mask(mask): count
             for mask, count in mask_counts.items()
         }
         return counts, candidate_counts
-
-    def _derive_frequent_legacy(
-        self,
-        threshold: int,
-        f1_bit_counts: Mapping[int, int],
-        max_letters: int | None,
-    ) -> tuple[dict[int, int], dict[int, int]]:
-        """The original per-candidate derivation loop (equivalence oracle).
-
-        One pass over the stored rows per candidate — the quadratic shape
-        the batched kernel replaces; kept verbatim so ``--kernel legacy``
-        bisects kernel regressions and the tests can hold the two equal.
-        """
-        mask_counts = dict(f1_bit_counts)
-        candidate_counts = {1: len(f1_bit_counts)}
-        frequent_level = set(mask_counts)
-        level = 1
-        stored = self._missing_rows()
-        while frequent_level:
-            if max_letters is not None and level >= max_letters:
-                break
-            candidates = generate_candidate_masks(frequent_level)
-            if not candidates:
-                break
-            level += 1
-            candidate_counts[level] = len(candidates)
-            frequent_level = set()
-            for candidate in candidates:
-                total = 0
-                # repro: the per-candidate scan the batched kernel avoids.
-                for missing_mask, count in stored:
-                    if not candidate & missing_mask:
-                        total += count
-                if total >= threshold:
-                    mask_counts[candidate] = total
-                    frequent_level.add(candidate)
-        return mask_counts, candidate_counts
 
     # ------------------------------------------------------------------
     # Internals

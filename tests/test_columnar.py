@@ -1,11 +1,13 @@
-"""Tests for the columnar kernel tier and the out-of-core SegmentStore.
+"""Tests for the columnar kernels and the out-of-core SegmentStore.
 
-Exactness is the whole contract: across seeds, periods, and thresholds
-the columnar tier must produce letter-identical results to the batched
-and legacy kernels and the brute-force oracle — in memory, spilled to
-disk, mmap-backed, through the streaming engine, through the parallel
-engine, and through the CLI.  The wide-vocabulary (>64 letters) fallback
-is pinned across every tier, and the store's on-disk round trip (atomic
+Store inputs — a prebuilt store (``mine_store``) or a series mined with
+``StoreOptions`` — mine on the columnar kernels; in-memory series mine on
+the batched ones.  Exactness is the whole contract: across seeds,
+periods, and thresholds both paths must produce letter-identical results
+to the brute-force oracle and to Apriori — in memory, spilled to disk,
+mmap-backed, through the streaming engine, through the parallel engine,
+and through the CLI.  Wide (> 64-letter) vocabularies mine in memory and
+are refused by the store path; the store's on-disk round trip (atomic
 writes, sidecar metadata, pickle-by-path) is exercised directly.
 """
 
@@ -14,19 +16,21 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import brute_force_frequent
-from repro.core.errors import MiningError, StreamError
+from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset, mine_store
 from repro.encoding.vocabulary import LetterVocabulary
-from repro.kernels import KERNELS
 from repro.kernels.batched import batched_count_masks
 from repro.kernels import columnar
 from repro.kernels.cache import CountCache
+from repro.kernels.profile import MiningProfile
 from repro.kernels.store import (
     SegmentStore,
     StoreOptions,
@@ -34,6 +38,7 @@ from repro.kernels.store import (
 )
 from repro.streaming import StreamingMiner
 from repro.timeseries.feature_series import FeatureSeries
+from tests.reference import per_candidate_mine, wide_series
 
 
 def random_series(seed: int, length: int = 60, features: int = 4) -> FeatureSeries:
@@ -43,21 +48,6 @@ def random_series(seed: int, length: int = 60, features: int = 4) -> FeatureSeri
     return FeatureSeries(
         [{f for f in alphabet if rng.random() < 0.35} for _ in range(length)]
     )
-
-
-def wide_series(seed: int, length: int = 120) -> FeatureSeries:
-    """A series whose (offset, feature) vocabulary exceeds 64 letters.
-
-    Two dense features keep the frequent set non-empty while seventy
-    rare features blow past the packed-store bit width.
-    """
-    rng = random.Random(seed)
-    slots = []
-    for index in range(length):
-        slot = {"hot"} if index % 3 == 0 else {"warm"}
-        slot.add(f"rare{rng.randrange(70)}")
-        slots.append(slot)
-    return FeatureSeries(slots)
 
 
 def result_map(result):
@@ -120,22 +110,8 @@ class TestColumnarPrimitives:
             mask: sum(c for row, c in rows.items() if not mask & ~row)
             for mask in sample
         }
-        assert store.count_masks(sample, kernel="columnar") == naive
-        assert store.count_masks(sample, kernel="batched") == naive
-        assert columnar.count_masks(store.distinct_counts(), sample) == naive
-        assert store.bitmap_index().count_masks(sample) == naive
-
-    def test_bitmap_index_zero_support_short_circuit(self):
-        vocab = LetterVocabulary(((0, "a"), (0, "b"), (0, "c")), period=1)
-        store = SegmentStore(vocab, 1, [0b011, 0b001, 0b011])
-        index = store.bitmap_index()
-        # Letter c (bit 2) never occurs: any candidate using it is 0.
-        assert index.count_masks([0b100, 0b101, 0b001]) == {
-            0b100: 0,
-            0b101: 0,
-            0b001: 3,
-        }
-        assert index.letter_counts(vocab)[(0, "a")] == 3  # in every row
+        assert store.count_masks(sample) == naive
+        assert batched_count_masks(rows.items(), sample) == naive
 
     def test_as_uint64_zero_copy(self):
         store = self.make_store(0)
@@ -145,69 +121,96 @@ class TestColumnarPrimitives:
         assert np.shares_memory(converted, column)
 
 
+def store_options(tmp_path) -> StoreOptions:
+    """Options spilling every store to disk, whatever its size."""
+    return StoreOptions(directory=str(tmp_path), spill_bytes=0)
+
+
 class TestKernelEquivalence:
-    """Every tier, letter-identical — the tentpole's exactness gate."""
+    """Both counting paths, letter-identical — the exactness gate."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("period", (2, 4, 7))
-    def test_all_tiers_match_brute_force(self, seed, period):
+    def test_all_tiers_match_brute_force(self, seed, period, tmp_path):
         series = random_series(seed, length=70, features=4)
         min_conf = (0.25, 0.5, 0.75)[seed % 3]
-        maps = {
-            kernel: result_map(
-                mine_single_period_hitset(series, period, min_conf, kernel=kernel)
-            )
-            for kernel in KERNELS
-        }
-        assert maps["columnar"] == maps["batched"] == maps["legacy"]
         oracle = {
             frozenset(p.letters): c
             for p, c in brute_force_frequent(series, period, min_conf).items()
         }
-        assert maps["batched"] == oracle
-
-    def test_columnar_books_one_scan(self):
-        series = random_series(3, length=60)
-        columnar_result = mine_single_period_hitset(
-            series, 3, 0.3, kernel="columnar"
+        in_memory = mine_single_period_hitset(series, period, min_conf)
+        spilled = mine_single_period_hitset(
+            series, period, min_conf, store=store_options(tmp_path)
         )
-        batched_result = mine_single_period_hitset(series, 3, 0.3, kernel="batched")
-        assert len(columnar_result)  # non-degenerate case
+        prebuilt = mine_store(
+            SegmentStore.from_series_interned(series, period), min_conf
+        )
+        apriori = mine_single_period_apriori(series, period, min_conf)
+        for result in (in_memory, spilled, prebuilt, apriori):
+            assert result_map(result) == oracle
+
+    def test_columnar_books_one_scan(self, tmp_path):
+        series = random_series(3, length=60)
+        store_result = mine_single_period_hitset(
+            series, 3, 0.3, store=store_options(tmp_path)
+        )
+        batched_result = mine_single_period_hitset(series, 3, 0.3)
+        assert len(store_result)  # non-degenerate case
         # One interned encode pass serves both scans.
-        assert columnar_result.stats.scans == 1
+        assert store_result.stats.scans == 1
         assert batched_result.stats.scans == 2
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(MiningError, match="unknown kernel"):
+        # There is one counting path: no call takes a kernel choice.
+        with pytest.raises(TypeError, match="kernel"):
             mine_single_period_hitset(random_series(0), 3, 0.5, kernel="numpy")
 
     def test_columnar_populates_shared_cache(self, tmp_path):
         series = random_series(5, length=60)
-        cache = CountCache(str(tmp_path))
+        cache = CountCache(str(tmp_path / "cache"))
         first = mine_single_period_hitset(
-            series, 4, 0.4, kernel="columnar", cache=cache
+            series, 4, 0.4, cache=cache, store=store_options(tmp_path)
         )
-        warm = mine_single_period_hitset(
-            series, 4, 0.4, kernel="batched", cache=cache
-        )
+        assert first.stats.scans == 1
+        warm = mine_single_period_hitset(series, 4, 0.4, cache=cache)
         assert result_map(first) == result_map(warm)
         assert warm.stats.scans == 0
+        # A warm store-option query answers from the cache too: no encode.
+        warm_store = mine_single_period_hitset(
+            series, 4, 0.5, cache=cache, store=store_options(tmp_path / "s")
+        )
+        assert warm_store.stats.scans == 0
+        assert not (tmp_path / "s").exists()
+        assert result_map(warm_store) == result_map(
+            mine_single_period_hitset(series, 4, 0.5)
+        )
 
 
 class TestWideVocabularyFallback:
-    """Past 64 letters every tier must agree via the wide fallback."""
+    """Past 64 letters in-memory mining is exact and stores refuse."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", ("batched", "columnar", "legacy"))
     def test_wide_mining_identical_across_tiers(self, kernel):
+        # batched: the production miner; columnar: mine_store over a wide
+        # (unpacked) store; legacy: the per-candidate reference derive.
         series = wide_series(11)
-        reference = result_map(
-            mine_single_period_hitset(series, 3, 0.5, kernel="batched")
-        )
-        assert reference  # the dense letters must survive the threshold
-        observed = result_map(
-            mine_single_period_hitset(series, 3, 0.5, kernel=kernel)
-        )
-        assert observed == reference
+        vocab_store = SegmentStore.from_series(series, 3)
+        assert not vocab_store.packed
+        oracle = {
+            frozenset(p.letters): c
+            for p, c in brute_force_frequent(series, 3, 0.5).items()
+        }
+        assert oracle  # the dense letters must survive the threshold
+        if kernel == "batched":
+            observed = result_map(mine_single_period_hitset(series, 3, 0.5))
+        elif kernel == "columnar":
+            observed = result_map(mine_store(vocab_store, 0.5))
+        else:
+            observed = {
+                p.letters: c
+                for p, c in per_candidate_mine(series, 3, 0.5).items()
+            }
+        assert observed == oracle
 
     def test_wide_interning_raises(self):
         with pytest.raises(WideVocabularyError):
@@ -225,24 +228,26 @@ class TestWideVocabularyFallback:
         naive = Counter(int(mask) for mask in store)
         assert +store.distinct_counts() == +naive
         sample = list(naive)[:8]
-        assert store.count_masks(sample, kernel="columnar") == store.count_masks(
-            sample, kernel="batched"
-        )
-        with pytest.raises(WideVocabularyError):
-            store.bitmap_index()
+        assert store.count_masks(sample) == {
+            mask: sum(c for row, c in naive.items() if not mask & ~row)
+            for mask in sample
+        }
         with pytest.raises(WideVocabularyError):
             store.to_file("unused.seg")
 
     def test_wide_store_options_fall_back_cleanly(self, tmp_path):
-        # Spill options with a wide series: columnar falls back to the
-        # batched path and never writes a file.
+        # Spill options on a wide series fail loudly, naming the letter
+        # count, and never write a file.
         series = wide_series(3)
-        options = StoreOptions(directory=str(tmp_path), spill_bytes=0)
-        result = mine_single_period_hitset(
-            series, 3, 0.5, kernel="columnar", store=options
-        )
-        reference = mine_single_period_hitset(series, 3, 0.5, kernel="batched")
-        assert result_map(result) == result_map(reference)
+        with pytest.raises(MiningError, match=r"has \d+ letters") as raised:
+            mine_single_period_hitset(
+                series, 3, 0.5, store=store_options(tmp_path)
+            )
+        from repro.encoding.codec import vocabulary_of_series
+
+        letters = len(vocabulary_of_series(series, 3))
+        assert f"has {letters} letters" in str(raised.value)
+        assert isinstance(raised.value.__cause__, WideVocabularyError)
         assert not list(tmp_path.iterdir())
 
 
@@ -305,7 +310,7 @@ class TestOutOfCoreStore:
         path = store.to_file(tmp_path / "m.seg")
         mapped = SegmentStore.from_file(path)
         from_disk = mine_store(mapped, 0.4)
-        reference = mine_single_period_hitset(series, 4, 0.4, kernel="batched")
+        reference = mine_single_period_hitset(series, 4, 0.4)
         assert result_map(from_disk) == result_map(reference)
         assert from_disk.stats.scans == 1
 
@@ -316,70 +321,113 @@ class TestOutOfCoreStore:
 
     def test_spilled_mine_equals_in_memory(self, tmp_path):
         series = random_series(6, length=150, features=5)
-        options = StoreOptions(directory=str(tmp_path), spill_bytes=0)
         spilled = mine_single_period_hitset(
-            series, 5, 0.3, kernel="columnar", store=options
+            series, 5, 0.3, store=store_options(tmp_path)
         )
-        reference = mine_single_period_hitset(series, 5, 0.3, kernel="batched")
+        reference = mine_single_period_hitset(series, 5, 0.3)
         assert result_map(spilled) == result_map(reference)
         assert any(p.suffix == ".seg" for p in tmp_path.iterdir())
 
-    def test_store_options_require_columnar(self):
-        options = StoreOptions(directory="/nonexistent", spill_bytes=0)
-        with pytest.raises(MiningError, match="columnar"):
-            mine_single_period_hitset(
-                random_series(0), 3, 0.5, kernel="batched", store=options
-            )
+    def test_store_build_timed_in_encode_stage(self, tmp_path, monkeypatch):
+        # The interned-store build is the store path's one pass over the
+        # series; the profile must book it, not leave it unattributed.
+        build = SegmentStore.from_series_interned
+
+        def slow_build(cls, *args, **kwargs):
+            time.sleep(0.05)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(
+            SegmentStore, "from_series_interned", classmethod(slow_build)
+        )
+        profile = MiningProfile()
+        mine_single_period_hitset(
+            random_series(7), 4, 0.4, profile=profile,
+            store=store_options(tmp_path),
+        )
+        stages = profile.to_json()["stages"]
+        assert stages["encode"]["elapsed_s"] >= 0.05
+        assert stages["encode"]["calls"] == 1
+        assert stages["scan1"]["elapsed_s"] < stages["encode"]["elapsed_s"]
+
+    def test_store_options_require_columnar(self, tmp_path, monkeypatch):
+        # Store options mine on the columnar kernels: scan 1 is the
+        # column's bit-lane sum, not a pass over the series' segments.
+        lanes = []
+        original = columnar.letter_bit_totals
+
+        def spy(column):
+            lanes.append(len(column))
+            return original(column)
+
+        monkeypatch.setattr(columnar, "letter_bit_totals", spy)
+        series = random_series(0)
+        mine_single_period_hitset(series, 3, 0.5, store=store_options(tmp_path))
+        assert lanes == [series.num_periods(3)]
+        mine_single_period_hitset(series, 3, 0.5)
+        assert len(lanes) == 1  # the in-memory path never touches it
 
 
 class TestStreamingKernel:
-    """The kernel threads through windows, snapshots, and checkpoints."""
+    """Checkpoints from when the stream had a kernel setting still resume."""
 
-    def feed(self, kernel: str):
-        miner = StreamingMiner(period=2, window=6, min_conf=0.5, kernel=kernel)
+    SLOTS = 30
+
+    def slots(self):
         rng = random.Random(13)
+        return [
+            {f for f in "abc" if rng.random() < 0.5} for _ in range(self.SLOTS)
+        ]
+
+    def feed(self, miner, slots):
         windows = []
-        for _ in range(30):
-            slot = {f for f in "abc" if rng.random() < 0.5}
+        for slot in slots:
             emitted = miner.append(slot)
             if emitted is not None:
                 windows.append(result_map(emitted.result))
-        return miner, windows
+        return windows
 
     def test_windows_identical_across_kernels(self):
-        _, columnar_windows = self.feed("columnar")
-        _, batched_windows = self.feed("batched")
-        assert columnar_windows == batched_windows
-        assert columnar_windows  # windows actually closed
-
-    def test_kernel_survives_state_round_trip(self):
-        miner, _ = self.feed("columnar")
-        state = miner.to_state()
-        assert state["kernel"] == "columnar"
-        restored = StreamingMiner.from_state(state)
-        assert restored.snapshot()["kernel"] == "columnar"
+        slots = self.slots()
+        reference = self.feed(
+            StreamingMiner(period=2, window=6, min_conf=0.5), slots
+        )
+        assert len(reference) > 2  # windows actually closed
+        for kernel in ("batched", "columnar", "legacy"):
+            miner = StreamingMiner(period=2, window=6, min_conf=0.5)
+            head = self.feed(miner, slots[:13])
+            state = miner.to_state()
+            state["kernel"] = kernel  # as written by an older checkpoint
+            restored = StreamingMiner.from_state(json.loads(json.dumps(state)))
+            assert head + self.feed(restored, slots[13:]) == reference
 
     def test_old_checkpoints_default_to_batched(self):
-        miner, _ = self.feed("batched")
+        miner = StreamingMiner(period=2, window=6, min_conf=0.5)
+        self.feed(miner, self.slots())
         state = miner.to_state()
-        del state["kernel"]  # checkpoint written before the columnar tier
+        assert "kernel" not in state
+        assert "kernel" not in miner.snapshot()
+        state["kernel"] = "columnar"
         restored = StreamingMiner.from_state(state)
-        assert restored.snapshot()["kernel"] == "batched"
+        assert "kernel" not in restored.to_state()
+        assert restored.snapshot() == miner.snapshot()
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(StreamError, match="unknown kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             StreamingMiner(period=2, window=4, kernel="simd")
 
 
 class TestEngineColumnar:
-    """The parallel engine accepts and matches the columnar tier."""
+    """The parallel engine matches the columnar store path."""
 
     def test_parallel_columnar_equivalence(self):
         from repro.engine.parallel import ParallelMiner
 
         series = random_series(9, length=90)
-        reference = mine_single_period_hitset(series, 3, 0.4, kernel="batched")
-        mined = ParallelMiner(
-            series, min_conf=0.4, kernel="columnar", backend="thread"
-        ).mine(3, workers=2)
+        reference = mine_store(
+            SegmentStore.from_series_interned(series, 3), 0.4
+        )
+        mined = ParallelMiner(series, min_conf=0.4, backend="thread").mine(
+            3, workers=2
+        )
         assert result_map(mined) == result_map(reference)

@@ -846,6 +846,33 @@ class TestServeRules:
         )
 
 
+class TestKernelRules:
+    """REP701: no per-candidate count probes inside loops."""
+
+    SOURCE = """
+    def derive(tree, candidates):
+        return {c: tree.count_of_mask(c) for c in candidates}
+
+    def derive_loop(tree, candidates):
+        out = {}
+        for c in candidates:
+            out[c] = tree.count_of_mask(c)
+        return out
+    """
+
+    def test_probe_loop_flagged(self):
+        assert findings_of(self.SOURCE, module="repro.core.maximal") == [
+            ("REP701", 8)
+        ]
+
+    def test_tree_module_not_exempt(self):
+        # The tree no longer hosts a per-candidate derivation, so the
+        # rule applies there like everywhere else.
+        assert findings_of(
+            self.SOURCE, module="repro.tree.max_subpattern_tree"
+        ) == [("REP701", 8)]
+
+
 class TestColumnarRules:
     """REP1101: no Python loops over the segment store's row buffer."""
 
@@ -875,7 +902,7 @@ class TestColumnarRules:
     def test_vectorized_calls_not_flagged(self):
         source = """
         def scan(store, masks):
-            counts = store.count_masks(masks, kernel="columnar")
+            counts = store.count_masks(masks)
             return store.letter_counts(), counts
         """
         assert findings_of(source, module="repro.core.hitset") == []

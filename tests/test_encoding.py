@@ -1,7 +1,7 @@
 """Unit tests for repro.encoding — vocabularies, codecs, and the facades.
 
-The equivalence of whole mining runs across the encoded and legacy paths
-is asserted in ``tests/test_properties.py``; this module pins down the
+The equivalence of whole mining runs against letter-set references and
+the oracle is asserted in ``tests/test_properties.py``; this module pins down the
 local contracts of the encoding layer itself: deterministic bit order,
 interning semantics, mask round-trips, cross-vocabulary remapping, and
 the ``Pattern``/tree/shard facades.

@@ -1,7 +1,7 @@
 """Tests for the differential kernel fuzzer (repro.devtools.fuzz).
 
-The fuzzer guards the columnar tier's exactness claim, so these tests
-pin three properties: a clean tree produces zero divergences over a CI
+The fuzzer guards the exactness of the in-memory and store mining paths
+against the brute-force oracle, so these tests pin three properties: a clean tree produces zero divergences over a CI
 budget, the whole run is deterministic in its seed, and — the part that
 makes the first property meaningful — every injected kernel bug is
 caught (the alarm rings).
@@ -78,6 +78,21 @@ class TestOracle:
         assert divergences == []
         assert signature[0] == 3  # the period is part of coverage
 
+    def test_run_case_covers_packed_and_wide_vocabularies(self):
+        # 90 features over period 3 is far past the 64-letter column; 5
+        # features is well inside it.  Both must run clean, and the
+        # coverage signature must tell them apart.
+        shapes = {}
+        for alphabet in (5, 90):
+            case = FuzzCase(
+                seed=8, period=3, num_segments=25, alphabet=alphabet,
+                planted=2, planting=0.9, noise=2, min_conf=0.5,
+            )
+            divergences, signature = run_case(case)
+            assert divergences == [], [d.describe() for d in divergences]
+            shapes[alphabet] = signature[1]
+        assert shapes == {5: False, 90: True}
+
 
 class TestMutationCheck:
     def test_all_injected_bugs_caught(self):
@@ -86,31 +101,24 @@ class TestMutationCheck:
         assert all(caught.values()), caught
 
     def test_mutations_are_restored_after_check(self):
-        from repro.kernels import columnar
-
         before = {
-            name: getattr(columnar, name)
-            for name in (
-                "distinct_counts", "letter_bit_totals",
-                "count_masks", "hit_counter",
-            )
+            (owner, attribute): getattr(owner, attribute)
+            for owner, attribute, _ in fuzz_mod._mutation_targets().values()
         }
         mutation_check(budget=5, seed=0)
-        for name, attr in before.items():
-            assert getattr(columnar, name) is attr
+        for (owner, attribute), attr in before.items():
+            assert getattr(owner, attribute) is attr
 
     def test_single_injected_bug_produces_divergence(self):
         original = fuzz_mod._mutation_targets  # sanity on one target
         targets = original()
-        attribute, corrupted = targets["dropped-distinct-row"]
-        from repro.kernels import columnar
-
-        pristine = getattr(columnar, attribute)
-        setattr(columnar, attribute, corrupted)
+        owner, attribute, corrupted = targets["dropped-distinct-row"]
+        pristine = getattr(owner, attribute)
+        setattr(owner, attribute, corrupted)
         try:
             report = fuzz(25, seed=6)
         finally:
-            setattr(columnar, attribute, pristine)
+            setattr(owner, attribute, pristine)
         assert not report.ok
         stages = Counter(d.stage for d in report.divergences)
         assert stages  # at least one stage noticed

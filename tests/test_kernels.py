@@ -2,8 +2,10 @@
 cross-query count cache, and the mining profile.
 
 The heart of the suite is the randomized equivalence sweep: across seeds,
-periods, and thresholds, the batched kernel, the legacy kernel, and the
-brute-force oracle must produce letter-for-letter identical frequent sets.
+periods, and thresholds, the batched production miner, the per-candidate
+reference derivation, Apriori, and the brute-force oracle must produce
+letter-for-letter identical frequent sets — on packed (<= 64-letter)
+series, on wide ones, and through a spilled segment store.
 The cache tests pin the invalidation contract (fingerprint, letter order,
 threshold direction) and assert zero data scans on warm re-queries.
 """
@@ -18,6 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import (
     brute_force_frequent,
     letter_counts_for_segments,
@@ -27,8 +30,8 @@ from repro.core.hitset import mine_single_period_hitset
 from repro.core.multiperiod import mine_periods_looping, mine_periods_shared
 from repro.engine.parallel import ParallelMiner
 from repro.core.pattern import Pattern
+from repro.encoding.codec import vocabulary_of_series
 from repro.encoding.vocabulary import LetterVocabulary
-from repro.kernels import KERNELS
 from repro.kernels.batched import (
     MAX_TABLE_BITS,
     SubmaskCountTable,
@@ -37,10 +40,11 @@ from repro.kernels.batched import (
 )
 from repro.kernels.cache import CacheKey, CountCache, letters_hash
 from repro.kernels.profile import MiningProfile
-from repro.kernels.store import SegmentStore
+from repro.kernels.store import SegmentStore, StoreOptions
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.scan import ScanCountingSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
+from tests.reference import per_candidate_mine, wide_series
 
 
 def random_series(seed: int, length: int = 60, features: int = 4) -> FeatureSeries:
@@ -236,29 +240,43 @@ class TestSegmentStore:
 
 
 # ---------------------------------------------------------------------------
-# Randomized equivalence sweep: batched == legacy == brute force
+# Randomized equivalence sweep: batched == per-candidate == brute force
 # ---------------------------------------------------------------------------
 
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", range(20))
-    def test_batched_equals_legacy_equals_brute_force(self, seed):
-        series = random_series(seed, length=48 + (seed % 5) * 12)
+    def test_batched_equals_legacy_equals_brute_force(self, seed, tmp_path):
+        # Even seeds draw packed series, odd seeds wide (> 64 letters)
+        # ones; packed series also mine through a spilled store.
+        if seed % 2:
+            series = wide_series(seed, length=120 + (seed % 5) * 12)
+            assert len(vocabulary_of_series(series, 3)) > 64
+        else:
+            series = random_series(seed, length=48 + (seed % 5) * 12)
         for period in (3, 4, 5):
             for min_conf in (0.2, 0.45, 0.7):
-                batched = mine_single_period_hitset(
-                    series, period, min_conf, kernel="batched"
-                )
-                legacy = mine_single_period_hitset(
-                    series, period, min_conf, kernel="legacy"
+                batched = dict(
+                    mine_single_period_hitset(series, period, min_conf).items()
                 )
                 oracle = brute_force_frequent(series, period, min_conf)
-                assert dict(batched.items()) == dict(legacy.items())
-                assert dict(batched.items()) == oracle, (seed, period, min_conf)
+                assert batched == oracle, (seed, period, min_conf)
+                assert batched == per_candidate_mine(series, period, min_conf)
+                assert batched == dict(
+                    mine_single_period_apriori(series, period, min_conf).items()
+                )
+                if seed % 2 == 0:
+                    spilled = mine_single_period_hitset(
+                        series,
+                        period,
+                        min_conf,
+                        store=StoreOptions(str(tmp_path), spill_bytes=0),
+                    )
+                    assert dict(spilled.items()) == oracle
 
     def test_batched_still_two_scans(self):
         scan = ScanCountingSeries(random_series(1, length=60))
-        result = mine_single_period_hitset(scan, 4, 0.3, kernel="batched")
+        result = mine_single_period_hitset(scan, 4, 0.3)
         assert scan.scans == 2
         assert result.stats.scans == 2
 
@@ -266,43 +284,37 @@ class TestKernelEquivalence:
         series = random_series(2, length=60)
         for cap in (1, 2, 3):
             batched = mine_single_period_hitset(
-                series, 4, 0.25, max_letters=cap, kernel="batched"
+                series, 4, 0.25, max_letters=cap
             )
-            legacy = mine_single_period_hitset(
-                series, 4, 0.25, max_letters=cap, kernel="legacy"
-            )
-            assert dict(batched.items()) == dict(legacy.items())
+            reference = per_candidate_mine(series, 4, 0.25, max_letters=cap)
+            assert dict(batched.items()) == reference
             assert all(p.letter_count <= cap for p in batched)
 
     def test_unknown_kernel_rejected(self):
+        # There is one counting path: no call takes a kernel choice.
         series = random_series(0)
-        with pytest.raises(MiningError, match="kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             mine_single_period_hitset(series, 3, 0.5, kernel="turbo")
-
-    def test_kernels_constant_matches_cli_choices(self):
-        assert KERNELS == ("columnar", "batched", "legacy")
 
     def test_multiperiod_kernels_agree(self):
         series = random_series(8, length=72)
         periods = (3, 4, 6)
-        batched = mine_periods_shared(series, periods, 0.3, kernel="batched")
-        legacy = mine_periods_shared(series, periods, 0.3, kernel="legacy")
+        shared = mine_periods_shared(series, periods, 0.3)
+        loop = mine_periods_looping(series, periods, 0.3)
         for period in periods:
-            assert dict(batched[period].items()) == dict(legacy[period].items())
-        loop_batched = mine_periods_looping(series, periods, 0.3)
-        for period in periods:
-            assert dict(batched[period].items()) == dict(
-                loop_batched[period].items()
+            assert dict(shared[period].items()) == dict(loop[period].items())
+            assert dict(shared[period].items()) == per_candidate_mine(
+                series, period, 0.3
             )
 
     def test_parallel_engine_kernels_agree(self):
         series = random_series(9, length=80)
-        for kernel in KERNELS:
-            parallel = ParallelMiner(
-                series, min_conf=0.3, workers=2, backend="thread", kernel=kernel
-            ).mine(4)
-            serial = mine_single_period_hitset(series, 4, 0.3, kernel=kernel)
-            assert dict(parallel.items()) == dict(serial.items())
+        parallel = ParallelMiner(
+            series, min_conf=0.3, workers=2, backend="thread"
+        ).mine(4)
+        serial = mine_single_period_hitset(series, 4, 0.3)
+        assert dict(parallel.items()) == dict(serial.items())
+        assert dict(parallel.items()) == per_candidate_mine(series, 4, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -589,37 +601,34 @@ class TestKernelCli:
         return path
 
     def test_kernel_flags_agree(self, tmp_path, capsys):
+        # The in-memory (batched) and --store-dir (columnar) paths print
+        # the same patterns.
         from repro.cli import main
 
         path = self.write_series(tmp_path)
-        assert main(["mine", str(path), "--period", "4", "--kernel", "batched"]) == 0
+        assert main(["mine", str(path), "--period", "4"]) == 0
         batched_out = capsys.readouterr().out
-        assert main(["mine", str(path), "--period", "4", "--kernel", "legacy"]) == 0
-        legacy_out = capsys.readouterr().out
+        store_dir = str(tmp_path / "store")
+        argv = ["mine", str(path), "--period", "4", "--store-dir", store_dir]
+        assert main(argv + ["--spill-mb", "0"]) == 0
+        columnar_out = capsys.readouterr().out
         strip = lambda text: [
             line for line in text.splitlines() if line.startswith("  ")
         ]
-        assert strip(batched_out) == strip(legacy_out)
+        assert strip(batched_out) == strip(columnar_out)
 
-    def test_cache_dir_with_legacy_kernel_rejected(self, tmp_path):
+    def test_store_dir_wide_vocabulary_exits_2(self, tmp_path, capsys):
         from repro.cli import main
+        from repro.timeseries.io import save_series
 
-        path = self.write_series(tmp_path)
-        assert (
-            main(
-                [
-                    "mine",
-                    str(path),
-                    "--period",
-                    "4",
-                    "--kernel",
-                    "legacy",
-                    "--cache-dir",
-                    str(tmp_path / "cache"),
-                ]
-            )
-            == 2
-        )
+        path = tmp_path / "wide.txt"
+        save_series(wide_series(5), path)
+        letters = len(vocabulary_of_series(wide_series(5), 3))
+        store_dir = tmp_path / "store"
+        argv = ["mine", str(path), "--period", "3", "--store-dir", str(store_dir)]
+        assert main(argv) == 2
+        assert f"has {letters} letters" in capsys.readouterr().err
+        assert not store_dir.exists()
 
     def test_profile_requires_period(self, tmp_path):
         from repro.cli import main

@@ -4,8 +4,9 @@ These are the load-bearing correctness checks: on arbitrary small series,
 Algorithm 3.1, Algorithm 3.2 and the exhaustive oracle must agree exactly,
 and the structural properties the paper proves must hold.  The seeded
 sweep in :class:`TestEncodedPathEquivalence` additionally pins the
-interned-bitmask kernels to the legacy letter-set kernels byte for byte
-over hundreds of random series.
+interned-bitmask miners to a letter-set Apriori reference and to the
+oracle byte for byte over hundreds of random series — packed and wide
+(> 64-letter) vocabularies alike, in memory and through spilled stores.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core.maximal import mine_maximal_hitset
 from repro.core.multiperiod import mine_periods_looping, mine_periods_shared
 from repro.core.pattern import Pattern
 from repro.timeseries.feature_series import FeatureSeries
+from tests.reference import letter_set_apriori, wide_series
 
 from tests.conftest import (
     nontrivial_pattern_strategy,
@@ -196,32 +198,44 @@ def _random_series(rng: random.Random) -> FeatureSeries:
 
 
 class TestEncodedPathEquivalence:
-    """The tentpole invariant: encoded and legacy kernels are one miner.
+    """The tentpole invariant: every mining path is one miner.
 
     Every trial draws a fresh series/period/threshold and checks that the
-    bitmask paths (hit-set scan 2, apriori levels, sharded engine,
-    incremental signature replay) return *exactly* the patterns and counts
-    of the legacy letter-set paths and of the exhaustive oracle.
+    bitmask paths (hit-set scans, spilled stores, apriori levels, sharded
+    engine, incremental signature replay, shared multi-period scans)
+    return *exactly* the patterns and counts of a letter-set Apriori
+    reference and of the exhaustive oracle.
     """
 
     TRIALS = 200
 
-    def test_random_series_encoded_equals_legacy_equals_oracle(self):
+    def test_random_series_encoded_equals_legacy_equals_oracle(self, tmp_path):
+        from repro.encoding.codec import vocabulary_of_series
+        from repro.kernels.store import StoreOptions
+
         rng = random.Random(0x1999)
-        for _ in range(self.TRIALS):
-            series = _random_series(rng)
+        for trial in range(self.TRIALS):
+            # Every tenth trial is wide: past 64 letters, with no store.
+            wide = trial % 10 == 9
+            series = wide_series(trial) if wide else _random_series(rng)
             period = rng.randint(2, 5)
+            if wide:
+                assert len(vocabulary_of_series(series, period)) > 64
             conf = rng.choice([0.2, 0.34, 0.5, 0.75, 1.0])
             oracle = brute_force_frequent(series, period, conf)
-            for encode in (True, False):
-                hitset = mine_single_period_hitset(
-                    series, period, conf, encode=encode
+            hitset = mine_single_period_hitset(series, period, conf)
+            apriori = mine_single_period_apriori(series, period, conf)
+            assert dict(hitset.items()) == oracle
+            assert dict(apriori.items()) == oracle
+            assert letter_set_apriori(series, period, conf) == oracle
+            if not wide:
+                spilled = mine_single_period_hitset(
+                    series,
+                    period,
+                    conf,
+                    store=StoreOptions(str(tmp_path), spill_bytes=0),
                 )
-                apriori = mine_single_period_apriori(
-                    series, period, conf, encode=encode
-                )
-                assert dict(hitset.items()) == oracle
-                assert dict(apriori.items()) == oracle
+                assert dict(spilled.items()) == oracle
 
     def test_random_series_merged_shards_equal_oracle(self):
         from repro.engine.parallel import ParallelMiner
@@ -254,13 +268,9 @@ class TestEncodedPathEquivalence:
             incremental.extend(series[:whole])
             assert dict(incremental.mine().items()) == oracle
 
-            # Shared two-scan multi-period mining, both scan-2 kernels.
+            # Shared two-scan multi-period mining.
             encoded = mine_periods_shared(series, [period], conf)
-            legacy = mine_periods_shared(
-                series, [period], conf, encode=False
-            )
             assert dict(encoded[period].items()) == oracle
-            assert dict(legacy[period].items()) == oracle
 
 
 class TestExtensionInvariants:
