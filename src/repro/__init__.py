@@ -9,9 +9,7 @@ perturbation tolerance), plus the Section 5 synthetic workload generator.
 
 Beyond the paper, :mod:`repro.encoding` interns ``(offset, feature)``
 letters into a dense :class:`LetterVocabulary` and runs every hot path on
-int bitmasks (see ``docs/encoding.md``), and :mod:`repro.engine` runs the
-hit-set miner over segment shards on serial/thread/process backends and
-merges the partial results exactly (see :class:`ParallelMiner`).
+int bitmasks (see ``docs/encoding.md``).
 
 Quickstart
 ----------
@@ -26,7 +24,6 @@ from repro.core.constraints import MiningConstraints, mine_with_constraints
 from repro.core.counting import brute_force_frequent, confidence, count_pattern
 from repro.core.errors import (
     EncodingError,
-    EngineError,
     GeneratorError,
     MiningError,
     PatternError,
@@ -50,9 +47,6 @@ from repro.core.pattern import Pattern
 from repro.core.result import MiningResult, MiningStats
 from repro.core.serialize import load_result, save_result
 from repro.encoding import EncodedSeries, LetterVocabulary, SegmentEncoder
-from repro.engine.parallel import ParallelMiner
-from repro.engine.partition import SegmentShard, partition_segments
-from repro.engine.stats import EngineStats
 from repro.streaming import ArrivalBuffer, StreamingMiner, WindowResult, WindowSpec
 from repro.synth.generator import SyntheticSeries, SyntheticSpec, generate_series
 from repro.timeseries.feature_series import FeatureSeries, as_feature_series
@@ -65,8 +59,6 @@ __all__ = [
     "ArrivalBuffer",
     "EncodedSeries",
     "EncodingError",
-    "EngineError",
-    "EngineStats",
     "FeatureSeries",
     "GeneratorError",
     "IncrementalHitSetMiner",
@@ -77,7 +69,6 @@ __all__ = [
     "MiningResult",
     "MiningStats",
     "MultiPeriodResult",
-    "ParallelMiner",
     "PartialPeriodicMiner",
     "Pattern",
     "PatternError",
@@ -85,7 +76,6 @@ __all__ = [
     "ScanCountingSeries",
     "SegmentEncoder",
     "SegmentPartial",
-    "SegmentShard",
     "SeriesError",
     "StreamingMiner",
     "SyntheticSeries",
@@ -108,7 +98,6 @@ __all__ = [
     "mine_single_period_apriori",
     "mine_single_period_hitset",
     "mine_with_constraints",
-    "partition_segments",
     "period_range",
     "save_result",
     "__version__",

@@ -37,25 +37,14 @@ class GeneratorError(ReproError):
     """Raised for invalid synthetic-workload parameters."""
 
 
-class EngineError(ReproError):
-    """Raised by the parallel engine: bad shard plans, unknown backends,
-    or shards that exhaust the retry policy."""
-
-
-class ResilienceError(ReproError):
-    """Raised by :mod:`repro.resilience`: invalid retry policies or
-    deadlines, unusable checkpoint journals, or a journal whose recorded
-    run does not match the run being resumed."""
-
-
-class ShardTimeout(ResilienceError):
-    """A shard overran its per-task timeout, or a run exhausted its
-    wall-clock deadline before every shard completed."""
-
-
 class ServeError(ReproError):
     """Raised by :mod:`repro.serve`: malformed requests, unknown series
     names, or a server asked to run in an unusable configuration."""
+
+
+class DeadlineExceeded(ReproError):
+    """A request exhausted its wall-clock budget
+    (:class:`~repro.serve.deadline.Deadline`) before it finished."""
 
 
 class StreamError(ReproError):

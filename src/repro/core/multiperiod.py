@@ -50,9 +50,6 @@ class MultiPeriodResult:
     results: dict[int, MiningResult] = field(default_factory=dict)
     #: Total scans over the series for the whole run.
     scans: int = 0
-    #: Per-shard ledger (:class:`repro.engine.stats.EngineStats`) when the
-    #: run came from the parallel engine; ``None`` for serial runs.
-    engine: object | None = None
 
     def __getitem__(self, period: int) -> MiningResult:
         return self.results[period]

@@ -4,13 +4,8 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
 from repro.core.errors import MiningError
 from repro.core.pattern import Pattern
-
-if TYPE_CHECKING:
-    from repro.engine.stats import EngineStats
 
 
 @dataclass(slots=True)
@@ -48,10 +43,9 @@ class MiningResult:
     Behaves like a read-only mapping from :class:`Pattern` to frequency
     count, and offers confidence/maximality helpers.
 
-    ``engine`` carries the per-shard accounting
-    (:class:`repro.engine.stats.EngineStats`) when the result was produced
-    by the parallel engine; it is ``None`` for the serial miners and never
-    affects the frequent set itself.
+    ``engine`` is always ``None``.  It held the removed sharded engine's
+    per-shard accounting and stays only so readers of that field keep
+    working.
     """
 
     __slots__ = (
@@ -72,7 +66,6 @@ class MiningResult:
         num_periods: int,
         counts: Mapping[Pattern, int],
         stats: MiningStats | None = None,
-        engine: EngineStats | None = None,
     ):
         self.algorithm = algorithm
         self.period = period
@@ -80,7 +73,7 @@ class MiningResult:
         self.num_periods = num_periods
         self._counts = dict(counts)
         self.stats = stats if stats is not None else MiningStats()
-        self.engine = engine
+        self.engine = None
 
     # -- mapping protocol ------------------------------------------------
 

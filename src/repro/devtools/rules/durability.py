@@ -1,7 +1,7 @@
 """Durability-tier rules (REP10xx).
 
 The crash-safety argument of :mod:`repro.durability` is made exactly once
-— in :class:`~repro.durability.snapshot.SnapshotWriter`, whose
+— in :func:`~repro.durability.files.atomic_write`, whose
 write-temp + fsync + rename + directory-fsync sequence guarantees a
 reader sees either the old state file or the new one.  Every durable
 state file written *around* that helper silently reopens the argument: a
@@ -10,15 +10,15 @@ half-file behind any kill that lands mid-write, and the corruption only
 surfaces at the next recovery, far from the bug.
 
 REP1001 makes the routing mechanical: inside the packages that own
-durable state (``repro.durability``, ``repro.resilience``,
-``repro.serve``, ``repro.streaming``), opening a file in a truncating
+durable state (``repro.durability``, ``repro.kernels``, ``repro.serve``,
+``repro.streaming``), opening a file in a truncating
 write mode or calling ``write_text``/``write_bytes`` is a finding.
 Append-mode opens are exempt — the journal/WAL idiom is append-only by
 design, and a torn trailing line is exactly what the recovery paths are
 built to absorb.  ``r+`` opens are exempt too: in-place truncation of a
 torn tail is a recovery action, not a state write.  The defining module
-(``repro.durability.snapshot``) is exempt as the place the argument
-lives — including its deliberate fault-injection writes.
+(``repro.durability.files``) is exempt as the place the argument lives —
+including its deliberate fault-injection writes.
 """
 
 from __future__ import annotations
@@ -36,13 +36,13 @@ if TYPE_CHECKING:
 #: Packages whose files hold durable state.
 DURABLE_PACKAGES = (
     "repro.durability",
-    "repro.resilience",
+    "repro.kernels",
     "repro.serve",
     "repro.streaming",
 )
 
 #: The module allowed to write state files directly: the atomic helper.
-DEFINING_MODULE = "repro.durability.snapshot"
+DEFINING_MODULE = "repro.durability.files"
 
 #: Direct-write methods that bypass the atomic publish sequence.
 DIRECT_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
@@ -85,12 +85,13 @@ class DirectStateWriteRule(ProjectRule):
     name = "non-atomic-state-write"
     severity = Severity.WARNING
     rationale = (
-        "Durable state files must go through the atomic snapshot helper "
-        "(write-temp + fsync + rename) so a kill can never leave a torn "
-        "half-file. Inside the durable-state packages, truncating opens "
-        "('w'/'x' modes) and Path.write_text/write_bytes bypass that "
-        "argument; use repro.durability.snapshot.SnapshotWriter, or "
-        "append mode for journal/WAL-idiom logs."
+        "Durable state files must go through the atomic-write primitive "
+        "(write-temp + fsync + rename + directory fsync) so a kill can "
+        "never leave a torn half-file. Inside the durable-state packages, "
+        "truncating opens ('w'/'x' modes) and Path.write_text/write_bytes "
+        "bypass that argument; use repro.durability.atomic_write (or "
+        "SnapshotWriter for checksummed state), or append mode for "
+        "journal/WAL-idiom logs."
     )
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
@@ -114,8 +115,8 @@ class DirectStateWriteRule(ProjectRule):
                         node.lineno,
                         node.col_offset,
                         f".{node.func.attr}() writes a state file in "
-                        "place; route it through SnapshotWriter so the "
-                        "write is atomic and checksummed",
+                        "place; route it through atomic_write so the "
+                        "write is atomic",
                     )
                     continue
                 mode = _mode_argument(node)
@@ -125,6 +126,6 @@ class DirectStateWriteRule(ProjectRule):
                         node.lineno,
                         node.col_offset,
                         f"open(..., {mode!r}) truncates a state file in "
-                        "place; use SnapshotWriter for atomic publishes "
+                        "place; use atomic_write for atomic publishes "
                         "or append mode for journal/WAL logs",
                     )

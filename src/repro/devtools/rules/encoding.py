@@ -1,7 +1,7 @@
 """Encoded hot-path rules (REP5xx).
 
-The interned-vocabulary refactor moved the tree and the parallel engine
-onto int bitmask kernels: a segment hit is one int, subset tests are one
+The interned-vocabulary refactor moved the max-subpattern tree onto int
+bitmask kernels: a segment hit is one int, subset tests are one
 ``mask & ~other``, and node indexing is by missing-mask.  Building a
 ``frozenset`` of letters inside those packages reintroduces the exact
 per-segment allocation + tuple-hashing cost the encoding removed — and it
@@ -24,7 +24,7 @@ from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import Rule, register
 
 #: Packages whose hot paths must stay on bitmask kernels.
-ENCODED_PACKAGES = ("repro.tree", "repro.engine")
+ENCODED_PACKAGES = ("repro.tree",)
 
 
 @register
@@ -35,7 +35,7 @@ class FrozensetInEncodedPathRule(Rule):
     name = "frozenset-in-encoded-path"
     severity = Severity.ERROR
     rationale = (
-        "repro.tree and repro.engine run on int bitmasks over an interned "
+        "repro.tree runs on int bitmasks over an interned "
         "LetterVocabulary; constructing frozensets there reintroduces the "
         "per-segment allocation and hashing cost the encoding removed. "
         "Decode at the boundary with vocab.decode_mask / Pattern.from_mask "
@@ -55,7 +55,7 @@ class FrozensetInEncodedPathRule(Rule):
                     ctx,
                     node.lineno,
                     node.col_offset,
-                    "frozenset() built inside an encoded package; tree and "
-                    "engine hot paths work on vocabulary bitmasks — decode "
-                    "via the vocabulary at the boundary instead",
+                    "frozenset() built inside an encoded package; tree hot "
+                    "paths work on vocabulary bitmasks — decode via the "
+                    "vocabulary at the boundary instead",
                 )

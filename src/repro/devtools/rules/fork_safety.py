@@ -5,8 +5,8 @@ unchanged on the serial, thread, and process backends.  That only holds
 when every task function handed to a submission path is picklable by
 reference — a module-level function — and when worker functions touch no
 module-level mutable state (scan folding must stay associative with no
-hidden sharing; see ``repro.engine.worker``'s module docstring and paper
-Sections 3.2/4).
+hidden sharing; paper Sections 3.2/4).  Mining itself now runs in one
+process; the rules stay for any code that submits work to a pool.
 
 Submission paths recognized statically:
 
@@ -222,7 +222,7 @@ class WorkerGlobalWriteRule(Rule):
     name = "worker-global-write"
     severity = Severity.ERROR
     rationale = (
-        "Worker output must depend only on the task (repro.engine.worker's "
+        "Worker output must depend only on the task (the pool-worker "
         "contract): module-level mutable state written from a function is "
         "invisible to the process backend (each worker mutates its own "
         "copy) and racy on the thread backend, so merged results stop "

@@ -1,14 +1,13 @@
 """Resilience rules (REP6xx): budgeted sleeping and bounded retries.
 
-The resilience layer's deadline accounting only works if every pause in
-the package is visible to it.  ``repro.resilience.backoff`` is the one
-sanctioned sleeping module — its :func:`~repro.resilience.backoff.sleep`
-clamps, guards, and centralizes every blocking pause — so a stray
+Deadline accounting only works if every pause in the package is visible
+to it.  ``repro.serve.deadline``, home of the request
+:class:`~repro.serve.deadline.Deadline`, is the one module allowed to
+block — and today it never sleeps; it bounds awaits instead — so a stray
 ``time.sleep`` anywhere else is latency the deadline cannot see (REP601).
 Similarly, a ``while True`` loop that swallows exceptions and never exits
-is an unbounded retry: under a persistent fault it spins forever where
-the engine's :class:`~repro.resilience.policy.RetryPolicy` would have
-given up after its attempt budget (REP602).
+is an unbounded retry: under a persistent fault it spins forever where a
+bounded loop would have given up after its attempt budget (REP602).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import Rule, register
 
 #: The only module allowed to call ``time.sleep``.
-SANCTIONED_SLEEP_MODULE = "repro.resilience.backoff"
+SANCTIONED_SLEEP_MODULE = "repro.serve.deadline"
 
 
 class _TimeImports:
@@ -43,17 +42,17 @@ class _TimeImports:
 
 @register
 class StraySleepRule(Rule):
-    """REP601: ``time.sleep`` outside ``repro.resilience.backoff``."""
+    """REP601: ``time.sleep`` outside ``repro.serve.deadline``."""
 
     id = "REP601"
     name = "stray-sleep"
     severity = Severity.ERROR
     rationale = (
-        "Deadlines can only budget pauses they can see; every blocking "
-        "sleep in the package must route through "
-        "repro.resilience.backoff.sleep, which guards non-positive "
-        "durations and keeps the pause auditable.  A raw time.sleep "
-        "elsewhere is invisible latency under a wall-clock budget."
+        "Deadlines can only budget pauses they can see; a blocking sleep "
+        "belongs in repro.serve.deadline, beside the budget that must "
+        "account for it, where the pause stays auditable.  A raw "
+        "time.sleep elsewhere is invisible latency under a wall-clock "
+        "budget."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -80,8 +79,8 @@ class StraySleepRule(Rule):
                     node.lineno,
                     node.col_offset,
                     f"raw {path}() outside {SANCTIONED_SLEEP_MODULE}; "
-                    "deadlines cannot account for it — use "
-                    "repro.resilience.backoff.sleep",
+                    "deadlines cannot account for it — bound the wait "
+                    "with a Deadline instead",
                 )
 
 
@@ -132,9 +131,9 @@ class UnboundedRetryLoopRule(Rule):
     rationale = (
         "A while-True loop that catches exceptions without ever breaking, "
         "returning, or re-raising retries forever: under a persistent "
-        "fault it spins where RetryPolicy would have exhausted its "
-        "attempt budget and failed loudly.  Bound the loop on "
-        "policy.exhausted(attempts) or re-raise from the handler."
+        "fault it spins where an attempt budget would have been exhausted "
+        "and failed loudly.  Bound the loop on an attempt count or "
+        "re-raise from the handler."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -154,6 +153,6 @@ class UnboundedRetryLoopRule(Rule):
                     node.lineno,
                     node.col_offset,
                     "unbounded while-True retry loop: exceptions are "
-                    "swallowed and nothing exits the loop; bound it with a "
-                    "RetryPolicy attempt budget",
+                    "swallowed and nothing exits the loop; bound it with an "
+                    "attempt budget",
                 )

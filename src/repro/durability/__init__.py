@@ -1,9 +1,13 @@
 """Durable checkpoint/recovery for streams and serve sessions.
 
-Three layers, each usable alone:
+Four layers, each usable alone:
 
+- :mod:`repro.durability.files` — :func:`atomic_write`, the one
+  write-temp + fsync + rename + directory-fsync primitive every state file
+  in the package is published through, and :class:`FileChaos`, its
+  deterministic fault injector.
 - :mod:`repro.durability.snapshot` — atomic, checksummed, versioned state
-  files (write-temp + fsync + rename; CRC32 footer).
+  files (CRC32 footer).
 - :mod:`repro.durability.checkpoint` — :class:`StreamCheckpointer`: a
   write-ahead log of input records plus rotating snapshots, with a
   corruption fallback ladder at recovery.
@@ -15,6 +19,12 @@ Three layers, each usable alone:
 
 from repro.core.errors import DurabilityError, SnapshotCorruption
 from repro.durability.checkpoint import RecoveredState, StreamCheckpointer
+from repro.durability.files import (
+    FileChaos,
+    FileChaosConfig,
+    atomic_write,
+    file_chaos_from_env,
+)
 from repro.durability.snapshot import (
     ENVELOPE_VERSION,
     FORMAT_TAG,
@@ -31,11 +41,15 @@ __all__ = [
     "DurableStream",
     "ENVELOPE_VERSION",
     "FORMAT_TAG",
+    "FileChaos",
+    "FileChaosConfig",
     "RecoveredState",
     "SnapshotCorruption",
     "SnapshotWriter",
     "StreamCheckpointer",
+    "atomic_write",
     "clean_stale_tmp",
+    "file_chaos_from_env",
     "read_snapshot",
     "snapshot_bytes",
 ]

@@ -58,7 +58,7 @@ from repro.durability.snapshot import (
 )
 
 if TYPE_CHECKING:
-    from repro.resilience.chaos import FileChaos
+    from repro.durability.files import FileChaos
 
 #: Zero-padded width of the record index embedded in file names.
 _INDEX_WIDTH = 12
@@ -137,7 +137,7 @@ class StreamCheckpointer:
         Snapshots retained after each rotation (at least 1; older ones
         are kept anyway while none of the newest ``keep`` validate).
     chaos:
-        Optional :class:`~repro.resilience.chaos.FileChaos` cursor; its
+        Optional :class:`~repro.durability.files.FileChaos` cursor; its
         faults hit snapshot publishes, which is exactly what the
         recovery ladder exists to absorb.
     """

@@ -1,11 +1,8 @@
 """Atomic, checksummed, versioned snapshot files.
 
-Every durable state file in the package goes through one writer so the
-crash-safety argument is made once: content is written to a unique
-temporary file in the target directory, flushed and fsynced, then renamed
-over the final path (atomic on POSIX), and the directory entry is fsynced
-so the rename itself survives a power cut.  A reader therefore sees either
-the old snapshot or the new one — never a half-written hybrid — and any
+Snapshots are published through
+:func:`~repro.durability.files.atomic_write`, so a reader sees either the
+old snapshot or the new one — never a half-written hybrid — and any
 interrupted write leaves only a stale ``*.tmp*`` file that
 :func:`clean_stale_tmp` sweeps on the next startup.
 
@@ -22,7 +19,7 @@ files (bad header) all raise :class:`~repro.core.errors.SnapshotCorruption`,
 which recovery treats as "fall back to the previous snapshot", never as
 silently-wrong state.
 
-Fault injection: a :class:`~repro.resilience.chaos.FileChaos` cursor passed
+Fault injection: a :class:`~repro.durability.files.FileChaos` cursor passed
 to :class:`SnapshotWriter` deterministically injects torn writes, footer
 truncation, and stale-tmp crashes — the failure modes the recovery ladder
 must absorb, exercised by the durability chaos suite.
@@ -31,15 +28,12 @@ must absorb, exercised by the durability chaos suite.
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.core.errors import DurabilityError, SnapshotCorruption
-
-if TYPE_CHECKING:
-    from repro.resilience.chaos import FileChaos
+from repro.durability.files import FileChaos, atomic_write
 
 #: Format tag written into every snapshot header.
 FORMAT_TAG = "repro.snapshot/1"
@@ -47,18 +41,6 @@ FORMAT_TAG = "repro.snapshot/1"
 #: Current schema version of the snapshot *envelope* (header + footer).
 #: Payload schemas carry their own ``kind``-specific versioning.
 ENVELOPE_VERSION = 1
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Flush the directory entry so a completed rename survives power loss."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return  # platform without directory fds; rename is still atomic
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def snapshot_bytes(kind: str, payload: Any, version: int = 1) -> bytes:
@@ -84,20 +66,18 @@ class SnapshotWriter:
     directory:
         Target directory; created if missing.
     chaos:
-        Optional :class:`~repro.resilience.chaos.FileChaos` fault cursor.
+        Optional :class:`~repro.durability.files.FileChaos` fault cursor.
         When a scheduled fault fires, the write is deliberately damaged
         (torn bytes, missing footer, or an un-renamed tmp file) instead
         of completed — the recovery ladder's test harness.
     """
 
-    __slots__ = ("directory", "chaos", "_sequence")
+    __slots__ = ("directory", "chaos")
 
     def __init__(self, directory: str | Path, chaos: "FileChaos | None" = None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.chaos = chaos
-        #: Per-writer counter making concurrent tmp names unique.
-        self._sequence = 0
 
     def write(
         self, name: str, kind: str, payload: Any, version: int = 1
@@ -112,28 +92,11 @@ class SnapshotWriter:
         final = self.directory / name
         data = snapshot_bytes(kind, payload, version=version)
         fault = None if self.chaos is None else self.chaos.next_fault()
-        if fault == "torn":
-            # Cut mid-payload at the final path: what a non-atomic writer
-            # (or a lost journal) leaves behind.
-            final.write_bytes(data[: max(1, int(len(data) * 0.6))])
+        if fault is not None:
+            FileChaos.inflict(fault, final, data)
             return final
-        if fault == "truncate":
-            # Drop the footer line: metadata-only truncation.
-            final.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 1])
-            return final
-        self._sequence += 1
-        tmp = self.directory / (
-            f"{name}.tmp.{os.getpid()}.{self._sequence}"
-        )
-        with open(tmp, "wb") as handle:
+        with atomic_write(final) as handle:
             handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if fault == "stale-tmp":
-            # Crash in the write→rename gap: tmp exists, snapshot does not.
-            return final
-        os.replace(tmp, final)
-        _fsync_directory(self.directory)
         return final
 
 

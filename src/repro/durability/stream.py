@@ -33,7 +33,7 @@ from repro.streaming.engine import StreamingMiner
 from repro.streaming.windows import WindowResult, window_to_dict
 
 if TYPE_CHECKING:
-    from repro.resilience.chaos import FileChaos
+    from repro.durability.files import FileChaos
 
 #: Snapshot kind tag for durable stream state.
 STREAM_KIND = "repro.stream/1"

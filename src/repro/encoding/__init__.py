@@ -5,7 +5,7 @@ The representation spine of the mining stack: a
 int ids, and the codec (:class:`SegmentEncoder` / :class:`EncodedSeries`)
 turns each period segment into one int bitmask over that vocabulary.  All
 hot paths — the F1 scan, hit computation (Algorithm 4.1), the
-max-subpattern tree index, apriori-gen, and the parallel shard workers —
+max-subpattern tree index, apriori-gen, and the columnar store kernels —
 operate on these masks; letters and :class:`~repro.core.pattern.Pattern`
 objects appear only at the API boundary (see ``docs/encoding.md``).
 

@@ -21,7 +21,8 @@ Vocabulary order *is* the bit order, and it is deterministic:
 Interning more letters never invalidates existing masks (bits keep their
 meaning); letters can never be removed.  Masks produced under one
 vocabulary translate to another via :meth:`LetterVocabulary.remap_table` +
-:func:`remap_mask`, which is how shard-local state merges across workers.
+:func:`remap_mask`, which is how cached hit tables and retained window
+state move between vocabularies.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class LetterVocabulary:
         """Coerce: pass an existing vocabulary through, intern anything else.
 
         Iterable input keeps its iteration order (it is typically an
-        already-sorted ``letter_order`` tuple from the engine).
+        already-sorted ``letter_order`` tuple from a cached hit table).
         """
         if isinstance(source, LetterVocabulary):
             return source

@@ -29,7 +29,7 @@ survive the process, giving ``ppm mine --cache-dir`` warm starts.
 
 The cache is safe to share across threads (``repro.serve`` mines on a
 thread pool): every public method holds one reentrant lock, persisted
-writes go through a per-writer temporary file renamed into place, and a
+writes go through :func:`~repro.durability.files.atomic_write`, and a
 writer that loses a rename race simply leaves the winner's file — both
 wrote equivalent content for the same key.  ``max_entries`` bounds the
 cache in LRU order; eviction drops the entry from memory *and* disk and
@@ -40,9 +40,7 @@ its per-tenant ledgers in sync.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import os
 import threading
 from collections import Counter, OrderedDict
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -52,8 +50,7 @@ from pathlib import Path
 from repro.core.errors import MiningError
 from repro.core.pattern import Letter
 from repro.encoding.vocabulary import LetterVocabulary, remap_mask
-from repro.resilience.journal import series_fingerprint
-from repro.timeseries.feature_series import FeatureSeries
+from repro.timeseries.feature_series import FeatureSeries, series_fingerprint
 
 #: Format tag written into every persisted cache entry.
 FORMAT_TAG = "repro.countcache/1"
@@ -158,8 +155,6 @@ class CountCache:
         self.max_entries = max_entries
         self.on_evict = on_evict
         self._lock = threading.RLock()
-        #: Distinguishes concurrent writers' temporary files (with the pid).
-        self._tmp_seq = itertools.count()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -405,16 +400,15 @@ class CountCache:
         return entry
 
     def _persist(self, key: CacheKey, entry: _CacheEntry) -> None:
-        """Write one entry atomically (write-to-temp, rename into place).
+        """Write one entry atomically (see :func:`atomic_write`).
 
-        The temporary name carries the pid and a per-cache sequence
-        number, so concurrent writers — other threads of this process or
-        other processes sharing ``cache_dir`` — never collide on the same
-        temporary file.  ``os.replace`` then makes the final rename
-        atomic; a writer that loses the race simply replaces the winner's
-        file with equivalent content for the same key, and any OS-level
-        failure (a full or vanished cache directory, a permission flip)
-        degrades to an in-memory-only entry rather than failing the mine.
+        Temporary names are unique, so concurrent writers — other threads
+        of this process or other processes sharing ``cache_dir`` — never
+        collide; a writer that loses the rename race simply replaces the
+        winner's file with equivalent content for the same key, and any
+        OS-level failure (a full or vanished cache directory, a permission
+        flip) degrades to an in-memory-only entry rather than failing the
+        mine.
         """
         if self._dir is None:
             return
@@ -437,18 +431,15 @@ class CountCache:
             }
             for order, table in entry.hit_tables.values()
         ]
-        path = self._dir / key.file_name
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{next(self._tmp_seq)}.tmp"
-        )
+        # Local import: repro.durability pulls in the streaming layer,
+        # which imports the kernels back.
+        from repro.durability.files import atomic_write
+
         try:
-            tmp.write_text(json.dumps(payload), encoding="utf-8")
-            os.replace(tmp, path)
+            with atomic_write(self._dir / key.file_name, "w") as handle:
+                json.dump(payload, handle)
         except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+            pass  # best effort: the entry stays served from memory
 
     def __repr__(self) -> str:
         return f"CountCache(entries={self.entry_count}, {self.stats.summary()})"

@@ -1,16 +1,13 @@
 """Per-stage profiling for mining runs — the kernels' observability hook.
 
 :class:`MiningProfile` accumulates wall-clock time, item counts and event
-counters per named stage (``encode``, ``scan1``, ``scan2``, ``derive``,
-``merge``, ``partition``) across serial and engine runs alike.  The serial miners
-time their stages directly; the parallel engine adds its partition/merge
-overheads and fan-out wall times; the count cache reports hits and misses
-through :meth:`count`.
+counters per named stage (``encode``, ``scan1``, ``tree``, ``scan2``,
+``derive``).  The miners time their stages directly, callers such as the
+serve app record externally timed stages through :meth:`add_stage`, and
+the count cache reports hits and misses through :meth:`count`.
 
 It renders as a fixed-width table for ``ppm mine --profile`` and as plain
-JSON for ``--profile-json`` — no dependency beyond the standard library,
-and importable from :mod:`repro.engine.stats` where the rest of the run
-accounting lives.
+JSON for ``--profile-json`` — no dependency beyond the standard library.
 """
 
 from __future__ import annotations
@@ -21,9 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 #: Canonical stage order for display; unknown stages append after these.
-STAGE_ORDER = (
-    "partition", "encode", "scan1", "tree", "scan2", "merge", "derive"
-)
+STAGE_ORDER = ("encode", "scan1", "tree", "scan2", "derive")
 
 
 @dataclass(slots=True)
@@ -32,10 +27,10 @@ class StageTiming:
 
     name: str
     elapsed_s: float = 0.0
-    #: Work items the stage processed (segments, candidates, shards ...);
+    #: Work items the stage processed (segments, candidates ...);
     #: 0 when the stage has no natural unit.
     items: int = 0
-    #: Times the stage ran (a stage can repeat, e.g. per shard or level).
+    #: Times the stage ran (a stage can repeat, e.g. per query or level).
     calls: int = 0
 
 
@@ -77,7 +72,7 @@ class MiningProfile:
             timing.calls += 1
 
     def add_stage(self, name: str, elapsed_s: float, items: int = 0) -> None:
-        """Record an externally-timed stage run (engine phases)."""
+        """Record an externally-timed stage run."""
         timing = self._stages.setdefault(name, StageTiming(name))
         timing.elapsed_s += elapsed_s
         timing.items += items

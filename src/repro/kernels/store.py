@@ -37,7 +37,6 @@ every columnar kernel works in fixed-size chunks.
 from __future__ import annotations
 
 import json
-import os
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -125,9 +124,8 @@ def _restore_wide(
 def _restore_mapped(path: str) -> "SegmentStore":
     """Unpickle helper: re-map an on-disk store instead of copying bytes.
 
-    This is how engine shard payloads ship an out-of-core store across
-    process boundaries — the pickle carries only the path; the worker
-    maps the same file read-only.
+    A pickled mapped store carries only its path; unpickling maps the
+    same file read-only.
     """
     return SegmentStore.from_file(path)
 
@@ -272,42 +270,34 @@ class SegmentStore:
 
         Below ``spill_bytes`` the result is an ordinary in-memory packed
         store; above it the masks stream to ``<directory>/<basename>``
-        (written to a temp name, then atomically renamed next to its JSON
-        sidecar) and the store comes back as a read-only ``np.memmap``.
+        (published with :func:`~repro.durability.files.atomic_write` after
+        its JSON sidecar) and the store comes back as a read-only
+        ``np.memmap``.
         """
         buffer = array("Q")
-        handle = None
+        rows = iter(masks)
+        for mask in rows:
+            buffer.append(mask)
+            if len(buffer) * buffer.itemsize >= options.spill_bytes:
+                break
+        else:
+            return cls(vocab, period, buffer, _prebuilt=True)
+        # Local import: repro.durability pulls in the streaming layer,
+        # which imports the kernels back.
+        from repro.durability.files import atomic_write
+
         final = Path(options.directory) / basename
-        tmp = final.with_name(final.name + ".tmp")
         written = 0
-        try:
-            for mask in masks:
+        with atomic_write(final) as handle:
+            for mask in rows:
                 buffer.append(mask)
-                if (
-                    handle is None
-                    and len(buffer) * buffer.itemsize >= options.spill_bytes
-                ):
-                    final.parent.mkdir(parents=True, exist_ok=True)
-                    handle = open(tmp, "wb")
-                if handle is not None and len(buffer) >= _SPILL_FLUSH_ROWS:
+                if len(buffer) >= _SPILL_FLUSH_ROWS:
                     buffer.tofile(handle)
                     written += len(buffer)
                     buffer = array("Q")
-        except BaseException:  # repro: ignore[REP404] -- re-raised immediately; even KeyboardInterrupt must not leak the spill temp file
-            if handle is not None:
-                handle.close()
-                tmp.unlink(missing_ok=True)
-            raise
-        if handle is None:
-            return cls(vocab, period, buffer, _prebuilt=True)
-        if buffer:
             buffer.tofile(handle)
             written += len(buffer)
-        handle.flush()
-        os.fsync(handle.fileno())
-        handle.close()
-        cls._write_meta(final, vocab.letters, period, written)
-        os.replace(tmp, final)
+            cls._write_meta(final, vocab.letters, period, written)
         return cls.from_file(final)
 
     # ------------------------------------------------------------------
@@ -325,22 +315,17 @@ class SegmentStore:
             "segments": segments,
             "letters": [[offset, feature] for offset, feature in letters],
         }
-        meta_path = Path(str(path) + ".meta.json")
-        meta_tmp = meta_path.with_name(meta_path.name + ".tmp")
-        meta_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(meta_tmp, "w", encoding="utf-8") as handle:
+        from repro.durability.files import atomic_write
+
+        with atomic_write(Path(str(path) + ".meta.json"), "w") as handle:
             json.dump(meta, handle)
             handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(meta_tmp, meta_path)
 
     def to_file(self, path: "str | Path") -> Path:
         """Persist a packed store: raw little-endian ``uint64`` masks + sidecar.
 
-        The data file is written to a temp name and renamed after its
-        sidecar, so a crash mid-write never leaves a readable-but-torn
-        store behind.  Wide stores have no fixed-width row format and
+        The data file is published atomically after its sidecar, so a
+        crash mid-write never leaves a readable-but-torn store behind.  Wide stores have no fixed-width row format and
         raise :class:`WideVocabularyError`.
         """
         column = self.column()
@@ -349,15 +334,12 @@ class SegmentStore:
                 f"store with {len(self._vocab)} letters exceeds "
                 f"{PACKED_MAX_BITS} bits; only packed stores persist"
             )
+        from repro.durability.files import atomic_write
+
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
+        with atomic_write(path) as handle:
             _columnar.as_uint64(column).tofile(handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._write_meta(path, self._vocab.letters, self._period, len(self))
-        os.replace(tmp, path)
+            self._write_meta(path, self._vocab.letters, self._period, len(self))
         return path
 
     @classmethod

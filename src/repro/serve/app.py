@@ -24,7 +24,7 @@ One ``/mine`` request flows through five gates, in order:
    it (exact, per the cache's projection rule).
 
 Mining itself runs on a worker thread pool bounded by ``concurrency``;
-the per-request :class:`~repro.resilience.Deadline` caps the whole
+the per-request :class:`~repro.serve.deadline.Deadline` caps the whole
 journey — queueing included — surfacing as 504.
 """
 
@@ -40,10 +40,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.errors import (
+    DeadlineExceeded,
     MiningError,
     ReproError,
     ServeError,
-    ShardTimeout,
     SnapshotCorruption,
     StreamError,
 )
@@ -52,8 +52,8 @@ from repro.core.serialize import result_to_dict
 from repro.durability.snapshot import SnapshotWriter, read_snapshot
 from repro.kernels.cache import CountCache
 from repro.kernels.profile import MiningProfile
-from repro.resilience.deadline import Deadline
 from repro.serve.coalesce import SingleFlight
+from repro.serve.deadline import Deadline
 from repro.serve.protocol import Request, error_payload
 from repro.serve.quotas import TenantCacheLedger, TenantQuotas
 from repro.serve.registry import SeriesRegistry
@@ -77,10 +77,6 @@ class ServeConfig:
 
     #: Default confidence threshold when a request omits ``min_conf``.
     min_conf: float = 0.5
-    #: Per-query engine workers (mirrors ``ppm mine --workers``).
-    mine_workers: int = 1
-    #: Engine backend when ``mine_workers > 1``.
-    backend: str = "auto"
     #: Worker threads answering requests (the service's parallelism).
     concurrency: int = 4
     #: Admission bound: requests in flight past this are refused with 429.
@@ -118,10 +114,6 @@ class ServeConfig:
         if self.max_pending < 1:
             raise ServeError(
                 f"max_pending must be >= 1, got {self.max_pending}"
-            )
-        if self.mine_workers < 1:
-            raise ServeError(
-                f"mine_workers must be >= 1, got {self.mine_workers}"
             )
         if self.result_cache_entries < 0:
             raise ServeError(
@@ -423,7 +415,7 @@ class MiningApp:
             if deadline is None:
                 return await work
             return await deadline.bound(work, "mine request")
-        except ShardTimeout:
+        except DeadlineExceeded:
             self.counters["timeouts"] += 1
             return 504, {
                 "error": (
@@ -643,13 +635,7 @@ class MiningApp:
     ) -> "MiningResult":
         """One mine on a worker thread (the only blocking code path)."""
         miner = PartialPeriodicMiner(series, min_conf=min_conf)
-        return miner.mine(
-            period,
-            workers=self.config.mine_workers,
-            backend=self.config.backend,
-            cache=self.cache,
-            profile=profile,
-        )
+        return miner.mine(period, cache=self.cache, profile=profile)
 
     def _enforce_tenant_share(self, tenant: str, cache_key: "CacheKey") -> None:
         """Evict the tenant's own oldest entries before it adds a new one."""

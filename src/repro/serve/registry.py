@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.errors import ServeError
-from repro.resilience.journal import series_fingerprint
-from repro.timeseries.feature_series import FeatureSeries
+from repro.timeseries.feature_series import FeatureSeries, series_fingerprint
 from repro.timeseries.io import LoadReport, load_series
 
 if TYPE_CHECKING:

@@ -97,7 +97,7 @@ class FeatureSeries:
     ) -> "FeatureSeries":
         """Wrap already-normalized slots without re-validating them.
 
-        Internal fast path used by slicing and pickling, where the slots
+        Internal fast path used by unpickling, where the slots
         are known to be exactly the tuple-of-frozensets representation.
         """
         series = cls.__new__(cls)
@@ -111,9 +111,8 @@ class FeatureSeries:
         Callable[[tuple[frozenset[str], ...]], FeatureSeries],
         tuple[tuple[frozenset[str], ...]],
     ]:
-        # Cheap pickling for shipping shards to worker processes: restore
-        # through the normalized fast path instead of re-coercing every
-        # slot in __init__ (which is O(total features)).
+        # Cheap pickling: restore through the normalized fast path instead
+        # of re-coercing every slot in __init__ (which is O(total features)).
         return (FeatureSeries._from_normalized, (self._slots,))
 
     # ------------------------------------------------------------------
@@ -137,8 +136,8 @@ class FeatureSeries:
         slot, one slot per line), so equal series always digest equally
         regardless of how their slots were constructed.  The series is
         immutable, so the digest is memoized on first use — repeated
-        identity checks (checkpoint run keys, count-cache keys) cost one
-        pass total, not one pass each.
+        identity checks (count-cache keys, serve registry fingerprints,
+        store spill names) cost one pass total, not one pass each.
         """
         if self._digest is None:
             import hashlib
@@ -255,27 +254,6 @@ class FeatureSeries:
         self._check_period(period)
         return EncodedSeries.from_series(self, period, vocab=vocab)
 
-    def slice_segments(
-        self, period: int, start: int, stop: int
-    ) -> "FeatureSeries":
-        """The sub-series covering whole segments ``start..stop-1``.
-
-        The result contains exactly ``(stop - start) * period`` slots, so a
-        shard ships only its chunk to a worker — not the whole series.
-
-        >>> FeatureSeries.from_symbols("abdabcabd").slice_segments(3, 1, 3)
-        FeatureSeries(len=6, abcabd)
-        """
-        count = self.num_periods(period)
-        if not 0 <= start <= stop <= count:
-            raise SeriesError(
-                f"segment slice [{start}, {stop}) out of range (0..{count}) "
-                f"for period {period}"
-            )
-        return FeatureSeries._from_normalized(
-            self._slots[start * period : stop * period]
-        )
-
     def iter_slots(self) -> Iterator[frozenset[str]]:
         """Iterate raw slots in order — one full consumption is one scan.
 
@@ -319,3 +297,22 @@ def as_feature_series(data: object) -> FeatureSeries:
     if isinstance(data, Sequence) or isinstance(data, Iterable):
         return FeatureSeries(data)
     raise SeriesError(f"cannot interpret {type(data).__name__} as a feature series")
+
+
+def series_fingerprint(series: Iterable[Iterable[str]]) -> str:
+    """A stable content digest of a series (order- and set-insensitive).
+
+    The identity the count cache and the serve registry key on: for a
+    :class:`FeatureSeries` it is the memoized :meth:`FeatureSeries.content_digest`;
+    any other iterable of slots is hashed the same way, so equal series
+    always fingerprint equally regardless of how their slots were built.
+    """
+    if isinstance(series, FeatureSeries):
+        return series.content_digest()
+    import hashlib
+
+    digest = hashlib.sha256()
+    for slot in series:
+        digest.update(" ".join(sorted(slot)).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()[:16]

@@ -366,51 +366,6 @@ class MaxSubpatternTree:
             stored += count
         return stored
 
-    # ------------------------------------------------------------------
-    # Merging — partial trees from disjoint segment shards
-    # ------------------------------------------------------------------
-
-    def merge(self, other: "MaxSubpatternTree") -> "MaxSubpatternTree":
-        """Union another tree's hit counts into this one (in place).
-
-        Both trees must have been built for the *same* ``C_max``.  Because a
-        node's count is the number of segments whose hit is exactly that
-        node's pattern, and segments are partitioned between the trees,
-        merging is plain addition of per-pattern counts — the operation is
-        commutative and associative, which is what makes sharded mining
-        (:mod:`repro.engine`) exact rather than approximate.  Equal
-        ``C_max`` also means equal vocabularies (both sort the same
-        letters), so the other tree's masks transfer without remapping.
-
-        Returns ``self`` so merges fold naturally::
-
-            functools.reduce(lambda a, b: a.merge(b), partial_trees)
-
-        Examples
-        --------
-        >>> cmax = Pattern.from_string("ab*d*")
-        >>> left, right = MaxSubpatternTree(cmax), MaxSubpatternTree(cmax)
-        >>> _ = left.insert(Pattern.from_string("ab***"))
-        >>> _ = right.insert(Pattern.from_string("ab*d*"))
-        >>> _ = right.insert(Pattern.from_string("ab***"))
-        >>> left.merge(right).count_of(Pattern.from_string("ab***"))
-        3
-        """
-        if other is self:
-            raise MiningError("cannot merge a tree into itself")
-        if (
-            other._letters != self._letters
-            or other._max_pattern.period != self._max_pattern.period
-        ):
-            raise MiningError(
-                f"cannot merge trees with different C_max: "
-                f"{self._max_pattern} vs {other._max_pattern}"
-            )
-        for node in other._index.values():
-            if node.count:
-                self._insert_missing_mask(node.missing_mask, node.count)
-        return self
-
     def _missing_rows(self) -> list[tuple[int, int]]:
         """Memoized ``(missing_mask, count)`` rows of the non-zero nodes.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.timeseries.io import load_series, save_series
 from repro.synth.workloads import unexpected_period_series
 
@@ -236,22 +236,21 @@ class TestResilienceFlags:
     def test_resume_roundtrip_reports_resumed_shards(
         self, series_file, tmp_path, capsys
     ):
-        journal = tmp_path / "mine.jsonl"
+        # Rerunning an identical mine reuses the first run's work through
+        # --cache-dir (the scans are skipped) and prints the same patterns.
         args = [
             "mine", str(series_file),
             "--period", "7", "--min-conf", "0.6",
-            "--workers", "2",
-            "--resume", str(journal),
+            "--cache-dir", str(tmp_path / "cache"),
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert journal.exists()
-        assert "resumed=" not in first
+        assert "hits=0" in first
 
         assert main(args) == 0
         second = capsys.readouterr().out
-        assert "resumed=" in second
-        # The mined patterns are identical either way.
+        assert "hits=0" not in second
+        assert "scans=0" in second
         patterns = lambda out: [  # noqa: E731
             line
             for line in out.splitlines()
@@ -260,16 +259,27 @@ class TestResilienceFlags:
         assert patterns(first) == patterns(second)
 
     def test_retry_and_timeout_flags_accepted(self, series_file, capsys):
-        code = main(
-            [
-                "mine", str(series_file),
-                "--period", "7", "--min-conf", "0.6",
-                "--max-retries", "3", "--shard-timeout", "30",
-                "--deadline", "60",
-            ]
+        # Mining runs in one process: the sharded engine's flags are gone
+        # and argparse refuses them; serve's request deadline remains.
+        for flag in (
+            ["--workers", "2"],
+            ["--backend", "thread"],
+            ["--resume", "j.jsonl"],
+            ["--shard-timeout", "30"],
+            ["--max-retries", "3"],
+            ["--deadline", "60"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["mine", str(series_file), "--period", "7", *flag])
+            assert exit_info.value.code == 2
+            assert flag[0] in capsys.readouterr().err
+        for flag in ("--workers", "--backend"):
+            with pytest.raises(SystemExit):
+                _build_parser().parse_args(["serve", flag, "2"])
+        parsed = _build_parser().parse_args(
+            ["serve", "--request-timeout", "5"]
         )
-        assert code == 0
-        assert "period 7:" in capsys.readouterr().out
+        assert parsed.request_timeout == 5.0
 
     def test_maximal_rejects_resilience_flags(
         self, series_file, tmp_path, capsys
@@ -278,7 +288,7 @@ class TestResilienceFlags:
             [
                 "mine", str(series_file),
                 "--period", "7", "--maximal",
-                "--resume", str(tmp_path / "j.jsonl"),
+                "--store-dir", str(tmp_path / "store"),
             ]
         )
         assert code == 2

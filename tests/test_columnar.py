@@ -5,7 +5,7 @@ Store inputs — a prebuilt store (``mine_store``) or a series mined with
 the batched ones.  Exactness is the whole contract: across seeds,
 periods, and thresholds both paths must produce letter-identical results
 to the brute-force oracle and to Apriori — in memory, spilled to disk,
-mmap-backed, through the streaming engine, through the parallel engine,
+mmap-backed, through the streaming engine, through the mining facade,
 and through the CLI.  Wide (> 64-letter) vocabularies mine in memory and
 are refused by the store path; the store's on-disk round trip (atomic
 writes, sidecar metadata, pickle-by-path) is exercised directly.
@@ -418,16 +418,19 @@ class TestStreamingKernel:
 
 
 class TestEngineColumnar:
-    """The parallel engine matches the columnar store path."""
+    """The mining facade's in-memory path matches the columnar store path."""
 
-    def test_parallel_columnar_equivalence(self):
-        from repro.engine.parallel import ParallelMiner
+    def test_parallel_columnar_equivalence(self, tmp_path):
+        from repro.core.miner import PartialPeriodicMiner
 
         series = random_series(9, length=90)
         reference = mine_store(
             SegmentStore.from_series_interned(series, 3), 0.4
         )
-        mined = ParallelMiner(series, min_conf=0.4, backend="thread").mine(
-            3, workers=2
+        miner = PartialPeriodicMiner(series, min_conf=0.4)
+        mined = miner.mine(3, workers=2)
+        stored = miner.mine(
+            3, store=StoreOptions(str(tmp_path), spill_bytes=0)
         )
         assert result_map(mined) == result_map(reference)
+        assert result_map(stored) == result_map(reference)

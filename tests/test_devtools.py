@@ -627,8 +627,8 @@ class TestSelfCheck:
     def test_module_placement_resolves_packages(self):
         from repro.devtools import module_name_of
 
-        path = REPO_ROOT / "src" / "repro" / "engine" / "worker.py"
-        assert module_name_of(path) == "repro.engine.worker"
+        path = REPO_ROOT / "src" / "repro" / "durability" / "files.py"
+        assert module_name_of(path) == "repro.durability.files"
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +674,7 @@ class TestResilienceRules:
             if seconds > 0:
                 time.sleep(seconds)
         """
-        assert (
-            findings_of(source, module="repro.resilience.backoff") == []
-        )
+        assert findings_of(source, module="repro.serve.deadline") == []
 
     def test_non_repro_package_exempt(self):
         source = """

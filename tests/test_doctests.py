@@ -23,13 +23,11 @@ MODULES = [
     "repro.core.pattern",
     "repro.devtools",
     "repro.devtools.suppressions",
+    "repro.durability.files",
     "repro.encoding",
     "repro.encoding.codec",
     "repro.encoding.vocabulary",
-    "repro.engine",
-    "repro.engine.merge",
-    "repro.engine.parallel",
-    "repro.engine.partition",
+    "repro.serve.deadline",
     "repro.timeseries.calendar",
     "repro.timeseries.discretize",
     "repro.timeseries.events",

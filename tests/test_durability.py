@@ -13,6 +13,7 @@ share the machinery under test.
 from __future__ import annotations
 
 import json
+import os
 import random
 import zlib
 
@@ -22,13 +23,15 @@ from repro.core.errors import DurabilityError, SnapshotCorruption
 from repro.durability import (
     DurableSink,
     DurableStream,
+    FileChaos,
+    FileChaosConfig,
     SnapshotWriter,
     StreamCheckpointer,
+    atomic_write,
     clean_stale_tmp,
     read_snapshot,
     snapshot_bytes,
 )
-from repro.resilience.chaos import FileChaos, FileChaosConfig
 from repro.streaming import ArrivalBuffer, StreamingMiner, window_to_dict
 
 ALPHABET = "abcde"
@@ -147,6 +150,120 @@ class TestSnapshotFiles:
         removed = clean_stale_tmp(tmp_path)
         assert [p.name for p in removed] == ["state.json.tmp.123.1"]
         assert (tmp_path / "state.json").exists()
+
+
+def _snapshot_writes(directory):
+    writer = SnapshotWriter(directory)
+    return (
+        directory / "state.json",
+        lambda: writer.write("state.json", kind="t/1", payload={"v": 1}),
+        lambda: writer.write("state.json", kind="t/1", payload={"v": 2}),
+    )
+
+
+def _cache_writes(directory):
+    from repro.core.hitset import mine_single_period_hitset
+    from repro.kernels.cache import CountCache
+    from repro.timeseries.feature_series import FeatureSeries
+
+    series = FeatureSeries([set(r) for r in random_records(1)])
+    cache = CountCache(directory)
+    # The second mine adds a hit table for a wider C_max: a new persist
+    # of the same entry file.
+    return (
+        directory / cache.key_for(series, 3).file_name,
+        lambda: mine_single_period_hitset(series, 3, 0.9, cache=cache),
+        lambda: mine_single_period_hitset(series, 3, 0.2, cache=cache),
+    )
+
+
+def _store_writes(directory, kind):
+    from repro.kernels.store import SegmentStore, StoreOptions
+    from repro.timeseries.feature_series import FeatureSeries
+
+    one = FeatureSeries([set(r) for r in random_records(2)])
+    two = FeatureSeries([set(r) for r in random_records(3)])
+    path = directory / "col.seg"
+    if kind == "spill":
+        options = StoreOptions(directory, spill_bytes=0, basename="col.seg")
+        return (
+            path,
+            lambda: SegmentStore.from_series(one, 3, options=options),
+            lambda: SegmentStore.from_series(two, 3, options=options),
+        )
+    if kind == "meta":
+        store = SegmentStore.from_series(one, 3)
+        meta = directory / "col.seg.meta.json"
+        return (
+            meta,
+            lambda: SegmentStore._write_meta(path, store.vocab.letters, 3, 1),
+            lambda: SegmentStore._write_meta(path, store.vocab.letters, 3, 2),
+        )
+    return (
+        path,
+        lambda: SegmentStore.from_series(one, 3).to_file(path),
+        lambda: SegmentStore.from_series(two, 3).to_file(path),
+    )
+
+
+ATOMIC_CALLERS = {
+    "snapshot": _snapshot_writes,
+    "cache": _cache_writes,
+    "spill": lambda d: _store_writes(d, "spill"),
+    "meta": lambda d: _store_writes(d, "meta"),
+    "to_file": lambda d: _store_writes(d, "to_file"),
+}
+
+
+class TestAtomicWrite:
+    """Every state file goes through durability.atomic_write."""
+
+    @pytest.mark.parametrize("caller", sorted(ATOMIC_CALLERS))
+    def test_failed_replace_keeps_previous_file(
+        self, tmp_path, monkeypatch, caller
+    ):
+        path, first, second = ATOMIC_CALLERS[caller](tmp_path)
+        first()
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("injected: rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        try:
+            second()
+        except OSError:
+            pass  # the cache swallows persist failures; the others raise
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
+
+    def test_body_exception_leaves_nothing(self, tmp_path):
+        target = tmp_path / "new.bin"
+        with pytest.raises(RuntimeError):
+            with atomic_write(target) as handle:
+                handle.write(b"partial")
+                raise RuntimeError("writer died")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_text_mode_and_parent_creation(self, tmp_path):
+        target = tmp_path / "deep" / "er" / "note.txt"
+        with atomic_write(target, "w") as handle:
+            handle.write("héllo")
+        assert target.read_text(encoding="utf-8") == "héllo"
+        with pytest.raises(DurabilityError):
+            with atomic_write(target, "a"):
+                pass
+
+    def test_concurrent_writers_never_collide(self, tmp_path):
+        target = tmp_path / "shared.json"
+        with atomic_write(target, "w") as one, atomic_write(target, "w") as two:
+            assert one.name != two.name
+            one.write("first")
+            two.write("second")
+        # The last writer to finish wins, with a complete file.
+        assert target.read_text() == "first"
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.json"]
 
 
 class TestFileChaos:

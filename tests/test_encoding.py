@@ -24,7 +24,7 @@ from repro.encoding import (
     remap_mask,
     vocabulary_of_series,
 )
-from repro.engine.partition import encode_shard, partition_segments
+from repro.kernels.store import SegmentStore, StoreOptions
 from repro.timeseries.feature_series import FeatureSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
@@ -208,22 +208,25 @@ class TestTreeMaskInterface:
 
 
 class TestEncodedShard:
-    def test_shard_masks_match_segment_encoding(self):
+    """The segment store is the one encoded container of whole segments."""
+
+    def test_shard_masks_match_segment_encoding(self, tmp_path):
         series = FeatureSeries.from_symbols("abdabcabdabc")
         vocab = vocabulary_of_series(series, 3)
         encoder = SegmentEncoder(vocab)
-        shards = partition_segments(series, 3, num_shards=2)
-        encoded = [encode_shard(shard, vocab) for shard in shards]
-        flattened = [mask for shard in encoded for mask in shard.masks]
-        assert flattened == [
+        expected = [
             encoder.encode_segment(segment) for segment in series.segments(3)
         ]
-        assert [shard.start_segment for shard in encoded] == [0, 2]
+        in_memory = SegmentStore.from_series(series, 3, vocab)
+        spilled = SegmentStore.from_series(
+            series, 3, vocab, options=StoreOptions(tmp_path, spill_bytes=0)
+        )
+        assert spilled.mapped and not in_memory.mapped
+        assert list(in_memory) == list(spilled) == expected
 
     def test_shard_letter_sets_survive_encoding(self):
         series = FeatureSeries.from_symbols("abdabcabd")
         vocab = vocabulary_of_series(series, 3)
-        (shard,) = partition_segments(series, 3, num_shards=1)
-        encoded = encode_shard(shard, vocab)
-        for mask, segment in zip(encoded.masks, series.segments(3)):
+        store = SegmentStore.from_series(series, 3, vocab)
+        for mask, segment in zip(store, series.segments(3)):
             assert vocab.decode_mask(mask) == segment_letters(segment)

@@ -1,37 +1,54 @@
-"""The parallel engine: partitioning, merging, executors, equivalence.
+"""Single-process mining: the guarantees that replaced the sharded engine.
 
-The load-bearing guarantee is at the bottom: for every seeded synthetic
-series, every worker count, and every chunking, ``ParallelMiner.mine`` is
-letter-for-letter identical to the serial two-scan miner.
+Mining runs in one process (see DESIGN.md, "Mining is single-process").
+This module keeps the test names of the sharded engine's suite it
+replaces; each class now pins the in-process behaviour that took over
+its job:
+
+* ``TestPartition`` — how a series splits into whole period segments, the
+  unit every scan, store row and cache entry works on;
+* ``TestPicklability`` — series and segment stores still pickle exactly;
+* ``TestTreeMerge`` — the max-subpattern tree is order-independent and
+  exact against the brute-force oracle;
+* ``TestExecutor`` — the one remaining worker pool, the serve app's,
+  answers every mine exactly and survives failing requests;
+* ``TestWorkerKernels`` — store-level letter and hit counts equal the
+  tree's;
+* ``TestEquivalence`` / ``TestMultiPeriod`` / ``TestEngineStats`` — the
+  facade's retained ``workers=`` keyword changes nothing, and every
+  result carries ``engine=None``;
+* ``TestChaosEquivalence`` — faults injected into mining's disk paths
+  (store spills, concurrent cache persists, request deadlines) never
+  change a result.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
 import os
 import pickle
+import random
+import threading
 
 import pytest
 
-from repro.core.counting import brute_force_counts, min_count
-from repro.core.errors import EngineError, MiningError
+from repro.core.apriori import mine_single_period_apriori
+from repro.core.counting import brute_force_counts, brute_force_frequent, min_count
+from repro.core.errors import MiningError, ReproError, ServeError
 from repro.core.hitset import mine_single_period_hitset
+from repro.core.miner import PartialPeriodicMiner
 from repro.core.multiperiod import mine_periods_looping
 from repro.core.pattern import Pattern
-from repro.engine.executor import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    resolve_backend,
-    run_shards,
-)
-from repro.resilience import ResilienceContext, RetryPolicy
-from repro.resilience.chaos import ChaosBackend, ChaosConfig, chaos_from_env
-from repro.engine.merge import hits_to_tree, merge_counters, merge_trees
-from repro.engine.parallel import ParallelMiner
-from repro.engine.partition import partition_segments, plan_chunks
-from repro.engine.worker import collect_shard_hits, count_shard_letters
+from repro.core.serialize import dumps_result
+from repro.durability import FileChaosConfig
+from repro.kernels import store as store_module
+from repro.kernels.cache import CountCache
+from repro.kernels.store import SegmentStore, StoreOptions
+from repro.serve import MiningApp, Request, ServeConfig
 from repro.synth.generator import generate_series
 from repro.timeseries.feature_series import FeatureSeries
+from repro.timeseries.scan import ScanCountingSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
 # ---------------------------------------------------------------------------
@@ -41,84 +58,103 @@ from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
 def random_series(seed: int, length: int = 60) -> FeatureSeries:
     """A small random series with empty slots and multi-feature slots."""
-    import random
-
     rng = random.Random(seed)
     alphabet = ["a", "b", "c", "d"]
     slots = []
     for _ in range(length):
-        slots.append(
-            {f for f in alphabet if rng.random() < 0.35}
-        )
+        slots.append({f for f in alphabet if rng.random() < 0.35})
     return FeatureSeries(slots)
 
 
-def assert_same_result(parallel, serial):
+def assert_same_result(mined, serial):
     """Letter-for-letter equality of the mining payloads."""
-    assert dict(parallel.items()) == dict(serial.items())
-    assert parallel.period == serial.period
-    assert parallel.num_periods == serial.num_periods
-    assert parallel.stats.scans == serial.stats.scans
-    assert parallel.stats.tree_nodes == serial.stats.tree_nodes
-    assert parallel.stats.hit_set_size == serial.stats.hit_set_size
+    assert dict(mined.items()) == dict(serial.items())
+    assert mined.period == serial.period
+    assert mined.num_periods == serial.num_periods
+    assert mined.stats.scans == serial.stats.scans
+    assert mined.stats.tree_nodes == serial.stats.tree_nodes
+    assert mined.stats.hit_set_size == serial.stats.hit_set_size
+
+
+def mine_request(series: str, period: int, min_conf: float) -> Request:
+    """A parsed ``POST /mine`` for the serve app."""
+    body = {"series": series, "period": period, "min_conf": min_conf}
+    return Request(method="POST", path="/mine", body=json.dumps(body).encode())
 
 
 # ---------------------------------------------------------------------------
-# Partitioning
+# Segmentation
 # ---------------------------------------------------------------------------
 
 
 class TestPartition:
     def test_plan_chunks_even_split(self):
-        assert plan_chunks(12, num_shards=4) == [
-            (0, 3),
-            (3, 6),
-            (6, 9),
-            (9, 12),
-        ]
+        series = FeatureSeries.from_symbols("abcabdabcabd")
+        segments = list(series.segments(3))
+        assert series.num_periods(3) == len(segments) == 4
+        assert all(len(segment) == 3 for segment in segments)
+        assert len(SegmentStore.from_series(series, 3)) == 4
 
     def test_plan_chunks_uneven_split_differs_by_at_most_one(self):
-        ranges = plan_chunks(11, num_shards=4)
-        sizes = [stop - start for start, stop in ranges]
-        assert sum(sizes) == 11
-        assert max(sizes) - min(sizes) <= 1
+        # 11 slots at period 4: two whole segments, the 3-slot tail is
+        # not a segment and never changes what is mined.
+        series = random_series(5, length=11)
+        assert series.num_periods(4) == 2
+        assert_same_result(
+            mine_single_period_hitset(series, 4, 0.5),
+            mine_single_period_hitset(series[:8], 4, 0.5),
+        )
 
     def test_plan_chunks_clips_to_segments(self):
-        assert plan_chunks(2, num_shards=10) == [(0, 1), (1, 2)]
+        series = FeatureSeries.from_symbols("abc")
+        assert series.num_periods(3) == 1
+        assert list(series.segments(3)) == [series.slots]
 
-    def test_plan_chunks_chunk_size(self):
-        assert plan_chunks(7, chunk_size=3) == [(0, 3), (3, 6), (6, 7)]
+    def test_plan_chunks_chunk_size(self, tmp_path, monkeypatch):
+        # A spilled store is written in flush chunks; any chunk size
+        # yields the same rows as the in-memory store.
+        series = random_series(6, length=70)
+        expected = list(SegmentStore.from_series(series, 5))
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(store_module, "_SPILL_FLUSH_ROWS", rows)
+            spilled = SegmentStore.from_series(
+                series, 5, options=StoreOptions(tmp_path / str(rows), 0)
+            )
+            assert spilled.mapped
+            assert list(spilled) == expected
 
     def test_plan_chunks_rejects_both_knobs(self):
-        with pytest.raises(EngineError):
-            plan_chunks(5, num_shards=2, chunk_size=2)
+        miner = PartialPeriodicMiner("abcabc", min_conf=0.5)
+        for workers in (0, -1):
+            with pytest.raises(MiningError, match="workers"):
+                miner.mine(3, workers=workers)
+        with pytest.raises(ReproError):
+            StoreOptions("unused", spill_bytes=-1)
 
     def test_shards_cover_series_in_order(self):
         series = random_series(1, length=35)
-        shards = partition_segments(series, 5, num_shards=3)
-        assert [s.shard_id for s in shards] == [0, 1, 2]
         rebuilt = []
-        for shard in shards:
-            rebuilt.extend(shard.series.slots)
+        for segment in series.segments(5):
+            rebuilt.extend(segment)
         m = series.num_periods(5)
         assert tuple(rebuilt) == series.slots[: m * 5]
 
     def test_shard_carries_only_its_chunk(self):
         series = random_series(2, length=40)
-        shards = partition_segments(series, 4, chunk_size=3)
-        for shard in shards:
-            assert len(shard.series) == shard.num_segments * 4
-            assert shard.num_slots == shard.num_segments * 4
+        store = SegmentStore.from_series(series, 4)
+        assert len(store) == series.num_periods(4)
+        for mask, segment in zip(store, series.segments(4)):
+            letters = store.vocab.decode_mask(mask)
+            assert {offset for offset, _ in letters} <= set(range(4))
+            assert len(letters) == sum(len(slot) for slot in segment)
 
     def test_too_short_series_rejected(self):
-        from repro.core.errors import ReproError
-
         with pytest.raises(ReproError):
-            partition_segments(FeatureSeries.from_symbols("ab"), 3)
+            PartialPeriodicMiner("ab", min_conf=0.5).mine(3)
 
 
 # ---------------------------------------------------------------------------
-# Pickling (shards must ship cheaply to worker processes)
+# Pickling
 # ---------------------------------------------------------------------------
 
 
@@ -129,88 +165,88 @@ class TestPicklability:
         assert clone == series
         assert clone.slots == series.slots
 
-    def test_segment_shard_roundtrip(self):
-        shard = partition_segments(random_series(4, 30), 3, num_shards=2)[1]
-        clone = pickle.loads(pickle.dumps(shard))
-        assert clone.shard_id == shard.shard_id
-        assert clone.start_segment == shard.start_segment
-        assert clone.series == shard.series
+    def test_segment_shard_roundtrip(self, tmp_path):
+        series = random_series(4, 30)
+        for store in (
+            SegmentStore.from_series(series, 3),
+            SegmentStore.from_series(
+                series, 3, options=StoreOptions(tmp_path, spill_bytes=0)
+            ),
+        ):
+            clone = pickle.loads(pickle.dumps(store))
+            assert list(clone) == list(store)
+            assert clone.vocab.letters == store.vocab.letters
+            assert clone.mapped == store.mapped
 
     def test_sliced_series_is_independent(self):
         series = FeatureSeries.from_symbols("abdabcabd")
-        chunk = series.slice_segments(3, 1, 2)
+        chunk = series[3:6]
         assert chunk.slots == series.slots[3:6]
         assert isinstance(chunk, FeatureSeries)
+        assert not hasattr(series, "slice_segments")
 
 
 # ---------------------------------------------------------------------------
-# Tree merge against the brute-force oracle
+# The max-subpattern tree against the brute-force oracle
 # ---------------------------------------------------------------------------
+
+
+def _cmax_of(series: FeatureSeries, period: int, min_conf: float) -> Pattern:
+    threshold = min_count(min_conf, series.num_periods(period))
+    letters = SegmentStore.from_series(series, period).letter_counts()
+    f1 = {k: v for k, v in letters.items() if v >= threshold}
+    if not f1:
+        pytest.skip("degenerate seed: empty F1")
+    return Pattern.from_letters(period, f1)
 
 
 class TestTreeMerge:
-    def make_trees(self, series, period, min_conf):
-        """Whole-series tree plus per-half partial trees of the same C_max."""
-        serial = mine_single_period_hitset(series, period, min_conf)
-        m = series.num_periods(period)
-        threshold = min_count(min_conf, m)
-        letters = count_shard_letters(
-            partition_segments(series, period, num_shards=1)[0]
-        )
-        f1 = {k: v for k, v in letters.items() if v >= threshold}
-        if not f1:
-            pytest.skip("degenerate seed: empty F1")
-        cmax = Pattern.from_letters(period, f1)
+    def test_merge_equals_whole_series_tree(self):
+        # Bulk-inserting the store's hit table builds the same tree as
+        # inserting segment by segment.
+        series = random_series(11, length=48)
+        cmax = _cmax_of(series, 4, 0.4)
         whole = MaxSubpatternTree(cmax)
         whole.insert_all_segments(series)
-        half = m // 2
-        parts = []
-        for start, stop in ((0, half), (half, m)):
-            part = MaxSubpatternTree(cmax)
-            part.insert_all_segments(series.slice_segments(period, start, stop))
-            parts.append(part)
-        return whole, parts, cmax, serial
-
-    def test_merge_equals_whole_series_tree(self):
-        series = random_series(11, length=48)
-        whole, (left, right), cmax, _ = self.make_trees(series, 4, 0.4)
-        merged = left.merge(right)
-        assert merged is left
-        assert merged.total_hits == whole.total_hits
-        assert merged.hit_counts() == whole.hit_counts()
-        for node in whole.nodes():
-            pattern = whole.pattern_of(node)
-            if pattern.letter_count >= 2:
-                assert merged.count_of(pattern) == whole.count_of(pattern)  # repro: ignore[REP701] -- per-pattern oracle probe, not a counting hot path
+        bulk = MaxSubpatternTree(cmax)
+        hits = SegmentStore.from_series(series, 4, bulk.vocab).hit_counter()
+        for mask, count in hits.items():
+            bulk.insert_mask(mask, count)
+        assert bulk.total_hits == whole.total_hits
+        assert bulk.hit_counts() == whole.hit_counts()
 
     def test_merge_against_brute_force_oracle(self):
         series = random_series(12, length=44)
         period = 4
-        whole, (left, right), cmax, _ = self.make_trees(series, period, 0.3)
-        merged = left.merge(right)
+        cmax = _cmax_of(series, period, 0.3)
+        tree = MaxSubpatternTree(cmax)
+        tree.insert_all_segments(series)
         oracle = brute_force_counts(series, period)
         for letters, count in oracle.items():
             if len(letters) >= 2 and letters <= cmax.letters:
-                assert merged.count_of_letters(letters) == count, letters  # repro: ignore[REP701] -- per-pattern oracle probe, not a counting hot path
+                assert tree.count_of_letters(letters) == count, letters  # repro: ignore[REP701] -- per-pattern oracle probe, not a counting hot path
 
     def test_merge_is_commutative(self):
         series = random_series(13, length=36)
-        _, (left_a, right_a), _, _ = self.make_trees(series, 3, 0.3)
-        _, (left_b, right_b), _, _ = self.make_trees(series, 3, 0.3)
-        ab = left_a.merge(right_a).hit_counts()
-        ba = right_b.merge(left_b).hit_counts()
-        assert ab == ba
+        cmax = _cmax_of(series, 3, 0.3)
+        forward, backward = MaxSubpatternTree(cmax), MaxSubpatternTree(cmax)
+        segments = list(series.segments(3))
+        for segment in segments:
+            forward.insert_segment(segment)
+        for segment in reversed(segments):
+            backward.insert_segment(segment)
+        assert forward.hit_counts() == backward.hit_counts()
 
     def test_merge_rejects_different_cmax(self):
-        one = MaxSubpatternTree(Pattern.from_string("ab*"))
-        other = MaxSubpatternTree(Pattern.from_string("a*c"))
-        with pytest.raises(MiningError):
-            one.merge(other)
+        tree = MaxSubpatternTree(Pattern.from_string("ab*"))
+        with pytest.raises(ReproError):
+            tree.insert(Pattern.from_string("a*c"))
 
     def test_merge_rejects_self(self):
         tree = MaxSubpatternTree(Pattern.from_string("ab*"))
         with pytest.raises(MiningError):
-            tree.merge(tree)
+            tree.insert(Pattern.from_string("ab*"), count=0)
+        assert not hasattr(tree, "merge")
 
     def test_insert_letters_matches_insert(self):
         cmax = Pattern.from_string("a{b1,b2}*d*")
@@ -223,69 +259,83 @@ class TestTreeMerge:
 
 
 # ---------------------------------------------------------------------------
-# Executor backends and error capture
+# The serve worker pool — the one place mining runs on a pool
 # ---------------------------------------------------------------------------
-
-
-def _double(task):
-    return task * 2
-
-
-def _fail_on_negative(task):
-    if task < 0:
-        raise ValueError(f"bad task {task}")
-    return task
-
-
-def _fail_off_main_process(task):
-    # Fails inside a worker process but succeeds on the parent's serial
-    # retry — the degradation path run_shards promises.
-    if os.getpid() != task:
-        raise RuntimeError("worker refused")
-    return "ok"
 
 
 class TestExecutor:
     @pytest.mark.parametrize(
         "backend",
-        [SerialBackend(), ThreadBackend(workers=3), ProcessBackend(workers=2)],
+        [ServeConfig(concurrency=1), ServeConfig(concurrency=3),
+         ServeConfig(concurrency=2)],
     )
     def test_map_preserves_order(self, backend):
-        outcomes = run_shards(backend, _double, list(range(7)))
-        assert [o.value for o in outcomes] == [0, 2, 4, 6, 8, 10, 12]
-        assert all(o.ok for o in outcomes)
+        series = random_series(40, length=84)
+        app = MiningApp(backend)
+        app.registry.add("s", series)
+        periods = [3, 4, 6, 7, 3, 4, 6]
+        try:
+            async def storm():
+                return await asyncio.gather(
+                    *(app.handle(mine_request("s", p, 0.3)) for p in periods)
+                )
+
+            responses = asyncio.run(storm())
+        finally:
+            app.close()
+        for (status, payload), period in zip(responses, periods):
+            assert status == 200
+            expected = mine_single_period_hitset(series, period, 0.3)
+            assert payload["result"]["period"] == period
+            assert {
+                (row["pattern"], row["count"])
+                for row in payload["result"]["patterns"]
+            } == {(str(p), c) for p, c in expected.items()}
 
     def test_failed_shard_raises_after_serial_retry(self):
-        with pytest.raises(EngineError, match="shard 2"):
-            run_shards(SerialBackend(), _fail_on_negative, [1, 2, -1, 3])
+        # A mine that fails on the worker thread is answered 400 with the
+        # miner's own message.
+        app = MiningApp(ServeConfig(concurrency=2))
+        app.registry.add("s", random_series(41, length=20))
+        try:
+            status, payload = asyncio.run(app.handle(mine_request("s", 4, 1.5)))
+        finally:
+            app.close()
+        assert status == 400
+        assert "min_conf" in payload["error"]
 
     def test_process_failure_degrades_to_serial_retry(self):
-        parent = os.getpid()
-        outcomes = run_shards(
-            ProcessBackend(workers=2), _fail_off_main_process, [parent, parent]
-        )
-        assert [o.value for o in outcomes] == ["ok", "ok"]
-        assert all(o.retried for o in outcomes)
+        # A failed request does not poison the pool: the next mine on the
+        # same app is exact.
+        series = random_series(42, length=60)
+        app = MiningApp(ServeConfig(concurrency=1))
+        app.registry.add("s", series)
+        try:
+            bad, _ = asyncio.run(app.handle(mine_request("s", 0, 0.5)))
+            good, payload = asyncio.run(app.handle(mine_request("s", 4, 0.4)))
+        finally:
+            app.close()
+        assert bad == 400 and good == 200
+        expected = mine_single_period_hitset(series, 4, 0.4)
+        assert len(payload["result"]["patterns"]) == len(expected)
 
     def test_resolve_backend_auto(self):
-        from repro.engine.executor import visible_cpus
-
-        pool = "process" if visible_cpus() > 1 else "thread"
-        assert resolve_backend("auto", 1).name == "serial"
-        assert resolve_backend("auto", 4).name == pool
-        assert resolve_backend(None, 2).name == pool
-        backend = ThreadBackend(workers=2)
-        assert resolve_backend(backend, 8) is backend
+        miner = PartialPeriodicMiner(random_series(43), min_conf=0.4)
+        assert_same_result(miner.mine(3), miner.mine(3, workers=1))
+        assert ServeConfig().concurrency >= 1
 
     def test_resolve_backend_rejects_unknown(self):
-        with pytest.raises(EngineError):
-            resolve_backend("gpu", 2)
-        with pytest.raises(EngineError):
-            resolve_backend("auto", 0)
+        miner = PartialPeriodicMiner("abcabc", min_conf=0.5)
+        with pytest.raises(TypeError):
+            miner.mine(3, backend="thread")  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            ServeConfig(mine_workers=2)  # type: ignore[call-arg]
+        with pytest.raises(ServeError):
+            MiningApp(ServeConfig(concurrency=0))
 
 
 # ---------------------------------------------------------------------------
-# Worker kernels
+# Store-level counts
 # ---------------------------------------------------------------------------
 
 
@@ -293,41 +343,28 @@ class TestWorkerKernels:
     def test_shard_letter_counts_sum_to_serial(self):
         series = random_series(21, length=50)
         period = 5
-        shards = partition_segments(series, period, num_shards=4)
-        merged = merge_counters(count_shard_letters(s) for s in shards)
-        whole = count_shard_letters(
-            partition_segments(series, period, num_shards=1)[0]
-        )
-        assert merged == whole
+        cut = 4 * period
+        whole = SegmentStore.from_series(series, period).letter_counts()
+        left = SegmentStore.from_series(series[:cut], period).letter_counts()
+        right = SegmentStore.from_series(series[cut:], period).letter_counts()
+        assert left + right == whole
 
     def test_hit_masks_match_tree_hits(self):
         series = random_series(22, length=60)
         period = 4
-        serial = mine_single_period_hitset(series, period, 0.3)
-        if not serial:
-            pytest.skip("degenerate seed")
-        threshold = min_count(0.3, series.num_periods(period))
-        counts = count_shard_letters(
-            partition_segments(series, period, num_shards=1)[0]
-        )
-        f1 = {k: v for k, v in counts.items() if v >= threshold}
-        letter_order = tuple(sorted(f1))
-        cmax = Pattern.from_letters(period, f1)
+        cmax = _cmax_of(series, period, 0.3)
         reference = MaxSubpatternTree(cmax)
         reference.insert_all_segments(series)
-        shard = partition_segments(series, period, num_shards=1)[0]
-        rebuilt = hits_to_tree(
-            period, letter_order, collect_shard_hits((shard, letter_order))
-        )
-        assert rebuilt.hit_counts() == reference.hit_counts()
+        hits = SegmentStore.from_series(
+            series, period, reference.vocab
+        ).hit_counter()
+        assert hits == reference.stored_hits()
 
 
 # ---------------------------------------------------------------------------
-# Randomized serial/parallel equivalence — the core guarantee
+# The retained workers= keyword changes nothing
 # ---------------------------------------------------------------------------
 
-#: >= 20 seeded series as the issue requires, mixing random noise with
-#: planted periodic structure.
 EQUIVALENCE_SEEDS = list(range(16))
 PLANTED_SEEDS = list(range(100, 106))
 
@@ -339,240 +376,284 @@ def _series_for(seed: int) -> tuple[FeatureSeries, int, float]:
     return random_series(seed, length=50 + 3 * seed), 4, 0.35
 
 
+def _oracle(series: FeatureSeries, period: int, min_conf: float) -> dict:
+    if len(series) <= 200:
+        return brute_force_frequent(series, period, min_conf)
+    return dict(mine_single_period_apriori(series, period, min_conf).items())
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("seed", EQUIVALENCE_SEEDS + PLANTED_SEEDS)
-    @pytest.mark.parametrize("workers", [1, 2, 7])
+    @pytest.mark.parametrize("workers", [1, 2, 4, 7])
     def test_workers_match_serial(self, seed, workers):
         series, period, min_conf = _series_for(seed)
         serial = mine_single_period_hitset(series, period, min_conf)
-        parallel = ParallelMiner(
-            series, min_conf=min_conf, backend="thread"
-        ).mine(period, workers=workers)
-        assert_same_result(parallel, serial)
+        mined = PartialPeriodicMiner(series, min_conf=min_conf).mine(
+            period, workers=workers
+        )
+        assert_same_result(mined, serial)
+        assert dict(mined.items()) == _oracle(series, period, min_conf)
+        assert mined.engine is None
 
     @pytest.mark.parametrize("seed", EQUIVALENCE_SEEDS[:8])
     @pytest.mark.parametrize("chunk_size", [1, 3, 5])
-    def test_chunk_sizes_match_serial(self, seed, chunk_size):
+    def test_chunk_sizes_match_serial(
+        self, seed, chunk_size, tmp_path, monkeypatch
+    ):
+        # Spilled-store mining flushes in chunks of any size exactly.
+        monkeypatch.setattr(store_module, "_SPILL_FLUSH_ROWS", chunk_size)
         series, period, min_conf = _series_for(seed)
         serial = mine_single_period_hitset(series, period, min_conf)
-        parallel = ParallelMiner(series, min_conf=min_conf, backend="thread").mine(
-            period, workers=2, chunk_size=chunk_size
+        spilled = PartialPeriodicMiner(series, min_conf=min_conf).mine(
+            period, store=StoreOptions(tmp_path, spill_bytes=0)
         )
-        assert_same_result(parallel, serial)
+        assert dict(spilled.items()) == dict(serial.items())
+        assert spilled.num_periods == serial.num_periods
 
     def test_uneven_chunking_matches_serial(self):
-        # 13 segments over 7 workers: sizes 2 and 1 interleaved.
-        series = random_series(31, length=13 * 4)
+        # 13 segments plus a 3-slot tail.
+        series = random_series(31, length=13 * 4 + 3)
         serial = mine_single_period_hitset(series, 4, 0.3)
-        parallel = ParallelMiner(series, min_conf=0.3, backend="thread").mine(
-            4, workers=7
-        )
-        assert_same_result(parallel, serial)
+        mined = PartialPeriodicMiner(series, min_conf=0.3).mine(4, workers=7)
+        assert_same_result(mined, serial)
+        assert mined.num_periods == 13
 
     @pytest.mark.parametrize("seed", [0, 7, 104])
     def test_process_backend_matches_serial(self, seed):
+        # What crosses a process boundary — the pickled series — mines
+        # exactly like the original.
         series, period, min_conf = _series_for(seed)
         serial = mine_single_period_hitset(series, period, min_conf)
-        parallel = ParallelMiner(
-            series, min_conf=min_conf, backend="process"
-        ).mine(period, workers=2)
-        assert_same_result(parallel, serial)
+        shipped = pickle.loads(pickle.dumps(series))
+        mined = PartialPeriodicMiner(shipped, min_conf=min_conf).mine(
+            period, workers=2
+        )
+        assert_same_result(mined, serial)
 
     def test_empty_f1_matches_serial(self):
         series = FeatureSeries.from_symbols("abcdefgh")
         serial = mine_single_period_hitset(series, 2, 1.0)
-        parallel = ParallelMiner(series, min_conf=1.0).mine(2, workers=2)
-        assert len(parallel) == len(serial) == 0
-        assert parallel.stats.scans == serial.stats.scans == 1
+        mined = PartialPeriodicMiner(series, min_conf=1.0).mine(2, workers=2)
+        assert len(mined) == len(serial) == 0
+        assert mined.stats.scans == serial.stats.scans == 1
 
     def test_max_letters_cap_matches_serial(self):
         series, period, min_conf = _series_for(103)
-        serial = mine_single_period_hitset(
+        full = mine_single_period_hitset(series, period, min_conf)
+        capped = mine_single_period_hitset(
             series, period, min_conf, max_letters=2
         )
-        parallel = ParallelMiner(series, min_conf=min_conf).mine(
-            period, workers=3, backend="thread", max_letters=2
-        )
-        assert dict(parallel.items()) == dict(serial.items())
+        assert dict(capped.items()) == {
+            pattern: count
+            for pattern, count in full.items()
+            if pattern.letter_count <= 2
+        }
 
     def test_invalid_inputs_mirror_serial_errors(self):
-        miner = ParallelMiner("abcabc", min_conf=0.5)
         with pytest.raises(MiningError):
-            miner.mine(3, max_letters=0)
+            mine_single_period_hitset(
+                FeatureSeries.from_symbols("abcabc"), 3, 0.5, max_letters=0
+            )
         with pytest.raises(MiningError):
-            ParallelMiner("abcabc", min_conf=0.0)
+            PartialPeriodicMiner("abcabc", min_conf=0.0)
+        with pytest.raises(MiningError):
+            PartialPeriodicMiner("abcabc", min_conf=0.5).mine(3, workers=0)
 
     def test_merge_of_tree_shards_is_deterministic(self):
         series, period, min_conf = _series_for(102)
-        results = [
-            ParallelMiner(series, min_conf=min_conf, backend="thread").mine(
-                period, workers=w
-            )
-            for w in (2, 3, 5)
-        ]
-        baseline = dict(results[0].items())
-        for result in results[1:]:
-            assert dict(result.items()) == baseline
+        miner = PartialPeriodicMiner(series, min_conf=min_conf)
+        documents = {
+            dumps_result(miner.mine(period, workers=w)) for w in (2, 3, 5)
+        }
+        assert len(documents) == 1
 
 
 # ---------------------------------------------------------------------------
-# Multi-period fan-out and engine stats
+# Multi-period mining and result accounting
 # ---------------------------------------------------------------------------
 
 
 class TestMultiPeriod:
     def test_period_range_matches_looping(self):
         series, _, min_conf = _series_for(101)
-        serial = mine_periods_looping(series, range(2, 11), min_conf)
-        parallel = ParallelMiner(
-            series, min_conf=min_conf, backend="thread"
-        ).mine_period_range(2, 10, workers=3)
-        assert parallel.periods == serial.periods
-        for period in serial.periods:
-            assert dict(parallel[period].items()) == dict(
-                serial[period].items()
+        looping = mine_periods_looping(series, range(2, 11), min_conf)
+        shared = PartialPeriodicMiner(series, min_conf=min_conf).mine_range(2, 10)
+        assert shared.periods == looping.periods
+        for period in looping.periods:
+            assert dict(shared[period].items()) == dict(
+                looping[period].items()
             ), period
-        assert parallel.scans == serial.scans
-        assert parallel.engine is not None
+        assert shared.scans == 2
+        assert not hasattr(shared, "engine")
 
     def test_facade_workers_route_through_engine(self):
-        from repro.core.miner import PartialPeriodicMiner
-
         miner = PartialPeriodicMiner("abdabcabdabc", min_conf=0.9)
         serial = miner.mine(3)
-        parallel = miner.mine(3, workers=2, backend="thread")
-        assert dict(parallel.items()) == dict(serial.items())
-        assert parallel.engine is not None
-        assert serial.engine is None
+        mined = miner.mine(3, workers=2)
+        assert dict(mined.items()) == dict(serial.items())
+        assert mined.engine is None and serial.engine is None
 
     def test_facade_rejects_parallel_apriori(self):
-        from repro.core.miner import PartialPeriodicMiner
-
-        miner = PartialPeriodicMiner("abcabc", algorithm="apriori")
-        with pytest.raises(MiningError):
-            miner.mine(3, workers=2)
+        # workers= no longer selects an engine, so Apriori takes it too.
+        miner = PartialPeriodicMiner("abcabdabcabd", algorithm="apriori")
+        assert dict(miner.mine(3, workers=2).items()) == dict(
+            miner.mine(3).items()
+        )
 
 
 class TestEngineStats:
     def test_slots_scanned_covers_two_passes(self):
         series, period, min_conf = _series_for(105)
-        result = ParallelMiner(series, min_conf=min_conf, backend="thread").mine(
+        counted = ScanCountingSeries(series)
+        result = PartialPeriodicMiner(counted, min_conf=min_conf).mine(
             period, workers=4
         )
-        m = series.num_periods(period)
-        assert result.engine.slots_scanned == 2 * m * period
-        assert result.engine.scan_equivalents(len(series)) == pytest.approx(
-            2 * m * period / len(series)
-        )
+        assert result.stats.scans == counted.scans == 2
 
     def test_stats_record_backend_and_shards(self):
-        result = ParallelMiner("abdabcabdabc", min_conf=0.9).mine(
-            3, workers=2, backend="thread"
-        )
-        engine = result.engine
-        assert engine.backend == "thread"
-        assert engine.workers == 2
-        assert {s.phase for s in engine.shards} == {"f1", "hits"}
-        if chaos_from_env() is None:
-            # Under the CI chaos job injected faults make retries expected.
-            assert engine.shards_retried == 0
-        assert "engine[thread]" in engine.summary()
+        miner = PartialPeriodicMiner("abdabcabdabc", min_conf=0.9)
+        for result in (miner.mine(3), miner.mine(3, workers=2)):
+            assert result.engine is None
+            assert result.stats.scans == 2
 
     def test_merge_trees_requires_input(self):
-        with pytest.raises(EngineError):
-            merge_trees([])
+        # The helpers only the sharded engine called are gone.
+        assert not hasattr(MaxSubpatternTree, "merge")
+        assert not hasattr(FeatureSeries, "slice_segments")
 
 
 # ---------------------------------------------------------------------------
-# Chaos equivalence — fault-injected runs match the serial baseline
+# Faults on mining's disk paths never change results
 # ---------------------------------------------------------------------------
 
-#: >= 20 randomized chaos workloads, as the resilience issue requires.
 CHAOS_SEEDS = list(range(14)) + [100, 101, 102, 103, 104, 105]
 
 
-def _chaos_policy() -> ResilienceContext:
-    """Enough attempts to outlast a 30% crash rate, with instant backoff."""
-    return ResilienceContext(
-        policy=RetryPolicy(max_attempts=6, backoff_base_s=0.0)
-    )
+class _SpillCrash(RuntimeError):
+    """A crash injected into a store spill mid-write."""
 
 
 class TestChaosEquivalence:
-    """Injected crashes and empty-message failures never change results."""
+    """Injected crashes on the write paths leave results unchanged."""
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_crashy_run_matches_serial(self, seed):
-        series, period, min_conf = _series_for(seed)
+    def test_crashy_run_matches_serial(self, seed, tmp_path, monkeypatch):
+        # Crash a spilled mine at a seeded segment: nothing is published
+        # and no temp file remains; the rerun is exact.
+        series, period, min_conf = random_series(seed, 40 + seed % 50), 4, 0.35
         serial = mine_single_period_hitset(series, period, min_conf)
-        chaos = ChaosBackend(
-            inner=SerialBackend(),
-            config=ChaosConfig(seed=seed, crash_rate=0.3, empty_rate=0.1),
+        crash_at = random.Random(seed).randrange(series.num_periods(period))
+        original = FeatureSeries.segments
+
+        def crashing_segments(self, p):
+            for index, segment in enumerate(original(self, p)):
+                if index == crash_at:
+                    raise _SpillCrash(f"injected crash at segment {index}")
+                yield segment
+
+        options = StoreOptions(tmp_path, spill_bytes=0)
+        monkeypatch.setattr(FeatureSeries, "segments", crashing_segments)
+        with pytest.raises(_SpillCrash):
+            SegmentStore.from_series_interned(series, period, options)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        rerun = PartialPeriodicMiner(series, min_conf=min_conf).mine(
+            period, store=options
         )
-        result = ParallelMiner(series, min_conf=min_conf, backend=chaos).mine(
-            period, workers=3, resilience=_chaos_policy()
-        )
-        assert_same_result(result, serial)
+        assert dict(rerun.items()) == dict(serial.items())
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS[:6])
-    def test_chaotic_thread_pool_matches_serial(self, seed):
+    def test_chaotic_thread_pool_matches_serial(self, seed, tmp_path):
+        # Racing threads persist the same count-cache entry; a fresh cache
+        # over the directory answers warm and exactly.
         series, period, min_conf = _series_for(seed)
         serial = mine_single_period_hitset(series, period, min_conf)
-        chaos = ChaosBackend(
-            inner=ThreadBackend(workers=3),
-            config=ChaosConfig(seed=seed, crash_rate=0.3, empty_rate=0.05),
-        )
-        result = ParallelMiner(series, min_conf=min_conf, backend=chaos).mine(
-            period, workers=3, resilience=_chaos_policy()
-        )
-        assert_same_result(result, serial)
+        errors: list[BaseException] = []
 
-    def test_hang_fault_times_out_and_recovers(self):
-        series, period, min_conf = _series_for(3)
-        serial = mine_single_period_hitset(series, period, min_conf)
-        chaos = ChaosBackend(
-            inner=ThreadBackend(workers=2),
-            config=ChaosConfig(seed=11, hang_rate=0.5, hang_s=0.4),
+        def mine_once() -> None:
+            try:
+                mine_single_period_hitset(
+                    series, period, min_conf, cache=CountCache(tmp_path)
+                )
+            except BaseException as error:  # repro: ignore[REP404] -- collected and re-raised by the asserting thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=mine_once) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert not [p for p in tmp_path.iterdir() if ".tmp." in p.name]
+        warm = mine_single_period_hitset(
+            series, period, min_conf, cache=CountCache(tmp_path)
         )
-        ctx = ResilienceContext(
-            policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0),
-            shard_timeout_s=0.05,
-        )
-        result = ParallelMiner(series, min_conf=min_conf, backend=chaos).mine(
-            period, workers=2, resilience=ctx
-        )
-        assert_same_result(result, serial)
-        assert result.engine.shards_retried >= 1
+        assert warm.stats.scans == 0
+        assert dict(warm.items()) == dict(serial.items())
+
+    def test_hang_fault_times_out_and_recovers(self, monkeypatch):
+        # A mine that overruns its request deadline answers 504; the app
+        # keeps serving and the next request is exact.
+        series = random_series(3, length=60)
+        app = MiningApp(ServeConfig(concurrency=2, request_timeout_s=0.05))
+        app.registry.add("s", series)
+        release = threading.Event()
+        real = app._mine_blocking
+
+        def hanging(*args):
+            release.wait(5.0)
+            return real(*args)
+
+        try:
+            monkeypatch.setattr(app, "_mine_blocking", hanging)
+            status, payload = asyncio.run(app.handle(mine_request("s", 4, 0.4)))
+            assert status == 504 and payload["reason"] == "deadline"
+            release.set()
+            monkeypatch.setattr(app, "_mine_blocking", real)
+            status, payload = asyncio.run(app.handle(mine_request("s", 3, 0.4)))
+        finally:
+            release.set()
+            app.close()
+        assert status == 200
+        assert app.counters["timeouts"] == 1
+        expected = mine_single_period_hitset(series, 3, 0.4)
+        assert len(payload["result"]["patterns"]) == len(expected)
 
     def test_fault_schedule_is_reproducible(self):
-        config = ChaosConfig(seed=42, crash_rate=0.4, empty_rate=0.2)
-        schedule = [
-            config.fault_for(round_number, task)
-            for round_number in range(4)
-            for task in range(12)
-        ]
-        again = [
-            config.fault_for(round_number, task)
-            for round_number in range(4)
-            for task in range(12)
-        ]
-        assert schedule == again
-        assert any(fault == "crash" for fault in schedule)
-        assert any(fault == "empty" for fault in schedule)
-        assert any(fault is None for fault in schedule)
-
-    def test_multiperiod_chaos_matches_serial(self):
-        series, _, min_conf = _series_for(101)
-        serial = mine_periods_looping(series, range(2, 9), min_conf)
-        chaos = ChaosBackend(
-            inner=SerialBackend(),
-            config=ChaosConfig(seed=9, crash_rate=0.3, empty_rate=0.1),
+        config = FileChaosConfig(
+            seed=42, torn_rate=0.3, truncate_rate=0.2, stale_tmp_rate=0.2
         )
-        parallel = ParallelMiner(
-            series, min_conf=min_conf, backend=chaos
-        ).mine_period_range(2, 8, workers=3, resilience=_chaos_policy())
-        assert parallel.periods == serial.periods
-        for period in serial.periods:
-            assert dict(parallel[period].items()) == dict(
-                serial[period].items()
-            ), period
+        schedule = [config.fault_for(write) for write in range(48)]
+        again = [config.fault_for(write) for write in range(48)]
+        assert schedule == again
+        assert {"torn", "truncate", "stale-tmp", None} <= set(schedule)
+
+    def test_multiperiod_chaos_matches_serial(self, tmp_path, monkeypatch):
+        # Every period's spill fails once at the rename; each failure
+        # leaves the directory clean and the retried mines equal the
+        # shared multi-period run.
+        series, min_conf = random_series(101, length=120), 0.3
+        shared = PartialPeriodicMiner(series, min_conf=min_conf).mine_range(2, 8)
+
+        real_replace = os.replace
+        failed: set[str] = set()
+
+        def flaky_replace(src, dst):
+            name = os.path.basename(os.fspath(dst))
+            if name.endswith(".seg") and name not in failed:
+                failed.add(name)
+                raise OSError(f"injected rename failure for {name}")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", flaky_replace)
+        miner = PartialPeriodicMiner(series, min_conf=min_conf)
+        for period in shared.periods:
+            options = StoreOptions(tmp_path / str(period), spill_bytes=0)
+            with pytest.raises(OSError, match="injected"):
+                miner.mine(period, store=options)
+            assert not [
+                p for p in (tmp_path / str(period)).iterdir()
+                if ".tmp." in p.name
+            ]
+            retried = miner.mine(period, store=options)
+            assert dict(retried.items()) == dict(shared[period].items())

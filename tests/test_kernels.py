@@ -28,7 +28,7 @@ from repro.core.counting import (
 from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.multiperiod import mine_periods_looping, mine_periods_shared
-from repro.engine.parallel import ParallelMiner
+from repro.core.miner import PartialPeriodicMiner
 from repro.core.pattern import Pattern
 from repro.encoding.codec import vocabulary_of_series
 from repro.encoding.vocabulary import LetterVocabulary
@@ -308,10 +308,9 @@ class TestKernelEquivalence:
             )
 
     def test_parallel_engine_kernels_agree(self):
+        # workers= no longer shards: the facade runs the same batched path.
         series = random_series(9, length=80)
-        parallel = ParallelMiner(
-            series, min_conf=0.3, workers=2, backend="thread"
-        ).mine(4)
+        parallel = PartialPeriodicMiner(series, min_conf=0.3).mine(4, workers=2)
         serial = mine_single_period_hitset(series, 4, 0.3)
         assert dict(parallel.items()) == dict(serial.items())
         assert dict(parallel.items()) == per_candidate_mine(series, 4, 0.3)
@@ -347,17 +346,17 @@ class TestTreeMemoization:
         assert len(second) == 2
 
     def test_hit_counts_memo_invalidated_by_merge(self):
-        left = self.make_tree()
-        right = self.make_tree()
-        left.insert_letters(((0, "a"), (1, "b")))
-        right.insert_letters(((0, "a"), (1, "b")))
-        right.insert_letters(((1, "b"), (2, "c")))
-        before = dict(left.hit_counts())
-        left.merge(right)
-        after = left.hit_counts()
+        # A bulk insert (count > 1) into a memoized tree, the one way hits
+        # are added in batches now that trees are never merged.
+        tree = self.make_tree()
+        tree.insert_letters(((0, "a"), (1, "b")))
+        before = dict(tree.hit_counts())
+        tree.insert_letters(((0, "a"), (1, "b")))
+        tree.insert_letters(((1, "b"), (2, "c")), count=2)
+        after = tree.hit_counts()
         assert after != before
-        assert left.hit_set_size == 2
-        assert sum(after.values()) == 3
+        assert tree.hit_set_size == 2
+        assert sum(after.values()) == 4
 
     def test_count_masks_matches_count_of_mask(self):
         tree = self.make_tree()
@@ -522,25 +521,27 @@ class TestCountCache:
             assert projected == dict(expected), trial
 
     def test_engine_warm_requery_skips_fanouts(self):
+        # The facade with workers= set still answers a warm re-query from
+        # the cache without a scan.
         series = random_series(24, length=80)
         cache = CountCache()
-        miner = ParallelMiner(series, min_conf=0.3, workers=2, backend="thread")
-        cold = miner.mine(4, cache=cache)
+        miner = PartialPeriodicMiner(series, min_conf=0.3)
+        cold = miner.mine(4, workers=2, cache=cache)
         assert cold.stats.scans == 2
-        warm = miner.mine(4, cache=cache)
+        warm = miner.mine(4, workers=2, cache=cache)
         assert warm.stats.scans == 0
-        assert warm.engine.num_shards == 0  # no fan-out ran
+        assert warm.engine is None
         assert dict(warm.items()) == dict(cold.items())
 
     def test_serial_cache_serves_engine_and_back(self):
         series = random_series(25, length=80)
         cache = CountCache()
         serial = mine_single_period_hitset(series, 4, 0.3, cache=cache)
-        engine = ParallelMiner(
-            series, min_conf=0.3, workers=2, backend="thread"
-        ).mine(4, cache=cache)
-        assert engine.stats.scans == 0
-        assert dict(engine.items()) == dict(serial.items())
+        facade = PartialPeriodicMiner(series, min_conf=0.3).mine(
+            4, workers=2, cache=cache
+        )
+        assert facade.stats.scans == 0
+        assert dict(facade.items()) == dict(serial.items())
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +578,20 @@ class TestMiningProfile:
         json.dumps(payload)  # must be plain-JSON serializable
 
     def test_engine_profile_stages(self):
+        # A profiled facade mine records the in-process stages, in order,
+        # and no sharding stages.
         series = random_series(31, length=80)
         profile = MiningProfile()
-        ParallelMiner(series, min_conf=0.3, workers=2, backend="thread").mine(
-            4, profile=profile
+        PartialPeriodicMiner(series, min_conf=0.3).mine(
+            4, workers=2, profile=profile
         )
         names = [stage.name for stage in profile.stages]
-        for expected in ("partition", "scan1", "scan2", "merge", "derive"):
+        assert names == [
+            name for name in ("scan1", "tree", "scan2", "derive") if name in names
+        ]
+        for expected in ("scan1", "scan2", "derive"):
             assert expected in names, expected
+        assert "partition" not in names and "merge" not in names
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ class TestExports:
         assert names == sorted(names), "__all__ should stay sorted"
 
     def test_engine_api_exported(self):
+        # Mining runs in one process: the facade and its result types are
+        # the whole mining API, and the sharded engine's names are gone.
+        for name in ("PartialPeriodicMiner", "MiningResult", "MultiPeriodResult"):
+            assert name in repro.__all__, name
+            assert getattr(repro, name) is not None
         for name in (
             "ParallelMiner",
             "EngineStats",
@@ -27,8 +32,12 @@ class TestExports:
             "SegmentShard",
             "partition_segments",
         ):
-            assert name in repro.__all__, name
-            assert getattr(repro, name) is not None
+            assert name not in repro.__all__, name
+            assert not hasattr(repro, name), name
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.engine")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.resilience")
 
     def test_version_string(self):
         parts = repro.__version__.split(".")
@@ -38,7 +47,8 @@ class TestExports:
     def test_subpackages_import(self):
         for module in (
             "repro.core",
-            "repro.engine",
+            "repro.durability",
+            "repro.serve",
             "repro.tree",
             "repro.timeseries",
             "repro.synth",
@@ -55,7 +65,7 @@ class TestExports:
         for module_name in (
             "repro.analysis",
             "repro.baselines",
-            "repro.engine",
+            "repro.durability",
             "repro.multilevel",
             "repro.perturbation",
             "repro.rules",

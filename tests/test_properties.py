@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from repro.core.counting import (
     min_count,
     segment_letters,
 )
+from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.maximal import mine_maximal_hitset
 from repro.core.multiperiod import mine_periods_looping, mine_periods_shared
@@ -201,8 +203,9 @@ class TestEncodedPathEquivalence:
     """The tentpole invariant: every mining path is one miner.
 
     Every trial draws a fresh series/period/threshold and checks that the
-    bitmask paths (hit-set scans, spilled stores, apriori levels, sharded
-    engine, incremental signature replay, shared multi-period scans)
+    bitmask paths (hit-set scans, spilled stores, apriori levels, the
+    facade's ``workers=`` keyword, incremental signature replay, shared
+    multi-period scans)
     return *exactly* the patterns and counts of a letter-set Apriori
     reference and of the exhaustive oracle.
     """
@@ -238,19 +241,31 @@ class TestEncodedPathEquivalence:
                 assert dict(spilled.items()) == oracle
 
     def test_random_series_merged_shards_equal_oracle(self):
-        from repro.engine.parallel import ParallelMiner
+        """``mine(p, workers=n)`` is ``mine(p)``: the keyword is accepted for
+        old callers, validated, and changes nothing — on packed (<= 64
+        letters) and wide series alike."""
+        from repro.core.miner import PartialPeriodicMiner
+        from repro.encoding.codec import vocabulary_of_series
 
         rng = random.Random(0x4211)
-        for _ in range(self.TRIALS):
-            series = _random_series(rng)
+        for trial in range(self.TRIALS):
+            wide = trial % 10 == 9
+            series = wide_series(trial) if wide else _random_series(rng)
             period = rng.randint(2, 5)
+            assert (len(vocabulary_of_series(series, period)) > 64) == wide
             conf = rng.choice([0.25, 0.5, 0.75])
-            workers = rng.randint(2, 4)
             oracle = brute_force_frequent(series, period, conf)
-            sharded = ParallelMiner(
-                series, min_conf=conf, workers=workers, backend="serial"
-            ).mine(period)
-            assert dict(sharded.items()) == oracle
+            miner = PartialPeriodicMiner(series, min_conf=conf)
+            serial = miner.mine(period)
+            assert dict(serial.items()) == oracle
+            for workers in (1, 2, 4):
+                result = miner.mine(period, workers=workers)
+                assert dict(result.items()) == oracle
+                assert result.num_periods == serial.num_periods
+                assert result.stats.scans == serial.stats.scans
+                assert result.engine is None
+        with pytest.raises(MiningError, match="workers"):
+            PartialPeriodicMiner("abcabc", min_conf=0.5).mine(3, workers=0)
 
     def test_random_series_incremental_and_shared_paths(self):
         from repro.core.incremental import IncrementalHitSetMiner
