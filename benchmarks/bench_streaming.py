@@ -2,13 +2,11 @@
 
 The streaming engine's cost claim: once the first window has filled, a
 window that slides by ``slide`` slots costs work proportional to the
-*delta* (segments entering plus segments retiring, and for the
-``decrement`` strategy a delta-maintained tree), while re-mining every
+*delta* (segments entering plus segments retiring, through the
+decrement retirement's delta-maintained tree), while re-mining every
 window from scratch costs work proportional to the whole window.  At the
 acceptance geometry — a 50k-slot window sliding by 1k slots — that gap
-must show up as at least a :data:`SPEEDUP_BUDGET`-fold wall-clock win for
-``decrement``; ``ring`` (the fold-per-emission oracle) is reported
-alongside for the tradeoff table in ``docs/streaming.md``.
+must show up as at least a :data:`SPEEDUP_BUDGET`-fold wall-clock win.
 
 Both sides produce byte-identical per-window patterns (pinned by
 ``tests/test_streaming.py``); this benchmark only times them.
@@ -32,7 +30,7 @@ import time
 from pathlib import Path
 
 from repro.core.hitset import mine_single_period_hitset
-from repro.streaming import STRATEGIES, StreamingMiner
+from repro.streaming import StreamingMiner
 from repro.synth.generator import generate_series
 from repro.timeseries.feature_series import FeatureSeries
 
@@ -68,16 +66,13 @@ def _workload(window: int, slide: int, windows: int, seed: int):
     return generate_series(length, PERIOD, 4, f1_size=6, seed=seed).series
 
 
-def _stream_phase(
-    series: FeatureSeries, window: int, slide: int, strategy: str
-) -> dict:
+def _stream_phase(series: FeatureSeries, window: int, slide: int) -> dict:
     """Feed the whole series once; time every window-closing append."""
     miner = StreamingMiner(
         period=PERIOD,
         window=window,
         slide=slide,
         min_conf=MIN_CONF,
-        retirement=strategy,
     )
     emit_latencies: list[float] = []
     wall = time.perf_counter()
@@ -91,7 +86,7 @@ def _stream_phase(
     # later one only the slide delta.
     steady = emit_latencies[1:]
     return {
-        "phase": f"stream-{strategy}",
+        "phase": "stream-decrement",
         "windows": len(emit_latencies),
         "wall_s": round(wall, 3),
         "slots_per_s": round(len(series) / wall, 1),
@@ -134,21 +129,14 @@ def run_benchmark(
     windows: int = WINDOWS_FULL,
     seed: int = 0,
 ) -> dict:
-    """Time both strategies and the naive baseline on one workload."""
+    """Time the streaming miner and the naive baseline on one workload."""
     series = _workload(window, slide, windows, seed)
-    phases = [
-        _stream_phase(series, window, slide, strategy)
-        for strategy in STRATEGIES
-    ]
-    phases.append(_naive_phase(series, window, slide))
-    by_phase = {row["phase"]: row for row in phases}
-    naive = by_phase["naive-remine"]["steady_total_s"]
+    stream = _stream_phase(series, window, slide)
+    naive = _naive_phase(series, window, slide)
     speedups = {
-        strategy: round(
-            naive / max(by_phase[f"stream-{strategy}"]["steady_total_s"], 1e-9),
-            1,
-        )
-        for strategy in STRATEGIES
+        "decrement": round(
+            naive["steady_total_s"] / max(stream["steady_total_s"], 1e-9), 1
+        ),
     }
     budget = SPEEDUP_BUDGET if window >= WINDOW_FULL else SPEEDUP_BUDGET_QUICK
     return {
@@ -163,7 +151,7 @@ def run_benchmark(
             "length": len(series),
             "seed": seed,
         },
-        "phases": phases,
+        "phases": [stream, naive],
         "steady_state_speedup": speedups,
         "speedup_budget": budget,
         "within_budget": speedups["decrement"] >= budget,
@@ -187,8 +175,8 @@ def print_report(outcome: dict) -> None:
             f"{row['slots_per_s']:>10} {row['emit_p50_ms']:>12} "
             f"{row['emit_p99_ms']:>12}"
         )
-    for strategy, speedup in outcome["steady_state_speedup"].items():
-        print(f"steady-state speedup ({strategy}): {speedup}x vs re-mining")
+    speedup = outcome["steady_state_speedup"]["decrement"]
+    print(f"steady-state speedup (decrement): {speedup}x vs re-mining")
 
 
 def check_report(outcome: dict) -> None:
@@ -261,8 +249,7 @@ def test_streaming_beats_window_remining(report):
     report(
         f"Streaming: window {outcome['workload']['window']}, "
         f"slide {outcome['workload']['slide']} -> "
-        f"decrement {speedups['decrement']}x, ring {speedups['ring']}x "
-        "vs per-window re-mining",
+        f"decrement {speedups['decrement']}x vs per-window re-mining",
         ["phase", "windows", "wall s", "slots/s", "emit p50 ms", "emit p99 ms"],
         [
             (

@@ -27,7 +27,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING
 
 from repro.analysis.periodogram import suggest_periods
 from repro.core.errors import MiningError, ReproError
@@ -35,6 +36,9 @@ from repro.core.miner import PartialPeriodicMiner
 from repro.core.result import MiningResult
 from repro.synth.generator import SyntheticSpec
 from repro.timeseries.io import load_series, save_series
+
+if TYPE_CHECKING:
+    from repro.streaming.buffer import ArrivalBuffer
 
 
 def add_mining_args(parser: argparse.ArgumentParser) -> None:
@@ -312,16 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     stream.add_argument("--min-conf", type=float, default=0.5)
-    stream.add_argument(
-        "--strategy",
-        choices=("decrement", "ring"),
-        default="decrement",
-        help=(
-            "segment retirement strategy: 'decrement' maintains one "
-            "running summary and subtracts aged-out segments; 'ring' "
-            "keeps per-segment partials and folds them per window"
-        ),
-    )
     stream.add_argument("--max-letters", type=int)
     stream.add_argument(
         "--tolerance",
@@ -768,6 +762,56 @@ def _run_windows(args: argparse.Namespace) -> int:
     return 0
 
 
+def _feed_records(args: argparse.Namespace) -> Iterator[list]:
+    """The ``ppm stream`` feed, one record per input line.
+
+    Slot feeds yield each line's features (a blank line is an empty
+    slot); ``--events`` feeds yield ``[time, [feature, ...]]`` and skip
+    blank lines.  ``#`` lines are comments in both.
+    """
+    from repro.core.errors import StreamError
+
+    if args.input == "-":
+        handle = sys.stdin
+    else:
+        try:
+            handle = open(args.input, encoding="utf-8")
+        except OSError as error:
+            raise StreamError(f"cannot read feed: {error}") from error
+    try:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if line.startswith("#") or (args.events and not line):
+                continue
+            fields = line.split()
+            if not args.events:
+                yield fields
+                continue
+            try:
+                when = float(fields[0])
+            except ValueError:
+                raise StreamError(
+                    f"{args.input}:{number}: event lines start with "
+                    f"a timestamp, got {fields[0]!r}"
+                ) from None
+            yield [when, fields[1:]]
+    finally:
+        if handle is not sys.stdin:
+            handle.close()
+
+
+def _warn_late(buffer: ArrivalBuffer) -> None:
+    """Report the arrival buffer's quarantined late events on stderr."""
+    report = buffer.report
+    if report.clean:
+        return
+    print(
+        f"warning: quarantined {report.total} late events", file=sys.stderr
+    )
+    for sample in report.samples[:5]:
+        print(f"warning:   {sample.describe()}", file=sys.stderr)
+
+
 def _run_stream(args: argparse.Namespace) -> int:
     import json
 
@@ -784,9 +828,17 @@ def _run_stream(args: argparse.Namespace) -> int:
         window=args.window,
         slide=args.slide,
         min_conf=args.min_conf,
-        retirement=args.strategy,
         max_letters=args.max_letters,
         change_tolerance=args.tolerance,
+    )
+    buffer = (
+        ArrivalBuffer(
+            slot_width=args.slot_width,
+            start=args.origin,
+            lateness=args.lateness,
+        )
+        if args.events
+        else None
     )
 
     out_handle = None
@@ -802,63 +854,26 @@ def _run_stream(args: argparse.Namespace) -> int:
                 out_handle.write(line + "\n")
                 out_handle.flush()
 
-    if args.input == "-":
-        handle = sys.stdin
-    else:
-        try:
-            handle = open(args.input, encoding="utf-8")
-        except OSError as error:
-            raise StreamError(f"cannot read feed: {error}") from error
     try:
-        if args.events:
-            buffer = ArrivalBuffer(
-                slot_width=args.slot_width,
-                start=args.origin,
-                lateness=args.lateness,
-            )
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split()
-                try:
-                    when = float(fields[0])
-                except ValueError:
-                    raise StreamError(
-                        f"{args.input}:{number}: event lines start with "
-                        f"a timestamp, got {fields[0]!r}"
-                    ) from None
-                for feature in fields[1:]:
-                    buffer.add(when, feature)
-                emit(miner.extend(buffer.drain()))
-            emit(miner.extend(buffer.flush()))
-            report = buffer.report
-            if not report.clean:
-                print(
-                    f"warning: quarantined {report.total} late events",
-                    file=sys.stderr,
-                )
-                for sample in report.samples[:5]:
-                    print(
-                        f"warning:   {sample.describe()}", file=sys.stderr
-                    )
-        else:
-            for line in handle:
-                line = line.strip()
-                if line.startswith("#"):
-                    continue
-                window = miner.append(frozenset(line.split()))
+        for record in _feed_records(args):
+            if buffer is None:
+                window = miner.append(frozenset(record))
                 if window is not None:
                     emit([window])
+                continue
+            when, features = record
+            for feature in features:
+                buffer.add(when, feature)
+            emit(miner.extend(buffer.drain()))
+        if buffer is not None:
+            emit(miner.extend(buffer.flush()))
+            _warn_late(buffer)
     finally:
-        if handle is not sys.stdin:
-            handle.close()
         if out_handle is not None:
             out_handle.close()
     print(
         f"stream done: {miner.slots_seen} slots in, "
-        f"{miner.windows_emitted} windows out "
-        f"({miner.strategy.name} retirement)",
+        f"{miner.windows_emitted} windows out",
         file=sys.stderr,
     )
     return 0
@@ -869,7 +884,7 @@ def _run_stream_durable(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.core.errors import DurabilityError, StreamError
+    from repro.core.errors import DurabilityError
     from repro.durability import DurableStream
     from repro.durability.files import file_chaos_from_env
     from repro.streaming import window_to_dict
@@ -890,7 +905,6 @@ def _run_stream_durable(args: argparse.Namespace) -> int:
         window=args.window,
         slide=args.slide,
         min_conf=args.min_conf,
-        strategy=args.strategy,
         max_letters=args.max_letters,
         tolerance=args.tolerance,
         events=args.events,
@@ -909,60 +923,24 @@ def _run_stream_durable(args: argparse.Namespace) -> int:
         print(json.dumps(window_to_dict(window)), flush=True)
 
     skip = stream.records_logged
-    if args.input == "-":
-        handle = sys.stdin
-    else:
-        try:
-            handle = open(args.input, encoding="utf-8")
-        except OSError as error:
-            raise StreamError(f"cannot read feed: {error}") from error
-    seen = 0
-    try:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line.startswith("#") or (args.events and not line):
-                continue
-            if args.events:
-                fields = line.split()
-                try:
-                    when = float(fields[0])
-                except ValueError:
-                    raise StreamError(
-                        f"{args.input}:{number}: event lines start with "
-                        f"a timestamp, got {fields[0]!r}"
-                    ) from None
-                record: object = [when, fields[1:]]
-            else:
-                record = sorted(set(line.split()))
-            seen += 1
-            if seen <= skip:
-                continue  # already write-ahead logged by the killed run
-            for window in stream.feed(record):
-                if stream.sink is None:
-                    print(
-                        json.dumps(window_to_dict(window)), flush=True
-                    )
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
+    for seen, record in enumerate(_feed_records(args), start=1):
+        if seen <= skip:
+            continue  # already write-ahead logged by the killed run
+        if not args.events:
+            record = sorted(set(record))
+        for window in stream.feed(record):
+            if stream.sink is None:
+                print(json.dumps(window_to_dict(window)), flush=True)
     for window in stream.finish():
         if stream.sink is None:
             print(json.dumps(window_to_dict(window)), flush=True)
-    if args.events and stream.buffer is not None:
-        report = stream.buffer.report
-        if not report.clean:
-            print(
-                f"warning: quarantined {report.total} late events",
-                file=sys.stderr,
-            )
-            for sample in report.samples[:5]:
-                print(f"warning:   {sample.describe()}", file=sys.stderr)
+    if stream.buffer is not None:
+        _warn_late(stream.buffer)
     miner = stream.miner
     print(
         f"stream done: {miner.slots_seen} slots in, "
         f"{miner.windows_emitted} windows out "
-        f"({miner.strategy.name} retirement; "
-        f"{stream.records_logged} records logged)",
+        f"({stream.records_logged} records logged)",
         file=sys.stderr,
     )
     return 0

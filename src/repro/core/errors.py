@@ -49,8 +49,9 @@ class DeadlineExceeded(ReproError):
 
 class StreamError(ReproError):
     """Raised by :mod:`repro.streaming`: invalid window geometry, events
-    older than the watermark allows being force-fed past quarantine, or a
-    retirement strategy asked to retire more than it retains."""
+    older than the watermark allows being force-fed past quarantine, a
+    retirement asked to retire more than it retains, or a checkpointed
+    retirement state it cannot restore."""
 
 
 class DurabilityError(ReproError):

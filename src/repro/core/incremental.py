@@ -66,8 +66,7 @@ class SegmentPartial:
     vocab:
         Optional shared streaming vocabulary.  Partials handed the *same*
         vocabulary object speak the same bit language, so merging them is
-        plain counter addition (no mask remapping) — the representation
-        the streaming engine's ring strategy relies on.  Omitted, the
+        plain counter addition (no mask remapping).  Omitted, the
         partial owns a private vocabulary interning letters in arrival
         order.
 
@@ -228,17 +227,14 @@ class SegmentPartial:
     # Durable state (checkpoint/restore)
     # ------------------------------------------------------------------
 
-    def to_state(self, include_vocab: bool = True) -> dict[str, object]:
+    def to_state(self) -> dict[str, object]:
         """The JSON-ready durable form of this partial.
 
-        ``include_vocab=False`` omits the interned letter list for
-        partials that share one vocabulary (the ring strategy serializes
-        the shared vocabulary once and passes it to :meth:`from_state`).
         Signature masks are stored as-is: they are meaningful only
         against the vocabulary's letter order, which is why the letters
         ride along in id order.
         """
-        state: dict[str, object] = {
+        return {
             "period": self._period,
             "letter_counts": [
                 [offset, feature, count]
@@ -250,37 +246,28 @@ class SegmentPartial:
                 [mask, count] for mask, count in self._signatures.items()
             ),
             "num_periods": self._num_periods,
-        }
-        if include_vocab:
-            state["letters"] = [
+            "letters": [
                 [offset, feature] for offset, feature in self._vocab
-            ]
-        return state
+            ],
+        }
 
     @classmethod
-    def from_state(
-        cls,
-        state: Mapping[str, object],
-        vocab: LetterVocabulary | None = None,
-    ) -> "SegmentPartial":
+    def from_state(cls, state: Mapping[str, object]) -> "SegmentPartial":
         """Rebuild a partial from :meth:`to_state` output.
 
-        ``vocab`` supplies the shared vocabulary when the state was
-        written with ``include_vocab=False``; otherwise the letter list
-        in the state is re-interned in its recorded (id) order, so every
-        stored mask keeps its meaning bit for bit.
+        The letter list in the state is re-interned in its recorded (id)
+        order, so every stored mask keeps its meaning bit for bit.
         """
         data: Mapping[str, Any] = state
         try:
             period = int(data["period"])
-            if vocab is None:
-                vocab = LetterVocabulary(
-                    (
-                        (int(offset), str(feature))
-                        for offset, feature in data["letters"]
-                    ),
-                    period=period,
-                )
+            vocab = LetterVocabulary(
+                (
+                    (int(offset), str(feature))
+                    for offset, feature in data["letters"]
+                ),
+                period=period,
+            )
             partial = cls(period, vocab=vocab)
             partial._letter_counts = Counter(
                 {
@@ -350,7 +337,7 @@ class SegmentPartial:
         (a tested invariant), but touches only the maintained counters.
         ``tree`` optionally supplies an externally maintained
         max-subpattern tree whose hit counts already equal this partial's
-        (the streaming decrement strategy keeps one alive across windows
+        (the streaming decrement retirement keeps one alive across windows
         and hands it in instead of rebuilding); its ``C_max`` letters must
         be exactly the current F1 letters.
         """

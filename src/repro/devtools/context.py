@@ -1,7 +1,7 @@
 """Per-module analysis context handed to every rule.
 
 Bundles the parsed AST with the information rules keep needing: the dotted
-module name (so rules can scope themselves to ``repro.engine`` or exempt a
+module name (so rules can scope themselves to a package or exempt a
 defining module), the raw source, and small AST utilities shared across the
 rule catalog.
 """
@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 #: Callables whose results are mutable collections.  Shared by the
-#: mutable-default rule (REP402), the worker-global-write rule (REP104),
-#: and the effect engine's mutates-global detection, so all three agree
-#: on what "mutable" means.
+#: mutable-default rule (REP402) and the effect engine's mutates-global
+#: detection, so both agree on what "mutable" means.
 MUTABLE_FACTORIES = frozenset(
     {"list", "dict", "set", "bytearray", "Counter", "OrderedDict",
      "defaultdict", "deque"}

@@ -25,13 +25,10 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from repro.devtools.context import (
-    MUTATING_CALLS,
     ModuleContext,
     call_keyword,
     dotted_name,
     iter_assigned_names,
-    local_bound_names,
-    module_level_mutables,
 )
 from repro.devtools.effects import EFFECT_NAMES, Effect, effect_names
 from repro.devtools.findings import Finding, Severity
@@ -212,82 +209,6 @@ class BoundMethodTaskRule(Rule):
                     "to an engine submission path; tasks must be "
                     "module-level functions",
                 )
-
-
-@register
-class WorkerGlobalWriteRule(Rule):
-    """REP104: engine code mutating module-level state from a function."""
-
-    id = "REP104"
-    name = "worker-global-write"
-    severity = Severity.ERROR
-    rationale = (
-        "Worker output must depend only on the task (the pool-worker "
-        "contract): module-level mutable state written from a function is "
-        "invisible to the process backend (each worker mutates its own "
-        "copy) and racy on the thread backend, so merged results stop "
-        "being deterministic."
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.in_package("repro.engine"):
-            return
-        mutable_globals = module_level_mutables(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, node, mutable_globals)
-
-    def _check_function(
-        self,
-        ctx: ModuleContext,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        mutable_globals: set[str],
-    ) -> Iterator[Finding]:
-        local_names = local_bound_names(func)
-        for node in ast.walk(func):
-            if isinstance(node, ast.Global):
-                yield self.finding(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"'global {', '.join(node.names)}' in engine code; "
-                    "shard state must flow through task arguments and "
-                    "return values",
-                )
-                continue
-            target_name = self._mutated_global(node, mutable_globals)
-            if target_name is not None and target_name not in local_names:
-                yield self.finding(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"module-level mutable {target_name!r} written from a "
-                    "function in engine code; worker output must depend "
-                    "only on its task",
-                )
-
-    @staticmethod
-    def _mutated_global(node: ast.AST, mutable_globals: set[str]) -> str | None:
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in mutable_globals
-                ):
-                    return target.value.id
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            base = node.func.value
-            if (
-                node.func.attr in MUTATING_CALLS
-                and isinstance(base, ast.Name)
-                and base.id in mutable_globals
-            ):
-                return base.id
-        return None
 
 
 @register

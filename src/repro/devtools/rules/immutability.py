@@ -20,10 +20,9 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.devtools.context import ModuleContext
+from repro.devtools.context import MUTATING_CALLS, ModuleContext
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import Rule, register
-from repro.devtools.rules.fork_safety import MUTATING_CALLS
 
 #: Protected internals: attribute name -> modules allowed to write it.
 PROTECTED_ATTRS: dict[str, frozenset[str]] = {

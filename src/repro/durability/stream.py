@@ -141,7 +141,6 @@ class DurableStream:
         window: int,
         slide: int | None = None,
         min_conf: float = 0.5,
-        strategy: str = "decrement",
         max_letters: int | None = None,
         tolerance: float = 0.05,
         events: bool = False,
@@ -162,7 +161,9 @@ class DurableStream:
             "window": window,
             "slide": window if slide is None else slide,
             "min_conf": min_conf,
-            "strategy": strategy,
+            # Recorded for checkpoint compatibility: states from the
+            # former "ring" strategy differ here and refuse to resume.
+            "strategy": "decrement",
             "max_letters": max_letters,
             "tolerance": tolerance,
             "events": events,
@@ -210,7 +211,6 @@ class DurableStream:
             window=int(config["window"]),
             slide=int(config["slide"]),
             min_conf=float(config["min_conf"]),
-            retirement=str(config["strategy"]),
             max_letters=(
                 None
                 if config["max_letters"] is None

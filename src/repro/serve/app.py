@@ -43,6 +43,7 @@ from repro.core.errors import (
     DeadlineExceeded,
     MiningError,
     ReproError,
+    SeriesError,
     ServeError,
     SnapshotCorruption,
     StreamError,
@@ -196,7 +197,7 @@ class MiningApp:
         except ServeError as error:
             self.counters["client_errors"] += 1
             return 400, error_payload(str(error))
-        except (MiningError, StreamError) as error:
+        except (MiningError, SeriesError, StreamError) as error:
             self.counters["client_errors"] += 1
             return 400, error_payload(str(error))
         except ReproError as error:
@@ -509,9 +510,6 @@ class MiningApp:
             min_conf, bool
         ):
             raise ServeError("'min_conf' must be a number")
-        retirement = body.get("strategy", "decrement")
-        if not isinstance(retirement, str):
-            raise ServeError("'strategy' must be a string")
         max_letters = (
             None if body.get("max_letters") is None
             else self._int_field(body, "max_letters")
@@ -522,7 +520,6 @@ class MiningApp:
             window=window,
             slide=slide,
             min_conf=float(min_conf),
-            retirement=retirement,
             max_letters=max_letters,
         )
         self.counters["served"] += 1

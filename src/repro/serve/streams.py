@@ -134,7 +134,6 @@ class StreamManager:
         window: int,
         slide: int | None = None,
         min_conf: float = 0.5,
-        retirement: str = "decrement",
         max_letters: int | None = None,
         change_tolerance: float = 0.05,
     ) -> StreamSession:
@@ -153,7 +152,6 @@ class StreamManager:
             window=window,
             slide=slide,
             min_conf=min_conf,
-            retirement=retirement,
             max_letters=max_letters,
             change_tolerance=change_tolerance,
         )

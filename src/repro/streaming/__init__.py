@@ -4,9 +4,8 @@ The streaming tier turns the batch hit-set miner into a window operator:
 
 * :class:`~repro.streaming.windows.WindowSpec` — the window algebra
   (period-aligned slides, the exactness invariant);
-* :class:`~repro.streaming.retirement.RetirementStrategy` — exact segment
-  retirement, as in-place decrement (delta-maintained tree) or a ring of
-  mergeable per-segment partials;
+* :class:`~repro.streaming.retirement.DecrementRetirement` — exact segment
+  retirement by in-place decrement (delta-maintained tree);
 * :class:`~repro.streaming.buffer.ArrivalBuffer` — out-of-order event
   reordering under a bounded-lateness watermark, with late-event
   quarantine;
@@ -23,13 +22,7 @@ from repro.streaming.buffer import (
     LateEventReport,
 )
 from repro.streaming.engine import StreamingMiner
-from repro.streaming.retirement import (
-    STRATEGIES,
-    DecrementRetirement,
-    RetirementStrategy,
-    RingRetirement,
-    make_strategy,
-)
+from repro.streaming.retirement import DecrementRetirement
 from repro.streaming.windows import (
     WindowResult,
     WindowSpec,
@@ -41,12 +34,8 @@ __all__ = [
     "DecrementRetirement",
     "LateEvent",
     "LateEventReport",
-    "RetirementStrategy",
-    "RingRetirement",
-    "STRATEGIES",
     "StreamingMiner",
     "WindowResult",
     "WindowSpec",
-    "make_strategy",
     "window_to_dict",
 ]

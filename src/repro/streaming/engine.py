@@ -4,16 +4,17 @@
 operator: slots go in one at a time, and whenever a window closes it emits
 a :class:`~repro.streaming.windows.WindowResult` whose patterns are
 *exactly* what batch-mining that window's slice would produce — the
-equivalence the randomized suite pins for both retirement strategies.
+equivalence the randomized suite pins against batch mining.
 
 State is bounded by the window, never by the stream: the engine holds the
-current partial segment (< period slots), one retirement strategy whose
-retained set is at most ``ceil(size / period)`` segments, and the previous
-window's result for change detection.  Nothing else accumulates — the
+current partial segment (< period slots), one
+:class:`~repro.streaming.retirement.DecrementRetirement` whose retained
+set is at most ``ceil(size / period)`` segments, and the previous window's
+result for change detection.  Nothing else accumulates — the
 REP901 devtools rule audits exactly this property over the package.
 
 The slot path does three things per slot: buffer it into the pending
-segment, hand a completed segment to the strategy (unless the segment
+segment, hand a completed segment to the retirement (unless the segment
 falls in a slide gap no window will ever mine), and close a window when
 ``spec.emit_at`` is reached — at most one window per slot, because the
 slide is at least one period.  Retirement happens eagerly at emission:
@@ -30,7 +31,7 @@ from repro.analysis.evolution import diff_results
 from repro.core.errors import StreamError
 from repro.core.result import MiningResult
 from repro.core.serialize import result_from_dict, result_to_dict
-from repro.streaming.retirement import RetirementStrategy, make_strategy
+from repro.streaming.retirement import DecrementRetirement
 from repro.streaming.windows import (
     WindowResult,
     WindowSpec,
@@ -61,10 +62,6 @@ class StreamingMiner:
         (tumbling windows).
     min_conf:
         Confidence threshold applied to every window.
-    retirement:
-        Strategy name — ``"decrement"`` (delta-maintained, fast) or
-        ``"ring"`` (fold-on-emit, the robust oracle).  See
-        :mod:`repro.streaming.retirement`.
     max_letters:
         Optional derivation cap forwarded to every window's miner.
     change_tolerance:
@@ -83,7 +80,7 @@ class StreamingMiner:
         "_min_conf",
         "_max_letters",
         "_tolerance",
-        "_strategy",
+        "_retirement",
         "_pending",
         "_slots_seen",
         "_next_segment",
@@ -98,7 +95,6 @@ class StreamingMiner:
         window: int,
         slide: int | None = None,
         min_conf: float = 0.5,
-        retirement: str = "decrement",
         max_letters: int | None = None,
         change_tolerance: float = 0.05,
     ):
@@ -111,7 +107,7 @@ class StreamingMiner:
         self._min_conf = min_conf
         self._max_letters = max_letters
         self._tolerance = change_tolerance
-        self._strategy = make_strategy(retirement, period)
+        self._retirement = DecrementRetirement(period)
         #: Slots of the currently-incomplete segment (< period of them).
         self._pending: list[frozenset[str]] = []
         self._slots_seen = 0
@@ -119,7 +115,7 @@ class StreamingMiner:
         self._next_segment = 0
         #: Global index of the oldest segment any future window needs;
         #: completed segments below it fall in a slide gap and are
-        #: dropped without ever entering the strategy.
+        #: dropped without ever entering the retirement.
         self._retained_low = 0
         self._windows_emitted = 0
         self._last_result: MiningResult | None = None
@@ -134,11 +130,6 @@ class StreamingMiner:
         return self._spec
 
     @property
-    def strategy(self) -> RetirementStrategy:
-        """The retirement strategy maintaining the retained segments."""
-        return self._strategy
-
-    @property
     def slots_seen(self) -> int:
         """Total slots fed so far."""
         return self._slots_seen
@@ -151,7 +142,7 @@ class StreamingMiner:
     @property
     def retained_segments(self) -> int:
         """Whole segments currently held for future windows."""
-        return self._strategy.retained
+        return self._retirement.retained
 
     @property
     def last_result(self) -> MiningResult | None:
@@ -168,7 +159,7 @@ class StreamingMiner:
         self._slots_seen += 1
         if len(self._pending) == self._spec.period:
             if self._next_segment >= self._retained_low:
-                self._strategy.absorb(tuple(self._pending))
+                self._retirement.absorb(tuple(self._pending))
             self._next_segment += 1
             self._pending.clear()
         if self._slots_seen == self._spec.emit_at(self._windows_emitted):
@@ -192,7 +183,7 @@ class StreamingMiner:
         """Close the current window: mine, diff, retire what aged out."""
         spec = self._spec
         index = self._windows_emitted
-        result = self._strategy.mine(
+        result = self._retirement.mine(
             self._min_conf, max_letters=self._max_letters
         )
         changes = (
@@ -217,7 +208,7 @@ class StreamingMiner:
         new_low = spec.start_segment(self._windows_emitted)
         retire_n = min(self._next_segment, new_low) - self._retained_low
         if retire_n > 0:
-            self._strategy.retire(retire_n)
+            self._retirement.retire(retire_n)
         self._retained_low = max(self._retained_low, new_low)
         return window
 
@@ -229,7 +220,7 @@ class StreamingMiner:
         """The complete JSON-ready durable form of this miner.
 
         Everything the slot path reads is captured: window geometry and
-        thresholds, the retirement strategy's retained-set state, the
+        thresholds, the retirement's retained-set state, the
         pending partial segment, the stream cursors, and the previously
         emitted result (the change-feed basis — without it the first
         window after a resume would mis-report its diff).  A miner built
@@ -243,7 +234,7 @@ class StreamingMiner:
             "min_conf": self._min_conf,
             "max_letters": self._max_letters,
             "change_tolerance": self._tolerance,
-            "strategy": self._strategy.to_state(),
+            "strategy": self._retirement.to_state(),
             "pending": [sorted(slot) for slot in self._pending],
             "slots_seen": self._slots_seen,
             "next_segment": self._next_segment,
@@ -263,6 +254,10 @@ class StreamingMiner:
         States written while the miner still had a ``kernel`` setting
         carry a ``"kernel"`` field; it only ever chose the derivation
         pass, which is now the same for every value, so it is ignored.
+        A retirement state not named ``"decrement"`` (the former
+        ``"ring"`` strategy) raises :class:`StreamError`: its layout
+        cannot be restored, and rebuilding it silently would lose the
+        retained window.
         """
         try:
             miner = cls(
@@ -270,7 +265,6 @@ class StreamingMiner:
                 window=int(state["window"]),
                 slide=int(state["slide"]),
                 min_conf=float(state["min_conf"]),
-                retirement=str(state["strategy"]["name"]),
                 max_letters=(
                     None
                     if state["max_letters"] is None
@@ -278,7 +272,7 @@ class StreamingMiner:
                 ),
                 change_tolerance=float(state["change_tolerance"]),
             )
-            miner._strategy.restore(state["strategy"])
+            miner._retirement.restore(state["strategy"])
             miner._pending = [
                 frozenset(str(feature) for feature in slot)
                 for slot in state["pending"]
@@ -310,7 +304,7 @@ class StreamingMiner:
             "period": spec.period,
             "window": spec.size,
             "slide": spec.slide,
-            "strategy": self._strategy.name,
+            "strategy": self._retirement.name,
             "min_conf": self._min_conf,
             "slots_seen": self._slots_seen,
             "windows_emitted": self._windows_emitted,
@@ -329,8 +323,8 @@ class StreamingMiner:
         spec = self._spec
         return (
             f"StreamingMiner(period={spec.period}, window={spec.size}, "
-            f"slide={spec.slide}, strategy={self._strategy.name!r}, "
-            f"slots={self._slots_seen}, windows={self._windows_emitted})"
+            f"slide={spec.slide}, slots={self._slots_seen}, "
+            f"windows={self._windows_emitted})"
         )
 
 

@@ -1,40 +1,27 @@
-"""Exact segment retirement behind one strategy interface.
+"""Exact segment retirement for the sliding window.
 
 A sliding window advances by absorbing segments at the tail and *retiring*
 them at the head, and the retired side must be exact — the headline
 guarantee is that every window mines identically to a batch run on its
-slice.  Two strategies implement the same contract with opposite cost
-shapes:
+slice.  :class:`DecrementRetirement` keeps one running
+:class:`~repro.core.incremental.SegmentPartial` plus a ring of the
+signature masks :meth:`absorb` returned, in arrival order.  Retiring pops
+the oldest mask and subtracts it from the partial
+(:meth:`SegmentPartial.retire` is the exact inverse of ``absorb``).
 
-``decrement``
-    One running :class:`~repro.core.incremental.SegmentPartial` plus a
-    ring of the signature masks :meth:`absorb` returned, in arrival
-    order.  Retiring pops the oldest mask and subtracts it from the
-    partial (:meth:`SegmentPartial.retire` is the exact inverse of
-    ``absorb``).  The strategy also keeps the
-    :class:`~repro.tree.max_subpattern_tree.MaxSubpatternTree` alive
-    across windows: while the frequent-1 letter set is unchanged, each
-    mining applies only the *delta* — ``insert_mask`` for segments that
-    entered, ``remove_mask`` (count decrement with subtree pruning) for
-    segments that left — instead of rebuilding from every retained
-    signature.  Per-window work is proportional to what changed.
+It also keeps the :class:`~repro.tree.max_subpattern_tree.MaxSubpatternTree`
+alive across windows: while the frequent-1 letter set is unchanged, each
+mining applies only the *delta* — ``insert_mask`` for segments that
+entered, ``remove_mask`` (count decrement with subtree pruning) for
+segments that left — instead of rebuilding from every retained signature.
+Per-window work is proportional to what changed.
 
-``ring``
-    A deque of single-segment partials sharing one vocabulary.  Retiring
-    drops the head partial; mining folds the survivors into a fresh
-    partial via the existing :meth:`SegmentPartial.merge` (same-vocab
-    merges are plain counter addition).  Nothing is ever mutated in
-    place, which makes the strategy the robust oracle the equivalence
-    suite holds ``decrement`` against — at O(window) fold cost per
-    emission.
-
-Both retire *whole segments by count*: the engine owns window geometry and
-only ever says "the oldest ``n`` segments left".
+Retirement is of *whole segments by count*: the engine owns window
+geometry and only ever says "the oldest ``n`` segments left".
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Mapping, Sequence
 from typing import Any
@@ -43,74 +30,19 @@ from repro.core.errors import StreamError
 from repro.core.incremental import SegmentPartial
 from repro.core.pattern import Letter
 from repro.core.result import MiningResult
-from repro.encoding.vocabulary import LetterVocabulary, remap_mask
+from repro.encoding.vocabulary import remap_mask
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
-#: The registered strategy names, in preference order.
-STRATEGIES = ("decrement", "ring")
 
-
-class RetirementStrategy(ABC):
-    """The window-maintenance contract the streaming engine composes.
+class DecrementRetirement:
+    """Running partial + mask ring + persistent delta-maintained tree.
 
     Segments enter via :meth:`absorb` in stream order and leave oldest
-    first via :meth:`retire`; :meth:`mine` must at every point equal
+    first via :meth:`retire`; :meth:`mine` at every point equals
     batch-mining exactly the currently retained segments.
     """
 
-    #: Registered name (the CLI/serve selector).
-    name: str
-
-    @property
-    @abstractmethod
-    def retained(self) -> int:
-        """Whole segments currently held (absorbed minus retired)."""
-
-    @abstractmethod
-    def absorb(self, segment: Sequence[frozenset[str]]) -> None:
-        """Take one whole segment into the window."""
-
-    @abstractmethod
-    def retire(self, count: int) -> None:
-        """Drop the oldest ``count`` segments, exactly."""
-
-    @abstractmethod
-    def mine(
-        self,
-        min_conf: float,
-        max_letters: int | None = None,
-    ) -> MiningResult:
-        """Frequent patterns of exactly the retained segments."""
-
-    def _check_retire(self, count: int) -> None:
-        if count < 0:
-            raise StreamError(f"retire count must be >= 0, got {count}")
-        if count > self.retained:
-            raise StreamError(
-                f"cannot retire {count} segments: only "
-                f"{self.retained} retained"
-            )
-
-    @abstractmethod
-    def to_state(self) -> dict[str, Any]:
-        """The JSON-ready durable form of the strategy's exact state.
-
-        Only the *retained-set* state is persisted; derived acceleration
-        structures (the decrement strategy's persistent tree and its
-        delta ledger) are deliberately dropped — they are a pure function
-        of the retained state and are rebuilt on the first mine after
-        restore, so a restored strategy mines identically by
-        construction.
-        """
-
-    @abstractmethod
-    def restore(self, state: Mapping[str, Any]) -> None:
-        """Load :meth:`to_state` output into this (fresh) strategy."""
-
-
-class DecrementRetirement(RetirementStrategy):
-    """Running partial + mask ring + persistent delta-maintained tree."""
-
+    #: The name recorded in persisted state (``to_state()["name"]``).
     name = "decrement"
 
     __slots__ = ("_partial", "_ring", "_added", "_removed", "_tree",
@@ -130,15 +62,24 @@ class DecrementRetirement(RetirementStrategy):
 
     @property
     def retained(self) -> int:
+        """Whole segments currently held (absorbed minus retired)."""
         return self._partial.num_periods
 
     def absorb(self, segment: Sequence[frozenset[str]]) -> None:
+        """Take one whole segment into the window."""
         mask = self._partial.absorb(segment)
         self._ring.append(mask)
         self._added.append(mask)
 
     def retire(self, count: int) -> None:
-        self._check_retire(count)
+        """Drop the oldest ``count`` segments, exactly."""
+        if count < 0:
+            raise StreamError(f"retire count must be >= 0, got {count}")
+        if count > self.retained:
+            raise StreamError(
+                f"cannot retire {count} segments: only "
+                f"{self.retained} retained"
+            )
         for _ in range(count):
             mask = self._ring.popleft()
             self._partial.retire(mask)
@@ -149,6 +90,7 @@ class DecrementRetirement(RetirementStrategy):
         min_conf: float,
         max_letters: int | None = None,
     ) -> MiningResult:
+        """Frequent patterns of exactly the retained segments."""
         f1, _ = self._partial.frequent_one(min_conf)
         f1_letters = frozenset(f1)
         tree = self._tree
@@ -185,6 +127,13 @@ class DecrementRetirement(RetirementStrategy):
         )
 
     def to_state(self) -> dict[str, Any]:
+        """The JSON-ready durable form of the retained-set state.
+
+        The persistent tree and its delta ledger are deliberately
+        dropped: they are a pure function of the retained state and are
+        rebuilt on the first mine after restore, so a restored instance
+        mines identically by construction.
+        """
         return {
             "name": self.name,
             "partial": self._partial.to_state(),
@@ -192,6 +141,12 @@ class DecrementRetirement(RetirementStrategy):
         }
 
     def restore(self, state: Mapping[str, Any]) -> None:
+        """Load :meth:`to_state` output into this (fresh) instance."""
+        if state["name"] != self.name:
+            raise StreamError(
+                f"unknown retirement strategy {state['name']!r} in "
+                f"checkpointed state; only {self.name!r} state restores"
+            )
         partial = SegmentPartial.from_state(state["partial"])
         if partial.period != self._partial.period:
             raise StreamError(
@@ -212,86 +167,3 @@ class DecrementRetirement(RetirementStrategy):
         self._removed.clear()
         self._tree = None
         self._tree_f1 = None
-
-
-class RingRetirement(RetirementStrategy):
-    """Per-segment mergeable partials; retirement is dropping the head."""
-
-    name = "ring"
-
-    __slots__ = ("_period", "_vocab", "_ring")
-
-    def __init__(self, period: int):
-        self._period = period
-        #: One vocabulary shared by every per-segment partial, so the
-        #: emission fold merges by plain counter addition (no remapping).
-        self._vocab = LetterVocabulary(period=period)
-        self._ring: deque[SegmentPartial] = deque()
-
-    @property
-    def retained(self) -> int:
-        return len(self._ring)
-
-    def absorb(self, segment: Sequence[frozenset[str]]) -> None:
-        partial = SegmentPartial(self._period, vocab=self._vocab)
-        partial.absorb(segment)
-        self._ring.append(partial)
-
-    def retire(self, count: int) -> None:
-        self._check_retire(count)
-        for _ in range(count):
-            self._ring.popleft()
-
-    def mine(
-        self,
-        min_conf: float,
-        max_letters: int | None = None,
-    ) -> MiningResult:
-        folded = SegmentPartial(self._period, vocab=self._vocab)
-        for partial in self._ring:
-            folded.merge(partial)
-        return folded.mine(
-            min_conf,
-            max_letters=max_letters,
-            algorithm="streaming-ring",
-        )
-
-    def to_state(self) -> dict[str, Any]:
-        # One shared vocabulary, serialized once; per-segment partials
-        # store only their counters, with masks over the shared letters.
-        return {
-            "name": self.name,
-            "letters": [
-                [offset, feature] for offset, feature in self._vocab
-            ],
-            "partials": [
-                partial.to_state(include_vocab=False)
-                for partial in self._ring
-            ],
-        }
-
-    def restore(self, state: Mapping[str, Any]) -> None:
-        vocab = LetterVocabulary(
-            (
-                (int(offset), str(feature))
-                for offset, feature in state["letters"]
-            ),
-            period=self._period,
-        )
-        self._vocab = vocab
-        self._ring = deque(
-            SegmentPartial.from_state(partial_state, vocab=vocab)
-            for partial_state in state["partials"]
-        )
-
-
-def make_strategy(name: str, period: int) -> RetirementStrategy:
-    """Instantiate a registered retirement strategy by name."""
-    if name == "decrement":
-        return DecrementRetirement(period)
-    if name == "ring":
-        return RingRetirement(period)
-    raise StreamError(
-        f"unknown retirement strategy {name!r}; choose from "
-        + ", ".join(STRATEGIES)
-    )

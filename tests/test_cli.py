@@ -280,6 +280,15 @@ class TestResilienceFlags:
             ["serve", "--request-timeout", "5"]
         )
         assert parsed.request_timeout == 5.0
+        # ``ppm stream`` has one retirement path; its selector is gone.
+        selector = "--" + "strategy"
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["stream", str(series_file), "--period", "7",
+                 "--window", "14", selector, "ring"]
+            )
+        assert exit_info.value.code == 2
+        assert selector in capsys.readouterr().err
 
     def test_maximal_rejects_resilience_flags(
         self, series_file, tmp_path, capsys
@@ -334,18 +343,6 @@ class TestStream:
         assert windows[1]["changes"]["stable"]
         assert "stream done: 16 slots in, 3 windows out" in captured.err
 
-    def test_ring_strategy_gives_identical_output(self, tmp_path, capsys):
-        feed = tmp_path / "feed.txt"
-        feed.write_text("a\nb\n" * 6 + "a c\nb\n" * 6)
-        argv = [
-            "stream", str(feed),
-            "--period", "2", "--window", "12", "--slide", "6",
-        ]
-        assert main(argv) == 0
-        decrement_out = capsys.readouterr().out
-        assert main(argv + ["--strategy", "ring"]) == 0
-        assert capsys.readouterr().out == decrement_out
-
     def test_event_feed_reorders_and_reports_late(self, tmp_path, capsys):
         import json
 
@@ -356,14 +353,13 @@ class TestStream:
         # Swap two in-lateness neighbours and add one hopeless straggler.
         lines[4], lines[5] = lines[5], lines[4]
         lines.append("0.25 z")
-        feed.write_text("\n".join(lines) + "\n")
-        code = main(
-            [
-                "stream", str(feed), "--events",
-                "--period", "2", "--window", "8", "--slide", "8",
-                "--slot-width", "1.0", "--lateness", "2.0",
-            ]
-        )
+        feed.write_text("# time feature\n\n" + "\n".join(lines) + "\n")
+        argv = [
+            "stream", str(feed), "--events",
+            "--period", "2", "--window", "8", "--slide", "8",
+            "--slot-width", "1.0", "--lateness", "2.0",
+        ]
+        code = main(argv)
         assert code == 0
         captured = capsys.readouterr()
         windows = [json.loads(line) for line in captured.out.splitlines()]
@@ -371,19 +367,40 @@ class TestStream:
         assert "warning: quarantined 1 late events" in captured.err
         assert "'z'" in captured.err
 
+        # The checkpointed path reads the same feed the same way: the
+        # same window lines and the same late-event warnings.
+        out = tmp_path / "durable.jsonl"
+        code = main(
+            argv + ["--checkpoint-dir", str(tmp_path / "ckpt"),
+                    "--checkpoint-every", "5", "--out", str(out)]
+        )
+        assert code == 0
+        durable_err = capsys.readouterr().err
+        assert out.read_text() == captured.out
+        assert [
+            line for line in durable_err.splitlines()
+            if line.startswith("warning:")
+        ] == [
+            line for line in captured.err.splitlines()
+            if line.startswith("warning:")
+        ]
+
     def test_bad_timestamp_is_clean_error(self, tmp_path, capsys):
         feed = tmp_path / "events.txt"
-        feed.write_text("not-a-time a\n")
-        code = main(
-            [
-                "stream", str(feed), "--events",
-                "--period", "2", "--window", "4",
-            ]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "events.txt:1" in err
+        feed.write_text("# time feature\n\n0.5 a\nnot-a-time a\n")
+        argv = [
+            "stream", str(feed), "--events",
+            "--period", "2", "--window", "4",
+        ]
+        # The in-memory and the checkpointed path read the feed alike.
+        for extra in ([], ["--checkpoint-dir", str(tmp_path / "ckpt")]):
+            code = main(argv + extra)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert (
+                f"error: {feed}:4: event lines start with a timestamp, "
+                "got 'not-a-time'"
+            ) in err, extra
 
     def test_missing_feed_is_clean_error(self, tmp_path, capsys):
         code = main(

@@ -161,47 +161,6 @@ class TestForkSafety:
         """
         assert findings_of(source) == [("REP101", 2)]
 
-    def test_global_statement_in_engine(self):
-        source = """\
-        _TOTAL = 0
-
-        def worker(task):
-            global _TOTAL
-            _TOTAL += 1
-            return task
-        """
-        assert ("REP104", 4) in findings_of(source, module="repro.engine.worker")
-
-    def test_module_mutable_written_from_function(self):
-        source = """\
-        _CACHE = {}
-
-        def worker(task):
-            _CACHE[task] = 1
-            return task
-        """
-        assert findings_of(source, module="repro.engine.worker") == [("REP104", 4)]
-
-    def test_local_shadow_is_clean(self):
-        source = """\
-        _CACHE = {}
-
-        def worker(task):
-            _CACHE = {}
-            _CACHE[task] = 1
-            return _CACHE
-        """
-        assert findings_of(source, module="repro.engine.worker") == []
-
-    def test_global_write_ignored_outside_engine(self):
-        source = """\
-        _CACHE = {}
-
-        def helper(key):
-            _CACHE[key] = 1
-        """
-        assert findings_of(source, module="repro.analysis.helper") == []
-
 
 # ---------------------------------------------------------------------------
 # REP2xx — pattern immutability

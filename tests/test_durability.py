@@ -3,11 +3,12 @@
 The centerpiece is the kill/resume equivalence matrix: a stream killed at
 an arbitrary record and resumed from its checkpoint directory must write
 *byte-identical* window output to an uninterrupted reference run — across
-20 seeds, three window geometries (sliding, tumbling, gapped), both
-retirement strategies, with chaos-injected snapshot corruption, and with
-out-of-order events buffered across the kill point.  The reference runs
-use the plain (non-durable) streaming engine, so the comparison does not
-share the machinery under test.
+20 seeds, three window geometries (sliding, tumbling, gapped), with
+chaos-injected snapshot corruption, and with out-of-order events buffered
+across the kill point.  The reference runs use the plain (non-durable)
+streaming engine, so the comparison does not share the machinery under
+test.  A committed checkpoint directory pins the on-disk format: it must
+keep resuming to byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import zlib
+from pathlib import Path
 
 import pytest
 
-from repro.core.errors import DurabilityError, SnapshotCorruption
+from repro.core.errors import DurabilityError, SnapshotCorruption, StreamError
 from repro.durability import (
     DurableSink,
     DurableStream,
@@ -56,12 +59,10 @@ def random_records(seed: int, length: int = 84) -> list[list[str]]:
 
 def reference_lines(
     records: list[list[str]], period: int, window: int, slide: int,
-    strategy: str,
 ) -> list[str]:
     """The uninterrupted run, via the plain engine (no durability code)."""
     miner = StreamingMiner(
         period=period, window=window, slide=slide, min_conf=0.6,
-        retirement=strategy,
     )
     lines = []
     for record in records:
@@ -498,9 +499,8 @@ class TestDurableSink:
 
 
 class TestKillResumeEquivalence:
-    @pytest.mark.parametrize("strategy", ["decrement", "ring"])
     @pytest.mark.parametrize("geometry", GEOMETRIES)
-    def test_twenty_seed_matrix(self, tmp_path, strategy, geometry):
+    def test_twenty_seed_matrix(self, tmp_path, geometry):
         """SIGKILL anywhere + --resume == uninterrupted, byte for byte.
 
         Chaos injection damages a fraction of snapshot publishes along
@@ -510,12 +510,10 @@ class TestKillResumeEquivalence:
         period, window, slide = geometry
         for seed in range(20):
             records = random_records(seed)
-            reference = reference_lines(
-                records, period, window, slide, strategy
-            )
+            reference = reference_lines(records, period, window, slide)
             rng = random.Random(seed * 7919 + 17)
             kill_at = rng.randrange(8, len(records) - 4)
-            base = tmp_path / f"{strategy}-{seed}"
+            base = tmp_path / f"seed-{seed}"
             out = base / "out.jsonl"
             chaos_config = FileChaosConfig(
                 seed=seed, torn_rate=0.3, truncate_rate=0.15,
@@ -523,7 +521,7 @@ class TestKillResumeEquivalence:
             )
             first = DurableStream(
                 base / "ckpt", period=period, window=window, slide=slide,
-                min_conf=0.6, strategy=strategy, checkpoint_every=5,
+                min_conf=0.6, checkpoint_every=5,
                 out=out, chaos=FileChaos(chaos_config),
             )
             for record in records[:kill_at]:
@@ -531,7 +529,7 @@ class TestKillResumeEquivalence:
             hard_kill(first)
             second = DurableStream(
                 base / "ckpt", period=period, window=window, slide=slide,
-                min_conf=0.6, strategy=strategy, checkpoint_every=5,
+                min_conf=0.6, checkpoint_every=5,
                 out=out, chaos=FileChaos(chaos_config),
             )
             assert second.resumed
@@ -539,23 +537,20 @@ class TestKillResumeEquivalence:
                 second.feed(record)
             second.finish()
             assert out.read_text().splitlines() == reference, (
-                f"seed={seed} kill_at={kill_at} {strategy} {geometry}"
+                f"seed={seed} kill_at={kill_at} {geometry}"
             )
 
     def test_double_kill(self, tmp_path):
         """Kill, resume, kill the resumed run, resume again: still exact."""
         period, window, slide = 3, 9, 3
         records = random_records(99, length=120)
-        reference = reference_lines(
-            records, period, window, slide, "decrement"
-        )
+        reference = reference_lines(records, period, window, slide)
         out = tmp_path / "out.jsonl"
 
         def make() -> DurableStream:
             return DurableStream(
                 tmp_path / "ckpt", period=period, window=window,
-                slide=slide, min_conf=0.6, strategy="decrement",
-                checkpoint_every=6, out=out,
+                slide=slide, min_conf=0.6, checkpoint_every=6, out=out,
             )
 
         stream = make()
@@ -577,11 +572,11 @@ class TestKillResumeEquivalence:
     ):
         """Records below the snapshot watermark replay as no-ops."""
         records = random_records(5, length=30)
-        reference = reference_lines(records, 3, 9, 3, "ring")
+        reference = reference_lines(records, 3, 9, 3)
         out = tmp_path / "out.jsonl"
         stream = DurableStream(
             tmp_path / "ckpt", period=3, window=9, slide=3, min_conf=0.6,
-            strategy="ring", checkpoint_every=1000, out=out,
+            checkpoint_every=1000, out=out,
         )
         for record in records[:20]:
             stream.feed(record)
@@ -589,7 +584,7 @@ class TestKillResumeEquivalence:
         hard_kill(stream)
         resumed = DurableStream(
             tmp_path / "ckpt", period=3, window=9, slide=3, min_conf=0.6,
-            strategy="ring", checkpoint_every=1000, out=out,
+            checkpoint_every=1000, out=out,
         )
         assert resumed.recovery.replayed == 0
         for record in records[resumed.records_logged:]:
@@ -657,16 +652,12 @@ def event_records(seed: int) -> list[list[object]]:
 
 
 class TestEventModeKillResume:
-    @pytest.mark.parametrize("strategy", ["decrement", "ring"])
-    def test_out_of_order_across_kill_point(self, tmp_path, strategy):
+    def test_out_of_order_across_kill_point(self, tmp_path):
         for seed in (0, 3, 11):
             records = event_records(seed)
             # Uninterrupted reference via the plain buffer + engine.
             buffer = ArrivalBuffer(slot_width=1.0, lateness=4.0)
-            miner = StreamingMiner(
-                period=3, window=9, slide=3, min_conf=0.6,
-                retirement=strategy,
-            )
+            miner = StreamingMiner(period=3, window=9, slide=3, min_conf=0.6)
             reference = []
             for when, features in records:
                 for feature in features:
@@ -677,12 +668,12 @@ class TestEventModeKillResume:
                 reference.append(json.dumps(window_to_dict(window)))
             ref_report = buffer.report.to_dict()
 
-            base = tmp_path / f"{strategy}-{seed}"
+            base = tmp_path / f"seed-{seed}"
             out = base / "out.jsonl"
             kill_at = 50 + seed * 13
             first = DurableStream(
                 base / "ckpt", period=3, window=9, slide=3, min_conf=0.6,
-                strategy=strategy, events=True, slot_width=1.0,
+                events=True, slot_width=1.0,
                 lateness=4.0, checkpoint_every=7, out=out,
             )
             for record in records[:kill_at]:
@@ -690,7 +681,7 @@ class TestEventModeKillResume:
             hard_kill(first)
             second = DurableStream(
                 base / "ckpt", period=3, window=9, slide=3, min_conf=0.6,
-                strategy=strategy, events=True, slot_width=1.0,
+                events=True, slot_width=1.0,
                 lateness=4.0, checkpoint_every=7, out=out,
             )
             assert second.resumed
@@ -698,7 +689,69 @@ class TestEventModeKillResume:
                 second.feed(record)
             second.finish()
             assert out.read_text().splitlines() == reference, (
-                f"seed={seed} {strategy}"
+                f"seed={seed}"
             )
             # The quarantine report survives the kill exactly too.
             assert second.buffer.report.to_dict() == ref_report
+
+
+# ---------------------------------------------------------------------------
+# The committed on-disk format
+# ---------------------------------------------------------------------------
+
+#: A checkpoint directory killed mid-run (snapshots at records 10 and 20,
+#: a WAL tail of 7 records), the exactly-once sink as the kill left it,
+#: the event feed, and the uninterrupted run's window lines — all written
+#: by the two-strategy code base, before the ``ring`` strategy was
+#: deleted.  ``ring-ckpt`` is a stream that ran with ``strategy="ring"``.
+FIXTURE = Path(__file__).parent / "fixtures" / "durable_stream"
+
+#: The parameters the fixture stream was recorded with.
+FIXTURE_CONFIG = {
+    "period": 3, "window": 12, "slide": 3, "min_conf": 0.6,
+    "events": True, "slot_width": 1.0, "origin": 0.0, "lateness": 2.0,
+}
+
+
+def fixture_records() -> list[list[object]]:
+    records = []
+    for line in (FIXTURE / "feed.txt").read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        fields = line.split()
+        records.append([float(fields[0]), fields[1:]])
+    return records
+
+
+class TestCheckpointFormat:
+    def test_committed_checkpoint_resumes_byte_identically(self, tmp_path):
+        shutil.copytree(FIXTURE / "ckpt", tmp_path / "ckpt")
+        shutil.copy(FIXTURE / "out.jsonl", tmp_path / "out.jsonl")
+        stream = DurableStream(
+            tmp_path / "ckpt", **FIXTURE_CONFIG, checkpoint_every=10,
+            out=tmp_path / "out.jsonl",
+        )
+        assert stream.recovery.records_consumed == 20
+        assert stream.recovery.replayed == 7
+        for record in fixture_records()[stream.records_logged:]:
+            stream.feed(record)
+        stream.finish()
+        assert (tmp_path / "out.jsonl").read_bytes() == (
+            FIXTURE / "expected.jsonl"
+        ).read_bytes()
+
+    def test_ring_checkpoint_is_refused(self, tmp_path):
+        shutil.copytree(FIXTURE / "ring-ckpt", tmp_path / "ckpt")
+        with pytest.raises(DurabilityError, match="'strategy': 'ring'"):
+            DurableStream(
+                tmp_path / "ckpt", period=3, window=6, slide=3,
+                min_conf=0.6, checkpoint_every=4,
+            )
+
+    def test_ring_miner_state_is_refused(self):
+        [snapshot] = (FIXTURE / "ring-ckpt").glob("snapshot-*.json")
+        payload = read_snapshot(snapshot, kind="repro.stream/1")
+        miner_state = payload["state"]["miner"]
+        assert miner_state["strategy"]["name"] == "ring"
+        with pytest.raises(StreamError, match="unknown retirement"):
+            StreamingMiner.from_state(miner_state)

@@ -413,6 +413,22 @@ class TestAppEndpoints:
         finally:
             app.close()
 
+    def test_period_longer_than_series_is_client_error(self):
+        app = build_app()
+        try:
+            status, payload = call(
+                app,
+                make_request(
+                    "POST", "/mine", {"series": "demo", "period": 100}
+                ),
+            )
+            assert status == 400
+            assert payload["error"] == "period 100 exceeds series length 80"
+            assert app.counters["client_errors"] == 1
+            assert app.counters["server_errors"] == 0
+        finally:
+            app.close()
+
     def test_mine_unknown_series_is_404(self):
         app = build_app()
         try:
@@ -680,9 +696,6 @@ class TestStreamRoutes:
                 {"name": "s", "period": "two", "window": 4},
                 {"name": "s", "period": 2},
                 {"name": "s", "period": 2, "window": 4, "slide": 3},
-                {"name": "s", "period": 2, "window": 4,
-                 "strategy": "lru"},
-                {"name": "s", "period": 2, "window": 4, "strategy": 7},
             ]
             for body in cases:
                 status, payload = call(
@@ -690,6 +703,18 @@ class TestStreamRoutes:
                 )
                 assert status == 400, body
                 assert "error" in payload
+        finally:
+            app.close()
+
+    def test_strategy_field_is_ignored_like_unknown_keys(self):
+        app = build_app()
+        try:
+            for name, value in (("s1", "ring"), ("s2", 7)):
+                status, payload = self.open_stream(
+                    app, name=name, strategy=value, colour="blue"
+                )
+                assert status == 201
+                assert payload["stream"]["strategy"] == "decrement"
         finally:
             app.close()
 
@@ -749,9 +774,7 @@ class TestStreamRoutes:
         series = random_series(7, length=60)
         app = build_app()
         try:
-            self.open_stream(
-                app, period=4, window=20, slide=8, strategy="ring"
-            )
+            self.open_stream(app, period=4, window=20, slide=8)
             status, payload = call(
                 app,
                 make_request(
@@ -761,9 +784,7 @@ class TestStreamRoutes:
                 ),
             )
             assert status == 200
-            direct = StreamingMiner(
-                period=4, window=20, slide=8, retirement="ring"
-            )
+            direct = StreamingMiner(period=4, window=20, slide=8)
             expected = [window_to_dict(w) for w in direct.extend(series)]
             assert payload["windows"] == expected
         finally:

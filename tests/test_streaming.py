@@ -2,13 +2,15 @@
 
 The centerpiece is the randomized equivalence sweep: every window a
 :class:`StreamingMiner` emits must carry *exactly* the patterns that
-batch-mining that window's slice produces — for both retirement
-strategies, for window sizes the period does not divide, and for events
-arriving out of order through the :class:`ArrivalBuffer`.
+batch-mining that window's slice produces — for a live miner and for one
+restored from its persisted state after every window, for window sizes
+the period does not divide, and for events arriving out of order through
+the :class:`ArrivalBuffer`.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -16,20 +18,25 @@ import pytest
 from repro.core.errors import StreamError
 from repro.core.hitset import mine_single_period_hitset
 from repro.streaming import (
-    STRATEGIES,
     ArrivalBuffer,
     DecrementRetirement,
     LateEventReport,
-    RingRetirement,
     StreamingMiner,
+    WindowResult,
     WindowSpec,
-    make_strategy,
     window_to_dict,
 )
 from repro.streaming.buffer import MAX_LATE_SAMPLES
 from repro.timeseries.feature_series import FeatureSeries
 
 ALPHABET = ["a", "b", "c", "d"]
+
+#: How the equivalence cases drive the decrement retirement: ``decrement``
+#: keeps it live, so its delta-maintained tree carries across windows;
+#: ``restored`` round-trips it through its persisted (JSON) state after
+#: every window, so each window mines from a tree rebuilt out of that
+#: state — the path checkpoint resume and serve rehydration take.
+PATHS = ("decrement", "restored")
 
 
 def random_series(
@@ -60,9 +67,28 @@ def batch_window(
     )
 
 
-def assert_equivalent(series: FeatureSeries, miner: StreamingMiner) -> int:
+def feed(
+    miner: StreamingMiner, slots, path: str
+) -> tuple[StreamingMiner, list[WindowResult]]:
+    """Feed ``slots`` along ``path``; returns the (possibly restored)
+    miner and the windows it emitted."""
+    windows = []
+    for slot in slots:
+        window = miner.append(slot)
+        if window is None:
+            continue
+        windows.append(window)
+        if path == "restored":
+            state = json.loads(json.dumps(miner.to_state()))
+            miner = StreamingMiner.from_state(state)
+    return miner, windows
+
+
+def assert_equivalent(
+    series: FeatureSeries, miner: StreamingMiner, path: str
+) -> int:
     """Feed the whole series; assert every window equals its batch mine."""
-    windows = miner.extend(series)
+    _, windows = feed(miner, series, path)
     for window in windows:
         oracle = batch_window(
             series,
@@ -73,7 +99,7 @@ def assert_equivalent(series: FeatureSeries, miner: StreamingMiner) -> int:
         )
         assert dict(window.result.items()) == dict(oracle.items()), (
             f"window {window.index} [{window.start_slot}:{window.end_slot}) "
-            f"diverged from batch ({miner.strategy.name})"
+            f"diverged from batch ({path})"
         )
         assert window.result.num_periods == oracle.num_periods
     return len(windows)
@@ -186,43 +212,55 @@ class TestArrivalBuffer:
         assert "quarantined=1" in repr(buffer)
 
 
+def round_trip(
+    retirement: DecrementRetirement, period: int
+) -> DecrementRetirement:
+    """A fresh retirement restored from ``retirement``'s JSON state."""
+    restored = DecrementRetirement(period)
+    restored.restore(json.loads(json.dumps(retirement.to_state())))
+    return restored
+
+
 class TestRetirementStrategies:
     def test_unknown_strategy_rejected(self):
+        miner = StreamingMiner(period=3, window=6)
+        miner.extend("abcabcabc")
+        state = miner.to_state()
+        state["strategy"]["name"] = "lru"
         with pytest.raises(StreamError, match="unknown retirement"):
-            make_strategy("lru", period=3)
+            StreamingMiner.from_state(state)
 
-    def test_registered_names(self):
-        assert set(STRATEGIES) == {"decrement", "ring"}
-        assert isinstance(make_strategy("decrement", 3), DecrementRetirement)
-        assert isinstance(make_strategy("ring", 3), RingRetirement)
-
-    @pytest.mark.parametrize("name", STRATEGIES)
-    def test_retire_validation(self, name):
-        strategy = make_strategy(name, period=2)
-        strategy.absorb((frozenset({"a"}), frozenset({"b"})))
+    @pytest.mark.parametrize("path", PATHS)
+    def test_retire_validation(self, path):
+        retirement = DecrementRetirement(period=2)
+        retirement.absorb((frozenset({"a"}), frozenset({"b"})))
+        if path == "restored":
+            retirement = round_trip(retirement, 2)
         with pytest.raises(StreamError):
-            strategy.retire(-1)
+            retirement.retire(-1)
         with pytest.raises(StreamError, match="only 1 retained"):
-            strategy.retire(2)
-        strategy.retire(1)
-        assert strategy.retained == 0
+            retirement.retire(2)
+        retirement.retire(1)
+        assert retirement.retained == 0
 
-    @pytest.mark.parametrize("name", STRATEGIES)
-    def test_interleaved_absorb_retire_stays_exact(self, name):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_interleaved_absorb_retire_stays_exact(self, path):
         series = random_series(seed=3, length=60, period=3)
         segments = [
             tuple(list(series)[i : i + 3])
             for i in range(0, len(series), 3)
         ]
-        strategy = make_strategy(name, period=3)
+        retirement = DecrementRetirement(period=3)
         low = 0
         for high, segment in enumerate(segments):
-            strategy.absorb(segment)
+            retirement.absorb(segment)
             if high >= 6:  # slide a 7-segment window along
-                strategy.retire(1)
+                retirement.retire(1)
                 low += 1
             if high % 3 == 2:
-                got = strategy.mine(0.5)
+                if path == "restored":
+                    retirement = round_trip(retirement, 3)
+                got = retirement.mine(0.5)
                 window = [s for seg in segments[low : high + 1] for s in seg]
                 oracle = mine_single_period_hitset(
                     FeatureSeries(window), 3, 0.5
@@ -231,16 +269,16 @@ class TestRetirementStrategies:
                 assert got.num_periods == oracle.num_periods
 
     def test_decrement_reuses_tree_when_f1_stable(self):
-        strategy = DecrementRetirement(period=2)
+        retirement = DecrementRetirement(period=2)
         for _ in range(4):
-            strategy.absorb((frozenset({"a"}), frozenset({"b"})))
-        strategy.mine(0.5)
-        first_tree = strategy._tree
-        strategy.absorb((frozenset({"a"}), frozenset({"b", "c"})))
-        strategy.retire(1)
-        strategy.mine(0.5)
+            retirement.absorb((frozenset({"a"}), frozenset({"b"})))
+        retirement.mine(0.5)
+        first_tree = retirement._tree
+        retirement.absorb((frozenset({"a"}), frozenset({"b", "c"})))
+        retirement.retire(1)
+        retirement.mine(0.5)
         # Same F1 letter set {a, b}: the tree was delta-updated in place.
-        assert strategy._tree is first_tree
+        assert retirement._tree is first_tree
 
 
 class TestStreamingEngine:
@@ -286,7 +324,7 @@ class TestStreamingEngine:
 
     def test_gap_windows_skip_unmined_segments(self):
         # slide 20 > size 12: slots [12, 20) of every stride are never
-        # mined; their segments must not linger in the strategy.
+        # mined; their segments must not linger in the retirement.
         series = random_series(seed=2, length=100, period=4)
         miner = StreamingMiner(period=4, window=12, slide=20)
         windows = miner.extend(series)
@@ -299,10 +337,10 @@ class TestStreamingEngine:
             assert dict(window.result.items()) == dict(oracle.items())
 
     def test_snapshot_and_repr(self):
-        miner = StreamingMiner(period=2, window=4, retirement="ring")
+        miner = StreamingMiner(period=2, window=4)
         miner.extend("abab")
         snapshot = miner.snapshot()
-        assert snapshot["strategy"] == "ring"
+        assert snapshot["strategy"] == "decrement"
         assert snapshot["windows_emitted"] == 1
         assert snapshot["last_window"]["num_periods"] == 2
         assert "windows=1" in repr(miner)
@@ -331,11 +369,11 @@ GEOMETRIES = [
 
 
 class TestStreamBatchEquivalence:
-    """The headline invariant, across seeds, strategies and geometries."""
+    """The headline invariant, across seeds, paths and geometries."""
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("geometry", GEOMETRIES)
-    def test_geometries(self, strategy, geometry):
+    def test_geometries(self, path, geometry):
         period, window, slide = geometry
         series = random_series(seed=17, length=160, period=period)
         miner = StreamingMiner(
@@ -343,12 +381,11 @@ class TestStreamBatchEquivalence:
             window=window,
             slide=slide,
             min_conf=0.5,
-            retirement=strategy,
         )
-        assert assert_equivalent(series, miner) > 1
+        assert assert_equivalent(series, miner, path) > 1
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_twenty_seeds(self, strategy):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_twenty_seeds(self, path):
         for seed in range(20):
             period, window, slide = GEOMETRIES[seed % len(GEOMETRIES)]
             series = random_series(seed=seed, length=120, period=period)
@@ -357,13 +394,12 @@ class TestStreamBatchEquivalence:
                 window=window,
                 slide=slide,
                 min_conf=0.5,
-                retirement=strategy,
             )
-            count = assert_equivalent(series, miner)
+            count = assert_equivalent(series, miner, path)
             assert count >= 1, f"seed {seed} emitted no windows"
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_out_of_order_arrival(self, strategy):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_out_of_order_arrival(self, path):
         """Locally shuffled events, reordered by the buffer, stay exact."""
         period, window, slide = 5, 23, 10
         series = random_series(
@@ -383,14 +419,13 @@ class TestStreamBatchEquivalence:
             rng.shuffle(chunk)
             shuffled.extend(chunk)
         buffer = ArrivalBuffer(slot_width=1.0, lateness=float(block))
-        miner = StreamingMiner(
-            period=period, window=window, slide=slide, retirement=strategy
-        )
+        miner = StreamingMiner(period=period, window=window, slide=slide)
         windows = []
         for when, feature in shuffled:
             assert buffer.add(when, feature)
-            windows.extend(miner.extend(buffer.drain()))
-        windows.extend(miner.extend(buffer.flush()))
+            miner, emitted = feed(miner, buffer.drain(), path)
+            windows.extend(emitted)
+        windows.extend(feed(miner, buffer.flush(), path)[1])
         assert buffer.report.clean
         assert len(windows) >= 2
         for emitted in windows:
