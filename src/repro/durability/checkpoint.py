@@ -12,7 +12,10 @@ One :class:`StreamCheckpointer` owns a directory with two kinds of files:
     A write-ahead log segment whose first record has global index
     ``index``.  Every input record is appended *before* it is applied, as
     ``{"i": n, "r": <record>}`` — one flushed line each — so a kill at any
-    instant loses at most the in-flight record, never an applied one.
+    instant loses at most the in-flight record, never an applied one.  A
+    caller may attach metadata to a record as ``"m"`` (a durable stream
+    logs its parameters with record 0), so it is durable before any
+    snapshot exists without a write of its own.
 
 The protocol is the classic one: log the record, apply it, and every
 ``snapshot()`` call captures the applied state, rotates the WAL, and
@@ -95,6 +98,9 @@ class RecoveredState:
     torn_wal_records: int = 0
     #: Stale ``*.tmp*`` files swept from interrupted publishes.
     stale_tmp_removed: int = 0
+    #: Metadata logged with a retained WAL record (the newest one), or
+    #: ``None`` when no retained record carries any.
+    meta: Any = None
 
     @property
     def replayed(self) -> int:
@@ -224,7 +230,7 @@ class StreamCheckpointer:
                     f"no longer reaches record 0; cannot recover exactly"
                 )
 
-        tail, torn = self._replay_wal(segments, consumed)
+        tail, torn, meta = self._replay_wal(segments, consumed)
         self._next_index = consumed + len(tail)
 
         if segments:
@@ -242,14 +248,17 @@ class StreamCheckpointer:
             snapshots_skipped=skipped,
             torn_wal_records=torn,
             stale_tmp_removed=len(removed),
+            meta=meta,
         )
 
     def _replay_wal(
         self, segments: list[tuple[int, Path]], consumed: int
-    ) -> tuple[list[Any], int]:
-        """Collect WAL records from ``consumed`` on, truncating torn tails."""
+    ) -> tuple[list[Any], int, Any]:
+        """Collect WAL records from ``consumed`` on, truncating torn tails;
+        also returns the newest metadata any retained record carries."""
         tail: list[Any] = []
         torn = 0
+        meta: Any = None
         expected = consumed
         for position, (_, path) in enumerate(segments):
             last_segment = position == len(segments) - 1
@@ -286,6 +295,8 @@ class StreamCheckpointer:
                     torn += 1
                     break
                 index = record["i"]
+                if "m" in record:
+                    meta = record["m"]
                 if index >= consumed:
                     if index != expected:
                         raise DurabilityError(
@@ -295,7 +306,7 @@ class StreamCheckpointer:
                     tail.append(record["r"])
                     expected += 1
                 offset += len(chunk) + 1
-        return tail, torn
+        return tail, torn, meta
 
     # -- the append path -------------------------------------------------
 
@@ -304,21 +315,22 @@ class StreamCheckpointer:
         """Global index the next appended record will get."""
         return self._next_index
 
-    def append(self, record: Any) -> int:
+    def append(self, record: Any, meta: Any = None) -> int:
         """Log one input record (flushed) and return its global index.
 
         Call this *before* applying the record to in-memory state — the
         write-ahead ordering is the whole crash-safety argument.
+        ``meta``, when given, is logged on the same line and comes back
+        as :attr:`RecoveredState.meta` while the record is retained.
         """
         if self._handle is None:
             raise DurabilityError(
                 "checkpointer is not open (call recover() first)"
             )
-        line = json.dumps(
-            {"i": self._next_index, "r": record},
-            separators=(",", ":"),
-            sort_keys=True,
-        )
+        entry: dict[str, Any] = {"i": self._next_index, "r": record}
+        if meta is not None:
+            entry["m"] = meta
+        line = json.dumps(entry, separators=(",", ":"), sort_keys=True)
         self._handle.write(line + "\n")
         self._handle.flush()
         self._next_index += 1

@@ -114,9 +114,10 @@ class DurableStream:
     decides whether to re-print — at-least-once without ``out``).
 
     Parameters mirror ``ppm stream``; ``checkpoint_every`` is in input
-    records.  The stream parameters are persisted and must match on
-    resume — a mismatch raises :class:`DurabilityError` rather than
-    resuming into a different computation.
+    records.  The stream parameters are persisted (in every snapshot, and
+    with WAL record 0) and must match on resume — a mismatch raises
+    :class:`DurabilityError` rather than resuming into a different
+    computation.
     """
 
     __slots__ = (
@@ -182,14 +183,22 @@ class DurableStream:
         self._sink = None if out is None else DurableSink(out)
         recovered = self._ckpt.recover()
         self.recovery: RecoveredState | None = recovered
-        if recovered is not None and recovered.state is not None:
-            stored = recovered.state.get("config")
+        if recovered is not None:
+            if recovered.state is not None:
+                stored = recovered.state.get("config")
+            elif recovered.meta is not None:
+                # No snapshot yet: the parameters logged with record 0.
+                stored = recovered.meta
+            else:
+                # A log written before the parameters rode on record 0.
+                stored = self._config
             if stored != self._config:
                 raise DurabilityError(
                     f"{directory}: checkpoint was recorded with different "
                     f"stream parameters ({stored!r}); refusing to resume "
                     "into a different computation"
                 )
+        if recovered is not None and recovered.state is not None:
             self._miner = StreamingMiner.from_state(recovered.state["miner"])
             buffer_state = recovered.state.get("buffer")
             self._buffer = (
@@ -271,7 +280,10 @@ class DurableStream:
         """
         if self._finished:
             raise DurabilityError("stream is finished; cannot feed")
-        self._ckpt.append(record)
+        # The parameters ride on record 0, so a directory killed before
+        # its first snapshot still refuses a mismatched resume.
+        first = self._ckpt.next_index == 0
+        self._ckpt.append(record, meta=self._config if first else None)
         windows = self._apply(record)
         self._dispatch(windows, replay=False)
         self._since_snapshot += 1

@@ -732,7 +732,9 @@ class MiningApp:
         try:
             payload = read_snapshot(path, kind=STREAM_STATE_KIND)
             self.stream_state["rehydrated"] = self.streams.restore(payload)
-        except (SnapshotCorruption, ServeError) as error:
+        except (SnapshotCorruption, ServeError, StreamError) as error:
+            # StreamError: a checksum-valid file whose miner state cannot
+            # be restored (malformed, or a retired strategy's layout).
             self.stream_state["error"] = str(error)
 
     def persist_streams(self) -> int:

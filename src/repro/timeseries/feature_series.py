@@ -48,6 +48,29 @@ def _normalize_slot(value: SlotLike) -> frozenset[str]:
     return features
 
 
+def _intern_slots(values: Iterable[SlotLike]) -> tuple[frozenset[str], ...]:
+    """Normalize every slot, validating each distinct content once.
+
+    Equal slots come back as one shared frozenset, so a repeated slot
+    costs one dictionary lookup instead of a per-feature check.
+    """
+    interned: dict[str | frozenset[str] | None, frozenset[str]] = {}
+    slots: list[frozenset[str]] = []
+    for value in values:
+        if value is None or isinstance(value, str):
+            slot = interned.get(value)
+            if slot is None:
+                slot = _normalize_slot(value)
+                slot = interned[value] = interned.setdefault(slot, slot)
+        else:
+            fresh = frozenset(value)
+            slot = interned.setdefault(fresh, fresh)
+            if slot is fresh:  # first of its content: validate it
+                _normalize_slot(fresh)
+        slots.append(slot)
+    return tuple(slots)
+
+
 class FeatureSeries:
     """An immutable sequence of feature sets with period segmentation.
 
@@ -69,9 +92,7 @@ class FeatureSeries:
     __slots__ = ("_slots", "_digest")
 
     def __init__(self, slots: Iterable[SlotLike]):
-        self._slots: tuple[frozenset[str], ...] = tuple(
-            _normalize_slot(value) for value in slots
-        )
+        self._slots: tuple[frozenset[str], ...] = _intern_slots(slots)
         self._digest: str | None = None
 
     # ------------------------------------------------------------------
@@ -97,8 +118,9 @@ class FeatureSeries:
     ) -> "FeatureSeries":
         """Wrap already-normalized slots without re-validating them.
 
-        Internal fast path used by unpickling, where the slots
-        are known to be exactly the tuple-of-frozensets representation.
+        Internal fast path for slots known to be exactly the validated
+        tuple-of-frozensets representation: unpickling, slicing,
+        concatenation and :func:`repro.timeseries.io.load_series`.
         """
         series = cls.__new__(cls)
         series._slots = slots
@@ -137,19 +159,25 @@ class FeatureSeries:
         regardless of how their slots were constructed.  The series is
         immutable, so the digest is memoized on first use — repeated
         identity checks (count-cache keys, serve registry fingerprints,
-        store spill names) cost one pass total, not one pass each.
+        store spill names) cost one pass total, not one pass each.  The
+        canonical text of each distinct slot is built once and reused.
         """
         if self._digest is None:
             import hashlib
 
             digest = hashlib.sha256()
             slots = self._slots
+            canonical: dict[frozenset[str], str] = {}
             # Chunked updates: one join + encode per block beats two
             # digest.update calls per slot by a wide margin.
             for start in range(0, len(slots), 8192):
-                block = slots[start : start + 8192]
-                text = "\n".join(" ".join(sorted(slot)) for slot in block)
-                digest.update(text.encode("utf-8"))
+                lines = []
+                for slot in slots[start : start + 8192]:
+                    line = canonical.get(slot)
+                    if line is None:
+                        line = canonical[slot] = " ".join(sorted(slot))
+                    lines.append(line)
+                digest.update("\n".join(lines).encode("utf-8"))
                 digest.update(b"\n")
             self._digest = digest.hexdigest()[:16]
         return self._digest
@@ -165,7 +193,7 @@ class FeatureSeries:
 
     def __getitem__(self, index: int | slice) -> frozenset[str] | FeatureSeries:
         if isinstance(index, slice):
-            return FeatureSeries(self._slots[index])
+            return FeatureSeries._from_normalized(self._slots[index])
         return self._slots[index]
 
     def __iter__(self) -> Iterator[frozenset[str]]:
@@ -182,7 +210,7 @@ class FeatureSeries:
     def __add__(self, other: "FeatureSeries") -> "FeatureSeries":
         if not isinstance(other, FeatureSeries):
             return NotImplemented
-        return FeatureSeries(self._slots + other._slots)
+        return FeatureSeries._from_normalized(self._slots + other._slots)
 
     def __repr__(self) -> str:
         preview = self.to_text(limit=24)

@@ -70,6 +70,36 @@ def _snippet(raw: bytes) -> str:
     return repr(text if len(text) <= 60 else text[:57] + "...")
 
 
+@dataclass(frozen=True, slots=True)
+class _BadLine:
+    """Why one distinct raw line is malformed, and its report excerpt."""
+
+    reason: str
+    content: str
+
+
+def _parse_line(raw: bytes) -> frozenset[str] | _BadLine | None:
+    """Decode, split and validate one raw line (``None`` for a comment)."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        return _BadLine(
+            f"line is not valid UTF-8 ({error.reason} at byte {error.start})",
+            _snippet(raw),
+        )
+    if line.startswith("#"):
+        return None
+    features = line.split()
+    # A printable line without '*' cannot hold a bad feature; anything
+    # else is checked feature by feature, so the first problem is named.
+    if "*" in line or not line.isprintable():
+        for feature in features:
+            problem = _feature_problem(feature)
+            if problem is not None:
+                return _BadLine(problem, _snippet(raw))
+    return frozenset(features)
+
+
 def save_series(series: FeatureSeries, path: str | Path) -> None:
     """Write a series to a text file (one slot per line)."""
     target = Path(path)
@@ -90,61 +120,44 @@ def iter_slot_lines(
     Malformed lines raise :class:`~repro.core.errors.SeriesError` naming
     ``file:line``; with ``strict=False`` they are skipped instead and, if
     ``report`` is given, recorded there as :class:`QuarantinedLine`
-    entries.  The file is read as bytes and decoded per line so even an
-    encoding error points at its exact line.
+    entries (one per occurrence, each with its own line number).  The
+    file is read as bytes and decoded per line so even an encoding error
+    points at its exact line.
+
+    Each distinct line is decoded, split and validated once: a repeated
+    line costs one dictionary lookup and yields the same shared
+    frozenset, and equal slots spelled differently share one too.
     """
     source = Path(path)
     if not source.exists():
         raise SeriesError(f"series file not found: {source}")
+    # Both memos live for this one call only.
+    parsed: dict[bytes, frozenset[str] | _BadLine | None] = {}
+    shared: dict[frozenset[str], frozenset[str]] = {}
     with source.open("rb") as handle:
         for number, raw in enumerate(handle, start=1):
             raw = raw.rstrip(b"\n").rstrip(b"\r")
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as error:
-                problem = (
-                    f"line is not valid UTF-8 "
-                    f"({error.reason} at byte {error.start})"
-                )
+                slot = parsed[raw]
+            except KeyError:
+                slot = _parse_line(raw)
+                if isinstance(slot, frozenset):
+                    slot = shared.setdefault(slot, slot)
+                parsed[raw] = slot
+            if isinstance(slot, frozenset):
+                yield slot
+            elif slot is not None:
                 if strict:
-                    raise SeriesError(
-                        f"{source}:{number}: {problem}"
-                    ) from error
+                    raise SeriesError(f"{source}:{number}: {slot.reason}")
                 if report is not None:
                     report.quarantined.append(
                         QuarantinedLine(
                             path=str(source),
                             line=number,
-                            reason=problem,
-                            content=_snippet(raw),
+                            reason=slot.reason,
+                            content=slot.content,
                         )
                     )
-                continue
-            if line.startswith("#"):
-                continue
-            if not line.strip():
-                yield frozenset()
-                continue
-            features = line.split()
-            problems = [
-                problem
-                for problem in map(_feature_problem, features)
-                if problem is not None
-            ]
-            if problems:
-                if strict:
-                    raise SeriesError(f"{source}:{number}: {problems[0]}")
-                if report is not None:
-                    report.quarantined.append(
-                        QuarantinedLine(
-                            path=str(source),
-                            line=number,
-                            reason=problems[0],
-                            content=_snippet(raw),
-                        )
-                    )
-                continue
-            yield frozenset(features)
 
 
 def load_series(
@@ -156,9 +169,13 @@ def load_series(
 
     ``strict`` and ``report`` behave as in :func:`iter_slot_lines`:
     the default fails fast with ``file:line`` context, ``strict=False``
-    quarantines malformed lines onto ``report`` and loads the rest.
+    quarantines malformed lines onto ``report`` and loads the rest.  The
+    slots arrive validated, so the series wraps them without a second
+    per-slot check.
     """
-    return FeatureSeries(iter_slot_lines(path, strict=strict, report=report))
+    return FeatureSeries._from_normalized(
+        tuple(iter_slot_lines(path, strict=strict, report=report))
+    )
 
 
 def load_numeric_csv(

@@ -6,14 +6,18 @@ that counting code: each one re-reads the paper's algorithm literally, so
 the suites can hold production output letter-identical to more than the
 brute-force oracle in :mod:`repro.core.counting`.  :func:`wide_series`
 builds the other side of the 64-letter store column.
+:func:`per_line_load` is the series-file format read one line at a time,
+the reference for the validate-once loader in :mod:`repro.timeseries.io`.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from repro.core.candidates import generate_candidate_masks, generate_candidates
 from repro.core.counting import segment_letters
+from repro.core.errors import SeriesError
 from repro.core.maxpattern import find_frequent_one_patterns
 from repro.core.pattern import Letter, Pattern
 from repro.timeseries.feature_series import FeatureSeries
@@ -92,3 +96,49 @@ def wide_series(seed: int, length: int = 120) -> FeatureSeries:
         slot.add(f"rare{rng.randrange(70)}")
         slots.append(slot)
     return FeatureSeries(slots)
+
+
+def per_line_load(
+    path: Path, strict: bool = True
+) -> tuple[list[frozenset[str]], list[tuple[int, str, str]]]:
+    """Read a series file line by line, checking every line on its own.
+
+    Returns the slots and, for ``strict=False``, one ``(line, reason,
+    content)`` entry per malformed line; ``strict=True`` raises
+    :class:`SeriesError` naming ``file:line`` at the first one instead.
+    No line is remembered between iterations.
+    """
+    slots: list[frozenset[str]] = []
+    quarantined: list[tuple[int, str, str]] = []
+    with path.open("rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            raw = raw.rstrip(b"\n").rstrip(b"\r")
+            reason = None
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as error:
+                reason = (
+                    f"line is not valid UTF-8 "
+                    f"({error.reason} at byte {error.start})"
+                )
+            else:
+                if line.startswith("#"):
+                    continue
+                for feature in line.split():
+                    if "*" in feature:
+                        reason = (
+                            "feature uses the reserved wildcard character '*'"
+                        )
+                    elif any(ord(ch) < 32 or ord(ch) == 127 for ch in feature):
+                        reason = "feature contains control characters"
+                    if reason is not None:
+                        break
+                else:
+                    slots.append(frozenset(line.split()))
+                    continue
+            if strict:
+                raise SeriesError(f"{path}:{number}: {reason}")
+            text = raw.decode("utf-8", errors="backslashreplace")
+            excerpt = text if len(text) <= 60 else text[:57] + "..."
+            quarantined.append((number, reason, repr(excerpt)))
+    return slots, quarantined

@@ -320,6 +320,20 @@ class TestStreamCheckpointer:
         assert [r["v"] for r in recovered.tail] == [0, 1, 2, 3, 4]
         again.close()
 
+    def test_meta_rides_on_its_record(self, tmp_path):
+        ckpt = StreamCheckpointer(tmp_path, kind="t/1")
+        ckpt.recover()
+        ckpt.append({"v": 0}, meta={"window": 9})
+        ckpt.append({"v": 1})
+        ckpt.close()
+        assert len((tmp_path / "wal-000000000000.jsonl").read_text()
+                   .splitlines()) == 2
+        again = StreamCheckpointer(tmp_path, kind="t/1")
+        recovered = again.recover()
+        assert recovered.meta == {"window": 9}
+        assert [r["v"] for r in recovered.tail] == [0, 1]
+        again.close()
+
     def test_snapshot_then_tail(self, tmp_path):
         ckpt = StreamCheckpointer(tmp_path, kind="t/1")
         ckpt.recover()
@@ -604,6 +618,51 @@ class TestKillResumeEquivalence:
             DurableStream(
                 tmp_path / "ckpt", period=3, window=12, min_conf=0.6,
             )
+
+    def test_config_mismatch_refuses_before_first_snapshot(self, tmp_path):
+        # Killed before its first snapshot: only the WAL holds the run,
+        # and the parameters logged with record 0 still guard it.
+        stream = DurableStream(
+            tmp_path / "ckpt", period=3, window=9, min_conf=0.6,
+            checkpoint_every=1000,
+        )
+        for record in random_records(1, length=10):
+            stream.feed(record)
+        hard_kill(stream)
+        assert not list((tmp_path / "ckpt").glob("snapshot-*"))
+        with pytest.raises(DurabilityError, match="refusing to resume"):
+            DurableStream(
+                tmp_path / "ckpt", period=3, window=12, min_conf=0.6,
+                checkpoint_every=1000,
+            )
+        resumed = DurableStream(
+            tmp_path / "ckpt", period=3, window=9, min_conf=0.6,
+            checkpoint_every=1000,
+        )
+        assert resumed.recovery.replayed == 10
+        resumed.close()
+
+    def test_wal_without_logged_config_still_resumes(self, tmp_path):
+        # A log written before the parameters rode on record 0.
+        ckpt = StreamCheckpointer(tmp_path / "ckpt", kind="repro.stream/1")
+        ckpt.recover()
+        for record in random_records(1, length=10):
+            ckpt.append(record)
+        ckpt.close()
+        resumed = DurableStream(
+            tmp_path / "ckpt", period=3, window=12, min_conf=0.6,
+        )
+        assert resumed.recovery.replayed == 10
+        resumed.close()
+
+    def test_fresh_stream_writes_nothing_at_construction(self, tmp_path):
+        stream = DurableStream(
+            tmp_path / "ckpt", period=3, window=9, min_conf=0.6,
+        )
+        assert [
+            path.stat().st_size for path in (tmp_path / "ckpt").iterdir()
+        ] == [0]
+        stream.close()
 
     def test_stdout_mode_reports_replayed_windows(self, tmp_path):
         records = random_records(2, length=30)

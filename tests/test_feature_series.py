@@ -32,6 +32,20 @@ class TestConstruction:
         with pytest.raises(SeriesError):
             FeatureSeries([{1}])
 
+    def test_equal_slots_share_one_frozenset(self):
+        series = FeatureSeries(
+            ["a", {"a"}, ["a"], frozenset({"a"}), ("b", "c"), {"c", "b"}]
+        )
+        assert len({id(slot) for slot in series[:4]}) == 1
+        assert series[4] is series[5]
+        assert series[0] == frozenset({"a"})
+
+    def test_repeated_invalid_slot_still_rejected(self):
+        with pytest.raises(SeriesError):
+            FeatureSeries([{"a"}, {"a"}, {"a", ""}, {"a", ""}])
+        with pytest.raises(TypeError):
+            FeatureSeries([{"a"}, 5])
+
     def test_alphabet(self):
         series = FeatureSeries([{"a", "b"}, {"c"}, set()])
         assert series.alphabet == frozenset({"a", "b", "c"})

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import SeriesError
-from repro.timeseries.feature_series import FeatureSeries
-from repro.timeseries.io import iter_slot_lines, load_series, save_series
+from repro.synth.workloads import figure2_series
+from repro.timeseries.feature_series import FeatureSeries, series_fingerprint
+from repro.timeseries.io import (
+    LoadReport,
+    iter_slot_lines,
+    load_series,
+    save_series,
+)
+from tests.reference import per_line_load
+
+EDGE_CASES = Path(__file__).parent / "fixtures" / "ingest_edge_cases.txt"
 
 
 class TestRoundtrip:
@@ -194,3 +207,124 @@ class TestMalformedLines:
         path.write_bytes(b"a\r\nb\r\n")
         series = load_series(path)
         assert [set(slot) for slot in series] == [{"a"}, {"b"}]
+
+
+#: Whole lines, valid and malformed, drawn with repetition.
+LINE_POOL = [
+    b"a b",
+    b"b a",
+    b"a",
+    b"c d e",
+    b"",
+    b"   ",
+    b"a\tb",
+    b"\xc3\xa9t\xc3\xa9",
+    b"# comment",
+    b"#",
+    b"\xff\xfe broken",
+    b"ok \xc3",
+    b"*",
+    b"a *",
+    b"d*",
+    b"x\x07y",
+    b"a \x00",
+    b"\x7f",
+    b"a\x1cb",
+    b"a\rb",
+]
+
+lines_strategy = st.lists(
+    st.one_of(
+        st.sampled_from(LINE_POOL),
+        # Short arbitrary bytes: stray separators, control bytes and
+        # truncated UTF-8 sequences.
+        st.binary(max_size=6).map(lambda raw: raw.replace(b"\n", b" ")),
+    ),
+    max_size=40,
+)
+
+
+def write_lines(
+    path: Path, lines: list[bytes], crlf: list[bool], final_newline: bool
+) -> None:
+    ends = [b"\r\n" if flag else b"\n" for flag in crlf]
+    body = b"".join(line + end for line, end in zip(lines, ends))
+    if lines and not final_newline:
+        body = body[: -len(ends[len(lines) - 1])]
+    path.write_bytes(body)
+
+
+class TestIngestEquivalence:
+    """The validate-once loader against a per-line reference parser."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=lines_strategy,
+        crlf=st.lists(st.booleans(), min_size=40, max_size=40),
+        final_newline=st.booleans(),
+    )
+    def test_matches_per_line_reference(
+        self, tmp_path_factory, lines, crlf, final_newline
+    ):
+        path = tmp_path_factory.mktemp("ingest") / "series.txt"
+        write_lines(path, lines, crlf, final_newline)
+
+        slots, quarantined = per_line_load(path, strict=False)
+        report = LoadReport()
+        series = load_series(path, strict=False, report=report)
+        assert list(series) == slots
+        assert [
+            (q.path, q.line, q.reason, q.content) for q in report.quarantined
+        ] == [(str(path), *entry) for entry in quarantined]
+        # Equal slots are one shared frozenset.
+        assert len({id(slot) for slot in series}) == len(set(series))
+
+        if quarantined:
+            with pytest.raises(SeriesError) as raised:
+                load_series(path)
+            with pytest.raises(SeriesError) as expected:
+                per_line_load(path)
+            assert str(raised.value) == str(expected.value)
+        else:
+            assert list(load_series(path)) == slots
+
+    def test_edge_case_fixture_matches_reference(self):
+        slots, quarantined = per_line_load(EDGE_CASES, strict=False)
+        report = LoadReport()
+        assert list(load_series(EDGE_CASES, strict=False, report=report)) == (
+            slots
+        )
+        assert [
+            (q.line, q.reason, q.content) for q in report.quarantined
+        ] == quarantined
+        # Every occurrence of a repeated bad line is reported on its own.
+        assert [line for line, _, _ in quarantined] == [
+            9, 11, 15, 17, 18, 20, 24,
+        ]
+        with pytest.raises(SeriesError, match=r"ingest_edge_cases\.txt:9: "):
+            load_series(EDGE_CASES)
+
+
+class TestDigestGolden:
+    """``content_digest`` values pinned from before ingest interning.
+
+    ``--cache-dir`` entries, serve fingerprints and store spill names key
+    on these, so a change here orphans every stored artefact.
+    """
+
+    def test_edge_case_fixture(self):
+        series = load_series(EDGE_CASES, strict=False)
+        assert series.content_digest() == "6097aaff442a9f14"
+        assert series_fingerprint(list(series)) == "6097aaff442a9f14"
+
+    def test_figure2_series(self):
+        series = figure2_series(6, length=20_000, seed=0).series
+        assert series.content_digest() == "b8c24f8c090dd730"
+        assert series_fingerprint(list(series)) == "b8c24f8c090dd730"
+
+    def test_paper_symbols(self):
+        series = FeatureSeries.from_symbols("abdabcabd")
+        assert series.content_digest() == "ea0c86924bd8dce1"
+        assert FeatureSeries(list(series)).content_digest() == (
+            "ea0c86924bd8dce1"
+        )

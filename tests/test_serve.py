@@ -24,6 +24,7 @@ import pytest
 from repro.core.errors import ServeError
 from repro.core.miner import PartialPeriodicMiner
 from repro.core.serialize import result_to_dict
+from repro.durability import SnapshotWriter, read_snapshot
 from repro.serve import (
     MiningApp,
     MiningServer,
@@ -39,6 +40,7 @@ from repro.serve import (
     response_bytes,
 )
 from repro.timeseries.feature_series import FeatureSeries
+from repro.serve.app import STREAM_STATE_KIND
 from repro.timeseries.io import save_series
 
 
@@ -908,6 +910,35 @@ class TestStreamPersistence:
             assert status == 200
         finally:
             app.close()
+
+    def test_unrestorable_miner_state_starts_clean(self, tmp_path):
+        # Checksum-valid, but the session's miner carries state from the
+        # retired "ring" strategy, which StreamingMiner refuses.
+        state_dir = tmp_path / "state"
+        app = build_app(stream_state_dir=str(state_dir))
+        try:
+            self.open_and_feed(app)
+            app.persist_streams()
+        finally:
+            app.close()
+        path = state_dir / "streams.json"
+        payload = read_snapshot(path, kind=STREAM_STATE_KIND)
+        payload["sessions"][0]["miner"]["strategy"]["name"] = "ring"
+        SnapshotWriter(state_dir).write(
+            "streams.json", kind=STREAM_STATE_KIND, payload=payload
+        )
+        fresh = build_app(stream_state_dir=str(state_dir))
+        try:
+            assert fresh.stream_state["rehydrated"] == 0
+            assert "unknown retirement strategy 'ring'" in (
+                fresh.stream_state["error"]
+            )
+            assert len(fresh.streams) == 0
+            status, stats = call(fresh, make_request("GET", "/stats"))
+            assert status == 200
+            assert stats["stream_state"]["error"] is not None
+        finally:
+            fresh.close()
 
     def test_without_state_dir_nothing_persists(self):
         app = build_app()
