@@ -46,7 +46,7 @@ from repro.core.multiperiod import (
 from repro.core.pattern import Pattern
 from repro.core.result import MiningResult, MiningStats
 from repro.core.serialize import load_result, save_result
-from repro.encoding import EncodedSeries, LetterVocabulary, SegmentEncoder
+from repro.encoding import LetterVocabulary, SegmentEncoder
 from repro.streaming import ArrivalBuffer, StreamingMiner, WindowResult, WindowSpec
 from repro.synth.generator import SyntheticSeries, SyntheticSpec, generate_series
 from repro.timeseries.feature_series import FeatureSeries, as_feature_series
@@ -57,7 +57,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ArrivalBuffer",
-    "EncodedSeries",
     "EncodingError",
     "FeatureSeries",
     "GeneratorError",

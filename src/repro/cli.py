@@ -520,6 +520,19 @@ def _run_mine(args: argparse.Namespace) -> int:
         if args.spill_mb < 0:
             print("--spill-mb must be >= 0", file=sys.stderr)
             return 2
+    if args.algorithm == "apriori":
+        for flag, given in (
+            ("--store-dir", args.store_dir is not None),
+            ("--period-range", args.period_range is not None),
+            ("--maximal", args.maximal),
+        ):
+            if given:
+                print(
+                    f"{flag} runs hitset mining only; it does not combine "
+                    "with --algorithm apriori",
+                    file=sys.stderr,
+                )
+                return 2
     wants_profile = args.profile or args.profile_json is not None
     if (args.cache_dir or wants_profile) and args.period is None:
         print(

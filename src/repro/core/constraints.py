@@ -13,7 +13,10 @@ push down cleanly into the hit-set pipeline:
   exact: required features, minimum letters.
 
 Pushing the anti-monotone constraints down shrinks ``C_max`` itself, so
-the two scans and the tree only ever touch the constrained search space.
+scan 2 and the tree only ever touch the constrained search space.  The
+scans and the derivation are :mod:`repro.core.hitset`'s pipeline, with
+the letter constraints as its F1 filter and ``max_letters`` as its
+derivation cap.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from typing import Any
 
 from repro.core.counting import check_min_conf
 from repro.core.errors import MiningError
-from repro.core.maxpattern import find_frequent_one_patterns
+from repro.core.hitset import _derive, _series_scans, _two_scans
 from repro.core.pattern import Letter, Pattern
-from repro.core.result import MiningResult, MiningStats
-from repro.tree.max_subpattern_tree import MaxSubpatternTree
+from repro.core.result import MiningResult
 from repro.timeseries.feature_series import FeatureSeries
 
 
@@ -125,61 +127,38 @@ def mine_with_constraints(
     output.  Counts are exact frequency counts in all cases.
     """
     check_min_conf(min_conf)
-    stats = MiningStats()
-    one_patterns = find_frequent_one_patterns(series, period, min_conf)
-    stats.scans = 1
-
     if constraints.offsets is not None:
         bad = [o for o in constraints.offsets if not 0 <= o < period]
         if bad:
             raise MiningError(
                 f"constraint offsets {bad} out of range for period {period}"
             )
-
-    admissible = {
-        letter: count
-        for letter, count in one_patterns.letters.items()
-        if constraints.admits_letter(letter)
-    }
-
-    def finish(counts: dict[Pattern, int]) -> MiningResult:
-        filtered = {
-            pattern: count
-            for pattern, count in counts.items()
-            if constraints.satisfied_by(pattern)
-        }
-        return MiningResult(
-            algorithm="constrained-hitset",
-            period=period,
-            min_conf=min_conf,
-            num_periods=one_patterns.num_periods,
-            counts=filtered,
-            stats=stats,
-        )
-
-    if not admissible:
-        return finish({})
-
-    # Derivation cap: letter count is anti-monotone, so it can bound the
-    # level-wise derivation directly.  L-length is checked exactly in the
-    # post-filter (letters at a shared offset keep L-length below the
-    # letter count, so capping depth at max_l_length would lose patterns).
-    max_letters = constraints.max_letters
-
-    cmax = Pattern.from_letters(period, admissible)
-    tree = MaxSubpatternTree(cmax)
-    tree.insert_all_segments(series)
-    stats.scans = 2
-    stats.tree_nodes = tree.node_count
-    stats.hit_set_size = tree.hit_set_size
-
-    letter_counts, candidate_counts = tree.derive_frequent(
-        one_patterns.threshold, admissible, max_letters=max_letters
+    one_patterns, tree, stats = _two_scans(
+        _series_scans(series, period),
+        min_conf,
+        admits=constraints.admits_letter,
     )
-    stats.candidate_counts = candidate_counts
-    return finish(
-        {
-            Pattern.from_letters(period, letters): count
-            for letters, count in letter_counts.items()
-        }
+    # Letter count is anti-monotone, so it caps the level-wise derivation
+    # directly.  L-length is checked exactly in the post-filter (letters
+    # at a shared offset keep L-length below the letter count, so capping
+    # depth at max_l_length would lose patterns).
+    derived = _derive(
+        "constrained-hitset",
+        min_conf,
+        one_patterns,
+        tree,
+        stats,
+        max_letters=constraints.max_letters,
+    )
+    return MiningResult(
+        algorithm=derived.algorithm,
+        period=period,
+        min_conf=min_conf,
+        num_periods=derived.num_periods,
+        counts={
+            pattern: count
+            for pattern, count in derived.items()
+            if constraints.satisfied_by(pattern)
+        },
+        stats=stats,
     )

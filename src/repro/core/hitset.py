@@ -8,6 +8,9 @@ max-pattern ``C_max``.  Scan 2 registers, for every period segment, its hit
 (the maximal subpattern of ``C_max`` true in the segment) in a
 max-subpattern tree.  The frequency count of every pattern is then derived
 from the tree alone (Algorithm 4.2) — no further passes over the data.
+The scans and the derivation here are the one pipeline of every hit-set
+miner: the maximal and constrained miners call them too, and Algorithm
+3.4 derives each period's result through the same derivation step.
 
 In-memory series mine on the batched kernels: scan 2 encodes into a
 contiguous :class:`~repro.kernels.store.SegmentStore` and the derivation
@@ -38,8 +41,8 @@ from repro.core.counting import (
     min_count,
 )
 from repro.core.errors import MiningError
-from repro.core.maxpattern import FrequentOnePatterns, find_frequent_one_patterns
-from repro.core.pattern import Pattern
+from repro.core.maxpattern import FrequentOnePatterns
+from repro.core.pattern import Letter, Pattern
 from repro.core.result import MiningResult, MiningStats
 from repro.encoding.vocabulary import LetterVocabulary, remap_mask
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
@@ -241,6 +244,7 @@ def _scan1(
     every letter, so their counts are cache-compatible.
     """
     profile = scans.profile
+    threshold = min_count(min_conf, scans.num_periods)
     letter_counts = None
     if cache is not None:
         from repro.kernels.cache import CacheKey
@@ -255,7 +259,6 @@ def _scan1(
         letter_counts = scans.letter_counts()
         if cache is not None:
             cache.put_letter_counts(cache_key, letter_counts)
-    threshold = min_count(min_conf, scans.num_periods)
     return FrequentOnePatterns(
         period=scans.period,
         num_periods=scans.num_periods,
@@ -305,6 +308,104 @@ def _scan2(
     return tree
 
 
+def _series_scans(
+    series: FeatureSeries,
+    period: int,
+    profile: "MiningProfile | None" = None,
+    store: "StoreOptions | None" = None,
+) -> _Scans:
+    """The scan source over ``series``: batched, or columnar with ``store``.
+
+    Raises :class:`~repro.core.errors.MiningError` when the series holds
+    no whole period of ``period``.
+    """
+    num_periods = series.num_periods(period)
+    if num_periods == 0:
+        raise MiningError(
+            f"series of length {len(series)} has no whole period of {period}"
+        )
+    if store is None:
+        return _SeriesScans(series, period, num_periods, profile)
+    options = store
+    return _StoreScans(
+        lambda: _interned_store(series, period, options, profile),
+        period,
+        num_periods,
+        profile,
+    )
+
+
+def _two_scans(
+    scans: _Scans,
+    min_conf: float,
+    cache: "CountCache | None" = None,
+    cache_key: object = None,
+    admits: Callable[[Letter], bool] | None = None,
+) -> tuple[FrequentOnePatterns, MaxSubpatternTree | None, MiningStats]:
+    """Scan 1 then scan 2 (Alg. 3.2): F1, the populated tree, the stats.
+
+    ``admits`` filters F1 between the scans, so ``C_max`` and the tree
+    hold only admitted letters (the constraint push-down of §6).  When
+    the filtered F1 is empty there is no ``C_max``: the tree is ``None``
+    and scan 2 never runs.  Every hit-set miner starts here; only
+    Algorithm 3.4, which shares its scans across periods, runs its own.
+    """
+    one_patterns = _scan1(scans, min_conf, cache, cache_key)
+    if admits is not None:
+        one_patterns.letters = {
+            letter: count
+            for letter, count in one_patterns.letters.items()
+            if admits(letter)
+        }
+    if one_patterns.is_empty:
+        return one_patterns, None, scans.stats
+    tree = _scan2(scans, one_patterns, cache, cache_key)
+    return one_patterns, tree, scans.stats
+
+
+def _derive(
+    algorithm: str,
+    min_conf: float,
+    one_patterns: FrequentOnePatterns,
+    tree: MaxSubpatternTree | None,
+    stats: MiningStats,
+    max_letters: int | None = None,
+    profile: "MiningProfile | None" = None,
+) -> MiningResult:
+    """The tree derivation (Alg. 4.2) and the assembled result.
+
+    A ``None`` tree (empty F1) yields the empty result; otherwise every
+    frequent pattern of at most ``max_letters`` letters is derived from
+    the tree alone, with no further scan.
+    """
+    period = one_patterns.period
+    patterns: dict[Pattern, int] = {}
+    if tree is not None:
+        stats.tree_nodes = tree.node_count
+        stats.hit_set_size = tree.hit_set_size
+        with _stage(profile, "derive"):
+            letter_counts, candidate_counts = tree.derive_frequent(
+                one_patterns.threshold,
+                one_patterns.letters,
+                max_letters=max_letters,
+            )
+        stats.candidate_counts = candidate_counts
+        if profile is not None:
+            profile.add_items("derive", sum(candidate_counts.values()))
+        patterns = {
+            Pattern.from_letters(period, letters): count
+            for letters, count in letter_counts.items()
+        }
+    return MiningResult(
+        algorithm=algorithm,
+        period=period,
+        min_conf=min_conf,
+        num_periods=one_patterns.num_periods,
+        counts=patterns,
+        stats=stats,
+    )
+
+
 def _mine(
     scans: _Scans,
     min_conf: float,
@@ -313,41 +414,9 @@ def _mine(
     cache_key: object = None,
 ) -> MiningResult:
     """Both scans from ``scans``, then the tree derivation (Alg. 3.2)."""
-    period, num_periods = scans.period, scans.num_periods
-    profile, stats = scans.profile, scans.stats
-    one_patterns = _scan1(scans, min_conf, cache, cache_key)
-    if one_patterns.is_empty:
-        return MiningResult(
-            algorithm="hitset",
-            period=period,
-            min_conf=min_conf,
-            num_periods=num_periods,
-            counts={},
-            stats=stats,
-        )
-    tree = _scan2(scans, one_patterns, cache, cache_key)
-    stats.tree_nodes = tree.node_count
-    stats.hit_set_size = tree.hit_set_size
-    with _stage(profile, "derive"):
-        letter_counts, candidate_counts = tree.derive_frequent(
-            one_patterns.threshold,
-            one_patterns.letters,
-            max_letters=max_letters,
-        )
-    stats.candidate_counts = candidate_counts
-    if profile is not None:
-        profile.add_items("derive", sum(candidate_counts.values()))
-    patterns = {
-        Pattern.from_letters(period, letters): count
-        for letters, count in letter_counts.items()
-    }
-    return MiningResult(
-        algorithm="hitset",
-        period=period,
-        min_conf=min_conf,
-        num_periods=num_periods,
-        counts=patterns,
-        stats=stats,
+    one_patterns, tree, stats = _two_scans(scans, min_conf, cache, cache_key)
+    return _derive(
+        "hitset", min_conf, one_patterns, tree, stats, max_letters, scans.profile
     )
 
 
@@ -399,22 +468,7 @@ def mine_single_period_hitset(
         invariant), obtained with at most two scans — fewer on cache hits.
     """
     _check_max_letters(max_letters)
-    num_periods = series.num_periods(period)
-    if num_periods == 0:
-        raise MiningError(
-            f"series of length {len(series)} has no whole period of {period}"
-        )
-    scans: _Scans
-    if store is None:
-        scans = _SeriesScans(series, period, num_periods, profile)
-    else:
-        options = store
-        scans = _StoreScans(
-            lambda: _interned_store(series, period, options, profile),
-            period,
-            num_periods,
-            profile,
-        )
+    scans = _series_scans(series, period, profile, store)
     cache_key = cache.key_for(series, period) if cache is not None else None
     return _mine(scans, min_conf, max_letters, cache, cache_key)
 
@@ -426,15 +480,17 @@ def build_hit_tree(
 ) -> tuple[MaxSubpatternTree, FrequentOnePatterns]:
     """Run only the two scans and return the populated tree plus F1.
 
-    Useful when the caller wants to perform a custom derivation — e.g. the
-    MaxMiner-style maximal-pattern search in :mod:`repro.core.maximal`.
-    Returns ``(tree, one_patterns)``; raises via
-    :func:`~repro.core.maxpattern.find_frequent_one_patterns` on an invalid
-    period and :class:`~repro.core.errors.MiningError` when F1 is empty.
+    For callers that run their own derivation over the tree (the space
+    and kernel benchmarks).  Returns ``(tree, one_patterns)``; raises
+    :class:`~repro.core.errors.MiningError` on a period with no whole
+    segment and when F1 is empty.
     """
-    one_patterns = find_frequent_one_patterns(series, period, min_conf)
-    scans = _SeriesScans(series, period, one_patterns.num_periods, None)
-    tree = _scan2(scans, one_patterns, None, None)
+    one_patterns, tree, _ = _two_scans(_series_scans(series, period), min_conf)
+    if tree is None:
+        raise MiningError(
+            f"no frequent 1-patterns at period {period}; "
+            "there is no candidate max-pattern"
+        )
     return tree, one_patterns
 
 

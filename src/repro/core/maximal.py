@@ -18,11 +18,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from repro.core.counting import check_min_conf
-from repro.core.errors import MiningError
-from repro.core.hitset import build_hit_tree
+from repro.core.hitset import _series_scans, _two_scans
+from repro.core.maxpattern import FrequentOnePatterns
 from repro.core.pattern import Pattern
-from repro.core.result import MiningResult, MiningStats
+from repro.core.result import MiningResult
 from repro.timeseries.feature_series import FeatureSeries
+from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
 
 def maximal_patterns(counts: Mapping[Pattern, int]) -> dict[Pattern, int]:
@@ -52,7 +53,8 @@ def mine_maximal_hitset(
     Runs the two scans of Algorithm 3.2 to populate the max-subpattern
     tree, then performs a MaxMiner-style set-enumeration search over the F1
     letters where every count lookup is answered from the tree.  The
-    search runs on bitmasks over the tree's vocabulary.
+    search runs on bitmasks over the tree's vocabulary.  An empty F1 stops
+    after scan 1 with an empty result.
 
     Returns
     -------
@@ -61,23 +63,27 @@ def mine_maximal_hitset(
         the maximal frequent patterns.
     """
     check_min_conf(min_conf)
-    try:
-        tree, one_patterns = build_hit_tree(series, period, min_conf)
-    except MiningError:
-        # Empty F1: re-run the cheap scan to recover num_periods for the
-        # empty result.  (build_hit_tree raised before scanning twice.)
-        from repro.core.maxpattern import find_frequent_one_patterns
+    one_patterns, tree, stats = _two_scans(_series_scans(series, period), min_conf)
+    counts: dict[Pattern, int] = {}
+    if tree is not None:
+        counts, lookups = _search_maximal(tree, one_patterns)
+        stats.tree_nodes = tree.node_count
+        stats.hit_set_size = tree.hit_set_size
+        stats.candidate_counts = {0: lookups}
+    return MiningResult(
+        algorithm="maximal-hitset",
+        period=period,
+        min_conf=min_conf,
+        num_periods=one_patterns.num_periods,
+        counts=counts,
+        stats=stats,
+    )
 
-        one_patterns = find_frequent_one_patterns(series, period, min_conf)
-        return MiningResult(
-            algorithm="maximal-hitset",
-            period=period,
-            min_conf=min_conf,
-            num_periods=one_patterns.num_periods,
-            counts={},
-            stats=MiningStats(scans=1),
-        )
 
+def _search_maximal(
+    tree: MaxSubpatternTree, one_patterns: FrequentOnePatterns
+) -> tuple[dict[Pattern, int], int]:
+    """MaxMiner's search over the F1 letters: the maximal set and lookups."""
     threshold = one_patterns.threshold
     f1_counts = one_patterns.letters
     vocab = tree.vocab
@@ -141,17 +147,4 @@ def mine_maximal_hitset(
             for mask, count in found.items()
         }
     )
-    stats = MiningStats(
-        scans=2,
-        tree_nodes=tree.node_count,
-        hit_set_size=tree.hit_set_size,
-        candidate_counts={0: lookups},
-    )
-    return MiningResult(
-        algorithm="maximal-hitset",
-        period=period,
-        min_conf=min_conf,
-        num_periods=one_patterns.num_periods,
-        counts=counts,
-        stats=stats,
-    )
+    return counts, lookups

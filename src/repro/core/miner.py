@@ -18,9 +18,9 @@ from repro.core.hitset import mine_single_period_hitset
 from repro.core.maximal import mine_maximal_hitset
 from repro.core.multiperiod import (
     MultiPeriodResult,
-    mine_period_range,
     mine_periods_looping,
     mine_periods_shared,
+    period_range,
 )
 from repro.core.result import MiningResult
 from repro.timeseries.feature_series import FeatureSeries, as_feature_series
@@ -91,9 +91,11 @@ class PartialPeriodicMiner:
         ``store`` (a :class:`repro.kernels.StoreOptions`) interns the
         series into a segment store, mined on the columnar kernels, that
         spills to an mmap'd on-disk file past its threshold so the mine
-        runs in bounded memory (``--store-dir``).  ``cache`` memoizes
-        scan results across queries and ``profile`` collects per-stage
-        timings — both hit-set only; the Apriori path ignores them.
+        runs in bounded memory (``--store-dir``); it is hit-set only,
+        and passing it with ``"apriori"`` raises :class:`MiningError`.
+        ``cache`` memoizes scan results across queries and ``profile``
+        collects per-stage timings — both hit-set only; the Apriori path
+        ignores them.
 
         Mining always runs in this process.  ``workers`` is accepted for
         callers written against the removed sharded engine: it must be
@@ -105,6 +107,10 @@ class PartialPeriodicMiner:
         algorithm = self.algorithm if algorithm is None else algorithm
         if workers is not None and workers < 1:
             raise MiningError(f"workers must be >= 1, got {workers}")
+        if algorithm == "apriori" and store is not None:
+            raise MiningError(
+                "store options apply to hitset mining only, not 'apriori'"
+            )
         if algorithm == "hitset":
             return mine_single_period_hitset(
                 self.series,
@@ -153,14 +159,10 @@ class PartialPeriodicMiner:
     ) -> MultiPeriodResult:
         """All frequent patterns for every period in ``[low, high]``.
 
-        ``shared=True`` uses Algorithm 3.4 (two scans total);
-        ``shared=False`` loops Algorithm 3.2 per period (Algorithm 3.3).
+        Runs :meth:`mine_periods` over ``low..high``.
         """
-        min_conf = self.min_conf if min_conf is None else min_conf
-        return mine_period_range(
-            self.series,
-            low,
-            high,
+        return self.mine_periods(
+            period_range(low, high),
             min_conf,
             shared=shared,
             min_repetitions=min_repetitions,
@@ -173,7 +175,12 @@ class PartialPeriodicMiner:
         shared: bool = True,
         min_repetitions: int = 1,
     ) -> MultiPeriodResult:
-        """All frequent patterns for an explicit collection of periods."""
+        """All frequent patterns for an explicit collection of periods.
+
+        ``shared=True`` uses Algorithm 3.4 (two scans total);
+        ``shared=False`` loops the miner's single-period algorithm per
+        period (Algorithm 3.3).
+        """
         min_conf = self.min_conf if min_conf is None else min_conf
         if shared:
             return mine_periods_shared(

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import check_min_conf, frequent_letter_set, min_count
 from repro.core.errors import MiningError
-from repro.core.hitset import mine_single_period_hitset
-from repro.core.pattern import Letter, Pattern
+from repro.core.hitset import _derive, mine_single_period_hitset
+from repro.core.maxpattern import FrequentOnePatterns
+from repro.core.pattern import Pattern
 from repro.core.result import MiningResult, MiningStats
 from repro.encoding.codec import SegmentEncoder
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
@@ -198,18 +199,21 @@ def mine_periods_shared(
             for feature in slot:
                 counter[(offset, feature)] += 1
 
-    thresholds = {
-        period: min_count(min_conf, length // period) for period in usable
-    }
-    f1_sets: dict[int, dict[Letter, int]] = {
-        period: frequent_letter_set(letter_counts[period], thresholds[period])
-        for period in usable
-    }
-    trees: dict[int, MaxSubpatternTree] = {}
+    f1_sets: dict[int, FrequentOnePatterns] = {}
     for period in usable:
-        if f1_sets[period]:
-            cmax = Pattern.from_letters(period, f1_sets[period])
-            trees[period] = MaxSubpatternTree(cmax)
+        num_periods = length // period
+        threshold = min_count(min_conf, num_periods)
+        f1_sets[period] = FrequentOnePatterns(
+            period=period,
+            num_periods=num_periods,
+            threshold=threshold,
+            letters=frequent_letter_set(letter_counts[period], threshold),
+        )
+    trees = {
+        period: MaxSubpatternTree(one_patterns.max_pattern)
+        for period, one_patterns in f1_sets.items()
+        if not one_patterns.is_empty
+    }
 
     # ----- Scan 2: every period's hits in one pass ----------------------
     _shared_scan2(series, trees, usable_limit)
@@ -217,36 +221,12 @@ def mine_periods_shared(
     # ----- Derivation (in memory, no scans) ------------------------------
     outcome = MultiPeriodResult(algorithm="shared", min_conf=min_conf, scans=2)
     for period in usable:
-        stats = MiningStats(scans=2)
-        num_periods = length // period
-        if period not in trees:
-            outcome.results[period] = MiningResult(
-                algorithm="shared",
-                period=period,
-                min_conf=min_conf,
-                num_periods=num_periods,
-                counts={},
-                stats=stats,
-            )
-            continue
-        tree = trees[period]
-        stats.tree_nodes = tree.node_count
-        stats.hit_set_size = tree.hit_set_size
-        counts, candidate_counts = tree.derive_frequent(
-            thresholds[period], f1_sets[period]
-        )
-        stats.candidate_counts = candidate_counts
-        patterns = {
-            Pattern.from_letters(period, letters): count
-            for letters, count in counts.items()
-        }
-        outcome.results[period] = MiningResult(
-            algorithm="shared",
-            period=period,
-            min_conf=min_conf,
-            num_periods=num_periods,
-            counts=patterns,
-            stats=stats,
+        outcome.results[period] = _derive(
+            "shared",
+            min_conf,
+            f1_sets[period],
+            trees.get(period),
+            MiningStats(scans=2),
         )
     return outcome
 

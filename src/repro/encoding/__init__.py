@@ -2,8 +2,9 @@
 
 The representation spine of the mining stack: a
 :class:`LetterVocabulary` interns ``(offset, feature)`` letters to dense
-int ids, and the codec (:class:`SegmentEncoder` / :class:`EncodedSeries`)
-turns each period segment into one int bitmask over that vocabulary.  All
+int ids, and the codec (:class:`SegmentEncoder`) turns each period
+segment into one int bitmask over that vocabulary; the one container of a
+whole encoded series is :class:`repro.kernels.store.SegmentStore`.  All
 hot paths — the F1 scan, hit computation (Algorithm 4.1), the
 max-subpattern tree index, apriori-gen, and the columnar store kernels —
 operate on these masks; letters and :class:`~repro.core.pattern.Pattern`
@@ -11,16 +12,16 @@ objects appear only at the API boundary (see ``docs/encoding.md``).
 
 Quickstart
 ----------
->>> from repro.encoding import EncodedSeries
+>>> from repro.encoding import SegmentEncoder, vocabulary_of_series
 >>> from repro.timeseries.feature_series import FeatureSeries
->>> encoded = EncodedSeries.from_series(FeatureSeries.from_symbols("abdabcabd"), 3)
->>> [f"{mask:04b}" for mask in encoded]
+>>> series = FeatureSeries.from_symbols("abdabcabd")
+>>> encoder = SegmentEncoder(vocabulary_of_series(series, 3))
+>>> [f"{encoder.encode_segment(segment):04b}" for segment in series.segments(3)]
 ['1011', '0111', '1011']
 """
 
 from repro.encoding.codec import (
     EncodedSegment,
-    EncodedSeries,
     SegmentEncoder,
     iter_segment_letters,
     vocabulary_of_series,
@@ -33,7 +34,6 @@ from repro.encoding.vocabulary import (
 
 __all__ = [
     "EncodedSegment",
-    "EncodedSeries",
     "LetterVocabulary",
     "SegmentEncoder",
     "VocabularyLike",

@@ -8,13 +8,12 @@ letters (:func:`iter_segment_letters`) or directly as one int bitmask
 
 :class:`SegmentEncoder` precomputes one ``feature -> bit`` dict per offset,
 so encoding a segment costs one dict lookup per feature occurrence — no
-tuple construction, no tuple hashing.  :class:`EncodedSeries` is a whole
-series pre-encoded for one period: a vocabulary plus one mask per segment.
+tuple construction, no tuple hashing.  A whole series encoded for one
+period is a :class:`repro.kernels.store.SegmentStore`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.core.errors import EncodingError
@@ -63,6 +62,14 @@ class SegmentEncoder:
         in ``range(period)``.
     period:
         The segment length; defaults to ``vocab.period``.
+
+    Examples
+    --------
+    >>> series = FeatureSeries.from_symbols("abdabcabd")
+    >>> vocab = LetterVocabulary.from_letters([(0, "a"), (1, "b")], period=3)
+    >>> encoder = SegmentEncoder(vocab)
+    >>> [encoder.encode_segment(segment) for segment in series.segments(3)]
+    [3, 3, 3]
     """
 
     __slots__ = ("_vocab", "_period", "_tables")
@@ -127,109 +134,8 @@ class SegmentEncoder:
                     mask |= bit
         return mask
 
-    def encode_series(self, series: FeatureSeries) -> list[EncodedSegment]:
-        """Every whole segment of a series as masks, in segment order.
-
-        Consumes ``series.segments(period)`` once — one *scan* in the
-        paper's cost accounting.
-        """
-        encode = self.encode_segment
-        return [encode(segment) for segment in series.segments(self._period)]
-
     def __repr__(self) -> str:
         return (
             f"SegmentEncoder(period={self._period}, "
             f"letters={len(self._vocab)})"
-        )
-
-
-class EncodedSeries:
-    """A period-segmented series, pre-encoded: one bitmask per segment.
-
-    Examples
-    --------
-    >>> series = FeatureSeries.from_symbols("abdabcabd")
-    >>> encoded = EncodedSeries.from_series(series, 3)
-    >>> len(encoded), len(encoded.vocab)
-    (3, 4)
-    >>> encoded.count_mask(encoded.vocab.encode_letters([(0, "a"), (1, "b")]))
-    3
-    """
-
-    __slots__ = ("_vocab", "_period", "_masks")
-
-    def __init__(
-        self,
-        vocab: LetterVocabulary,
-        period: int,
-        masks: Iterable[EncodedSegment],
-    ):
-        self._vocab = vocab
-        self._period = period
-        self._masks: tuple[EncodedSegment, ...] = tuple(masks)
-
-    @classmethod
-    def from_series(
-        cls,
-        series: FeatureSeries,
-        period: int,
-        vocab: LetterVocabulary | None = None,
-    ) -> "EncodedSeries":
-        """Encode a series for one period.
-
-        Without an explicit vocabulary the full sorted letter vocabulary of
-        the series is built first (one extra scan); with one, encoding is a
-        single scan and out-of-vocabulary letters are dropped.
-        """
-        if vocab is None:
-            vocab = vocabulary_of_series(series, period)
-        encoder = SegmentEncoder(vocab, period)
-        return cls(vocab, period, encoder.encode_series(series))
-
-    @property
-    def vocab(self) -> LetterVocabulary:
-        """The vocabulary fixing the bit order of every mask."""
-        return self._vocab
-
-    @property
-    def period(self) -> int:
-        """The period the series was segmented by."""
-        return self._period
-
-    @property
-    def masks(self) -> tuple[EncodedSegment, ...]:
-        """One mask per whole segment, in segment order."""
-        return self._masks
-
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    def __iter__(self) -> Iterator[EncodedSegment]:
-        return iter(self._masks)
-
-    def __getitem__(self, index: int) -> EncodedSegment:
-        return self._masks[index]
-
-    def count_mask(self, mask: EncodedSegment) -> int:
-        """Frequency count of one letter-set mask (subset test per segment)."""
-        return sum(1 for segment in self._masks if not mask & ~segment)
-
-    def hit_counter(self, min_letters: int = 2) -> Counter:
-        """Multiset of distinct segment masks with >= ``min_letters`` bits.
-
-        This is the complete scan-2 state of Algorithm 3.2 when the
-        vocabulary is the sorted ``C_max`` letters: feed it to
-        :meth:`~repro.tree.max_subpattern_tree.MaxSubpatternTree.insert_mask`
-        once per *distinct* hit.
-        """
-        hits: Counter = Counter()
-        for mask in self._masks:
-            if mask.bit_count() >= min_letters:
-                hits[mask] += 1
-        return hits
-
-    def __repr__(self) -> str:
-        return (
-            f"EncodedSeries(segments={len(self._masks)}, "
-            f"period={self._period}, letters={len(self._vocab)})"
         )

@@ -14,13 +14,9 @@ Derivation of a feature series from raw inputs lives in the sibling modules
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING, Union, cast, overload
+from typing import Union, cast, overload
 
 from repro.core.errors import SeriesError
-
-if TYPE_CHECKING:
-    from repro.encoding.codec import EncodedSeries
-    from repro.encoding.vocabulary import LetterVocabulary
 
 #: Anything acceptable as one slot of a series.
 SlotLike = Union[str, None, Iterable[str]]
@@ -263,24 +259,6 @@ class FeatureSeries:
         for index in range(count):
             start = index * period
             yield self._slots[start : start + period]
-
-    def encoded(
-        self, period: int, vocab: "LetterVocabulary | None" = None
-    ) -> "EncodedSeries":
-        """This series pre-encoded for one period: one bitmask per segment.
-
-        Convenience front door to
-        :class:`repro.encoding.codec.EncodedSeries` (local import — the
-        encoding package depends on this module).  Without ``vocab`` the
-        full sorted letter vocabulary of the series is built first.
-
-        >>> FeatureSeries.from_symbols("abdabcabd").encoded(3)
-        EncodedSeries(segments=3, period=3, letters=4)
-        """
-        from repro.encoding.codec import EncodedSeries
-
-        self._check_period(period)
-        return EncodedSeries.from_series(self, period, vocab=vocab)
 
     def iter_slots(self) -> Iterator[frozenset[str]]:
         """Iterate raw slots in order — one full consumption is one scan.

@@ -343,13 +343,18 @@ class MaxSubpatternTree:
         )
 
     def insert_all_segments(self, series: FeatureSeries) -> int:
-        """Scan 2 of Algorithm 3.2: register the hit of every segment.
+        """Scan 2 of Algorithm 3.2, standalone: register every segment's hit.
 
         Encodes each segment into a bitmask
         (:class:`~repro.encoding.codec.SegmentEncoder` projects onto the
         ``C_max`` letters as a side effect), collapses identical hits in a
         counter, and inserts once per *distinct* hit — on periodic data
         distinct hits are far fewer than segments.
+
+        No miner calls this: production scan 2 runs in
+        :mod:`repro.core.hitset`.  It stays as the scan 2 of the test
+        suite's per-candidate reference miner and as the comparator the
+        benchmarks time production against.
 
         Returns the number of segments whose hit was stored.
         """

@@ -4,8 +4,9 @@ The production miner counts on the batched kernels (in-memory series) or
 the columnar kernels (store inputs).  The references below share none of
 that counting code: each one re-reads the paper's algorithm literally, so
 the suites can hold production output letter-identical to more than the
-brute-force oracle in :mod:`repro.core.counting`.  :func:`wide_series`
-builds the other side of the 64-letter store column.
+brute-force oracle in :mod:`repro.core.counting`.  :func:`packed_series`
+and :func:`wide_series` build the two sides of the 64-letter store
+column.
 :func:`per_line_load` is the series-file format read one line at a time,
 the reference for the validate-once loader in :mod:`repro.timeseries.io`.
 """
@@ -81,6 +82,19 @@ def letter_set_apriori(
                 next_level.add(candidate)
         level = next_level
     return {Pattern.from_letters(period, ls): c for ls, c in counts.items()}
+
+
+def packed_series(seed: int, length: int = 60, features: int = 4) -> FeatureSeries:
+    """A small random series with empty and multi-feature slots.
+
+    Its vocabulary stays far below the 64-letter store column at the
+    periods the suites mine (``features * period`` letters at most).
+    """
+    rng = random.Random(seed)
+    alphabet = [f"f{i}" for i in range(features)]
+    return FeatureSeries(
+        [{f for f in alphabet if rng.random() < 0.35} for _ in range(length)]
+    )
 
 
 def wide_series(seed: int, length: int = 120) -> FeatureSeries:

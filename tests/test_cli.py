@@ -95,6 +95,30 @@ class TestMine:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "flag, extra",
+        [
+            ("--store-dir", ["--period", "7"]),
+            ("--period-range", []),
+            ("--maximal", ["--period", "7"]),
+        ],
+    )
+    def test_apriori_rejects_hitset_only_flags(
+        self, series_file, tmp_path, capsys, flag, extra
+    ):
+        store = tmp_path / "store"
+        value = {"--store-dir": [str(store)], "--period-range": ["5", "9"]}
+        code = main(
+            [
+                "mine", str(series_file), "--algorithm", "apriori",
+                *extra, flag, *value.get(flag, []),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "--algorithm apriori" in err
+        assert not store.exists()
+
     def test_missing_file_is_clean_error(self, tmp_path, capsys):
         code = main(["mine", str(tmp_path / "nope.txt"), "--period", "7"])
         assert code == 1

@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.constraints import MiningConstraints, mine_with_constraints
+from repro.core.counting import brute_force_frequent
 from repro.core.errors import MiningError
+from repro.encoding.codec import vocabulary_of_series
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.pattern import Pattern
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.scan import ScanCountingSeries
+from tests.reference import packed_series, wide_series
 
 
 @pytest.fixture
@@ -145,11 +148,46 @@ class TestConstrainedMining:
         assert scan.scans == 1
 
     def test_offset_out_of_range_rejected(self, series):
-        with pytest.raises(MiningError):
+        scan = ScanCountingSeries(series)
+        with pytest.raises(MiningError, match="out of range"):
             mine_with_constraints(
-                series, 4, 0.5, MiningConstraints(offsets=frozenset({4}))
+                scan, 4, 0.5, MiningConstraints(offsets=frozenset({4}))
             )
+        assert scan.scans == 0
 
     def test_bad_conf_rejected(self, series):
         with pytest.raises(MiningError):
             mine_with_constraints(series, 4, 0.0, MiningConstraints())
+
+
+class TestConstrainedEquivalence:
+    """Push-down mining equals brute force followed by the full filter."""
+
+    @pytest.mark.parametrize("shape", ["packed", "wide"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_brute_force_then_filter(self, shape, seed):
+        series = packed_series(seed) if shape == "packed" else wide_series(seed)
+        period = 3
+        wide = len(vocabulary_of_series(series, period)) > 64
+        assert wide == (shape == "wide")
+        first = sorted(series.alphabet)[0]
+        cases = [
+            MiningConstraints(),
+            MiningConstraints(
+                offsets=frozenset({0, 2}),
+                forbidden_features=frozenset({first}),
+            ),
+            MiningConstraints(max_letters=2),
+        ]
+        for min_conf in (0.2, 0.5):
+            oracle = brute_force_frequent(series, period, min_conf)
+            for constraints in cases:
+                expected = {
+                    pattern: count
+                    for pattern, count in oracle.items()
+                    if constraints.satisfied_by(pattern)
+                }
+                result = mine_with_constraints(
+                    series, period, min_conf, constraints
+                )
+                assert dict(result.items()) == expected, (min_conf, constraints)

@@ -17,7 +17,6 @@ from repro.core.counting import count_pattern, segment_letters
 from repro.core.errors import EncodingError, PatternError
 from repro.core.pattern import Pattern
 from repro.encoding import (
-    EncodedSeries,
     LetterVocabulary,
     SegmentEncoder,
     iter_segment_letters,
@@ -144,20 +143,18 @@ class TestSegmentCodec:
             SegmentEncoder(LetterVocabulary([C]), period=2)
 
     def test_encoded_series_counts_match_definition(self):
-        encoded = self.SERIES.encoded(3)
-        assert len(encoded) == 3
+        store = SegmentStore.from_series(self.SERIES, 3)
+        assert len(store) == 3
         for letters in ([A], [A, B], [B, D], [A, B, C]):
             pattern = Pattern.from_letters(3, letters)
-            mask = encoded.vocab.encode_letters(letters)
-            assert encoded.count_mask(mask) == count_pattern(
-                self.SERIES, pattern
-            )
+            mask = store.vocab.encode_letters(letters)
+            assert store.count_mask(mask) == count_pattern(self.SERIES, pattern)
 
     def test_hit_counter_collapses_identical_segments(self):
-        encoded = EncodedSeries.from_series(self.SERIES, 3)
-        hits = encoded.hit_counter()
+        store = SegmentStore.from_series(self.SERIES, 3)
+        hits = store.hit_counter()
         assert sum(hits.values()) == 3
-        abd = encoded.vocab.encode_letters([A, B, D])
+        abd = store.vocab.encode_letters([A, B, D])
         assert hits[abd] == 2
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.apriori import mine_single_period_apriori
+from repro.core.counting import brute_force_frequent
 from repro.core.maximal import maximal_patterns, mine_maximal_hitset
 from repro.core.pattern import Pattern
 from repro.timeseries.feature_series import FeatureSeries
+from repro.encoding.codec import vocabulary_of_series
 from repro.timeseries.scan import ScanCountingSeries
+from tests.reference import packed_series, wide_series
 
 
 class TestMaximalFilter:
@@ -91,3 +96,21 @@ class TestHybridMiner:
 
         for pattern, count in hybrid.items():
             assert count == count_pattern(paper_series, pattern)
+
+
+class TestHybridEquivalence:
+    """The hybrid equals the maximal filter over the full frequent set."""
+
+    @pytest.mark.parametrize("shape", ["packed", "wide"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_maximal_of_brute_force(self, shape, seed):
+        series = packed_series(seed) if shape == "packed" else wide_series(seed)
+        for period in (3, 4):
+            wide = len(vocabulary_of_series(series, period)) > 64
+            assert wide == (shape == "wide")
+            for min_conf in (0.2, 0.5, 0.9):
+                expected = maximal_patterns(
+                    brute_force_frequent(series, period, min_conf)
+                )
+                result = mine_maximal_hitset(series, period, min_conf)
+                assert dict(result.items()) == expected, (period, min_conf)

@@ -53,6 +53,18 @@ class TestMine:
         with pytest.raises(MiningError):
             miner.mine(3, algorithm="nope")
 
+    def test_apriori_rejects_store_options(self, paper_series, tmp_path):
+        from repro.kernels.store import StoreOptions
+
+        miner = PartialPeriodicMiner(paper_series, algorithm="apriori")
+        with pytest.raises(MiningError, match="apriori"):
+            miner.mine(3, store=StoreOptions(str(tmp_path), spill_bytes=0))
+        with pytest.raises(MiningError, match="apriori"):
+            PartialPeriodicMiner(paper_series).mine(
+                3, algorithm="apriori", store=StoreOptions(str(tmp_path))
+            )
+        assert not list(tmp_path.iterdir())
+
     def test_mine_maximal(self, paper_series):
         miner = PartialPeriodicMiner(paper_series, min_conf=0.5)
         maximal = miner.mine_maximal(3)
@@ -75,6 +87,15 @@ class TestRanges:
         looping = miner.mine_periods([3, 6], shared=False)
         for period in (3, 6):
             assert dict(shared[period].items()) == dict(looping[period].items())
+
+    def test_mine_range_honours_algorithm_when_looping(self, paper_series):
+        miner = PartialPeriodicMiner(paper_series, min_conf=0.5, algorithm="apriori")
+        ranged = miner.mine_range(3, 4, shared=False)
+        explicit = miner.mine_periods([3, 4], shared=False)
+        assert ranged.algorithm == explicit.algorithm == "looping[apriori]"
+        for period in (3, 4):
+            assert ranged[period].algorithm == "apriori"
+            assert dict(ranged[period].items()) == dict(explicit[period].items())
 
     def test_suggest_periods_finds_planted(self, synthetic_small):
         miner = PartialPeriodicMiner(

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core.constraints import MiningConstraints, mine_with_constraints
+from repro.core.hitset import mine_single_period_hitset
+from repro.core.maximal import mine_maximal_hitset
+from repro.core.multiperiod import mine_periods_looping, mine_periods_shared
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.scan import ScanCountingSeries
 
@@ -72,3 +78,33 @@ class TestAccounting:
     def test_segments_content_matches_wrapped(self):
         scan = make_scan()
         assert list(scan.segments(3)) == list(scan.series.segments(3))
+
+
+MINERS = {
+    "hitset": lambda scan, conf: mine_single_period_hitset(scan, 3, conf).stats.scans,
+    "maximal": lambda scan, conf: mine_maximal_hitset(scan, 3, conf).stats.scans,
+    "constrained": lambda scan, conf: mine_with_constraints(
+        scan, 3, conf, MiningConstraints()
+    ).stats.scans,
+    "shared": lambda scan, conf: mine_periods_shared(scan, [3], conf).scans,
+    "looping": lambda scan, conf: mine_periods_looping(scan, [3], conf).scans,
+}
+
+
+class TestBookedScans:
+    """Every miner books exactly the passes it makes over the series."""
+
+    @pytest.mark.parametrize("miner", sorted(MINERS))
+    @pytest.mark.parametrize(
+        "symbols, min_conf",
+        [("abcdefghij" * 3, 0.99), ("abdabcabdabc", 0.5)],
+        ids=["empty-f1", "paper"],
+    )
+    def test_booked_scans_equal_actual(self, miner, symbols, min_conf):
+        scan = ScanCountingSeries(FeatureSeries.from_symbols(symbols))
+        booked = MINERS[miner](scan, min_conf)
+        assert booked == scan.scans
+        # An empty F1 ends a single-period miner after scan 1; Algorithm
+        # 3.4 makes its two passes whatever each period's F1 holds.
+        empty_f1 = symbols.startswith("abcdefghij")
+        assert booked == (1 if empty_f1 and miner != "shared" else 2)
