@@ -44,16 +44,8 @@ from repro.kernels.store import SegmentStore, StoreOptions
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.scan import ScanCountingSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
+from tests.reference import packed_series as random_series
 from tests.reference import per_candidate_mine, wide_series
-
-
-def random_series(seed: int, length: int = 60, features: int = 4) -> FeatureSeries:
-    """A small random series with empty and multi-feature slots."""
-    rng = random.Random(seed)
-    alphabet = [f"f{i}" for i in range(features)]
-    return FeatureSeries(
-        [{f for f in alphabet if rng.random() < 0.35} for _ in range(length)]
-    )
 
 
 def random_hits(
