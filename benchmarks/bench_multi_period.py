@@ -4,11 +4,13 @@ Section 3.2 + Section 5.2 bullet 2: "When there are a range of periods to
 consider, max-subpattern hit-set can find all frequent patterns in two
 scans but Apriori will require many more scans" — and even looping the
 two-scan single-period miner costs ``2k`` scans for ``k`` periods, versus
-the constant 2 of shared mining.
+at most 2 for shared mining (1 when no period has a frequent 1-pattern,
+because then there is no tree for scan 2 to feed).
 
 The summary test regenerates the scans/time table over growing period
-ranges and asserts the shape: shared stays at 2 scans with roughly flat
-scan cost, looping's scans grow linearly with the range width.
+ranges and asserts the shape: shared stays at two scans or fewer with
+roughly flat scan cost, looping's scans grow linearly with the range
+width.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def test_shared_range_runtime(benchmark, low, high):
     outcome = benchmark(
         mine_periods_shared, series, period_range(low, high), FIGURE2_MIN_CONF
     )
-    assert outcome.scans == 2
+    assert outcome.scans == (2 if outcome.total_frequent else 1)
 
 
 def test_multi_period_table(report):
@@ -65,7 +67,10 @@ def test_multi_period_table(report):
                 looping[period].items()
             ), period
 
-        shared_scan_counts.append(shared_scans)
+        assert shared_scans == shared.scans
+        shared_scan_counts.append(
+            (shared_scans, 2 if shared.total_frequent else 1)
+        )
         looping_scan_counts.append(looping_scans)
         rows.append(
             (
@@ -90,8 +95,9 @@ def test_multi_period_table(report):
         rows,
     )
 
-    # Shared mining: constant two scans, independent of the range width.
-    assert all(count == 2 for count in shared_scan_counts)
+    # Shared mining: two scans whatever the range width, one when every
+    # period's F1 is empty.
+    assert all(count == expected for count, expected in shared_scan_counts)
     # Looping: scans grow with the range width (1-2 per period mined).
     assert looping_scan_counts[0] < looping_scan_counts[-1]
     assert looping_scan_counts[-1] >= len(period_range(*RANGES[-1]))

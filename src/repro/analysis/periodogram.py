@@ -21,7 +21,7 @@ contributes nothing at any period.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -54,9 +54,15 @@ def score_periods(
 ) -> list[PeriodScore]:
     """Score each candidate period in one slot-level scan.
 
-    Periods that do not repeat at least ``min_repetitions`` times are
-    skipped.  Results are sorted by descending score.
+    The scan is Algorithm 3.4's scan 1
+    (:func:`repro.kernels.slots.intern_slots`): every period's letter
+    counts and the feature base rates come from the one occurrence array,
+    and each score is an exactly rounded sum (``math.fsum``).  Periods
+    that do not repeat at least ``min_repetitions`` times are skipped.
+    Results are sorted by descending score.
     """
+    from repro.kernels import slots as _slots
+
     check_min_conf(min_conf)
     unique = sorted(set(periods))
     if not unique:
@@ -73,44 +79,28 @@ def score_periods(
             f"in a series of length {length}"
         )
 
-    usable_limit = {period: (length // period) * period for period in usable}
-    counters: dict[int, Counter] = {period: Counter() for period in usable}
-    base_counts: Counter = Counter()
-    for index, slot in enumerate(series.iter_slots()):
-        if not slot:
-            continue
-        for feature in slot:
-            base_counts[feature] += 1
-        for period in usable:
-            if index >= usable_limit[period]:
-                continue
-            offset = index % period
-            counter = counters[period]
-            for feature in slot:
-                counter[(offset, feature)] += 1
-
-    base_rate = {
-        feature: count / length for feature, count in base_counts.items()
-    }
+    table, occurrences = _slots.intern_slots(series.iter_slots())
+    base_rate = occurrences.feature_totals() / length
+    width = len(table.features)
     scores = []
     for period in usable:
         num_periods = length // period
         threshold = min_count(min_conf, num_periods)
-        score = 0.0
-        best = 0.0
-        frequent = 0
-        for (offset, feature), count in counters[period].items():
-            conf = count / num_periods
-            best = max(best, conf)
-            if count >= threshold:
-                frequent += 1
-                score += max(0.0, conf - base_rate[feature])
+        letter_ids, counts = _slots.letter_totals(
+            occurrences, period, num_periods
+        )
+        best = int(counts.max()) / num_periods if len(counts) else 0.0
+        frequent = counts >= threshold
+        excess = (
+            counts[frequent] / num_periods
+            - base_rate[letter_ids[frequent] % width]
+        ).clip(min=0.0)
         scores.append(
             PeriodScore(
                 period=period,
-                frequent_letters=frequent,
+                frequent_letters=int(frequent.sum()),
                 best_confidence=best,
-                score=score / period,
+                score=math.fsum(excess.tolist()) / period,
             )
         )
     scores.sort(key=lambda item: (-item.score, item.period))

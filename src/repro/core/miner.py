@@ -177,12 +177,19 @@ class PartialPeriodicMiner:
     ) -> MultiPeriodResult:
         """All frequent patterns for an explicit collection of periods.
 
-        ``shared=True`` uses Algorithm 3.4 (two scans total);
-        ``shared=False`` loops the miner's single-period algorithm per
-        period (Algorithm 3.3).
+        ``shared=True`` uses Algorithm 3.4 (at most two scans total),
+        which is hit-set mining: a miner built with ``"apriori"`` raises
+        :class:`MiningError` there.  ``shared=False`` loops the miner's
+        single-period algorithm per period (Algorithm 3.3).
         """
         min_conf = self.min_conf if min_conf is None else min_conf
         if shared:
+            if self.algorithm == "apriori":
+                raise MiningError(
+                    "shared multi-period mining (Algorithm 3.4) runs hitset "
+                    "mining only; pass shared=False to loop 'apriori' per "
+                    "period"
+                )
             return mine_periods_shared(
                 self.series,
                 periods,

@@ -10,7 +10,10 @@ definition, with no shared code beyond the series itself — and must
 equal the encoded Apriori miner (Algorithm 3.1), which still answers
 when the frequent-1 set is too large to enumerate.  Vocabularies wider
 than 64 letters have no store column: there the store path must refuse
-with a :class:`~repro.core.errors.MiningError`.
+with a :class:`~repro.core.errors.MiningError`.  Shared multi-period
+mining (Algorithm 3.4, on the interned slot kernels) runs over the
+case's period and the next one, and each period must equal the
+single-period miner and the oracle.
 
 A second, kernel-level stage compares the store primitives directly
 (``distinct_counts`` / ``letter_counts`` / ``hit_counter`` /
@@ -29,7 +32,8 @@ easy cases.
 The fuzzer's own alarm is tested by :func:`mutation_check`: it injects
 known bugs into the kernels production calls (a dropped distinct row,
 an off-by-one letter count, a corrupted candidate count, a lying hit
-counter) and demands the fuzzer report a divergence for every one.  A
+counter, an off-by-one letter count in the shared multi-period kernel)
+and demands the fuzzer report a divergence for every one.  A
 clean run proves little if the alarm cannot ring.
 
 CLI: ``ppm fuzz`` (see :func:`repro.cli.main`); CI runs a short-budget
@@ -48,6 +52,7 @@ from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import min_count
 from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset
+from repro.core.multiperiod import mine_periods_shared
 from repro.core.pattern import Letter
 from repro.core.result import MiningResult
 from repro.timeseries.feature_series import FeatureSeries
@@ -332,6 +337,7 @@ def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
             )
         )
 
+    _check_shared(case, series, min_conf, mined, oracle, divergences)
     wide = _check_store_path(case, series, min_conf, mined, divergences)
     signature_bits = (
         (0, 0) if wide else _check_primitives(case, series, divergences)
@@ -344,6 +350,52 @@ def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
         signature_bits,
     )
     return divergences, signature
+
+
+def _check_shared(
+    case: FuzzCase,
+    series: FeatureSeries,
+    min_conf: float,
+    mined: dict[frozenset[Letter], int],
+    oracle: dict[frozenset[Letter], int] | None,
+    divergences: list[Divergence],
+) -> None:
+    """Algorithm 3.4 over ``[p, p + 1]`` against per-period mining.
+
+    The confidence is raised, as for the case itself, until the
+    frequent-1 cap also holds at ``p + 1``; each period's shared result
+    must then equal the single-period hit-set miner and, where it can
+    enumerate, the brute-force oracle.
+    """
+    period = case.period
+    periods = [period, period + 1] if period < len(series) else [period]
+    conf = _effective_conf(series, periods[-1], min_conf)
+    shared = mine_periods_shared(series, periods, conf)
+    for current in periods:
+        got = _result_map(shared[current])
+        if current == period and conf == min_conf:
+            expected, exact = mined, oracle
+        else:
+            expected = _result_map(
+                mine_single_period_hitset(series, current, conf)
+            )
+            exact = brute_force_patterns(series, current, conf)
+        if got != expected:
+            divergences.append(
+                Divergence(
+                    case,
+                    stage=f"mine:shared[{current}]",
+                    detail=_diff_maps(got, expected),
+                )
+            )
+        if exact is not None and got != exact:
+            divergences.append(
+                Divergence(
+                    case,
+                    stage=f"mine:shared[{current}]:brute-force-oracle",
+                    detail=_diff_maps(got, exact),
+                )
+            )
 
 
 def _check_store_path(
@@ -525,10 +577,11 @@ def fuzz(budget: int, seed: int = 0) -> FuzzReport:
 
 def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
     """Named bugs to inject: (owner, attribute) -> corrupted wrapper."""
-    from repro.kernels import columnar
+    from repro.kernels import columnar, slots
     from repro.kernels.batched import SubmaskCountTable
 
     original_distinct = columnar.distinct_counts
+    original_totals = slots.letter_totals
     original_letters = columnar.letter_bit_totals
     original_counts = SubmaskCountTable.counts
     original_hits = columnar.hit_counter
@@ -562,6 +615,14 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
             break
         return counts
 
+    def off_by_one_shared_letter(
+        occurrences: Any, period: int, num_periods: int
+    ) -> Any:
+        letter_ids, counts = original_totals(occurrences, period, num_periods)
+        counts = counts.copy()
+        counts[:1] += 1
+        return letter_ids, counts
+
     return {
         "dropped-distinct-row": (
             columnar, "distinct_counts", dropped_distinct_row
@@ -573,6 +634,9 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
             SubmaskCountTable, "counts", corrupted_candidate
         ),
         "lying-hit-counter": (columnar, "hit_counter", lying_hits),
+        "off-by-one-shared-letter-count": (
+            slots, "letter_totals", off_by_one_shared_letter
+        ),
     }
 
 

@@ -14,7 +14,7 @@ period is a :class:`repro.kernels.store.SegmentStore`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.core.errors import EncodingError
 from repro.core.pattern import Letter
@@ -116,22 +116,6 @@ class SegmentEncoder:
                         bit = table.get(feature)
                         if bit:
                             mask |= bit
-        return mask
-
-    def encode_slot(self, offset: int, slot: Iterable[str]) -> int:
-        """The bits contributed by one slot at one offset.
-
-        Slot-level entry point for the shared multi-period miner
-        (Algorithm 3.4), which interleaves many periods in a single pass
-        and accumulates each period's segment mask with ``|=``.
-        """
-        mask = 0
-        table = self._tables[offset]
-        if table:
-            for feature in slot:
-                bit = table.get(feature)
-                if bit:
-                    mask |= bit
         return mask
 
     def __repr__(self) -> str:

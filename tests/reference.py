@@ -9,15 +9,21 @@ and :func:`wide_series` build the two sides of the 64-letter store
 column.
 :func:`per_line_load` is the series-file format read one line at a time,
 the reference for the validate-once loader in :mod:`repro.timeseries.io`.
+:func:`score_periods_loop` is period discovery's slot pass as a per-slot,
+per-period, per-feature ``Counter`` loop, the reference for the interned
+slot kernel behind :func:`repro.analysis.periodogram.score_periods`.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from collections.abc import Iterable
 from pathlib import Path
 
+from repro.analysis.periodogram import PeriodScore
 from repro.core.candidates import generate_candidate_masks, generate_candidates
-from repro.core.counting import segment_letters
+from repro.core.counting import min_count, segment_letters
 from repro.core.errors import SeriesError
 from repro.core.maxpattern import find_frequent_one_patterns
 from repro.core.pattern import Letter, Pattern
@@ -156,3 +162,62 @@ def per_line_load(
             excerpt = text if len(text) <= 60 else text[:57] + "..."
             quarantined.append((number, reason, repr(excerpt)))
     return slots, quarantined
+
+
+def score_periods_loop(
+    series: FeatureSeries,
+    periods: Iterable[int],
+    min_conf: float = 0.5,
+    min_repetitions: int = 2,
+) -> list[PeriodScore]:
+    """Period scores from one slot loop bumping a ``Counter`` per period.
+
+    Same scoring as :func:`repro.analysis.periodogram.score_periods`
+    (input validation aside), summed left to right in the order letters
+    were first seen rather than exactly rounded.
+    """
+    length = len(series)
+    usable = [
+        period
+        for period in sorted(set(periods))
+        if 1 <= period <= length and length // period >= min_repetitions
+    ]
+    usable_limit = {period: (length // period) * period for period in usable}
+    counters: dict[int, Counter] = {period: Counter() for period in usable}
+    base_counts: Counter = Counter()
+    for index, slot in enumerate(series.iter_slots()):
+        if not slot:
+            continue
+        for feature in slot:
+            base_counts[feature] += 1
+        for period in usable:
+            if index >= usable_limit[period]:
+                continue
+            offset = index % period
+            counter = counters[period]
+            for feature in slot:
+                counter[(offset, feature)] += 1
+    base_rate = {feature: count / length for feature, count in base_counts.items()}
+    scores = []
+    for period in usable:
+        num_periods = length // period
+        threshold = min_count(min_conf, num_periods)
+        score = 0.0
+        best = 0.0
+        frequent = 0
+        for (offset, feature), count in counters[period].items():
+            conf = count / num_periods
+            best = max(best, conf)
+            if count >= threshold:
+                frequent += 1
+                score += max(0.0, conf - base_rate[feature])
+        scores.append(
+            PeriodScore(
+                period=period,
+                frequent_letters=frequent,
+                best_confidence=best,
+                score=score / period,
+            )
+        )
+    scores.sort(key=lambda item: (-item.score, item.period))
+    return scores

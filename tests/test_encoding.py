@@ -127,15 +127,6 @@ class TestSegmentCodec:
             expected = vocab.encode_letters(iter_segment_letters(segment))
             assert encoder.encode_segment(segment) == expected
 
-    def test_encode_slot_accumulates_to_segment_mask(self):
-        vocab = vocabulary_of_series(self.SERIES, 3)
-        encoder = SegmentEncoder(vocab)
-        for segment in self.SERIES.segments(3):
-            mask = 0
-            for offset, slot in enumerate(segment):
-                mask |= encoder.encode_slot(offset, slot)
-            assert mask == encoder.encode_segment(segment)
-
     def test_encoder_requires_period(self):
         with pytest.raises(EncodingError):
             SegmentEncoder(LetterVocabulary([A]))

@@ -97,8 +97,21 @@ class TestOracle:
 class TestMutationCheck:
     def test_all_injected_bugs_caught(self):
         caught = mutation_check(budget=30, seed=4)
-        assert len(caught) == 4
+        assert len(caught) == 5
         assert all(caught.values()), caught
+
+    def test_shared_kernel_bug_caught_by_shared_stage(self):
+        owner, attribute, corrupted = fuzz_mod._mutation_targets()[
+            "off-by-one-shared-letter-count"
+        ]
+        pristine = getattr(owner, attribute)
+        setattr(owner, attribute, corrupted)
+        try:
+            report = fuzz(25, seed=6)
+        finally:
+            setattr(owner, attribute, pristine)
+        assert not report.ok
+        assert all(d.stage.startswith("mine:shared[") for d in report.divergences)
 
     def test_mutations_are_restored_after_check(self):
         before = {

@@ -97,6 +97,15 @@ class TestRanges:
             assert ranged[period].algorithm == "apriori"
             assert dict(ranged[period].items()) == dict(explicit[period].items())
 
+    def test_shared_range_refuses_apriori(self, paper_series):
+        # Algorithm 3.4 is hit-set mining; an Apriori miner must not run
+        # it silently under its own name.
+        miner = PartialPeriodicMiner(paper_series, min_conf=0.5, algorithm="apriori")
+        with pytest.raises(MiningError, match="shared=False"):
+            miner.mine_range(3, 4)
+        with pytest.raises(MiningError, match="shared=False"):
+            miner.mine_periods([3, 4], shared=True)
+
     def test_suggest_periods_finds_planted(self, synthetic_small):
         miner = PartialPeriodicMiner(
             synthetic_small.series,

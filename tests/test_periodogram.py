@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import periodogram
 from repro.analysis.periodogram import score_periods, suggest_periods
 from repro.core.errors import MiningError
 from repro.synth.workloads import unexpected_period_series
 from repro.timeseries.feature_series import FeatureSeries
+from repro.timeseries.scan import ScanCountingSeries
+from tests.reference import packed_series, score_periods_loop, wide_series
 
 
 class TestScoring:
@@ -84,3 +87,49 @@ class TestHarmonicReplacement:
         for multiple in (24, 36, 48):
             if multiple in suggested:
                 assert suggested.index(12) < suggested.index(multiple)
+
+
+#: The series, ranges and thresholds the tests above score.
+FIXTURES = [
+    (unexpected_period_series(period=11, repetitions=150, seed=2), range(5, 25), 0.6),
+    (unexpected_period_series(period=11, repetitions=100, seed=2), range(5, 20), 0.6),
+    (unexpected_period_series(period=11, repetitions=200, seed=4), range(5, 36), 0.6),
+    (unexpected_period_series(period=7, repetitions=100, seed=1), range(2, 21), 0.5),
+    (unexpected_period_series(period=12, repetitions=300, seed=6), range(2, 51), 0.6),
+    (FeatureSeries([{"always"}] * 60), range(2, 10), 0.5),
+    (FeatureSeries([{"always"}] * 40), range(2, 9), 0.5),
+    (FeatureSeries.from_symbols("abcabc"), [2, 3, 5], 0.5),
+    (packed_series(3, length=90), range(1, 30), 0.25),
+    (wide_series(5), range(2, 40), 0.3),
+]
+FIXTURE_IDS = [f"fixture{index}" for index in range(len(FIXTURES))]
+
+
+class TestKernelMatchesLoop:
+    """The interned slot kernel scores exactly as the per-slot loop did."""
+
+    @pytest.mark.parametrize("series, periods, min_conf", FIXTURES, ids=FIXTURE_IDS)
+    def test_scores_match_reference(self, series, periods, min_conf):
+        fast = {s.period: s for s in score_periods(series, periods, min_conf)}
+        slow = {s.period: s for s in score_periods_loop(series, periods, min_conf)}
+        assert fast.keys() == slow.keys()
+        for period, expected in slow.items():
+            got = fast[period]
+            assert got.frequent_letters == expected.frequent_letters, period
+            assert got.best_confidence == expected.best_confidence, period
+            assert got.score == pytest.approx(expected.score, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("series, periods, min_conf", FIXTURES, ids=FIXTURE_IDS)
+    def test_suggestion_ranking_identical(self, monkeypatch, series, periods, min_conf):
+        low, high = min(periods), max(periods)
+        fast = suggest_periods(series, low, high, min_conf=min_conf, limit=4)
+        monkeypatch.setattr(periodogram, "score_periods", score_periods_loop)
+        slow = suggest_periods(series, low, high, min_conf=min_conf, limit=4)
+        assert [s.period for s in fast] == [s.period for s in slow]
+
+    def test_one_scan(self):
+        scan = ScanCountingSeries(
+            unexpected_period_series(period=11, repetitions=50, seed=2)
+        )
+        score_periods(scan, range(5, 25), min_conf=0.6)
+        assert scan.scans == 1

@@ -104,7 +104,7 @@ class TestBookedScans:
         scan = ScanCountingSeries(FeatureSeries.from_symbols(symbols))
         booked = MINERS[miner](scan, min_conf)
         assert booked == scan.scans
-        # An empty F1 ends a single-period miner after scan 1; Algorithm
-        # 3.4 makes its two passes whatever each period's F1 holds.
+        # An empty F1 ends every miner after scan 1, Algorithm 3.4
+        # included: with no period's F1 non-empty it has no tree to feed.
         empty_f1 = symbols.startswith("abcdefghij")
-        assert booked == (1 if empty_f1 and miner != "shared" else 2)
+        assert booked == (1 if empty_f1 else 2)
