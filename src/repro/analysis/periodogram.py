@@ -54,8 +54,8 @@ def score_periods(
 ) -> list[PeriodScore]:
     """Score each candidate period in one slot-level scan.
 
-    The scan is Algorithm 3.4's scan 1
-    (:func:`repro.kernels.slots.intern_slots`): every period's letter
+    The scan is Algorithm 3.4's scan 1 over the series' slot column
+    (:func:`repro.kernels.slots.letter_totals`): every period's letter
     counts and the feature base rates come from the one occurrence array,
     and each score is an exactly rounded sum (``math.fsum``).  Periods
     that do not repeat at least ``min_repetitions`` times are skipped.
@@ -79,7 +79,9 @@ def score_periods(
             f"in a series of length {length}"
         )
 
-    table, occurrences = _slots.intern_slots(series.iter_slots())
+    column = series.slot_column()
+    table = column.table
+    occurrences = column.occurrences()
     base_rate = occurrences.feature_totals() / length
     width = len(table.features)
     scores = []

@@ -426,11 +426,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Coverage-guided differential fuzzing: randomized series are "
             "mined in memory and through a spilled segment store and "
-            "checked against a brute-force oracle and Apriori, and the "
-            "store primitives are cross-checked against naive "
-            "recomputation; any divergence "
-            "is a bug.  --self-check injects known kernel bugs and fails "
-            "unless the fuzzer catches every one."
+            "checked against a brute-force oracle and Apriori, the slot "
+            "column's scans are cross-checked against the frozenset path "
+            "and the store primitives against naive recomputation; any "
+            "divergence is a bug.  --self-check injects known kernel bugs "
+            "and fails unless the fuzzer catches every one."
         ),
     )
     fuzz.add_argument(
@@ -446,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--self-check",
         action="store_true",
         help=(
-            "mutation-test the fuzzer itself: inject known columnar bugs "
+            "mutation-test the fuzzer itself: inject known kernel bugs "
             "and require a divergence for each"
         ),
     )

@@ -11,18 +11,18 @@ Two strategies from the paper:
   **at most two scans total**, independent of how many periods are mined
   (one when no period has a frequent 1-pattern).
 
-Both passes run on the interned slot kernels of
-:mod:`repro.kernels.slots`.  Scan 1 interns every distinct slot once,
-keeps its feature ids in CSR form and expands the series into one
-``(position, feature)`` occurrence array; each period's letter counts are
-then one sorted count (``np.unique``) of ``(i % p, feature)``.  Scan 2
-re-reads the slots through the scan-1 intern table and, per period, ORs
-each segment's ``C_max`` bits into ``ceil(|C_max| / 64)`` ``uint64`` words,
-so wide ``C_max`` needs no separate path; ``np.unique`` collapses the
-segments to their distinct hits, and each distinct hit enters the tree
-once with its count.  Python code runs once per distinct slot and per
-period, never per slot occurrence: the per-slot work is a C-level
-dictionary lookup and numpy array ops.
+Both passes read the series' interned slot column
+(:meth:`~repro.timeseries.feature_series.FeatureSeries.slot_column`) with
+the kernels of :mod:`repro.kernels.slots`, exactly as single-period
+mining does.  Scan 1 expands the column into one ``(position, feature)``
+occurrence array; each period's letter counts are then one sorted count
+(``np.unique``) of ``(i % p, feature)``.  Scan 2 reads the column again
+and, per period, ORs each segment's ``C_max`` bits into
+``ceil(|C_max| / 64)`` ``uint64`` words, so wide ``C_max`` needs no
+separate path; ``np.unique`` collapses the segments to their distinct
+hits, and each distinct hit enters the tree once with its count.  Python
+code runs once per distinct slot and per period, never per slot
+occurrence.
 
 Note the paper's Section 3.2 counterexample: frequent patterns of period
 ``p`` are *not* necessarily frequent at period ``k*p``, so no cross-period
@@ -182,12 +182,12 @@ def mine_periods_shared(
 ) -> MultiPeriodResult:
     """Algorithm 3.4: shared mining of all periods in at most two scans.
 
-    Scan 1 reads the slots once and interns them
-    (:func:`repro.kernels.slots.intern_slots`); every period's letter
-    counts then come from that one occurrence array.  When no period has
-    a frequent 1-pattern the run stops there, after one scan.  Otherwise
-    scan 2 reads the slots once more through the scan-1 intern table and
-    collects every period's distinct hits
+    Scan 1 reads the series' slot column once; every period's letter
+    counts then come from that one occurrence array
+    (:func:`repro.kernels.slots.letter_totals`).  When no period has a
+    frequent 1-pattern the run stops there, after one scan.  Otherwise
+    scan 2 reads the column once more and collects every period's
+    distinct hits
     (:func:`repro.kernels.slots.segment_hits`), one tree insertion per
     distinct hit.  Derivation then happens entirely in memory.
     """
@@ -198,7 +198,9 @@ def mine_periods_shared(
     length = len(series)
 
     # ----- Scan 1: F1 of every period from one pass ---------------------
-    table, occurrences = _slots.intern_slots(series.iter_slots())
+    column = series.slot_column()
+    table = column.table
+    occurrences = column.occurrences()
     f1_sets: dict[int, FrequentOnePatterns] = {}
     for period in usable:
         num_periods = length // period
@@ -221,9 +223,9 @@ def mine_periods_shared(
     scans = 1
 
     # ----- Scan 2: every period's hits from one more pass ---------------
-    del occurrences  # scan 2 re-reads the series rather than keep it
+    del occurrences  # scan 2 reads the column again rather than keep this
     if trees:
-        occurrences = table.expand(table.slot_ids(series.iter_slots()))
+        occurrences = series.slot_column().occurrences()
         scans = 2
         for period, tree in trees.items():
             hits = _slots.segment_hits(

@@ -1,8 +1,8 @@
 """Coverage-guided differential fuzzer for the counting paths.
 
-In-memory series mine on the batched kernels and store inputs on the
-columnar kernels; the only acceptable difference between them is speed.
-This module hammers that claim: randomized feature series are mined in
+In-memory series mine on their interned slot column and store inputs on
+the columnar kernels; the only acceptable difference between them is
+speed.  This module hammers that claim: randomized feature series are mined in
 memory and through a spilled segment store, and the resulting
 ``{letters: count}`` maps must equal a brute-force oracle that
 enumerates every subset of the frequent-1 letters and counts it by
@@ -11,15 +11,18 @@ equal the encoded Apriori miner (Algorithm 3.1), which still answers
 when the frequent-1 set is too large to enumerate.  Vocabularies wider
 than 64 letters have no store column: there the store path must refuse
 with a :class:`~repro.core.errors.MiningError`.  Shared multi-period
-mining (Algorithm 3.4, on the interned slot kernels) runs over the
-case's period and the next one, and each period must equal the
-single-period miner and the oracle.
+mining (Algorithm 3.4) runs over the case's period and the next one,
+and each period must equal the single-period miner and the oracle.
 
-A second, kernel-level stage compares the store primitives directly
-(``distinct_counts`` / ``letter_counts`` / ``hit_counter`` /
-``count_masks``) against naive pure-Python recomputations, so a bug
-that happens to cancel out in the end-to-end result is still caught at
-the primitive it lives in.
+Two kernel-level stages compare the scan primitives directly.  One holds
+the slot column's scan-1 letter counts and scan-2 hits (over every
+letter of the series, so wide vocabularies take several words per
+segment) equal to the frozenset path: per-segment letter counting and a
+:class:`~repro.kernels.store.SegmentStore` hit counter.  The other
+compares the store primitives (``distinct_counts`` / ``letter_counts``
+/ ``hit_counter`` / ``count_masks``) against naive pure-Python
+recomputations, so a bug that happens to cancel out in the end-to-end
+result is still caught at the primitive it lives in.
 
 Coverage guidance is structural, not line-based: every executed case is
 reduced to a small signature (period, vocabulary width, frequent-set
@@ -32,9 +35,10 @@ easy cases.
 The fuzzer's own alarm is tested by :func:`mutation_check`: it injects
 known bugs into the kernels production calls (a dropped distinct row,
 an off-by-one letter count, a corrupted candidate count, a lying hit
-counter, an off-by-one letter count in the shared multi-period kernel)
-and demands the fuzzer report a divergence for every one.  A
-clean run proves little if the alarm cannot ring.
+counter, an off-by-one letter count in the slot-column kernel, an
+off-by-one slot position in the slot-column expansion) and demands the
+fuzzer report a divergence for every one.  A clean run proves little if
+the alarm cannot ring.
 
 CLI: ``ppm fuzz`` (see :func:`repro.cli.main`); CI runs a short-budget
 smoke plus the mutation check.
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.core.apriori import mine_single_period_apriori
-from repro.core.counting import min_count
+from repro.core.counting import letter_counts_for_segments, min_count
 from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.multiperiod import mine_periods_shared
@@ -338,6 +342,7 @@ def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
         )
 
     _check_shared(case, series, min_conf, mined, oracle, divergences)
+    _check_column(case, series, divergences)
     wide = _check_store_path(case, series, min_conf, mined, divergences)
     signature_bits = (
         (0, 0) if wide else _check_primitives(case, series, divergences)
@@ -396,6 +401,55 @@ def _check_shared(
                     detail=_diff_maps(got, exact),
                 )
             )
+
+
+def _check_column(
+    case: FuzzCase, series: FeatureSeries, divergences: list[Divergence]
+) -> None:
+    """The slot column's two scans against the frozenset path.
+
+    Scan 1's letter counts must equal per-segment counting over the
+    frozensets, and scan 2's hits over the series' full vocabulary must
+    equal a :class:`~repro.kernels.store.SegmentStore` encoded from the
+    frozensets onto the same vocabulary.
+    """
+    from repro.encoding.codec import vocabulary_of_series
+    from repro.kernels import slots
+    from repro.kernels.store import SegmentStore
+
+    period = case.period
+    num_periods = series.num_periods(period)
+    if not num_periods:
+        return
+    column = series.slot_column()
+    letter_ids, counts = slots.letter_totals(
+        column.occurrences(), period, num_periods
+    )
+    expected = letter_counts_for_segments(series.segments(period))
+    if column.table.letters_of(letter_ids, counts) != dict(expected):
+        divergences.append(
+            Divergence(case, stage="column:scan1", detail="letter counts differ")
+        )
+    vocab = vocabulary_of_series(series, period)
+    if not len(vocab):
+        return
+    hits = dict(
+        slots.segment_hits(
+            column.occurrences(),
+            period,
+            num_periods,
+            column.table.letter_ids(vocab.letters),
+        )
+    )
+    store_hits = SegmentStore.from_series(series, period, vocab).hit_counter()
+    if hits != dict(store_hits):
+        divergences.append(
+            Divergence(
+                case,
+                stage="column:scan2",
+                detail=f"{len(hits)} distinct hits vs {len(store_hits)}",
+            )
+        )
 
 
 def _check_store_path(
@@ -579,12 +633,14 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
     """Named bugs to inject: (owner, attribute) -> corrupted wrapper."""
     from repro.kernels import columnar, slots
     from repro.kernels.batched import SubmaskCountTable
+    from repro.kernels.slots import SlotTable
 
     original_distinct = columnar.distinct_counts
     original_totals = slots.letter_totals
     original_letters = columnar.letter_bit_totals
     original_counts = SubmaskCountTable.counts
     original_hits = columnar.hit_counter
+    original_expand = SlotTable.expand
 
     def dropped_distinct_row(column: Any) -> Counter:
         counts = Counter(original_distinct(column))
@@ -615,13 +671,17 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
             break
         return counts
 
-    def off_by_one_shared_letter(
+    def off_by_one_column_letter(
         occurrences: Any, period: int, num_periods: int
     ) -> Any:
         letter_ids, counts = original_totals(occurrences, period, num_periods)
         counts = counts.copy()
         counts[:1] += 1
         return letter_ids, counts
+
+    def off_by_one_expand(table: SlotTable, slot_ids: Any) -> Any:
+        occurrences = original_expand(table, slot_ids)
+        return replace(occurrences, positions=occurrences.positions + 1)
 
     return {
         "dropped-distinct-row": (
@@ -634,9 +694,10 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
             SubmaskCountTable, "counts", corrupted_candidate
         ),
         "lying-hit-counter": (columnar, "hit_counter", lying_hits),
-        "off-by-one-shared-letter-count": (
-            slots, "letter_totals", off_by_one_shared_letter
+        "off-by-one-column-letter-count": (
+            slots, "letter_totals", off_by_one_column_letter
         ),
+        "off-by-one-column-position": (SlotTable, "expand", off_by_one_expand),
     }
 
 

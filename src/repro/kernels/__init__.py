@@ -1,4 +1,4 @@
-"""Batched and columnar counting kernels plus the cross-query count cache.
+"""Slot-column, batched and columnar kernels plus the cross-query count cache.
 
 The performance layer under every miner:
 
@@ -14,15 +14,18 @@ The performance layer under every miner:
   verification — persistable to disk (:meth:`SegmentStore.to_file` /
   :meth:`SegmentStore.from_file`) and spillable during the encode pass
   (:class:`StoreOptions`), so out-of-core series mine over ``np.memmap``;
+* :mod:`~repro.kernels.slots` — both scans of every in-memory mine, as
+  numpy ops over a series' interned slot column (distinct slots with CSR
+  feature ids plus one slot id per slot);
 * :mod:`~repro.kernels.cache` — :class:`CountCache`, memoized scan results
   keyed by (series fingerprint, period, letter-order hash) so re-mining at
   a different ``min_conf`` never rescans the data;
 * :mod:`~repro.kernels.profile` — :class:`MiningProfile`, the per-stage
   wall-time/cache-counter ledger behind ``ppm mine --profile``.
 
-In-memory series mine on the batched kernels and store inputs on the
-columnar ones; there is no kernel switch.  Every kernel is exact: the
-randomized sweeps in ``tests/test_kernels.py`` / ``tests/test_columnar.py``
+In-memory series scan on their slot column and store inputs on the
+columnar kernels; both derive on the batched ones, and there is no
+kernel switch.  Every kernel is exact: the randomized sweeps in ``tests/test_kernels.py`` / ``tests/test_columnar.py``
 hold both paths equal to the brute-force counter in
 :mod:`repro.core.counting`, and the differential fuzzer
 (:mod:`repro.devtools.fuzz`, ``ppm fuzz``) hammers the same invariant

@@ -1,16 +1,17 @@
-"""Interned slot-occurrence kernels — the slot passes of Algorithm 3.4.
+"""Interned slot-column kernels — the two scans of every in-memory mine.
 
-Shared multi-period mining (Algorithm 3.4) and period discovery read the
-series slot by slot, once for every period at the same time.  Counting
-those passes in Python costs one interpreter round-trip per slot, period
-and feature.  This module instead interns the series once and answers
-every period with bulk numpy ops over one occurrence array:
+A :class:`~repro.timeseries.feature_series.FeatureSeries` keeps one
+interned slot column (:class:`SlotColumn`): a :class:`SlotTable` of its
+distinct slots, each with its feature ids in CSR form, plus one
+``int32`` slot id per slot.  :func:`repro.timeseries.io.load_series`
+builds it while parsing; any other series builds it once, on its first
+mine (:func:`intern_slots`).  Every in-memory scan then runs as bulk
+numpy ops over one occurrence array instead of one interpreter
+round-trip per slot, period and feature:
 
-* :func:`intern_slots` reads the slots once.  Every distinct slot gets a
-  dense id and every distinct feature a dense feature id, and the distinct
-  slots keep their feature ids in CSR form (:class:`SlotTable`).  The
-  expansion is the :class:`Occurrences` array: one ``(position, feature)``
-  row per feature occurrence, in slot order.
+* :meth:`SlotColumn.occurrences` is one read of the column: one
+  ``(position, feature)`` row per feature occurrence, in slot order
+  (:class:`Occurrences`).
 * :func:`letter_totals` is scan 1 for one period: letter id
   ``(position % p) * F + feature`` for every occurrence inside the ``m``
   whole segments, counted by sorting (``np.unique``), so the cost and
@@ -21,22 +22,24 @@ every period with bulk numpy ops over one occurrence array:
   ``np.unique`` collapses the rest to the distinct hits with their counts.
   A ``C_max`` wider than 64 letters just takes more words per row.
 
-Scan 2 re-reads the slots through :meth:`SlotTable.slot_ids`, mapping
-each slot through the scan-1 intern table.  Memory is ``O(N +
-occurrences)`` for the arrays plus one period's segment rows at a time;
-no distinct-slots x features matrix is ever built, because on noisy data
-there are about as many distinct slots as slots.
+The single-period miners (Algorithm 3.2 and its maximal and constrained
+forms) call these for one period, shared multi-period mining
+(Algorithm 3.4) and period discovery for many periods over the same
+read.  Memory is ``O(N + occurrences)`` for the arrays plus one period's
+segment rows at a time; no distinct-slots x features matrix is ever
+built, because on noisy data there are about as many distinct slots as
+slots.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.errors import MiningError
 from repro.core.pattern import Letter
+
 
 @dataclass(frozen=True, slots=True)
 class Occurrences:
@@ -69,48 +72,35 @@ class Occurrences:
 
 
 class SlotTable:
-    """Scan 1's intern table: dense ids for distinct slots and features.
+    """Distinct slots with dense ids, and dense ids for their features.
 
-    ``features[i]`` is the feature of feature id ``i``, in first-seen
-    order.  Distinct slot ``d`` holds the feature ids
-    ``feature_ids[indptr[d]:indptr[d + 1]]``.
+    ``slots[d]`` is distinct slot ``d`` and ``features[i]`` the feature of
+    feature id ``i``, in first-seen order.  Distinct slot ``d`` holds the
+    feature ids ``feature_ids[indptr[d]:indptr[d + 1]]``.
     """
 
     __slots__ = (
-        "_ids", "features", "_feature_index", "_indptr", "_sizes", "_feature_ids"
+        "slots", "features", "_feature_index", "_indptr", "_sizes", "_feature_ids"
     )
 
     def __init__(self, distinct: Iterable[frozenset[str]]) -> None:
-        self._ids: dict[frozenset[str], int] = {}
-        self._feature_index: dict[str, int] = {}
-        sizes = [0]
-        flat: list[int] = []
-        feature_index = self._feature_index
-        for slot in distinct:
-            self._ids[slot] = len(self._ids)
-            sizes.append(len(slot))
-            flat.extend(
-                feature_index.setdefault(feature, len(feature_index))
-                for feature in slot
-            )
-        self.features: list[str] = list(feature_index)
-        self._indptr = np.cumsum(sizes, dtype=np.int64)
-        self._sizes = np.diff(self._indptr).astype(np.int32)
-        self._feature_ids = np.array(flat, dtype=np.int32)
+        """Intern ``distinct``: the ``d``-th slot given gets slot id ``d``."""
+        self.slots: list[frozenset[str]] = list(distinct)
+        names = [feature for slot in self.slots for feature in slot]
+        self._feature_index: dict[str, int] = {
+            feature: index for index, feature in enumerate(dict.fromkeys(names))
+        }
+        self.features: list[str] = list(self._feature_index)
+        self._sizes = np.fromiter(map(len, self.slots), np.int32, len(self.slots))
+        self._indptr = np.zeros(len(self.slots) + 1, np.int64)
+        np.cumsum(self._sizes, out=self._indptr[1:])
+        self._feature_ids = np.fromiter(
+            map(self._feature_index.__getitem__, names), np.int32, len(names)
+        )
 
-    def slot_ids(self, slots: Iterable[frozenset[str]]) -> np.ndarray:
-        """Read ``slots`` once: each slot's distinct-slot id (``int32``).
-
-        Every slot must be one the table interned; a slot it has never
-        seen means the series changed between the passes.
-        """
-        try:
-            return np.fromiter(map(self._ids.__getitem__, slots), np.int32)
-        except KeyError:
-            raise MiningError(
-                "a slot read in scan 2 was not seen in scan 1; the series "
-                "changed between the scans"
-            ) from None
+    def slots_of(self, slot_ids: np.ndarray) -> tuple[frozenset[str], ...]:
+        """The slot of every id, in order (equal slots share one object)."""
+        return tuple(map(self.slots.__getitem__, slot_ids.tolist()))
 
     def expand(self, slot_ids: np.ndarray) -> Occurrences:
         """The occurrence rows of a series given as its slot ids.
@@ -157,18 +147,26 @@ class SlotTable:
         )
 
 
-def intern_slots(
-    slots: Iterable[frozenset[str]],
-) -> tuple[SlotTable, Occurrences]:
-    """Scan 1's read: the intern table and the occurrences of ``slots``.
+@dataclass(frozen=True, slots=True)
+class SlotColumn:
+    """A series as one slot id per slot into its table of distinct slots."""
 
-    ``slots`` is consumed exactly once.
-    """
-    slots = list(slots)
-    table = SlotTable(dict.fromkeys(slots))
-    slot_ids = table.slot_ids(slots)
-    del slots
-    return table, table.expand(slot_ids)
+    table: SlotTable
+    #: ``int32`` distinct-slot id of every slot, in slot order.
+    ids: np.ndarray
+
+    def occurrences(self) -> Occurrences:
+        """One read of the column: its occurrence rows."""
+        return self.table.expand(self.ids)
+
+
+def intern_slots(slots: Sequence[frozenset[str]]) -> SlotColumn:
+    """The slot column of ``slots``: one dictionary pass, then one lookup each."""
+    index = {slot: id_ for id_, slot in enumerate(dict.fromkeys(slots))}
+    return SlotColumn(
+        SlotTable(index),
+        np.fromiter(map(index.__getitem__, slots), np.int32, len(slots)),
+    )
 
 
 def letter_totals(

@@ -11,6 +11,13 @@ with the file name and 1-based line number.  Long-running ingestion can
 instead pass ``strict=False`` plus a :class:`LoadReport`: malformed lines
 are *quarantined* (dropped from the series, with later slots shifting up)
 and described on the report for the caller to surface.
+
+:func:`load_series` parses straight into the series' interned slot
+column (:class:`~repro.kernels.slots.SlotColumn`), the form every
+in-memory scan reads.  It reads the file in bounded ``readlines`` chunks,
+decodes, splits and validates each distinct line once, and maps every
+line to its slot id in bulk (``np.fromiter`` over C-level dictionary
+lookups), so a repeated line costs no Python-level work at all.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.errors import SeriesError
 from repro.timeseries.feature_series import FeatureSeries
@@ -110,54 +119,44 @@ def save_series(series: FeatureSeries, path: str | Path) -> None:
             handle.write("\n")
 
 
-def iter_slot_lines(
-    path: str | Path,
-    strict: bool = True,
-    report: LoadReport | None = None,
-) -> Iterator[frozenset[str]]:
-    """Stream slots from a series file without materializing the series.
+#: Bytes of lines one ``readlines`` call returns (at least one line): the
+#: loader holds one such chunk of raw lines at a time.
+READ_CHUNK_BYTES = 1 << 16
 
-    Malformed lines raise :class:`~repro.core.errors.SeriesError` naming
-    ``file:line``; with ``strict=False`` they are skipped instead and, if
-    ``report`` is given, recorded there as :class:`QuarantinedLine`
-    entries (one per occurrence, each with its own line number).  The
-    file is read as bytes and decoded per line so even an encoding error
-    points at its exact line.
+#: Slot-id code of a comment line; malformed line ``i`` (in first-seen
+#: order) has code ``-2 - i``.
+_COMMENT = -1
 
-    Each distinct line is decoded, split and validated once: a repeated
-    line costs one dictionary lookup and yields the same shared
-    frozenset, and equal slots spelled differently share one too.
+
+class _LineCodes(dict[bytes, int]):
+    """Raw line (terminator included) -> slot id, ``_COMMENT`` or bad code.
+
+    A line missing from the table is decoded, split and validated on its
+    first lookup, so each distinct line is parsed once and every later
+    lookup is a plain dictionary hit.  Equal slots, however spelled,
+    share one slot id and one frozenset.
     """
-    source = Path(path)
-    if not source.exists():
-        raise SeriesError(f"series file not found: {source}")
-    # Both memos live for this one call only.
-    parsed: dict[bytes, frozenset[str] | _BadLine | None] = {}
-    shared: dict[frozenset[str], frozenset[str]] = {}
-    with source.open("rb") as handle:
-        for number, raw in enumerate(handle, start=1):
-            raw = raw.rstrip(b"\n").rstrip(b"\r")
-            try:
-                slot = parsed[raw]
-            except KeyError:
-                slot = _parse_line(raw)
-                if isinstance(slot, frozenset):
-                    slot = shared.setdefault(slot, slot)
-                parsed[raw] = slot
-            if isinstance(slot, frozenset):
-                yield slot
-            elif slot is not None:
-                if strict:
-                    raise SeriesError(f"{source}:{number}: {slot.reason}")
-                if report is not None:
-                    report.quarantined.append(
-                        QuarantinedLine(
-                            path=str(source),
-                            line=number,
-                            reason=slot.reason,
-                            content=slot.content,
-                        )
-                    )
+
+    __slots__ = ("slot_ids", "bad")
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Every distinct slot, in first-seen order, to its slot id.
+        self.slot_ids: dict[frozenset[str], int] = {}
+        #: Why each distinct malformed line is malformed.
+        self.bad: list[_BadLine] = []
+
+    def __missing__(self, raw: bytes) -> int:
+        slot = _parse_line(raw.rstrip(b"\n").rstrip(b"\r"))
+        if slot is None:
+            code = _COMMENT
+        elif isinstance(slot, _BadLine):
+            code = -2 - len(self.bad)
+            self.bad.append(slot)
+        else:
+            code = self.slot_ids.setdefault(slot, len(self.slot_ids))
+        self[raw] = code
+        return code
 
 
 def load_series(
@@ -167,15 +166,62 @@ def load_series(
 ) -> FeatureSeries:
     """Read a series previously written by :func:`save_series`.
 
-    ``strict`` and ``report`` behave as in :func:`iter_slot_lines`:
-    the default fails fast with ``file:line`` context, ``strict=False``
-    quarantines malformed lines onto ``report`` and loads the rest.  The
-    slots arrive validated, so the series wraps them without a second
-    per-slot check.
+    Malformed lines raise :class:`~repro.core.errors.SeriesError` naming
+    ``file:line`` of the first one; with ``strict=False`` they are
+    skipped instead and, if ``report`` is given, recorded there as
+    :class:`QuarantinedLine` entries (one per occurrence, each with its
+    own line number).  The file is read as bytes and decoded per distinct
+    line, so even an encoding error points at its exact line.
+
+    The series arrives with its slot column: each distinct line is
+    decoded, split and validated once, equal slots (however spelled)
+    share one frozenset and one slot id, and every line maps to its id
+    through one dictionary lookup in C.
     """
-    return FeatureSeries._from_normalized(
-        tuple(iter_slot_lines(path, strict=strict, report=report))
+    from repro.kernels.slots import SlotColumn, SlotTable
+
+    source = Path(path)
+    if not source.exists():
+        raise SeriesError(f"series file not found: {source}")
+    codes = _LineCodes()
+    chunks: list[np.ndarray] = []
+    lines_before = 0
+    with source.open("rb") as handle:
+        while lines := handle.readlines(READ_CHUNK_BYTES):
+            ids = np.fromiter(map(codes.__getitem__, lines), np.int32, len(lines))
+            if ids.min() < 0:
+                for row in np.flatnonzero(ids < _COMMENT).tolist():
+                    problem = codes.bad[-2 - int(ids[row])]
+                    number = lines_before + row + 1
+                    if strict:
+                        raise SeriesError(f"{source}:{number}: {problem.reason}")
+                    if report is not None:
+                        report.quarantined.append(
+                            QuarantinedLine(
+                                path=str(source),
+                                line=number,
+                                reason=problem.reason,
+                                content=problem.content,
+                            )
+                        )
+                ids = ids[ids >= 0]
+            chunks.append(ids)
+            lines_before += len(lines)
+    return FeatureSeries._from_column(
+        SlotColumn(
+            SlotTable(codes.slot_ids),
+            np.concatenate(chunks) if chunks else np.zeros(0, np.int32),
+        )
     )
+
+
+def iter_slot_lines(
+    path: str | Path,
+    strict: bool = True,
+    report: LoadReport | None = None,
+) -> Iterator[frozenset[str]]:
+    """The slots of a series file in order: a view over :func:`load_series`."""
+    return iter(load_series(path, strict=strict, report=report))
 
 
 def load_numeric_csv(

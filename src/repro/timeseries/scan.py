@@ -8,15 +8,19 @@ and the max-subpattern hit-set miner (exactly 2 scans) is the extra I/O.
 pass over the data, optionally charging a simulated per-slot read cost.
 
 All miners in :mod:`repro.core` access the series only through
-``num_periods`` / ``segments`` / ``__len__`` / ``alphabet``, so the wrapper
-is a drop-in substitute.
+``num_periods`` / ``segments`` / ``iter_slots`` / ``slot_column`` /
+``__len__`` / ``alphabet``, so the wrapper is a drop-in substitute.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from repro.timeseries.feature_series import FeatureSeries, Segment
+
+if TYPE_CHECKING:
+    from repro.kernels.slots import SlotColumn
 
 
 class ScanCountingSeries:
@@ -34,9 +38,11 @@ class ScanCountingSeries:
 
     Notes
     -----
-    A *scan* is counted when a :meth:`segments` iterator is created; slots
-    read are accumulated as the iterator is consumed.  This matches the
-    paper's accounting, where each mining round reads the whole series once.
+    A *scan* is counted when a :meth:`segments` or :meth:`iter_slots`
+    iterator is created, and on every :meth:`slot_column` read (which
+    reads every slot); slots read are accumulated as the data is handed
+    out.  This matches the paper's accounting, where each mining round
+    reads the whole series once.
     """
 
     __slots__ = ("_series", "_slot_cost", "scans", "slots_read")
@@ -68,6 +74,12 @@ class ScanCountingSeries:
         for slot in self._series.iter_slots():
             self.slots_read += 1
             yield slot
+
+    def slot_column(self) -> SlotColumn:
+        """Hand out the wrapped series' slot column, counted as one scan."""
+        self.scans += 1
+        self.slots_read += len(self._series)
+        return self._series.slot_column()
 
     def __len__(self) -> int:
         return len(self._series)

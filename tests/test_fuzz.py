@@ -97,21 +97,26 @@ class TestOracle:
 class TestMutationCheck:
     def test_all_injected_bugs_caught(self):
         caught = mutation_check(budget=30, seed=4)
-        assert len(caught) == 5
+        assert len(caught) == 6
         assert all(caught.values()), caught
 
-    def test_shared_kernel_bug_caught_by_shared_stage(self):
-        owner, attribute, corrupted = fuzz_mod._mutation_targets()[
-            "off-by-one-shared-letter-count"
-        ]
+    @pytest.mark.parametrize(
+        "name", ["off-by-one-column-letter-count", "off-by-one-column-position"]
+    )
+    def test_column_kernel_bug_caught_by_column_and_shared_stages(self, name):
+        # Every in-memory miner reads the slot column, so a bug in its
+        # kernels surfaces in the single-period, shared and column stages
+        # alike, and never in the store primitives, which do not read it.
+        owner, attribute, corrupted = fuzz_mod._mutation_targets()[name]
         pristine = getattr(owner, attribute)
         setattr(owner, attribute, corrupted)
         try:
             report = fuzz(25, seed=6)
         finally:
             setattr(owner, attribute, pristine)
-        assert not report.ok
-        assert all(d.stage.startswith("mine:shared[") for d in report.divergences)
+        stages = {d.stage.split("[")[0] for d in report.divergences}
+        assert {"mine:brute-force-oracle", "mine:shared", "column:scan1"} <= stages
+        assert not any(stage.startswith("store:") for stage in stages)
 
     def test_mutations_are_restored_after_check(self):
         before = {

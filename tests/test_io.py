@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core.errors import SeriesError
 from repro.synth.workloads import figure2_series
 from repro.timeseries.feature_series import FeatureSeries, series_fingerprint
+from repro.timeseries import io
 from repro.timeseries.io import (
     LoadReport,
     iter_slot_lines,
@@ -262,31 +264,38 @@ class TestIngestEquivalence:
         lines=lines_strategy,
         crlf=st.lists(st.booleans(), min_size=40, max_size=40),
         final_newline=st.booleans(),
+        # Read chunks from one short line up to the whole file.
+        chunk_bytes=st.sampled_from([1, 2, 5, 16, 64, io.READ_CHUNK_BYTES]),
     )
     def test_matches_per_line_reference(
-        self, tmp_path_factory, lines, crlf, final_newline
+        self, tmp_path_factory, lines, crlf, final_newline, chunk_bytes
     ):
         path = tmp_path_factory.mktemp("ingest") / "series.txt"
         write_lines(path, lines, crlf, final_newline)
 
         slots, quarantined = per_line_load(path, strict=False)
         report = LoadReport()
-        series = load_series(path, strict=False, report=report)
+        with mock.patch.object(io, "READ_CHUNK_BYTES", chunk_bytes):
+            series = load_series(path, strict=False, report=report)
         assert list(series) == slots
         assert [
             (q.path, q.line, q.reason, q.content) for q in report.quarantined
         ] == [(str(path), *entry) for entry in quarantined]
-        # Equal slots are one shared frozenset.
+        # Equal slots are one shared frozenset and one slot id.
         assert len({id(slot) for slot in series}) == len(set(series))
+        column = series.slot_column()
+        assert len(column.table.slots) == len(set(series))
+        assert column.table.slots_of(column.ids) == tuple(slots)
 
-        if quarantined:
-            with pytest.raises(SeriesError) as raised:
-                load_series(path)
-            with pytest.raises(SeriesError) as expected:
-                per_line_load(path)
-            assert str(raised.value) == str(expected.value)
-        else:
-            assert list(load_series(path)) == slots
+        with mock.patch.object(io, "READ_CHUNK_BYTES", chunk_bytes):
+            if quarantined:
+                with pytest.raises(SeriesError) as raised:
+                    load_series(path)
+                with pytest.raises(SeriesError) as expected:
+                    per_line_load(path)
+                assert str(raised.value) == str(expected.value)
+            else:
+                assert list(load_series(path)) == slots
 
     def test_edge_case_fixture_matches_reference(self):
         slots, quarantined = per_line_load(EDGE_CASES, strict=False)
@@ -303,6 +312,79 @@ class TestIngestEquivalence:
         ]
         with pytest.raises(SeriesError, match=r"ingest_edge_cases\.txt:9: "):
             load_series(EDGE_CASES)
+
+
+class TestChunkedRead:
+    """Files spanning many ``readlines`` chunks load as one pass would."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # 32 bytes is a few lines: every file below spans several chunks.
+        monkeypatch.setattr(io, "READ_CHUNK_BYTES", 32)
+
+    def test_multi_chunk_file_matches_reference(self, tmp_path):
+        series = figure2_series(4, length=600, seed=3).series
+        path = tmp_path / "series.txt"
+        save_series(series, path)
+        assert path.stat().st_size > 20 * io.READ_CHUNK_BYTES
+        loaded = load_series(path)
+        assert loaded == series
+        assert list(loaded) == per_line_load(path)[0]
+        assert loaded.content_digest() == series.content_digest()
+
+    def malformed_file(self, tmp_path) -> Path:
+        """Clean lines, then the same bad line twice, both past chunk 1."""
+        path = tmp_path / "series.txt"
+        body = [b"a b", b"c"] * 20 + [b"d*"] + [b"a"] * 15 + [b"d*", b"e"]
+        path.write_bytes(b"\n".join(body) + b"\n")
+        return path
+
+    def test_strict_names_the_exact_line_past_the_first_chunk(self, tmp_path):
+        path = self.malformed_file(tmp_path)
+        with pytest.raises(SeriesError, match=r"series\.txt:41: .*wildcard"):
+            load_series(path)
+
+    def test_lenient_quarantines_every_occurrence(self, tmp_path):
+        path = self.malformed_file(tmp_path)
+        report = LoadReport()
+        series = load_series(path, strict=False, report=report)
+        assert [q.line for q in report.quarantined] == [41, 57]
+        assert all("wildcard" in q.reason for q in report.quarantined)
+        assert len(series) == 40 + 15 + 1
+        assert list(series) == per_line_load(path, strict=False)[0]
+
+    def test_comments_and_crlf_straddling_chunks(self, tmp_path):
+        path = tmp_path / "series.txt"
+        lines = [
+            b"# a comment as long as a whole read chunk"
+            if index % 7 == 0
+            else f"f{index % 5} g{index % 3}".encode()
+            for index in range(60)
+        ]
+        body = b"".join(
+            line + (b"\r\n" if index % 2 else b"\n")
+            for index, line in enumerate(lines)
+        )
+        path.write_bytes(body.rstrip(b"\n").rstrip(b"\r"))  # no final newline
+        loaded = load_series(path)
+        assert list(loaded) == per_line_load(path)[0]
+        assert len(loaded) == 60 - len(range(0, 60, 7))
+        assert loaded[-1] == frozenset({"f4", "g2"})
+
+    def test_empty_and_header_only_files(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        header = tmp_path / "header.txt"
+        save_series(FeatureSeries([]), header)
+        for path in (empty, header):
+            series = load_series(path)
+            assert len(series) == 0
+            assert list(series) == []
+            assert series.content_digest() == FeatureSeries([]).content_digest()
+
+    def test_digest_of_the_edge_fixture_is_unchanged(self):
+        series = load_series(EDGE_CASES, strict=False)
+        assert series.content_digest() == "6097aaff442a9f14"
 
 
 class TestDigestGolden:

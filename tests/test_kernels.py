@@ -32,6 +32,7 @@ from repro.core.miner import PartialPeriodicMiner
 from repro.core.pattern import Pattern
 from repro.encoding.codec import vocabulary_of_series
 from repro.encoding.vocabulary import LetterVocabulary
+from repro.kernels import batched
 from repro.kernels.batched import (
     MAX_TABLE_BITS,
     SubmaskCountTable,
@@ -154,6 +155,36 @@ class TestBatchedCountMasks:
         assert batched_count_masks(hits, candidates) == naive_counts(
             hits, candidates
         )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_naive_past_64_bits(self, seed, monkeypatch):
+        # Dense hits over a 65-200 bit universe take the vectorized
+        # candidate scan (in many small blocks here), narrow ones the
+        # submask enumeration; candidates repeat.
+        monkeypatch.setattr(batched, "_COVER_BLOCK", 64)
+        rng = random.Random(2000 + seed)
+        bits = rng.randint(65, 200)
+        hits = [
+            (rng.getrandbits(bits) | rng.getrandbits(bits), rng.randint(1, 9))
+            for _ in range(rng.randint(1, 40))
+        ]
+        hits += [
+            (1 << rng.randrange(bits) | 1 << rng.randrange(bits), 1)
+            for _ in range(5)
+        ]
+        candidates = [
+            rng.choice(hits)[0] & rng.getrandbits(bits) & rng.getrandbits(bits)
+            & rng.getrandbits(bits)
+            for _ in range(rng.randint(20, 120))
+        ]
+        candidates += [
+            1 << rng.randrange(bits) | 1 << rng.randrange(bits)
+            for _ in range(20)
+        ]
+        candidates += candidates[:5]
+        expected = naive_counts(hits, candidates)
+        assert any(expected.values())
+        assert batched_count_masks(hits, candidates) == expected
 
     def test_empty_inputs(self):
         assert batched_count_masks([], [0b11]) == {0b11: 0}

@@ -15,7 +15,7 @@ from repro.core.multiperiod import (
     period_range,
 )
 from repro.core.pattern import Pattern
-from repro.kernels.slots import intern_slots, letter_totals
+from repro.kernels.slots import letter_totals
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.scan import ScanCountingSeries
 from tests.reference import letter_set_apriori, packed_series
@@ -168,12 +168,12 @@ class TestDifferential:
         ids=["wide-p10", "wide-p2", "packed", "empty"],
     )
     def test_scan1_letter_counts_match_counter(self, series, period):
-        table, occurrences = intern_slots(series.iter_slots())
+        column = series.slot_column()
         letter_ids, counts = letter_totals(
-            occurrences, period, series.num_periods(period)
+            column.occurrences(), period, series.num_periods(period)
         )
         expected = letter_counts_for_segments(series.segments(period))
-        assert table.letters_of(letter_ids, counts) == dict(expected)
+        assert column.table.letters_of(letter_ids, counts) == dict(expected)
 
     def test_empty_slots(self):
         series = FeatureSeries.from_symbols("a*b**ab*c*a*b***ab*ca*b**a" * 3)

@@ -1,0 +1,210 @@
+"""The interned slot column and the in-memory scans that read it.
+
+Every in-memory hit-set miner (single-period, maximal, constrained and
+``build_hit_tree``) runs both scans on the series' slot column
+(:meth:`FeatureSeries.slot_column`).  These suites hold them equal to the
+brute-force oracle and to the slow references in :mod:`tests.reference`,
+which count over the frozensets, on a column built lazily and on one
+built by :func:`repro.timeseries.io.load_series` while parsing.
+"""
+
+from __future__ import annotations
+
+import pickle
+import random
+
+import pytest
+
+from repro.core.constraints import MiningConstraints, mine_with_constraints
+from repro.core.counting import brute_force_frequent
+from repro.core.hitset import build_hit_tree, mine_single_period_hitset
+from repro.core.maximal import maximal_patterns, mine_maximal_hitset
+from repro.kernels.cache import CountCache
+from repro.kernels.slots import SlotColumn, SlotTable
+from repro.timeseries.feature_series import FeatureSeries
+from repro.timeseries.io import load_series, save_series
+from repro.timeseries.scan import ScanCountingSeries
+from repro.tree.max_subpattern_tree import MaxSubpatternTree
+from tests.reference import packed_series, per_candidate_mine
+
+
+def wide_cmax_series(period: int = 35, segments: int = 30) -> FeatureSeries:
+    """One of two features per slot: at ``min_conf`` 0.3 nearly every
+    ``(offset, feature)`` letter is frequent, so ``C_max`` holds close to
+    ``2 * period`` (> 64) letters and scan 2 takes two words a segment.
+    A trailing partial segment of three slots follows the whole ones."""
+    rng = random.Random(7)
+    return FeatureSeries(
+        [{rng.choice("xy")} for _ in range(period * segments + 3)]
+    )
+
+
+#: name -> (series, period, min_conf, max_letters); every one ends in a
+#: trailing partial segment.
+SHAPES = {
+    "packed": (packed_series(3, length=61), 4, 0.3, None),
+    "empty-slots": (
+        FeatureSeries.from_symbols("a*b**ab*c*a*b***ab*ca*b**a" * 3), 5, 0.3, None
+    ),
+    "wide-cmax": (wide_cmax_series(), 35, 0.3, 3),
+}
+
+
+@pytest.fixture(params=sorted(SHAPES), ids=sorted(SHAPES))
+def shape(request):
+    return SHAPES[request.param]
+
+
+@pytest.fixture(params=["lazy", "loaded"])
+def column_source(request, tmp_path):
+    """The series as built (lazy column) or reloaded (column from ingest)."""
+
+    def source(series: FeatureSeries) -> FeatureSeries:
+        if request.param == "lazy":
+            return FeatureSeries(list(series))
+        path = tmp_path / "series.txt"
+        save_series(series, path)
+        return load_series(path)
+
+    return source
+
+
+def letters_of(counts):
+    return {pattern.letters: count for pattern, count in counts.items()}
+
+
+class TestColumn:
+    def test_loaded_column_decodes_to_the_series(self, tmp_path):
+        series = packed_series(5, length=83)
+        path = tmp_path / "series.txt"
+        save_series(series, path)
+        loaded = load_series(path)
+        column = loaded.slot_column()
+        assert column.table.slots_of(column.ids) == series.slots
+        assert loaded == series
+        assert loaded.content_digest() == series.content_digest()
+
+    def test_lazy_column_is_built_once(self):
+        series = packed_series(6, length=40)
+        column = series.slot_column()
+        assert series.slot_column() is column
+        assert column.table.slots_of(column.ids) == series.slots
+        assert len(column.table.slots) == len(set(series.slots))
+
+    def test_slices_sums_and_pickles_keep_content(self, tmp_path):
+        series = packed_series(7, length=50)
+        path = tmp_path / "series.txt"
+        save_series(series, path)
+        loaded = load_series(path)
+        for built, expected in (
+            (loaded[10:30], series[10:30]),
+            (loaded + loaded, series + series),
+            (pickle.loads(pickle.dumps(loaded)), series),
+        ):
+            column = built.slot_column()
+            assert column.table.slots_of(column.ids) == expected.slots
+            assert built.content_digest() == expected.content_digest()
+
+    def test_scan_counting_books_one_scan_per_column_read(self):
+        scan = ScanCountingSeries(packed_series(8, length=20))
+        scan.slot_column()
+        scan.slot_column()
+        assert scan.scans == 2
+        assert scan.slots_read == 40
+
+
+class TestScansOnColumn:
+    """Each in-memory miner, on the column, against the references."""
+
+    def test_single_period(self, shape, column_source):
+        series, period, min_conf, max_letters = shape
+        mined = mine_single_period_hitset(
+            column_source(series), period, min_conf, max_letters=max_letters
+        )
+        reference = per_candidate_mine(series, period, min_conf, max_letters)
+        assert dict(mined.items()) == reference
+        if max_letters is None:
+            assert dict(mined.items()) == brute_force_frequent(
+                series, period, min_conf
+            )
+
+    def test_build_hit_tree(self, shape, column_source):
+        series, period, min_conf, _ = shape
+        tree, one_patterns = build_hit_tree(
+            column_source(series), period, min_conf
+        )
+        reference = MaxSubpatternTree(one_patterns.max_pattern)
+        reference.insert_all_segments(series)
+        assert tree.stored_hits() == reference.stored_hits()
+        assert tree.node_count == reference.node_count
+        assert tree.hit_set_size == reference.hit_set_size
+
+    def test_wide_cmax_takes_more_than_one_word(self):
+        series, period, min_conf, _ = SHAPES["wide-cmax"]
+        tree, _ = build_hit_tree(series, period, min_conf)
+        assert len(tree.vocab) > 64
+        assert any(mask >> 64 for mask in tree.stored_hits())
+
+    @pytest.mark.parametrize("name", ["packed", "empty-slots"])
+    def test_maximal(self, name, column_source):
+        series, period, min_conf, _ = SHAPES[name]
+        mined = mine_maximal_hitset(column_source(series), period, min_conf)
+        expected = maximal_patterns(brute_force_frequent(series, period, min_conf))
+        assert letters_of(mined) == letters_of(expected)
+
+    @pytest.mark.parametrize("name", ["packed", "empty-slots"])
+    def test_constrained(self, name, column_source):
+        series, period, min_conf, _ = SHAPES[name]
+        constraints = MiningConstraints(
+            offsets=frozenset({0, 1, 3}), min_letters=2
+        )
+        mined = mine_with_constraints(
+            column_source(series), period, min_conf, constraints
+        )
+        expected = {
+            pattern: count
+            for pattern, count in brute_force_frequent(
+                series, period, min_conf
+            ).items()
+            if constraints.satisfied_by(pattern)
+        }
+        assert dict(mined.items()) == expected
+
+
+class TestCacheRequeryByName:
+    """Cached letter counts and hits are keyed by letter, not letter id."""
+
+    def reordered(self, series: FeatureSeries) -> FeatureSeries:
+        """Equal content, with distinct-slot ids (and so feature ids)
+        assigned in reverse first-seen order."""
+        column = series.slot_column()
+        distinct = column.table.slots
+        order = list(reversed(range(len(distinct))))
+        new_id = {old: new for new, old in enumerate(order)}
+        table = SlotTable([distinct[old] for old in order])
+        ids = column.ids.copy()
+        for old, new in new_id.items():
+            ids[column.ids == old] = new
+        return FeatureSeries._from_column(SlotColumn(table, ids))
+
+    def test_requery_on_equal_content_with_other_feature_order(self):
+        series = packed_series(21, length=81, features=5)
+        other = self.reordered(series)
+        assert other == series
+        assert other.content_digest() == series.content_digest()
+        assert other.slot_column().table.features != (
+            series.slot_column().table.features
+        )
+        cache = CountCache()
+        mine_single_period_hitset(series, 4, 0.6, cache=cache)
+        # A lower threshold re-runs scan 2 on ``other`` over letters whose
+        # scan-1 counts came from ``series``.
+        scan = ScanCountingSeries(other)
+        warm = mine_single_period_hitset(scan, 4, 0.25, cache=cache)
+        assert scan.scans == 1
+        assert dict(warm.items()) == brute_force_frequent(series, 4, 0.25)
+        # And the hits ``other`` stored serve ``series`` at a higher one.
+        scan = ScanCountingSeries(series)
+        again = mine_single_period_hitset(scan, 4, 0.5, cache=cache)
+        assert scan.scans == 0
+        assert dict(again.items()) == brute_force_frequent(series, 4, 0.5)
