@@ -17,9 +17,9 @@ scan kernel as a bulk array op instead of a Python loop:
   one shift/OR sweep per kept bit lane (:func:`remap_counts`).
 
 Store inputs (:func:`repro.core.hitset.mine_store` and series mined with
-:class:`~repro.kernels.store.StoreOptions`) run both scans here; the
-in-memory batched path reuses :func:`distinct_counts` and
-:func:`hit_counter` for its scan-2 store.
+:class:`~repro.kernels.store.StoreOptions`) run both scans here;
+in-memory series scan on their slot column instead
+(:mod:`repro.kernels.slots`).
 
 Every kernel works in bounded chunks (:data:`CHUNK_ROWS`), so the same
 code path serves in-memory columns and mmap'd stores far larger than RAM:
