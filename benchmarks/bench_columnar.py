@@ -408,16 +408,21 @@ def print_report(report: dict) -> None:
         f"({report['frequent_patterns']} frequent patterns, "
         f"{scan['distinct_masks']} distinct masks)"
     )
+    print(
+        f"end to end: cold columnar mine {scan['columnar_cold_seconds']:.4f}s, "
+        f"cold in-memory mine {scan['in_memory_cold_seconds']:.4f}s"
+    )
     print(f"{'measurement':<26} {'seconds':>10}")
     for name, key in (
         ("columnar scan (store)", "columnar_store_seconds"),
-        ("columnar cold mine", "columnar_cold_seconds"),
-        ("in-memory cold mine", "in_memory_cold_seconds"),
         ("legacy cold mine", "legacy_cold_seconds"),
         ("encode pass", "encode_seconds"),
     ):
         print(f"{name:<26} {scan[key]:>9.4f}s")
-    print(f"scan-path speedup (columnar vs in-memory): {report['speedup_scan']:.2f}x")
+    print(
+        "scan-only speedup (store scans vs cold in-memory mine): "
+        f"{report['speedup_scan']:.2f}x"
+    )
     print(
         f"out-of-core: {ooc['slots']} slots -> {ooc['file_bytes']} B spilled "
         f"({ooc['file_to_threshold_ratio']:.0f}x threshold), "
@@ -502,8 +507,9 @@ def test_columnar_scans_match_and_speed_up(report):
         "Columnar scan kernels and out-of-core store (LENGTH=20000)",
         ["measurement", "seconds"],
         [
-            ("columnar scan (store)", f"{scan['columnar_store_seconds']:.4f}s"),
+            ("columnar cold mine", f"{scan['columnar_cold_seconds']:.4f}s"),
             ("in-memory cold mine", f"{scan['in_memory_cold_seconds']:.4f}s"),
+            ("columnar scan (store)", f"{scan['columnar_store_seconds']:.4f}s"),
             ("out-of-core mine", f"{ooc['mine_seconds']:.4f}s"),
         ],
     )

@@ -15,9 +15,10 @@ miner: the maximal and constrained miners call them too, and Algorithm
 In-memory series mine on their interned slot column
 (:meth:`~repro.timeseries.feature_series.FeatureSeries.slot_column`,
 built while a file is parsed or once on first mine): scan 1 counts every
-letter with :func:`~repro.kernels.slots.letter_totals` and scan 2
-collects the distinct hits with :func:`~repro.kernels.slots.segment_hits`,
-both bulk numpy ops over the column's occurrence rows, and the
+letter with :func:`~repro.kernels.slots.letter_totals` over the
+column's occurrence rows, and scan 2 collects the distinct hits with
+:func:`~repro.kernels.slots.segment_hits` from the column's slots at the
+``C_max`` offsets only, both bulk numpy ops, and the
 derivation answers every candidate level from one superset-sum pass
 (:mod:`repro.kernels.batched`).  Store inputs —
 a prebuilt store (:func:`mine_store`) or a series mined with
@@ -97,10 +98,10 @@ def _project_hits(store: "SegmentStore", target: LetterVocabulary) -> Counter:
 class _Scans:
     """Where the two scans read their data, plus the run's accounting.
 
-    Subclasses answer scan 1 (:meth:`letter_counts`, every letter's
-    count) and scan 2 (:meth:`hits`, the distinct >= 2-letter hits over
-    the tree vocabulary); each books its passes in :attr:`stats` and
-    times itself as a profile stage.
+    Subclasses answer scan 1 (:meth:`letter_counts`, the count of every
+    letter occurring at least ``floor`` times) and scan 2 (:meth:`hits`,
+    the distinct >= 2-letter hits over the tree vocabulary); each books
+    its passes in :attr:`stats` and times itself as a profile stage.
     """
 
     __slots__ = ("period", "num_periods", "profile", "stats")
@@ -113,7 +114,7 @@ class _Scans:
         self.profile = profile
         self.stats = MiningStats()
 
-    def letter_counts(self) -> Mapping[Letter, int]:
+    def letter_counts(self, floor: int) -> Mapping[Letter, int]:
         raise NotImplementedError
 
     def hits(self, target: LetterVocabulary) -> Mapping[int, int]:
@@ -123,10 +124,11 @@ class _Scans:
 class _SeriesScans(_Scans):
     """The two scans over an in-memory series, on its interned slot column.
 
-    Each scan reads the column once: scan 1 counts every letter, scan 2
-    ORs each segment's tree-vocabulary letters into bit rows and keeps
-    the distinct >= 2-letter ones.  A column built lazily on the first
-    read is timed inside that scan.
+    Each scan reads the column once: scan 1 counts every letter and
+    decodes only those at or above the floor, scan 2 reads the slots at
+    the tree vocabulary's offsets, ORs each segment's letters there into
+    bit rows and keeps the distinct >= 2-letter ones.  A column built
+    lazily on the first read is timed inside that scan.
     """
 
     __slots__ = ("series",)
@@ -141,7 +143,7 @@ class _SeriesScans(_Scans):
         super().__init__(period, num_periods, profile)
         self.series = series
 
-    def letter_counts(self) -> Mapping[Letter, int]:
+    def letter_counts(self, floor: int) -> Mapping[Letter, int]:
         from repro.kernels import slots as _slots
 
         with _stage(self.profile, "scan1", items=self.num_periods):
@@ -149,7 +151,8 @@ class _SeriesScans(_Scans):
             letter_ids, counts = _slots.letter_totals(
                 column.occurrences(), self.period, self.num_periods
             )
-            letters = column.table.letters_of(letter_ids, counts)
+            kept = counts >= floor
+            letters = column.table.letters_of(letter_ids[kept], counts[kept])
         self.stats.scans += 1
         return letters
 
@@ -160,7 +163,7 @@ class _SeriesScans(_Scans):
             column = self.series.slot_column()
             hits = dict(
                 _slots.segment_hits(
-                    column.occurrences(),
+                    column,
                     self.period,
                     self.num_periods,
                     column.table.letter_ids(target.letters),
@@ -198,10 +201,11 @@ class _StoreScans(_Scans):
             self.stats.scans += 1
         return self._store
 
-    def letter_counts(self) -> Counter:
+    def letter_counts(self, floor: int) -> Mapping[Letter, int]:
         store = self.store()
         with _stage(self.profile, "scan1", items=self.num_periods):
-            return store.letter_counts()
+            counts = store.letter_counts()
+        return {letter: count for letter, count in counts.items() if count >= floor}
 
     def hits(self, target: LetterVocabulary) -> Counter:
         store = self.store()
@@ -251,10 +255,11 @@ def _scan1(
 ) -> FrequentOnePatterns:
     """Scan 1, consulting the count cache for the full letter counts.
 
-    With a cache, the *unfiltered* letter counts are fetched or computed
-    and stored, so a future re-query at any ``min_conf`` rebuilds its own
-    F1 from the cached counts without a scan.  Both scan sources count
-    every letter, so their counts are cache-compatible.
+    With a cache, the *unfiltered* letter counts (floor 0) are fetched or
+    computed and stored, so a future re-query at any ``min_conf`` rebuilds
+    its own F1 from the cached counts without a scan.  Both scan sources
+    count every letter, so their counts are cache-compatible.  Without a
+    cache, the scan keeps only the letters at or above the threshold.
     """
     profile = scans.profile
     threshold = min_count(min_conf, scans.num_periods)
@@ -269,7 +274,7 @@ def _scan1(
                 "cache_hits" if letter_counts is not None else "cache_misses"
             )
     if letter_counts is None:
-        letter_counts = scans.letter_counts()
+        letter_counts = scans.letter_counts(0 if cache is not None else threshold)
         if cache is not None:
             cache.put_letter_counts(cache_key, letter_counts)
     return FrequentOnePatterns(

@@ -17,12 +17,13 @@ the kernels of :mod:`repro.kernels.slots`, exactly as single-period
 mining does.  Scan 1 expands the column into one ``(position, feature)``
 occurrence array; each period's letter counts are then one sorted count
 (``np.unique``) of ``(i % p, feature)``.  Scan 2 reads the column again
-and, per period, ORs each segment's ``C_max`` bits into
+and, per period, only its slots at the offsets of that period's
+``C_max`` letters: each distinct slot there becomes one bit row of
 ``ceil(|C_max| / 64)`` ``uint64`` words, so wide ``C_max`` needs no
-separate path; ``np.unique`` collapses the segments to their distinct
-hits, and each distinct hit enters the tree once with its count.  Python
-code runs once per distinct slot and per period, never per slot
-occurrence.
+separate path, and each segment ORs in the rows of its slots.  One sort
+collapses the segments to their distinct hits, and each distinct hit
+enters the tree once with its count.  Python code runs once per
+distinct hit and per period, never per slot occurrence.
 
 Note the paper's Section 3.2 counterexample: frequent patterns of period
 ``p`` are *not* necessarily frequent at period ``k*p``, so no cross-period
@@ -187,7 +188,7 @@ def mine_periods_shared(
     (:func:`repro.kernels.slots.letter_totals`).  When no period has a
     frequent 1-pattern the run stops there, after one scan.  Otherwise
     scan 2 reads the column once more and collects every period's
-    distinct hits
+    distinct hits from the slots at its ``C_max`` offsets
     (:func:`repro.kernels.slots.segment_hits`), one tree insertion per
     distinct hit.  Derivation then happens entirely in memory.
     """
@@ -223,20 +224,19 @@ def mine_periods_shared(
     scans = 1
 
     # ----- Scan 2: every period's hits from one more pass ---------------
-    del occurrences  # scan 2 reads the column again rather than keep this
+    del occurrences
     if trees:
-        occurrences = series.slot_column().occurrences()
+        column = series.slot_column()
         scans = 2
         for period, tree in trees.items():
             hits = _slots.segment_hits(
-                occurrences,
+                column,
                 period,
                 f1_sets[period].num_periods,
                 table.letter_ids(tree.vocab.letters),
             )
             for mask, count in hits:
                 tree.insert_mask(mask, count=count)
-        del occurrences
 
     # ----- Derivation (in memory, no scans) ------------------------------
     outcome = MultiPeriodResult(

@@ -35,10 +35,11 @@ easy cases.
 The fuzzer's own alarm is tested by :func:`mutation_check`: it injects
 known bugs into the kernels production calls (a dropped distinct row,
 an off-by-one letter count, a corrupted candidate count, a lying hit
-counter, an off-by-one letter count in the slot-column kernel, an
-off-by-one slot position in the slot-column expansion) and demands the
-fuzzer report a divergence for every one.  A clean run proves little if
-the alarm cannot ring.
+count in the slot column's scan 2, an off-by-one letter count in the
+slot column's scan 1, an off-by-one slot position in the slot-column
+expansion) and demands the fuzzer report a divergence for every one.  A
+clean run proves little if the alarm cannot ring.  A case that raises is
+a ``crash`` divergence, so one crashing kernel call cannot end a run.
 
 CLI: ``ppm fuzz`` (see :func:`repro.cli.main`); CI runs a short-budget
 smoke plus the mutation check.
@@ -435,7 +436,7 @@ def _check_column(
         return
     hits = dict(
         slots.segment_hits(
-            column.occurrences(),
+            column,
             period,
             num_periods,
             column.table.letter_ids(vocab.letters),
@@ -598,7 +599,9 @@ def fuzz(budget: int, seed: int = 0) -> FuzzReport:
 
     Cases producing a previously unseen coverage signature join the
     corpus; most of the budget mutates corpus entries, the rest draws
-    fresh random cases so guidance never starves exploration.
+    fresh random cases so guidance never starves exploration.  A case
+    that raises is recorded as a ``crash`` divergence carrying the
+    exception's repr, and the run goes on with the next case.
     """
     rng = random.Random(seed)
     corpus: list[FuzzCase] = []
@@ -610,10 +613,15 @@ def fuzz(budget: int, seed: int = 0) -> FuzzReport:
             case = mutate_case(rng.choice(corpus), rng)
         else:
             case = random_case(rng)
-        case_divergences, signature = run_case(case)
+        signature: tuple[Any, ...] | None
+        try:
+            case_divergences, signature = run_case(case)
+        except Exception as error:  # repro: ignore[REP404] -- any exception a kernel raises on one case is a finding to report with that case, not a reason to abandon the rest of the budget
+            case_divergences = [Divergence(case, stage="crash", detail=repr(error))]
+            signature = None
         executed += 1
         divergences.extend(case_divergences)
-        if signature not in signatures:
+        if signature is not None and signature not in signatures:
             signatures.add(signature)
             corpus.append(case)
     return FuzzReport(
@@ -639,7 +647,7 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
     original_totals = slots.letter_totals
     original_letters = columnar.letter_bit_totals
     original_counts = SubmaskCountTable.counts
-    original_hits = columnar.hit_counter
+    original_hits = slots.segment_hits
     original_expand = SlotTable.expand
 
     def dropped_distinct_row(column: Any) -> Counter:
@@ -664,12 +672,14 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
             break
         return counts
 
-    def lying_hits(distinct: Counter, min_letters: int = 2) -> Counter:
-        counts = Counter(original_hits(distinct, min_letters))
-        for mask in sorted(counts):
-            counts[mask] += 1
-            break
-        return counts
+    def lying_hits(
+        column: Any, period: int, num_periods: int, letter_ids: Any
+    ) -> list[tuple[int, int]]:
+        hits = list(original_hits(column, period, num_periods, letter_ids))
+        if hits:
+            mask, count = hits[0]
+            hits[0] = (mask, count + 1)
+        return hits
 
     def off_by_one_column_letter(
         occurrences: Any, period: int, num_periods: int
@@ -693,7 +703,7 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
         "corrupted-candidate-count": (
             SubmaskCountTable, "counts", corrupted_candidate
         ),
-        "lying-hit-counter": (columnar, "hit_counter", lying_hits),
+        "lying-hit-counter": (slots, "segment_hits", lying_hits),
         "off-by-one-column-letter-count": (
             slots, "letter_totals", off_by_one_column_letter
         ),

@@ -9,26 +9,32 @@ mine (:func:`intern_slots`).  Every in-memory scan then runs as bulk
 numpy ops over one occurrence array instead of one interpreter
 round-trip per slot, period and feature:
 
-* :meth:`SlotColumn.occurrences` is one read of the column: one
+* :meth:`SlotColumn.occurrences` is one read of the whole column: one
   ``(position, feature)`` row per feature occurrence, in slot order
   (:class:`Occurrences`).
 * :func:`letter_totals` is scan 1 for one period: letter id
   ``(position % p) * F + feature`` for every occurrence inside the ``m``
   whole segments, counted by sorting (``np.unique``), so the cost and
   memory follow the occurrences and never the ``p * F`` letter space.
-* :func:`segment_hits` is scan 2 for one period: each occurrence of a
-  ``C_max`` letter sets its bit in its segment's row of ``k`` ``uint64``
-  words (``np.bitwise_or.at``), rows with fewer than two letters drop, and
-  ``np.unique`` collapses the rest to the distinct hits with their counts.
-  A ``C_max`` wider than 64 letters just takes more words per row.
+* :func:`segment_hits` is scan 2 for one period.  It asks only which
+  ``C_max`` letters each segment holds, and those sit on at most
+  ``|C_max|`` of the ``p`` offsets, so it reads only the column's slots
+  at those offsets.  The distinct slots there (found by one sort) each
+  get one bit row, built from their CSR features through a feature ->
+  bit table, and every segment ORs in the rows of its slots: ``k``
+  ``uint64`` words per segment, with ``k = ceil(|C_max| / 64)``.  Rows
+  with fewer than two letters drop, and one lexicographic sort plus a
+  diff of neighbours collapses the rest to the distinct hits with their
+  counts.  The work follows the slots and features at the ``C_max``
+  offsets, never all occurrences or the number of distinct slots.
 
 The single-period miners (Algorithm 3.2 and its maximal and constrained
 forms) call these for one period, shared multi-period mining
 (Algorithm 3.4) and period discovery for many periods over the same
-read.  Memory is ``O(N + occurrences)`` for the arrays plus one period's
-segment rows at a time; no distinct-slots x features matrix is ever
-built, because on noisy data there are about as many distinct slots as
-slots.
+read.  Memory is ``O(N + occurrences)`` for scan 1's arrays and
+``O(m * k)`` plus one group of offsets' bit rows for scan 2; no
+distinct-slots x features matrix is ever built, because on noisy data
+there are about as many distinct slots as slots.
 """
 
 from __future__ import annotations
@@ -102,29 +108,30 @@ class SlotTable:
         """The slot of every id, in order (equal slots share one object)."""
         return tuple(map(self.slots.__getitem__, slot_ids.tolist()))
 
-    def expand(self, slot_ids: np.ndarray) -> Occurrences:
-        """The occurrence rows of a series given as its slot ids.
+    def feature_rows(self, slot_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One ``(owner, feature)`` row per feature of the given slots.
 
-        Apart from ``slot_ids`` itself, every array here is sized by the
-        non-empty slots or by the occurrences.
+        ``owners[r]`` indexes ``slot_ids``: a slot's rows are consecutive,
+        in CSR order, and owners ascend.  Apart from ``slot_ids`` itself,
+        every array here is sized by its non-empty slots or by the rows.
         """
         sizes = self._sizes[slot_ids]
         occupied = np.flatnonzero(sizes)
         lengths = sizes[occupied]
         del sizes
-        # Occurrence row r of a slot reads feature_ids[start + r - first],
-        # where start is its distinct slot's CSR row and first is the
-        # slot's first occurrence row.
+        # Row r of a slot reads feature_ids[start + r - first], where
+        # start is its distinct slot's CSR row and first is the slot's
+        # first row.
         shift = self._indptr[slot_ids[occupied]]
         shift -= np.cumsum(lengths) - lengths
         index = np.repeat(shift, lengths)
         del shift
         index += np.arange(len(index))
-        return Occurrences(
-            np.repeat(occupied, lengths),
-            self._feature_ids[index],
-            len(self.features),
-        )
+        return np.repeat(occupied, lengths), self._feature_ids[index]
+
+    def expand(self, slot_ids: np.ndarray) -> Occurrences:
+        """The occurrence rows of a series given as its slot ids."""
+        return Occurrences(*self.feature_rows(slot_ids), len(self.features))
 
     def letters_of(
         self, letter_ids: np.ndarray, counts: np.ndarray
@@ -183,7 +190,7 @@ def letter_totals(
 
 
 def segment_hits(
-    occurrences: Occurrences,
+    column: SlotColumn,
     period: int,
     num_periods: int,
     letter_ids: np.ndarray,
@@ -192,27 +199,82 @@ def segment_hits(
 
     ``letter_ids`` are the ``C_max`` letters in bit order (bit ``i`` is
     ``letter_ids[i]``).  Each hit is a Python int mask over those bits;
-    a ``C_max`` of ``n`` letters uses ``ceil(n / 64)`` words per segment.
+    a ``C_max`` of ``n`` letters uses ``k = ceil(n / 64)`` words per
+    segment.  Only the column's slots at offsets of ``C_max`` letters are
+    read: at those offsets each distinct slot gets one bit row, built
+    from its CSR features, and every segment ORs in the rows of its slots
+    there.  An offset joins the group of the word holding its lowest bit,
+    so one pass per group (at most ``k``, each over at most 64 offsets)
+    covers every offset, and a group's rows span only the words its
+    letters reach.
     """
-    positions, letters = occurrences.whole_segments(period, num_periods)
-    order = np.argsort(letter_ids)
-    sorted_ids = letter_ids[order]
-    found = np.searchsorted(sorted_ids, letters)
-    found[found == len(sorted_ids)] = 0
-    keep = sorted_ids[found] == letters
-    bits = order[found[keep]]
+    table = column.table
+    width = len(table.features)
+    distinct_slots = len(table.slots)
     words = max(1, -(-len(letter_ids) // 64))
-    rows = np.zeros(num_periods * words, dtype=np.uint64)
-    np.bitwise_or.at(
-        rows,
-        positions[keep] // period * words + (bits >> 6),
-        np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64)),
-    )
-    rows = rows.reshape(num_periods, words)
+    word_of = np.arange(len(letter_ids)) >> 6
+    offsets, letter_offset = np.unique(letter_ids // width, return_inverse=True)
+    kinds, letter_kind = np.unique(letter_ids % width, return_inverse=True)
+    # Feature id -> its index among the C_max features, -1 for the rest.
+    kind_of = np.full(width, -1, np.int64)
+    kind_of[kinds] = np.arange(len(kinds))
+    low = np.full(len(offsets), words)
+    high = np.zeros(len(offsets), np.int64)
+    np.minimum.at(low, letter_offset, word_of)
+    np.maximum.at(high, letter_offset, word_of)
+    grid = column.ids[: num_periods * period].reshape(num_periods, period)
+    rank = np.empty(len(offsets), np.int64)
+    rows = np.zeros((num_periods, words), np.uint64)
+    for word in np.unique(low).tolist():
+        members = np.flatnonzero(low == word)
+        span = int(high[members].max()) - word + 1
+        rank[members] = np.arange(len(members))
+        # (offset rank, C_max feature) -> bit, counted from the group's
+        # first word; -1 where that letter is not in C_max.
+        bit_of = np.full(len(members) * len(kinds), -1, np.int64)
+        bits = np.flatnonzero(low[letter_offset] == word)
+        bit_of[rank[letter_offset[bits]] * len(kinds) + letter_kind[bits]] = (
+            bits - 64 * word
+        )
+        # Column c of the group holds slot ids shifted by c * D, so one
+        # sort finds the distinct slots at every offset of the group.
+        keys = grid[:, offsets[members]].astype(np.int64)
+        keys += np.arange(len(members)) * distinct_slots
+        pairs, inverse = np.unique(keys, return_inverse=True)
+        owners, features = table.feature_rows(pairs % distinct_slots)
+        kind = kind_of[features]
+        owners, kind = owners[kind >= 0], kind[kind >= 0]
+        bit = bit_of[(pairs // distinct_slots)[owners] * len(kinds) + kind]
+        owners, bit = owners[bit >= 0], bit[bit >= 0]
+        pair_rows = np.zeros(len(pairs) * span, np.uint64)
+        np.bitwise_or.at(
+            pair_rows,
+            owners * span + (bit >> 6),
+            np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)),
+        )
+        gathered = pair_rows.reshape(-1, span)[inverse.reshape(keys.shape)]
+        rows[:, word : word + span] |= np.bitwise_or.reduce(gathered, axis=1)
     rows = rows[np.bitwise_count(rows).sum(axis=1, dtype=np.int64) >= 2]
-    distinct, counts = np.unique(rows, axis=0, return_counts=True)
-    little = distinct.astype("<u8", copy=False)
-    return [
-        (int.from_bytes(row.tobytes(), "little"), count)
-        for row, count in zip(little, counts.tolist())
-    ]
+    return _distinct_rows(rows)
+
+
+def _distinct_rows(rows: np.ndarray) -> list[tuple[int, int]]:
+    """Each distinct row of ``rows`` as an int mask, with its count.
+
+    One lexicographic sort (word 0 first) brings equal rows together,
+    and a diff of neighbours marks where each run of equal rows starts.
+    """
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts = np.ones(len(rows), bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+    starts = np.flatnonzero(starts)
+    counts = np.diff(starts, append=len(rows))
+    distinct = rows[starts]
+    masks = distinct[:, 0].tolist()
+    for word in range(1, distinct.shape[1]):
+        shift = 64 * word
+        masks = [
+            mask | high << shift
+            for mask, high in zip(masks, distinct[:, word].tolist())
+        ]
+    return list(zip(masks, counts.tolist()))

@@ -19,8 +19,9 @@ from repro.core.constraints import MiningConstraints, mine_with_constraints
 from repro.core.counting import brute_force_frequent
 from repro.core.hitset import build_hit_tree, mine_single_period_hitset
 from repro.core.maximal import maximal_patterns, mine_maximal_hitset
+from repro.core.multiperiod import mine_periods_shared
 from repro.kernels.cache import CountCache
-from repro.kernels.slots import SlotColumn, SlotTable
+from repro.kernels.slots import SlotColumn, SlotTable, segment_hits
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.io import load_series, save_series
 from repro.timeseries.scan import ScanCountingSeries
@@ -169,6 +170,148 @@ class TestScansOnColumn:
             if constraints.satisfied_by(pattern)
         }
         assert dict(mined.items()) == expected
+
+
+def reference_hits(series, period, letters):
+    """Per-segment hits: bit ``i`` of a segment's mask is set when it holds
+    ``letters[i]``; masks of fewer than two letters drop."""
+    bit_of = {letter: 1 << index for index, letter in enumerate(letters)}
+    hits: dict[int, int] = {}
+    for segment in series.segments(period):
+        mask = 0
+        for offset, slot in enumerate(segment):
+            for feature in slot:
+                mask |= bit_of.get((offset, feature), 0)
+        if mask.bit_count() >= 2:
+            hits[mask] = hits.get(mask, 0) + 1
+    return hits
+
+
+def all_letters(series, period):
+    """Every ``(offset, feature)`` letter of the whole segments, sorted."""
+    return sorted(
+        {
+            (offset, feature)
+            for segment in series.segments(period)
+            for offset, slot in enumerate(segment)
+            for feature in slot
+        }
+    )
+
+
+def grid_series(period, features, segments, extra=(), seed=0):
+    """Every slot holds a random half of ``features``, so the series has
+    ``period * len(features)`` letters; ``extra`` adds ``(position,
+    feature)`` occurrences on top."""
+    rng = random.Random(seed)
+    slots = [
+        {feature for feature in features if rng.random() < 0.5}
+        for _ in range(period * segments)
+    ]
+    for index in range(period):
+        slots[index] |= set(features)
+    for position, feature in extra:
+        slots[position].add(feature)
+    return FeatureSeries(slots)
+
+
+def noisy_series(length=900, alphabet=300, seed=4):
+    """One to four random features a slot from a wide alphabet: nearly
+    every slot is distinct (D close to N)."""
+    rng = random.Random(seed)
+    return FeatureSeries(
+        [
+            {f"n{rng.randrange(alphabet)}" for _ in range(rng.randint(1, 4))}
+            for _ in range(length)
+        ]
+    )
+
+
+class TestSegmentHits:
+    """Scan 2 against per-segment hit counting over the frozensets."""
+
+    def check(self, series, period, letters):
+        column = series.slot_column()
+        ids = column.table.letter_ids(letters)
+        hits = segment_hits(column, period, series.num_periods(period), ids)
+        assert len({mask for mask, _ in hits}) == len(hits)
+        assert dict(hits) == reference_hits(series, period, letters)
+        return hits
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_packed(self, seed):
+        series = packed_series(seed, length=97, features=5)
+        self.check(series, 6, all_letters(series, 6))
+
+    @pytest.mark.parametrize(
+        "extra, width",
+        [((), 64), ([(3, "z")], 65)],
+        ids=["64-letters", "65-letters"],
+    )
+    def test_one_word_boundary(self, extra, width):
+        series = grid_series(8, "abcdefgh", 40, extra=extra)
+        letters = all_letters(series, 8)
+        assert len(letters) == width
+        hits = self.check(series, 8, letters)
+        assert any(mask >> 63 for mask, _ in hits)
+        if width == 65:
+            assert any(mask >> 64 for mask, _ in hits)
+
+    def test_more_than_two_words(self):
+        series = grid_series(20, "abcdefg", 30, seed=1)
+        letters = all_letters(series, 20)
+        assert len(letters) == 140
+        hits = self.check(series, 20, letters)
+        assert any(mask >> 128 for mask, _ in hits)
+
+    def test_bit_order_is_not_letter_order(self):
+        # Shuffled bits put an offset's letters in several words, so one
+        # group of offsets spans words it does not start in.
+        series = grid_series(20, "abcdefg", 30, seed=2)
+        letters = all_letters(series, 20)
+        random.Random(5).shuffle(letters)
+        self.check(series, 20, letters)
+
+    @pytest.mark.parametrize("period", [3, 7])
+    def test_noisy_distinct_slots(self, period):
+        series = noisy_series()
+        assert len(series.slot_column().table.slots) > 0.8 * len(series)
+        letters = all_letters(series, period)
+        assert len(letters) > 128
+        self.check(series, period, letters)
+
+    def test_empty_slots(self):
+        series, period, _, _ = SHAPES["empty-slots"]
+        self.check(series, period, all_letters(series, period))
+        blank = FeatureSeries([set()] * 10 + [{"a"}, {"b"}] + [set()] * 8)
+        self.check(blank, 4, all_letters(blank, 4))
+
+    def test_cmax_on_a_single_offset(self):
+        series = packed_series(9, length=120, features=6)
+        letters = [letter for letter in all_letters(series, 5) if letter[0] == 2]
+        assert len(letters) >= 2
+        self.check(series, 5, letters)
+
+    @pytest.mark.parametrize("extra", [1, 4])
+    def test_length_not_a_multiple_of_the_period(self, extra):
+        series = packed_series(11, length=5 * 13 + extra, features=4)
+        assert len(series) % 5
+        self.check(series, 5, all_letters(series, 5))
+
+    def test_shared_mining_over_a_period_range(self):
+        series = packed_series(12, length=203, features=4)
+        periods = range(3, 9)
+        shared = mine_periods_shared(series, periods, 0.3)
+        for period in periods:
+            single = mine_single_period_hitset(series, period, 0.3)
+            assert dict(shared[period].items()) == dict(single.items())
+            assert dict(shared[period].items()) == brute_force_frequent(
+                series, period, 0.3
+            )
+            for stat in ("tree_nodes", "hit_set_size", "candidate_counts"):
+                assert getattr(shared[period].stats, stat) == getattr(
+                    single.stats, stat
+                )
 
 
 class TestCacheRequeryByName:
