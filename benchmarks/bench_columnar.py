@@ -82,18 +82,28 @@ OOC_RSS_BUDGET_MB = 256
 SPEEDUP_BAR_FULL = 10.0
 SPEEDUP_BAR_QUICK = 3.0
 
+#: Timing rounds: each round times the cold columnar, cold in-memory and
+#: store mines once, in turn, and each side keeps its best round.
+REPEATS = 5
+
 #: The Figure 2 shape with a packed vocabulary: 12 F1 letters plus one
 #: noise feature spread over the 50 offsets stays within 64 letters.
 PACKED_ALPHABET = 13
 
 
-def _best_of(repeats: int, fn) -> float:
-    """Best-of-N wall time — robust against scheduler noise on small runs."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
+def _interleaved_best(rounds: int, **fns) -> dict[str, float]:
+    """Best-of-``rounds`` wall time of each function, by name.
+
+    Every round times each function once, in turn, so a host that speeds
+    up or slows down during the run moves every side of a ratio alike
+    instead of the side that happened to be timed then.
+    """
+    best = dict.fromkeys(fns, float("inf"))
+    for _ in range(rounds):
+        for name, fn in fns.items():
+            started = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - started)
     return best
 
 
@@ -304,7 +314,7 @@ def run_out_of_core(
 def run_benchmark(
     length: int = LENGTH_FULL,
     ooc_slots: int = OOC_SLOTS_FULL,
-    repeats: int = 3,
+    repeats: int = REPEATS,
     seed: int = 0,
 ) -> dict:
     """Measure columnar vs. in-memory scans; returns the JSON-ready report."""
@@ -314,20 +324,12 @@ def run_benchmark(
     # -- cold mines along all three paths, exact equality enforced -----
     columnar = columnar_cold_mine(series, period, min_conf)
     in_memory = in_memory_cold_mine(series, period, min_conf)
+    started = time.perf_counter()
     legacy = legacy_cold_mine(series, period, min_conf)
+    legacy_cold_s = time.perf_counter() - started
     equivalent = letter_map(columnar) == letter_map(in_memory) == letter_map(legacy)
     if not equivalent:
         raise AssertionError("columnar mine diverged from in-memory/legacy")
-
-    columnar_cold_s = _best_of(
-        repeats, lambda: columnar_cold_mine(series, period, min_conf)
-    )
-    in_memory_cold_s = _best_of(
-        repeats, lambda: in_memory_cold_mine(series, period, min_conf)
-    )
-    legacy_cold_s = _best_of(
-        max(1, repeats - 2), lambda: legacy_cold_mine(series, period, min_conf)
-    )
 
     # -- scan path: vectorized column ops over a prebuilt store ---------
     # The encode pass is paid once (and timed separately); mine_store then
@@ -338,7 +340,15 @@ def run_benchmark(
     store_result = mine_store(store, min_conf)
     if letter_map(store_result) != letter_map(in_memory):
         raise AssertionError("mine_store diverged from the cold in-memory mine")
-    scan_s = _best_of(repeats + 2, lambda: mine_store(store, min_conf))
+    best = _interleaved_best(
+        repeats,
+        columnar=lambda: columnar_cold_mine(series, period, min_conf),
+        in_memory=lambda: in_memory_cold_mine(series, period, min_conf),
+        store=lambda: mine_store(store, min_conf),
+    )
+    columnar_cold_s = best["columnar"]
+    in_memory_cold_s = best["in_memory"]
+    scan_s = best["store"]
     speedup_scan = in_memory_cold_s / scan_s
 
     report = {
@@ -440,8 +450,8 @@ def main(argv=None) -> int:
         "--quick",
         action="store_true",
         help=f"small workload (LENGTH={LENGTH_QUICK}, "
-        f"{OOC_SLOTS_QUICK}-slot out-of-core run), 1 repeat, no JSON "
-        "unless --json is given",
+        f"{OOC_SLOTS_QUICK}-slot out-of-core run), no JSON unless --json "
+        "is given",
     )
     parser.add_argument(
         "--length", type=int, help="series length (overrides --quick default)"
@@ -453,7 +463,11 @@ def main(argv=None) -> int:
         help="out-of-core series length in slots",
     )
     parser.add_argument(
-        "--repeats", type=int, default=None, help="timing repeats (best-of)"
+        "--repeats",
+        type=int,
+        default=REPEATS,
+        help=f"timing rounds, best-of; each round times the cold columnar, "
+        f"cold in-memory and store mines in turn (default {REPEATS})",
     )
     parser.add_argument(
         "--json",
@@ -473,8 +487,9 @@ def main(argv=None) -> int:
     ooc_slots = args.ooc_slots or (
         OOC_SLOTS_QUICK if args.quick else OOC_SLOTS_FULL
     )
-    repeats = args.repeats or (1 if args.quick else 3)
-    report = run_benchmark(length=length, ooc_slots=ooc_slots, repeats=repeats)
+    report = run_benchmark(
+        length=length, ooc_slots=ooc_slots, repeats=args.repeats
+    )
     print_report(report)
 
     json_path = args.json

@@ -14,9 +14,12 @@ miner: the maximal and constrained miners call them too, and Algorithm
 
 In-memory series mine on their interned slot column
 (:meth:`~repro.timeseries.feature_series.FeatureSeries.slot_column`,
-built while a file is parsed or once on first mine): scan 1 counts every
-letter with :func:`~repro.kernels.slots.letter_totals` over the
-column's occurrence rows, and scan 2 collects the distinct hits with
+built while a file is parsed or once on first mine): scan 1 counts only
+the letters that can reach its floor, as floor-pruned ``(offset, slot)``
+pair counts (:func:`~repro.kernels.slots.scan1_rows` keeps the positions
+whose slot holds a feature frequent enough overall,
+:func:`~repro.kernels.slots.pair_letter_counts` counts them), and scan 2
+collects the distinct hits with
 :func:`~repro.kernels.slots.segment_hits` from the column's slots at the
 ``C_max`` offsets only, both bulk numpy ops, and the
 derivation answers every candidate level from one superset-sum pass
@@ -124,8 +127,11 @@ class _Scans:
 class _SeriesScans(_Scans):
     """The two scans over an in-memory series, on its interned slot column.
 
-    Each scan reads the column once: scan 1 counts every letter and
-    decodes only those at or above the floor, scan 2 reads the slots at
+    Each scan reads the column once: scan 1 counts ``(offset, slot)``
+    pairs at the positions whose slot holds a feature that can reach the
+    floor, and returns the letters at or above it (every letter at floor
+    0), booking the positions it read as the ``scan1_rows`` profile
+    counter; scan 2 reads the slots at
     the tree vocabulary's offsets, ORs each segment's letters there into
     bit rows and keeps the distinct >= 2-letter ones.  A column built
     lazily on the first read is timed inside that scan.
@@ -148,12 +154,16 @@ class _SeriesScans(_Scans):
 
         with _stage(self.profile, "scan1", items=self.num_periods):
             column = self.series.slot_column()
-            letter_ids, counts = _slots.letter_totals(
-                column.occurrences(), self.period, self.num_periods
+            rows = _slots.scan1_rows(
+                column, self.period * self.num_periods, floor
             )
-            kept = counts >= floor
-            letters = column.table.letters_of(letter_ids[kept], counts[kept])
+            letter_ids, counts = _slots.pair_letter_counts(
+                column.table, rows, self.period, self.num_periods, floor
+            )
+            letters = column.table.letters_of(letter_ids, counts)
         self.stats.scans += 1
+        if self.profile is not None:
+            self.profile.count("scan1_rows", len(rows.positions))
         return letters
 
     def hits(self, target: LetterVocabulary) -> Mapping[int, int]:

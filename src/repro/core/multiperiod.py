@@ -14,9 +14,11 @@ Two strategies from the paper:
 Both passes read the series' interned slot column
 (:meth:`~repro.timeseries.feature_series.FeatureSeries.slot_column`) with
 the kernels of :mod:`repro.kernels.slots`, exactly as single-period
-mining does.  Scan 1 expands the column into one ``(position, feature)``
-occurrence array; each period's letter counts are then one sorted count
-(``np.unique``) of ``(i % p, feature)``.  Scan 2 reads the column again
+mining does.  Scan 1 selects its rows once, over the longest prefix of
+whole segments at the lowest period's floor: the positions whose slot
+holds a feature that occurs at least that often.  Each period's letter
+counts are then one sorted count of its ``(i % p, slot)`` pairs there,
+fanned out to the pairs' features.  Scan 2 reads the column again
 and, per period, only its slots at the offsets of that period's
 ``C_max`` letters: each distinct slot there becomes one bit row of
 ``ceil(|C_max| / 64)`` ``uint64`` words, so wide ``C_max`` needs no
@@ -183,9 +185,11 @@ def mine_periods_shared(
 ) -> MultiPeriodResult:
     """Algorithm 3.4: shared mining of all periods in at most two scans.
 
-    Scan 1 reads the series' slot column once; every period's letter
-    counts then come from that one occurrence array
-    (:func:`repro.kernels.slots.letter_totals`).  When no period has a
+    Scan 1 reads the series' slot column once and keeps the positions
+    that can hold a letter at the lowest period's floor
+    (:func:`repro.kernels.slots.scan1_rows`); every period's F1 then
+    comes from its ``(offset, slot)`` pair counts over those rows
+    (:func:`repro.kernels.slots.pair_letter_counts`).  When no period has a
     frequent 1-pattern the run stops there, after one scan.  Otherwise
     scan 2 reads the column once more and collects every period's
     distinct hits from the slots at its ``C_max`` offsets
@@ -201,20 +205,25 @@ def mine_periods_shared(
     # ----- Scan 1: F1 of every period from one pass ---------------------
     column = series.slot_column()
     table = column.table
-    occurrences = column.occurrences()
+    thresholds = {
+        period: min_count(min_conf, length // period) for period in usable
+    }
+    rows = _slots.scan1_rows(
+        column,
+        max(length // period * period for period in usable),
+        min(thresholds.values()),
+    )
     f1_sets: dict[int, FrequentOnePatterns] = {}
-    for period in usable:
+    for period, threshold in thresholds.items():
         num_periods = length // period
-        threshold = min_count(min_conf, num_periods)
-        letter_ids, counts = _slots.letter_totals(
-            occurrences, period, num_periods
+        letter_ids, counts = _slots.pair_letter_counts(
+            table, rows, period, num_periods, threshold
         )
-        frequent = counts >= threshold
         f1_sets[period] = FrequentOnePatterns(
             period=period,
             num_periods=num_periods,
             threshold=threshold,
-            letters=table.letters_of(letter_ids[frequent], counts[frequent]),
+            letters=table.letters_of(letter_ids, counts),
         )
     trees = {
         period: MaxSubpatternTree(one_patterns.max_pattern)
@@ -224,7 +233,7 @@ def mine_periods_shared(
     scans = 1
 
     # ----- Scan 2: every period's hits from one more pass ---------------
-    del occurrences
+    del rows
     if trees:
         column = series.slot_column()
         scans = 2

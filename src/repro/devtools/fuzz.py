@@ -15,9 +15,11 @@ mining (Algorithm 3.4) runs over the case's period and the next one,
 and each period must equal the single-period miner and the oracle.
 
 Two kernel-level stages compare the scan primitives directly.  One holds
-the slot column's scan-1 letter counts and scan-2 hits (over every
-letter of the series, so wide vocabularies take several words per
-segment) equal to the frozenset path: per-segment letter counting and a
+the slot column's scan kernels equal to the frozenset path: scan 1's
+floor-pruned pair counts, at floor 0 and at the case's support floor,
+and the occurrence-row counts period discovery reads, against
+per-segment letter counting; scan 2's hits (over every letter of the
+series, so wide vocabularies take several words per segment) against a
 :class:`~repro.kernels.store.SegmentStore` hit counter.  The other
 compares the store primitives (``distinct_counts`` / ``letter_counts``
 / ``hit_counter`` / ``count_masks``) against naive pure-Python
@@ -35,9 +37,11 @@ easy cases.
 The fuzzer's own alarm is tested by :func:`mutation_check`: it injects
 known bugs into the kernels production calls (a dropped distinct row,
 an off-by-one letter count, a corrupted candidate count, a lying hit
-count in the slot column's scan 2, an off-by-one letter count in the
-slot column's scan 1, an off-by-one slot position in the slot-column
-expansion) and demands the fuzzer report a divergence for every one.  A
+count in the slot column's scan 2, and in its scan 1 an off-by-one
+letter count, an off-by-one position and feature totals compared with
+``>`` instead of ``>=`` the floor) and demands the fuzzer report a
+divergence for every one; :data:`BOUNDARY_CASE` makes sure the last
+one has a letter at exactly the floor to lose.  A
 clean run proves little if the alarm cannot ring.  A case that raises is
 a ``crash`` divergence, so one crashing kernel call cannot end a run.
 
@@ -101,6 +105,17 @@ class FuzzCase:
             "noise": self.noise,
             "min_conf": self.min_conf,
         }
+
+
+#: The case every run executes first, so every corpus holds it.  The one
+#: planted feature of each offset sits once in every segment there and
+#: nowhere else, and ``min_conf`` 1.0 makes the support floor ``m``: its
+#: letter count, its feature total and the floor are all equal, the
+#: boundary of scan 1's floor pruning.
+BOUNDARY_CASE = FuzzCase(
+    seed=1, period=3, num_segments=12, alphabet=40,
+    planted=1, planting=1.0, noise=0, min_conf=1.0,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,13 +302,16 @@ def _diff_maps(
 # ----------------------------------------------------------------------
 
 
-def _effective_conf(series: FeatureSeries, period: int, base: float) -> float:
+def _effective_conf(
+    series: FeatureSeries, period: int, base: float
+) -> float | None:
     """The case's confidence, raised until the frequent-1 cap holds.
 
     Deterministic in the inputs, so a divergence still reproduces from
-    its case alone.  At confidence 1.0 at most ``2 * period`` letters can
-    be frequent (two planted features per offset), which is within the
-    cap by construction.
+    its case alone.  ``None`` when the cap fails even at confidence 1.0:
+    with few segments every letter that is in all of them is frequent
+    (one segment makes every letter frequent), and the complete frequent
+    set is then too large for any miner or oracle to list.
     """
     segments = list(series.segments(period))
     if not segments:
@@ -304,12 +322,13 @@ def _effective_conf(series: FeatureSeries, period: int, base: float) -> float:
             for feature in slot:
                 counts[(offset, feature)] += 1
     conf = base
-    while conf < 1.0:
+    while True:
         threshold = min_count(conf, len(segments))
         if sum(1 for c in counts.values() if c >= threshold) <= MAX_F1_LETTERS:
-            break
+            return conf
+        if conf >= 1.0:
+            return None
         conf = min(1.0, round(conf + 0.1, 10))
-    return conf
 
 
 def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
@@ -318,6 +337,10 @@ def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
     divergences: list[Divergence] = []
 
     min_conf = _effective_conf(series, case.period, case.min_conf)
+    if min_conf is None:
+        # Nothing can mine this case; its scan kernels can still be checked.
+        _check_column(case, series, 1.0, divergences)
+        return divergences, (case.period, "over-cap")
     mined = _result_map(
         mine_single_period_hitset(series, case.period, min_conf)
     )
@@ -343,7 +366,7 @@ def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
         )
 
     _check_shared(case, series, min_conf, mined, oracle, divergences)
-    _check_column(case, series, divergences)
+    _check_column(case, series, min_conf, divergences)
     wide = _check_store_path(case, series, min_conf, mined, divergences)
     signature_bits = (
         (0, 0) if wide else _check_primitives(case, series, divergences)
@@ -369,13 +392,16 @@ def _check_shared(
     """Algorithm 3.4 over ``[p, p + 1]`` against per-period mining.
 
     The confidence is raised, as for the case itself, until the
-    frequent-1 cap also holds at ``p + 1``; each period's shared result
-    must then equal the single-period hit-set miner and, where it can
+    frequent-1 cap also holds at ``p + 1`` (only ``p`` is mined when no
+    confidence makes it hold there); each period's shared result must
+    then equal the single-period hit-set miner and, where it can
     enumerate, the brute-force oracle.
     """
     period = case.period
     periods = [period, period + 1] if period < len(series) else [period]
     conf = _effective_conf(series, periods[-1], min_conf)
+    if conf is None:
+        periods, conf = [period], min_conf
     shared = mine_periods_shared(series, periods, conf)
     for current in periods:
         got = _result_map(shared[current])
@@ -405,7 +431,10 @@ def _check_shared(
 
 
 def _check_column(
-    case: FuzzCase, series: FeatureSeries, divergences: list[Divergence]
+    case: FuzzCase,
+    series: FeatureSeries,
+    min_conf: float,
+    divergences: list[Divergence],
 ) -> None:
     """The slot column's two scans against the frozenset path.
 
@@ -423,13 +452,33 @@ def _check_column(
     if not num_periods:
         return
     column = series.slot_column()
+    table = column.table
+    expected = dict(letter_counts_for_segments(series.segments(period)))
+    threshold = min_count(min_conf, num_periods)
+    for floor in (0, threshold):
+        rows = slots.scan1_rows(column, num_periods * period, floor)
+        letter_ids, counts = slots.pair_letter_counts(
+            table, rows, period, num_periods, floor
+        )
+        wanted = {
+            letter: count for letter, count in expected.items() if count >= floor
+        }
+        if table.letters_of(letter_ids, counts) != wanted:
+            divergences.append(
+                Divergence(
+                    case,
+                    stage="column:scan1",
+                    detail=f"letter counts differ at floor {floor}",
+                )
+            )
     letter_ids, counts = slots.letter_totals(
         column.occurrences(), period, num_periods
     )
-    expected = letter_counts_for_segments(series.segments(period))
-    if column.table.letters_of(letter_ids, counts) != dict(expected):
+    if table.letters_of(letter_ids, counts) != expected:
         divergences.append(
-            Divergence(case, stage="column:scan1", detail="letter counts differ")
+            Divergence(
+                case, stage="column:occurrences", detail="letter counts differ"
+            )
         )
     vocab = vocabulary_of_series(series, period)
     if not len(vocab):
@@ -597,9 +646,10 @@ def _submask(row: int, keep: int) -> int:
 def fuzz(budget: int, seed: int = 0) -> FuzzReport:
     """Run ``budget`` cases under coverage guidance; fully deterministic.
 
-    Cases producing a previously unseen coverage signature join the
-    corpus; most of the budget mutates corpus entries, the rest draws
-    fresh random cases so guidance never starves exploration.  A case
+    The :data:`BOUNDARY_CASE` runs first.  Cases producing a previously
+    unseen coverage signature join the corpus; most of the budget
+    mutates corpus entries, the rest draws fresh random cases so
+    guidance never starves exploration.  A case
     that raises is recorded as a ``crash`` divergence carrying the
     exception's repr, and the run goes on with the next case.
     """
@@ -609,7 +659,9 @@ def fuzz(budget: int, seed: int = 0) -> FuzzReport:
     divergences: list[Divergence] = []
     executed = 0
     while executed < budget:
-        if corpus and rng.random() < 0.7:
+        if not executed:
+            case = BOUNDARY_CASE
+        elif corpus and rng.random() < 0.7:
             case = mutate_case(rng.choice(corpus), rng)
         else:
             case = random_case(rng)
@@ -644,11 +696,11 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
     from repro.kernels.slots import SlotTable
 
     original_distinct = columnar.distinct_counts
-    original_totals = slots.letter_totals
+    original_pairs = slots.pair_letter_counts
+    original_rows = slots.scan1_rows
     original_letters = columnar.letter_bit_totals
     original_counts = SubmaskCountTable.counts
     original_hits = slots.segment_hits
-    original_expand = SlotTable.expand
 
     def dropped_distinct_row(column: Any) -> Counter:
         counts = Counter(original_distinct(column))
@@ -682,16 +734,22 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
         return hits
 
     def off_by_one_column_letter(
-        occurrences: Any, period: int, num_periods: int
+        table: SlotTable, rows: Any, period: int, num_periods: int, floor: int
     ) -> Any:
-        letter_ids, counts = original_totals(occurrences, period, num_periods)
+        letter_ids, counts = original_pairs(
+            table, rows, period, num_periods, floor
+        )
         counts = counts.copy()
         counts[:1] += 1
         return letter_ids, counts
 
-    def off_by_one_expand(table: SlotTable, slot_ids: Any) -> Any:
-        occurrences = original_expand(table, slot_ids)
-        return replace(occurrences, positions=occurrences.positions + 1)
+    def off_by_one_position(column: Any, length: int, floor: int) -> Any:
+        rows = original_rows(column, length, floor)
+        return replace(rows, positions=rows.positions + 1)
+
+    def strict_feature_floor(column: Any, length: int, floor: int) -> Any:
+        # Integer totals > floor are exactly totals >= floor + 1.
+        return original_rows(column, length, floor + 1)
 
     return {
         "dropped-distinct-row": (
@@ -705,9 +763,10 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
         ),
         "lying-hit-counter": (slots, "segment_hits", lying_hits),
         "off-by-one-column-letter-count": (
-            slots, "letter_totals", off_by_one_column_letter
+            slots, "pair_letter_counts", off_by_one_column_letter
         ),
-        "off-by-one-column-position": (SlotTable, "expand", off_by_one_expand),
+        "off-by-one-column-position": (slots, "scan1_rows", off_by_one_position),
+        "strict-feature-floor": (slots, "scan1_rows", strict_feature_floor),
     }
 
 

@@ -52,7 +52,8 @@ class MiningProfile:
 
     def __init__(self) -> None:
         self._stages: dict[str, StageTiming] = {}
-        #: Event tallies: cache_hits, cache_misses, distinct_hits, ...
+        #: Event tallies: cache_hits, cache_misses, distinct_hits,
+        #: scan1_rows (slot-column positions scan 1 read), ...
         self.counters: dict[str, int] = {}
 
     # ------------------------------------------------------------------

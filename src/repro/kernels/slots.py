@@ -6,16 +6,22 @@ distinct slots, each with its feature ids in CSR form, plus one
 ``int32`` slot id per slot.  :func:`repro.timeseries.io.load_series`
 builds it while parsing; any other series builds it once, on its first
 mine (:func:`intern_slots`).  Every in-memory scan then runs as bulk
-numpy ops over one occurrence array instead of one interpreter
-round-trip per slot, period and feature:
+numpy ops over the column instead of one interpreter round-trip per
+slot, period and feature:
 
-* :meth:`SlotColumn.occurrences` is one read of the whole column: one
-  ``(position, feature)`` row per feature occurrence, in slot order
-  (:class:`Occurrences`).
-* :func:`letter_totals` is scan 1 for one period: letter id
-  ``(position % p) * F + feature`` for every occurrence inside the ``m``
-  whole segments, counted by sorting (``np.unique``), so the cost and
-  memory follow the occurrences and never the ``p * F`` letter space.
+* Scan 1 is floor-pruned pair counting.  It needs only the letters
+  found in at least ``floor`` of the ``m`` whole segments, and a letter
+  ``(o, f)`` can get there only if feature ``f`` occurs that often in
+  the ``m * p`` whole-segment slots.  :func:`scan1_rows` takes every
+  feature's total from one ``np.bincount`` of the slot ids fanned out
+  through the CSR, and keeps the positions whose slot holds a feature
+  that can reach the floor (:class:`Scan1Rows`).
+  :func:`pair_letter_counts` then counts one period: one sort of the
+  ``(i % p) * D + slot id`` keys of those positions, run-length counts
+  for each distinct ``(offset, slot)`` pair, and each pair fanned out to
+  its capable features and summed by letter id.  No occurrence is ever
+  expanded, and at floor 0 (a count cache keeps every letter) it counts
+  every non-empty slot.
 * :func:`segment_hits` is scan 2 for one period.  It asks only which
   ``C_max`` letters each segment holds, and those sit on at most
   ``|C_max|`` of the ``p`` offsets, so it reads only the column's slots
@@ -27,14 +33,22 @@ round-trip per slot, period and feature:
   diff of neighbours collapses the rest to the distinct hits with their
   counts.  The work follows the slots and features at the ``C_max``
   offsets, never all occurrences or the number of distinct slots.
+* :meth:`SlotColumn.occurrences` expands the whole column into one
+  ``(position, feature)`` row per feature occurrence
+  (:class:`Occurrences`), and :func:`letter_totals` counts every letter
+  of one period from them by sorting.  Period discovery reads these: it
+  needs every letter of many periods, which the pair counts do not
+  prune.
 
 The single-period miners (Algorithm 3.2 and its maximal and constrained
-forms) call these for one period, shared multi-period mining
-(Algorithm 3.4) and period discovery for many periods over the same
-read.  Memory is ``O(N + occurrences)`` for scan 1's arrays and
-``O(m * k)`` plus one group of offsets' bit rows for scan 2; no
-distinct-slots x features matrix is ever built, because on noisy data
-there are about as many distinct slots as slots.
+forms) call the scans for one period; shared multi-period mining
+(Algorithm 3.4) selects scan 1's rows once, over the longest prefix at
+the lowest floor, and counts every period from them.  Memory is
+``O(N)`` for scan 1's position selection plus arrays sized by the kept
+positions, the distinct slots and the features, and ``O(m * k)`` plus
+one group of offsets' bit rows for scan 2; no distinct-slots x features
+matrix is ever built, because on noisy data there are about as many
+distinct slots as slots.
 """
 
 from __future__ import annotations
@@ -133,6 +147,19 @@ class SlotTable:
         """The occurrence rows of a series given as its slot ids."""
         return Occurrences(*self.feature_rows(slot_ids), len(self.features))
 
+    def feature_totals(self, slot_counts: np.ndarray) -> np.ndarray:
+        """Each feature's total when slot ``d`` occurs ``slot_counts[d]`` times."""
+        weights = np.repeat(slot_counts, self._sizes)
+        return np.bincount(
+            self._feature_ids, weights=weights, minlength=len(self.features)
+        ).astype(np.int64)
+
+    def holding(self, wanted: np.ndarray) -> np.ndarray:
+        """Whether each distinct slot holds a feature id where ``wanted`` is set."""
+        held = np.zeros(len(self._feature_ids) + 1, np.int64)
+        np.cumsum(wanted[self._feature_ids], out=held[1:])
+        return held[self._indptr[1:]] > held[self._indptr[:-1]]
+
     def letters_of(
         self, letter_ids: np.ndarray, counts: np.ndarray
     ) -> dict[Letter, int]:
@@ -176,14 +203,99 @@ def intern_slots(slots: Sequence[frozenset[str]]) -> SlotColumn:
     )
 
 
+@dataclass(frozen=True, slots=True)
+class Scan1Rows:
+    """The positions of a slot-column prefix that scan 1 reads.
+
+    A position is kept when its slot holds a *capable* feature: one whose
+    total over the prefix reaches the floor (and at least 1), the only
+    features a letter at or above the floor can have.  ``positions``
+    ascends, so the rows inside a shorter prefix are a prefix of both
+    arrays.
+    """
+
+    #: ``int64`` kept positions, ascending.
+    positions: np.ndarray
+    #: Distinct-slot id of each kept position.
+    slot_ids: np.ndarray
+    #: Per feature id, whether the feature is capable.
+    capable: np.ndarray
+
+
+def scan1_rows(column: SlotColumn, length: int, floor: int) -> Scan1Rows:
+    """The rows of the first ``length`` slots that can hold a letter >= ``floor``.
+
+    One ``np.bincount`` of the slot ids, fanned out through the CSR,
+    gives every feature's total; a letter ``(o, f)`` occurs at most as
+    often as ``f`` does, so only features with a total of at least
+    ``max(floor, 1)`` can reach the floor.  Everything but the one pass
+    over the slot ids is sized by the distinct slots and features.
+    """
+    table = column.table
+    ids = column.ids[:length]
+    totals = table.feature_totals(np.bincount(ids, minlength=len(table.slots)))
+    capable = totals >= max(floor, 1)
+    positions = np.flatnonzero(table.holding(capable).take(ids))
+    return Scan1Rows(positions, ids[positions], capable)
+
+
+def pair_letter_counts(
+    table: SlotTable,
+    rows: Scan1Rows,
+    period: int,
+    num_periods: int,
+    floor: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scan 1 for one period: the letters at or above ``floor``, with counts.
+
+    ``rows`` must cover at least the ``num_periods`` whole segments and
+    have been selected at a floor no higher than ``floor``.  The kept
+    positions there become ``(offset, slot)`` pair keys
+    ``(i % p) * D + slot id``, and one sort with run-length counts gives
+    each distinct pair's count.  Each pair then fans out through the CSR
+    to its capable features, and the counts are summed by letter id
+    (``offset * num_features + feature``).  Returns ascending letter ids
+    and their counts; at floor 0 that is every letter that occurs.
+    """
+    end = int(np.searchsorted(rows.positions, num_periods * period))
+    distinct_slots = len(table.slots)
+    keys = (rows.positions[:end] % period) * distinct_slots
+    keys += rows.slot_ids[:end]
+    keys.sort()
+    starts = _run_starts(keys)
+    pair_counts = np.diff(starts, append=len(keys))
+    pairs = keys[starts]
+    owners, features = table.feature_rows(pairs % distinct_slots)
+    capable = rows.capable[features]
+    owners = owners[capable]
+    letters = (pairs // distinct_slots)[owners] * len(table.features)
+    letters += features[capable]
+    order = np.argsort(letters)
+    letters = letters[order]
+    starts = _run_starts(letters)
+    counts = np.add.reduceat(pair_counts[owners[order]], starts)
+    letters = letters[starts]
+    kept = counts >= floor
+    return letters[kept], counts[kept]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal neighbours in ``values`` starts."""
+    starts = np.ones(len(values), bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def letter_totals(
     occurrences: Occurrences, period: int, num_periods: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scan 1 for one period: the letters that occur and their counts.
+    """Every letter of one period and its count, from occurrence rows.
 
-    Returns ascending letter ids (``offset * num_features + feature``)
-    and each one's occurrence count over the ``num_periods`` whole
-    segments; letters that never occur are absent.
+    Period discovery's count (the miners' scan 1 is
+    :func:`pair_letter_counts`).  Returns ascending letter ids
+    (``offset * num_features + feature``) and each one's occurrence
+    count over the ``num_periods`` whole segments; letters that never
+    occur are absent.
     """
     _, letters = occurrences.whole_segments(period, num_periods)
     return np.unique(letters, return_counts=True)

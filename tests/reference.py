@@ -9,6 +9,8 @@ and :func:`wide_series` build the two sides of the 64-letter store
 column.
 :func:`per_line_load` is the series-file format read one line at a time,
 the reference for the validate-once loader in :mod:`repro.timeseries.io`.
+:func:`per_segment_letter_counts` is scan 1 read literally, the reference
+for the floor-pruned pair counts of :mod:`repro.kernels.slots`.
 :func:`score_periods_loop` is period discovery's slot pass as a per-slot,
 per-period, per-feature ``Counter`` loop, the reference for the interned
 slot kernel behind :func:`repro.analysis.periodogram.score_periods`.
@@ -162,6 +164,20 @@ def per_line_load(
             excerpt = text if len(text) <= 60 else text[:57] + "..."
             quarantined.append((number, reason, repr(excerpt)))
     return slots, quarantined
+
+
+def per_segment_letter_counts(
+    series: FeatureSeries, period: int, floor: int = 0
+) -> dict[Letter, int]:
+    """Each ``(offset, feature)`` letter's count over the whole segments,
+    one segment and slot at a time, keeping the counts at or above
+    ``floor``."""
+    counts: Counter = Counter()
+    for segment in series.segments(period):
+        for offset, slot in enumerate(segment):
+            for feature in slot:
+                counts[(offset, feature)] += 1
+    return {letter: count for letter, count in counts.items() if count >= floor}
 
 
 def score_periods_loop(

@@ -97,11 +97,16 @@ class TestOracle:
 class TestMutationCheck:
     def test_all_injected_bugs_caught(self):
         caught = mutation_check(budget=30, seed=4)
-        assert len(caught) == 6
+        assert len(caught) == 7
         assert all(caught.values()), caught
 
     @pytest.mark.parametrize(
-        "name", ["off-by-one-column-letter-count", "off-by-one-column-position"]
+        "name",
+        [
+            "off-by-one-column-letter-count",
+            "off-by-one-column-position",
+            "strict-feature-floor",
+        ],
     )
     def test_column_kernel_bug_caught_by_column_and_shared_stages(self, name):
         # Every in-memory miner reads the slot column, so a bug in its

@@ -588,6 +588,27 @@ class TestMiningProfile:
         assert profile2.counters["cache_hits"] == 2
         assert "scan1" not in [stage.name for stage in profile2.stages]
 
+    def test_scan1_rows_counts_the_positions_read(self):
+        # "a" fills every other slot; "r" alone fills a few more, too few
+        # to reach the floor of 10 anywhere, so scan 1 skips its slots.
+        slots = [
+            {"a"} if index % 2 else ({"r"} if index % 9 == 0 else set())
+            for index in range(83)
+        ]
+        series = FeatureSeries(slots)
+        whole = slots[: series.num_periods(4) * 4]
+        profile = MiningProfile()
+        mine_single_period_hitset(series, 4, 0.5, profile=profile)
+        assert profile.counters["scan1_rows"] == sum("a" in s for s in whole)
+        assert "scan1_rows" in profile.table()
+        # With a cache, scan 1 counts at floor 0: every non-empty slot.
+        profile = MiningProfile()
+        mine_single_period_hitset(
+            series, 4, 0.5, cache=CountCache(), profile=profile
+        )
+        assert profile.counters["scan1_rows"] == sum(map(bool, whole))
+        assert sum(map(bool, whole)) > sum("a" in s for s in whole)
+
     def test_table_and_json_shapes(self):
         profile = MiningProfile()
         with profile.stage("scan1", items=10):
@@ -698,6 +719,7 @@ class TestKernelCli:
         assert code == 0
         payload = json.loads(profile_path.read_text())
         assert "stages" in payload and "counters" in payload
+        assert payload["counters"]["scan1_rows"] > 0
         out = capsys.readouterr().out
         assert "[cache" in out
 

@@ -594,6 +594,11 @@ class TestAppEndpoints:
                 "coalesced": 0, "led": 1, "in_flight": 0,
             }
             assert stats["tenants"]["quota"]["public"]["admitted"] == 1
+            # Served mines count scan 1 at floor 0 for the count cache, so
+            # scan 1 reads every non-empty slot of the whole segments.
+            slots = app.registry.get("demo").series.slots[:80]
+            counters = stats["profile"]["counters"]
+            assert counters["scan1_rows"] == sum(map(bool, slots))
             json.dumps(stats)  # the whole document must be JSON-clean
         finally:
             app.close()

@@ -5,7 +5,10 @@ Every in-memory hit-set miner (single-period, maximal, constrained and
 (:meth:`FeatureSeries.slot_column`).  These suites hold them equal to the
 brute-force oracle and to the slow references in :mod:`tests.reference`,
 which count over the frozensets, on a column built lazily and on one
-built by :func:`repro.timeseries.io.load_series` while parsing.
+built by :func:`repro.timeseries.io.load_series` while parsing.  Scan 1's
+floor-pruned pair counts are also held to per-segment counting directly,
+at floors around the support threshold and on the shapes where pruning
+is closest to wrong.
 """
 
 from __future__ import annotations
@@ -16,17 +19,27 @@ import random
 import pytest
 
 from repro.core.constraints import MiningConstraints, mine_with_constraints
-from repro.core.counting import brute_force_frequent
+from repro.core.counting import brute_force_frequent, min_count
 from repro.core.hitset import build_hit_tree, mine_single_period_hitset
 from repro.core.maximal import maximal_patterns, mine_maximal_hitset
 from repro.core.multiperiod import mine_periods_shared
 from repro.kernels.cache import CountCache
-from repro.kernels.slots import SlotColumn, SlotTable, segment_hits
+from repro.kernels.slots import (
+    SlotColumn,
+    SlotTable,
+    pair_letter_counts,
+    scan1_rows,
+    segment_hits,
+)
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.io import load_series, save_series
 from repro.timeseries.scan import ScanCountingSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
-from tests.reference import packed_series, per_candidate_mine
+from tests.reference import (
+    packed_series,
+    per_candidate_mine,
+    per_segment_letter_counts,
+)
 
 
 def wide_cmax_series(period: int = 35, segments: int = 30) -> FeatureSeries:
@@ -40,9 +53,23 @@ def wide_cmax_series(period: int = 35, segments: int = 30) -> FeatureSeries:
     )
 
 
+def floor_boundary_series(period: int = 5, segments: int = 12) -> FeatureSeries:
+    """``z`` once in every segment, always at offset 2: at ``min_conf``
+    1.0 its feature total, its letter's count and the support floor are
+    all ``segments``.  Two other features fill the slots at random, and a
+    trailing partial segment holds one more ``z``."""
+    rng = random.Random(3)
+    slots = [{rng.choice("ab")} for _ in range(period * segments)]
+    for segment in range(segments):
+        slots[segment * period + 2].add("z")
+        slots[segment * period].add("a")
+    return FeatureSeries(slots + [{"z"}, {"b"}])
+
+
 #: name -> (series, period, min_conf, max_letters); every one ends in a
 #: trailing partial segment.
 SHAPES = {
+    "floor-boundary": (floor_boundary_series(), 5, 1.0, None),
     "packed": (packed_series(3, length=61), 4, 0.3, None),
     "empty-slots": (
         FeatureSeries.from_symbols("a*b**ab*c*a*b***ab*ca*b**a" * 3), 5, 0.3, None
@@ -146,14 +173,14 @@ class TestScansOnColumn:
         assert len(tree.vocab) > 64
         assert any(mask >> 64 for mask in tree.stored_hits())
 
-    @pytest.mark.parametrize("name", ["packed", "empty-slots"])
+    @pytest.mark.parametrize("name", ["packed", "empty-slots", "floor-boundary"])
     def test_maximal(self, name, column_source):
         series, period, min_conf, _ = SHAPES[name]
         mined = mine_maximal_hitset(column_source(series), period, min_conf)
         expected = maximal_patterns(brute_force_frequent(series, period, min_conf))
         assert letters_of(mined) == letters_of(expected)
 
-    @pytest.mark.parametrize("name", ["packed", "empty-slots"])
+    @pytest.mark.parametrize("name", ["packed", "empty-slots", "floor-boundary"])
     def test_constrained(self, name, column_source):
         series, period, min_conf, _ = SHAPES[name]
         constraints = MiningConstraints(
@@ -170,6 +197,157 @@ class TestScansOnColumn:
             if constraints.satisfied_by(pattern)
         }
         assert dict(mined.items()) == expected
+
+
+def pair_counts(series, period, floor, length=None):
+    """Scan 1's pair counts as letters, over the first ``length`` slots'
+    rows (the whole segments by default)."""
+    column = series.slot_column()
+    num_periods = series.num_periods(period)
+    if length is None:
+        length = num_periods * period
+    rows = scan1_rows(column, length, floor)
+    letter_ids, counts = pair_letter_counts(
+        column.table, rows, period, num_periods, floor
+    )
+    assert letter_ids.tolist() == sorted(set(letter_ids.tolist()))
+    return column.table.letters_of(letter_ids, counts)
+
+
+class TestPairLetterCounts:
+    """Scan 1's floor-pruned pair counts against per-segment counting."""
+
+    def check(self, series, period, floor):
+        letters = pair_counts(series, period, floor)
+        assert letters == per_segment_letter_counts(series, period, floor)
+        return letters
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "shift", [None, -1, 0, 1], ids=["zero", "below", "at", "above"]
+    )
+    def test_floors_around_the_threshold(self, seed, shift):
+        series = packed_series(seed, length=97, features=5)
+        threshold = min_count(0.4, series.num_periods(6))
+        floor = 0 if shift is None else threshold + shift
+        letters = self.check(series, 6, floor)
+        if shift == 0:
+            assert letters and min(letters.values()) >= threshold
+
+    def test_feature_total_at_the_floor_on_one_offset(self):
+        series = floor_boundary_series()
+        column = series.slot_column()
+
+        def capable(floor):
+            rows = scan1_rows(column, 60, floor)
+            return {
+                column.table.features[index]
+                for index in rows.capable.nonzero()[0].tolist()
+            }
+
+        assert "z" in capable(12) and "z" not in capable(13)
+        assert self.check(series, 5, 12) == {(0, "a"): 12, (2, "z"): 12}
+        assert self.check(series, 5, 13) == {}
+
+    def test_feature_frequent_overall_but_below_the_floor_at_every_offset(self):
+        # "w" sits at offset s % 4 of segment s: 12 in all, 3 at each offset.
+        period, segments = 4, 12
+        slots = [
+            {"a"} if index % period == 0 else set()
+            for index in range(period * segments)
+        ]
+        for segment in range(segments):
+            slots[segment * period + segment % period].add("w")
+        series = FeatureSeries(slots)
+        assert self.check(series, period, 6) == {(0, "a"): 12}
+        assert self.check(series, period, 3)[(1, "w")] == 3
+
+    @pytest.mark.parametrize("extra", [1, 4])
+    def test_length_not_a_multiple_of_the_period(self, extra):
+        series = packed_series(11, length=5 * 13 + extra, features=4)
+        for floor in (0, 3, 6):
+            self.check(series, 5, floor)
+
+    def test_all_empty_slots(self):
+        series = FeatureSeries([set()] * 20)
+        for floor in (0, 1):
+            assert self.check(series, 4, floor) == {}
+
+    def test_no_whole_segment(self):
+        # Period 5 over 3 slots: the prefix of whole segments is empty.
+        column = FeatureSeries([{"a"}, {"b"}, {"a"}]).slot_column()
+        for floor in (0, 1):
+            rows = scan1_rows(column, 0, floor)
+            assert len(rows.positions) == 0
+            letter_ids, counts = pair_letter_counts(
+                column.table, rows, 5, 0, floor
+            )
+            assert len(letter_ids) == len(counts) == 0
+
+    def test_more_than_64_letters(self):
+        series = grid_series(8, "abcdefgh", 40, extra=[(3, "z")])
+        assert len(all_letters(series, 8)) == 65
+        for floor in (0, 1, 20, 21):
+            self.check(series, 8, floor)
+
+    @pytest.mark.parametrize("period", [3, 7])
+    def test_noisy_distinct_slots(self, period):
+        series = noisy_series()
+        assert len(series.slot_column().table.slots) > 0.8 * len(series)
+        for floor in (0, 2, 3, 5):
+            self.check(series, period, floor)
+
+    def test_one_selection_serves_periods_with_different_floors(self):
+        # Shared mining selects rows once, over the longest prefix at the
+        # lowest floor, and counts every period from them.
+        series = packed_series(13, length=131, features=4)
+        periods = [3, 7, 11, 20]
+        floors = {
+            period: min_count(0.35, series.num_periods(period))
+            for period in periods
+        }
+        assert len(set(floors.values())) == len(periods)
+        column = series.slot_column()
+        rows = scan1_rows(
+            column,
+            max(series.num_periods(p) * p for p in periods),
+            min(floors.values()),
+        )
+        for period, floor in floors.items():
+            letter_ids, counts = pair_letter_counts(
+                column.table, rows, period, series.num_periods(period), floor
+            )
+            assert column.table.letters_of(letter_ids, counts) == (
+                per_segment_letter_counts(series, period, floor)
+            )
+
+    def test_shared_mining_with_different_floors(self):
+        series = packed_series(13, length=131, features=4)
+        periods = [3, 7, 11, 20]
+        shared = mine_periods_shared(series, periods, 0.35)
+        for period in periods:
+            single = mine_single_period_hitset(series, period, 0.35)
+            reference = per_candidate_mine(series, period, 0.35)
+            assert dict(shared[period].items()) == reference
+            assert dict(single.items()) == reference
+            for stat in ("tree_nodes", "hit_set_size", "candidate_counts"):
+                assert getattr(shared[period].stats, stat) == getattr(
+                    single.stats, stat
+                )
+
+    def test_cache_requery_at_a_lower_min_conf(self):
+        # The cache stores scan 1 at floor 0, so a lower min_conf after a
+        # higher one needs only scan 2.
+        series = packed_series(22, length=97, features=5)
+        cache = CountCache()
+        high = mine_single_period_hitset(series, 6, 0.7, cache=cache)
+        assert dict(high.items()) == brute_force_frequent(series, 6, 0.7)
+        stored = cache.get_letter_counts(cache.key_for(series, 6))
+        assert dict(stored) == per_segment_letter_counts(series, 6)
+        scan = ScanCountingSeries(series)
+        low = mine_single_period_hitset(scan, 6, 0.3, cache=cache)
+        assert scan.scans == 1
+        assert dict(low.items()) == brute_force_frequent(series, 6, 0.3)
 
 
 def reference_hits(series, period, letters):
