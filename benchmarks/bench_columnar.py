@@ -1,32 +1,35 @@
-"""Columnar scan kernels and the out-of-core mmap store vs. the in-memory miner.
+"""The segment store and its out-of-core mmap path vs. the in-memory miner.
 
 Runs a packed-vocabulary variant of the Section 5 synthetic workload
 (Figure 2 defaults — ``p = 50``, ``|F1| = 12``, MAX-PAT-LENGTH 6 — with
-the noise alphabet trimmed so the ``(offset, feature)`` vocabulary packs
-into the 64 ``uint64`` bit lanes) and measures the two claims of the
-columnar kernels, which mine every store input:
+the noise alphabet trimmed so the ``(offset, feature)`` vocabulary fits
+one ``uint64`` word per store row) and measures the two claims of the
+segment store (:class:`repro.kernels.store.SegmentStore`), which mines
+every store input:
 
-* **scan path** — both scans as vectorized column ops: letter counting
-  as one unpack-and-sum pass, hit collection as chunked ``np.unique``
-  plus the shift/OR projection sweep, candidate verification as a
+* **scan path** — both scans as numpy ops over the store's rows: letter
+  counting as one unpack-and-sum pass, hit collection as the distinct
+  rows plus the shift/OR projection sweep, candidate verification as a
   broadcast subset reduction.  Timed as :func:`repro.core.hitset.mine_store`
   over a prebuilt store against a cold in-memory mine of the same series
   (:func:`in_memory_cold_mine`: its slot column built inside the timed
-  mine), exact output equality enforced against a cold store mine and a
-  cold per-candidate mine (:func:`legacy_cold_mine`).
-* **out-of-core store** — a multi-million-slot series encoded straight
-  to a spilled ``.seg`` file (``StoreOptions.spill_bytes``), then mined
-  from the mmap'd column in a subprocess whose peak RSS never scales
-  with the series: only the chunk buffer, the distinct-mask table and
-  the tree are resident.  Letter-identical output to an in-memory mine
-  of the same file is enforced.
+  mine), exact output equality enforced against a cold store mine
+  (:func:`columnar_cold_mine`: slot column, store build and mine, all
+  timed) and a cold per-candidate mine (:func:`legacy_cold_mine`).
+* **out-of-core store** — a multi-million-slot series built straight
+  to a spilled ``.seg`` file (``StoreOptions.spill_bytes``; the timed
+  build includes the slot column), then mined from the mmap'd rows in a
+  subprocess whose peak RSS never scales with the series: only the
+  chunk buffer, the distinct-row table and the tree are resident.
+  Letter-identical output to an in-memory mine of the same file is
+  enforced.
 
 Run standalone (writes ``BENCH_columnar.json`` at the repo root)::
 
     PYTHONPATH=src python benchmarks/bench_columnar.py            # full
     PYTHONPATH=src python benchmarks/bench_columnar.py --quick    # CI smoke
 
-``--check`` exits non-zero when the columnar scan path fails its speedup
+``--check`` exits non-zero when the store's scan path fails its speedup
 bar (10x full, 3x quick), when any mining path diverges, or when the
 out-of-core subprocess exceeds the RSS budget — the CI smoke gate
 against silent kernel regressions.
@@ -66,9 +69,9 @@ LENGTH_QUICK = 30_000
 OOC_SLOTS_FULL = 10_000_000
 OOC_SLOTS_QUICK = 1_000_000
 
-#: The out-of-core spill threshold is sized so the mask file lands this
-#: far past it — the encode pass streams to disk instead of
-#: materializing the buffer, at any --ooc-slots setting.  (At the full
+#: The out-of-core spill threshold is sized so the row file lands this
+#: far past it — the build streams to disk instead of materializing the
+#: rows, at any --ooc-slots setting.  (At the full
 #: 10M slots this puts the threshold near 128 KiB for a 1.6 MB file.)
 OOC_FILE_TO_THRESHOLD = 12
 
@@ -78,7 +81,7 @@ OOC_FILE_TO_THRESHOLD = 12
 OOC_RSS_BUDGET_MB = 256
 
 #: Speedup bars for --check: scan-path (mine_store over a prebuilt
-#: column) vs. a cold in-memory mine of the same series.
+#: store) vs. a cold in-memory mine of the same series.
 SPEEDUP_BAR_FULL = 10.0
 SPEEDUP_BAR_QUICK = 3.0
 
@@ -111,9 +114,11 @@ def packed_figure2_series(length: int, seed: int = 0):
     """The Figure 2 workload constrained to a <= 64-letter vocabulary.
 
     The stock figure2 generator draws noise from an 88-feature surplus
-    alphabet at arbitrary offsets, which blows the ``(offset, feature)``
-    vocabulary far past 64 letters, where no store column exists.  One noise feature keeps the same noise *load* while
-    bounding the vocabulary at ``12 + 50 = 62`` letters.
+    alphabet at arbitrary offsets, which puts the ``(offset, feature)``
+    vocabulary in the thousands of letters.  One noise feature keeps the
+    same noise *load* while bounding the vocabulary at ``12 + 50 = 62``
+    letters: one word per store row, the shape every earlier run of this
+    benchmark measured.
     """
     spec = SyntheticSpec(
         length=length,
@@ -136,8 +141,9 @@ def letter_map(result) -> dict:
 
 
 def columnar_cold_mine(series, period: int, min_conf: float):
-    """A cold store mine: the interned encode pass, then the column scans."""
-    return mine_store(SegmentStore.from_series_interned(series, period), min_conf)
+    """A cold store mine: the store built from a copy of ``series`` without
+    a slot column (so the column build is timed too), then its scans."""
+    return mine_store(SegmentStore.from_series(series[:], period), min_conf)
 
 
 def in_memory_cold_mine(series, period: int, min_conf: float):
@@ -212,7 +218,7 @@ def _mine_store_subprocess(path: Path, min_conf: float) -> dict:
     """Mine a spilled store in a fresh interpreter; report time and RSS.
 
     The subprocess never sees the series — it maps the ``.seg`` file and
-    mines the column, so its peak RSS is the honest out-of-core number.
+    mines the rows, so its peak RSS is the honest out-of-core number.
     Peak memory is read from ``VmHWM`` (per-address-space, reset by
     ``execve``) rather than ``ru_maxrss``, whose lifetime high-water mark
     inherits the parent's entire RSS through fork's copy-on-write window
@@ -263,7 +269,7 @@ def run_out_of_core(
     spill_bytes: int | None = None,
     min_conf: float = 0.6,
 ) -> dict:
-    """Encode a large series straight to disk, then mine it mmap-backed."""
+    """Build a large series' store straight to disk, then mine it mmap-backed."""
     if spill_bytes is None:
         mask_bytes = (slots // FIGURE2_PERIOD) * 8
         spill_bytes = max(1024, mask_bytes // OOC_FILE_TO_THRESHOLD)
@@ -273,13 +279,13 @@ def run_out_of_core(
             directory=tmp, spill_bytes=spill_bytes, basename="bench.seg"
         )
         started = time.perf_counter()
-        store = SegmentStore.from_series_interned(
-            series, FIGURE2_PERIOD, options=options
-        )
+        store = SegmentStore.from_series(series, FIGURE2_PERIOD, options=options)
         encode_s = time.perf_counter() - started
         path = Path(tmp) / "bench.seg"
         if not path.exists():
-            raise AssertionError("store did not spill; raise slots or lower spill_bytes")
+            raise AssertionError(
+                "store did not spill; raise slots or lower spill_bytes"
+            )
         file_bytes = path.stat().st_size
         del series  # the subprocess must stand on the mmap'd file alone
 
@@ -291,11 +297,12 @@ def run_out_of_core(
             SegmentStore.from_file(path, mmap=False), min_conf
         )
         letter_identical = letter_map(reference) == outcome["patterns"]
+        segments = len(store)
         del store
 
     return {
         "slots": slots,
-        "segments": file_bytes // 8,
+        "segments": segments,
         "spill_bytes": spill_bytes,
         "file_bytes": file_bytes,
         "file_to_threshold_ratio": round(file_bytes / spill_bytes, 1),
@@ -331,11 +338,12 @@ def run_benchmark(
     if not equivalent:
         raise AssertionError("columnar mine diverged from in-memory/legacy")
 
-    # -- scan path: vectorized column ops over a prebuilt store ---------
-    # The encode pass is paid once (and timed separately); mine_store then
-    # runs both scans plus the derivation purely on the column.
+    # -- scan path: numpy ops over a prebuilt store's rows -------------
+    # The build (slot column included) is paid once and timed
+    # separately; mine_store then runs both scans plus the derivation
+    # purely on the rows.
     started = time.perf_counter()
-    store = SegmentStore.from_series_interned(series, period)
+    store = SegmentStore.from_series(series[:], period)
     encode_s = time.perf_counter() - started
     store_result = mine_store(store, min_conf)
     if letter_map(store_result) != letter_map(in_memory):

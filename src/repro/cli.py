@@ -31,7 +31,7 @@ from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from repro.analysis.periodogram import suggest_periods
-from repro.core.errors import MiningError, ReproError
+from repro.core.errors import ReproError
 from repro.core.miner import PartialPeriodicMiner
 from repro.core.result import MiningResult
 from repro.synth.generator import SyntheticSpec
@@ -114,11 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         metavar="DIR",
         help=(
-            "intern the series into a segment store mined on the columnar "
-            "kernels, spilled to this directory once it crosses "
-            "--spill-mb and mined as an mmap'd on-disk column in bounded "
-            "memory (series larger than RAM mine at disk bandwidth; "
-            "vocabularies of at most 64 letters; see docs/kernels.md)"
+            "build the series into a segment store of per-segment letter "
+            "rows, spilled to this directory once it crosses --spill-mb "
+            "and mined as an mmap'd on-disk matrix in bounded memory "
+            "(series larger than RAM mine at disk bandwidth; see "
+            "docs/kernels.md)"
         ),
     )
     mine.add_argument(
@@ -575,18 +575,9 @@ def _run_mine(args: argparse.Namespace) -> int:
         if args.maximal:
             result = miner.mine_maximal(args.period)
         else:
-            try:
-                result = miner.mine(
-                    args.period, cache=cache, profile=profile, store=store
-                )
-            except MiningError as error:
-                from repro.kernels.store import WideVocabularyError
-
-                # A vocabulary too wide for --store-dir is a usage error.
-                if not isinstance(error.__cause__, WideVocabularyError):
-                    raise
-                print(f"error: {error}", file=sys.stderr)
-                return 2
+            result = miner.mine(
+                args.period, cache=cache, profile=profile, store=store
+            )
         _print_result(result, args.limit, args.maximal)
         if cache is not None:
             print(f"  [cache {cache.stats.summary()}]")

@@ -16,7 +16,6 @@ from repro.core.errors import MiningError
 from repro.core.maxpattern import FrequentOnePatterns, find_frequent_one_patterns
 from repro.core.pattern import Letter, Pattern
 from repro.core.result import MiningResult, MiningStats
-from repro.encoding.codec import SegmentEncoder
 from repro.encoding.vocabulary import LetterVocabulary
 from repro.timeseries.feature_series import FeatureSeries
 
@@ -77,7 +76,6 @@ def _mine_levels_encoded(
 ) -> dict[Pattern, int]:
     """The level loop on bitmasks over the sorted F1 vocabulary."""
     vocab = LetterVocabulary.from_letters(one_patterns.letters, period=period)
-    encoder = SegmentEncoder(vocab)
     mask_counts: dict[int, int] = {
         vocab.bit_of(letter): count
         for letter, count in one_patterns.letters.items()
@@ -93,7 +91,7 @@ def _mine_levels_encoded(
         level += 1
         stats.candidate_counts[level] = len(candidates)
         stats.scans += 1
-        level_counts = count_candidate_masks(series, period, candidates, encoder)
+        level_counts = count_candidate_masks(series, period, candidates, vocab)
         frequent_level = set()
         for candidate in candidates:
             count = level_counts[candidate]

@@ -21,7 +21,6 @@ from itertools import chain
 
 from repro.core.errors import MiningError
 from repro.core.pattern import Letter, Pattern
-from repro.encoding.codec import SegmentEncoder, iter_segment_letters
 from repro.encoding.vocabulary import LetterVocabulary
 from repro.timeseries.feature_series import FeatureSeries, Segment
 
@@ -54,7 +53,9 @@ def min_count(min_conf: float, num_periods: int) -> int:
 
 def segment_letters(segment: Segment) -> frozenset[Letter]:
     """The letter set of a period segment: all ``(offset, feature)`` pairs."""
-    return frozenset(iter_segment_letters(segment))
+    return frozenset(
+        (offset, feature) for offset, slot in enumerate(segment) for feature in slot
+    )
 
 
 def count_pattern(series: FeatureSeries, pattern: Pattern) -> int:
@@ -105,9 +106,7 @@ def count_candidates(
     mask_of = {
         candidate: vocab.encode_letters(candidate) for candidate in in_range
     }
-    mask_counts = count_candidate_masks(
-        series, period, mask_of.values(), SegmentEncoder(vocab)
-    )
+    mask_counts = count_candidate_masks(series, period, mask_of.values(), vocab)
     for candidate in candidate_list:
         mask = mask_of.get(candidate)
         counts[candidate] = 0 if mask is None else mask_counts[mask]
@@ -118,34 +117,25 @@ def count_candidate_masks(
     series: FeatureSeries,
     period: int,
     masks: Iterable[int],
-    encoder: SegmentEncoder,
-    store: "object | None" = None,
+    vocab: LetterVocabulary,
 ) -> dict[int, int]:
     """Count candidate bitmasks in one scan — the encoded counting kernel.
 
-    ``masks`` are candidate letter sets over ``encoder``'s vocabulary; the
-    result maps each distinct mask to its frequency count.
-
-    The scan encodes the segments into a
-    :class:`~repro.kernels.store.SegmentStore` and answers the whole
-    candidate set through :meth:`SegmentStore.count_masks` — never the
-    candidates-times-segments inner loop this function started as.  The
-    store memoizes its distinct-mask pass, so callers issuing several
-    counting rounds over the same vocabulary (cold verification paths,
-    re-queries) should build one store and pass it back in via ``store``:
-    every round after the first then skips the scan entirely.
+    ``masks`` are candidate letter sets over ``vocab``; the result maps
+    each distinct mask to its frequency count.  The scan builds a
+    :class:`~repro.kernels.store.SegmentStore` over ``vocab`` and answers
+    the whole candidate set through :meth:`SegmentStore.count_masks` —
+    never a candidates-times-segments loop.  A letter of ``vocab`` the
+    series never holds has no bit in any row, so its candidates count 0.
     """
-    # Local import: repro.kernels pulls in higher layers (resilience) and
-    # counting sits near the bottom of the package import graph.
+    # Local import: repro.kernels pulls in higher layers and counting
+    # sits near the bottom of the package import graph.
     from repro.kernels.store import SegmentStore
 
     ordered = list(dict.fromkeys(masks))
     if not ordered:
         return {}
-    if store is None:
-        store = SegmentStore.from_series(series, period, encoder.vocab)
-    assert isinstance(store, SegmentStore)
-    return store.count_masks(ordered)
+    return SegmentStore.from_series(series, period, vocab).count_masks(ordered)
 
 
 def brute_force_counts(
@@ -223,7 +213,7 @@ def letter_counts_for_segments(
     """
     counts: Counter = Counter()
     for segment in segments:
-        counts.update(iter_segment_letters(segment))
+        counts.update(segment_letters(segment))
     return counts
 
 

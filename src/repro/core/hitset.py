@@ -25,11 +25,11 @@ collects the distinct hits with
 derivation answers every candidate level from one superset-sum pass
 (:mod:`repro.kernels.batched`).  Store inputs —
 a prebuilt store (:func:`mine_store`) or a series mined with
-:class:`~repro.kernels.store.StoreOptions` — mine on the columnar kernels
-instead: one encode pass interns the series into the store (spilling to
-an mmap'd on-disk file past the threshold), and both scans then run as
-vectorized numpy ops over the store column — letter counting as one
-unpack-and-sum pass, hit collection as chunked ``np.unique`` projected
+:class:`~repro.kernels.store.StoreOptions` — mine on the store's row
+matrix instead: one pass builds every segment's row from the slot
+column (spilling to an mmap'd on-disk file past the threshold), and both
+scans then run as chunked numpy ops over the rows — letter counting as
+one unpack-and-sum pass, hit collection as the distinct rows projected
 onto the tree vocabulary.  A :class:`~repro.kernels.cache.CountCache`
 removes the scans entirely on re-queries of the same series/period (the
 paper's §4.2 re-mining scenario): the cached scan-1 letter counts serve
@@ -39,7 +39,6 @@ equal-or-higher ``min_conf`` by projection.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Mapping
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, ContextManager
@@ -49,7 +48,7 @@ from repro.core.errors import MiningError
 from repro.core.maxpattern import FrequentOnePatterns
 from repro.core.pattern import Letter, Pattern
 from repro.core.result import MiningResult, MiningStats
-from repro.encoding.vocabulary import LetterVocabulary, remap_mask
+from repro.encoding.vocabulary import LetterVocabulary
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 from repro.timeseries.feature_series import FeatureSeries
 
@@ -71,31 +70,6 @@ def _stage(
 def _check_max_letters(max_letters: int | None) -> None:
     if max_letters is not None and max_letters < 1:
         raise MiningError(f"max_letters must be >= 1, got {max_letters}")
-
-
-def _project_hits(store: "SegmentStore", target: LetterVocabulary) -> Counter:
-    """The store's distinct masks projected onto ``target``, >= 2-letter only.
-
-    This is the scan-2 "hit" computation run over the already-encoded
-    column: remapping onto the tree vocabulary drops infrequent letters
-    (the project-onto-``C_max`` step) and the popcount filter keeps the
-    masks that actually land in the tree.  Packed stores project every
-    distinct mask at once with the vectorized
-    :func:`~repro.kernels.columnar.remap_counts` sweep; the per-mask
-    Python remap only remains for wide (> 64-letter) stores.
-    """
-    table = store.vocab.remap_table(target)
-    distinct = store.distinct_counts()
-    if store.column() is not None:
-        from repro.kernels import columnar as _columnar
-
-        return _columnar.remap_counts(distinct, table)
-    hits: Counter = Counter()
-    for mask, count in distinct.items():
-        hit = remap_mask(mask, table)
-        if hit.bit_count() >= 2:
-            hits[hit] += count
-    return hits
 
 
 class _Scans:
@@ -184,12 +158,12 @@ class _SeriesScans(_Scans):
 
 
 class _StoreScans(_Scans):
-    """The two scans over a segment store, on the columnar kernels.
+    """The two scans over a segment store's row matrix.
 
     ``build`` returns the store; it runs once, on the first scan that
     needs the data (a cache hit on both scans never builds it), and that
     one pass is the only scan booked — both scans then read the stored
-    column, not the series.
+    rows, not the series.
     """
 
     __slots__ = ("build", "_store")
@@ -217,44 +191,23 @@ class _StoreScans(_Scans):
             counts = store.letter_counts()
         return {letter: count for letter, count in counts.items() if count >= floor}
 
-    def hits(self, target: LetterVocabulary) -> Counter:
+    def hits(self, target: LetterVocabulary) -> Mapping[int, int]:
         store = self.store()
         with _stage(self.profile, "scan2", items=self.num_periods):
-            return _project_hits(store, target)
+            return store.project_hits(target)
 
 
-def _interned_store(
+def _build_store(
     series: FeatureSeries,
     period: int,
     options: "StoreOptions",
     profile: "MiningProfile | None",
 ) -> "SegmentStore":
-    """One encode pass interning ``series`` into a (possibly spilled) store.
+    """``series`` built into a (possibly spilled) store, as the ``encode`` stage."""
+    from repro.kernels.store import SegmentStore
 
-    Timed as the ``encode`` profile stage.  Only packed (<= 64-letter)
-    vocabularies have a store column; a wider one raises
-    :class:`~repro.core.errors.MiningError` naming its letter count
-    rather than quietly mining in memory.
-    """
-    from repro.encoding.codec import vocabulary_of_series
-    from repro.kernels.store import (
-        PACKED_MAX_BITS,
-        SegmentStore,
-        WideVocabularyError,
-    )
-
-    try:
-        with _stage(profile, "encode", items=series.num_periods(period)):
-            return SegmentStore.from_series_interned(
-                series, period, options=options
-            )
-    except WideVocabularyError as error:
-        letters = len(vocabulary_of_series(series, period))
-        raise MiningError(
-            f"store options need a vocabulary of at most {PACKED_MAX_BITS} "
-            f"letters, but the series has {letters} letters at period "
-            f"{period}; mine it without a store"
-        ) from error
+    with _stage(profile, "encode", items=series.num_periods(period)):
+        return SegmentStore.from_series(series, period, options=options)
 
 
 def _scan1(
@@ -342,7 +295,7 @@ def _series_scans(
     profile: "MiningProfile | None" = None,
     store: "StoreOptions | None" = None,
 ) -> _Scans:
-    """The scan source over ``series``: its slot column, or columnar with ``store``.
+    """The scan source over ``series``: its slot column, or a store with ``store``.
 
     Raises :class:`~repro.core.errors.MiningError` when the series holds
     no whole period of ``period``.
@@ -356,7 +309,7 @@ def _series_scans(
         return _SeriesScans(series, period, num_periods, profile)
     options = store
     return _StoreScans(
-        lambda: _interned_store(series, period, options, profile),
+        lambda: _build_store(series, period, options, profile),
         period,
         num_periods,
         profile,
@@ -481,13 +434,11 @@ def mine_single_period_hitset(
         per-stage wall times and cache counters.
     store:
         Optional :class:`~repro.kernels.store.StoreOptions`.  The series is
-        then interned into a segment store in one encode pass (timed as the
-        ``encode`` profile stage) and mined on the columnar kernels exactly
-        as :func:`mine_store` mines a prebuilt store; with a ``directory``
-        set, stores crossing the spill threshold encode straight to an
-        mmap'd on-disk file so the mine runs in bounded memory.  Raises
-        :class:`~repro.core.errors.MiningError` when the vocabulary is
-        wider than 64 letters.
+        then built into a segment store in one pass (timed as the
+        ``encode`` profile stage) and mined exactly as :func:`mine_store`
+        mines a prebuilt store; with a ``directory`` set, stores crossing
+        the spill threshold stream straight to an mmap'd on-disk file so
+        the mine runs in bounded memory.
 
     Returns
     -------
@@ -533,9 +484,9 @@ def mine_store(
     The out-of-core entry point: a store persisted with
     :meth:`~repro.kernels.store.SegmentStore.to_file` and reopened with
     :meth:`~repro.kernels.store.SegmentStore.from_file` is an mmap'd
-    column, so this mines series far larger than RAM — both scans stream
-    the column in bounded chunks and only the distinct-mask table and the
-    tree live in memory.  Results are identical to running
+    row matrix, so this mines series far larger than RAM — both scans
+    stream the rows in bounded chunks and only the distinct-row table and
+    the tree live in memory.  Results are identical to running
     :func:`mine_single_period_hitset` over the series the store encodes
     (a tested invariant); the booked scan count is 1 because the encode
     pass already happened when the store was built.

@@ -88,8 +88,8 @@ class PartialPeriodicMiner:
     ) -> MiningResult:
         """All frequent patterns of one period.
 
-        ``store`` (a :class:`repro.kernels.StoreOptions`) interns the
-        series into a segment store, mined on the columnar kernels, that
+        ``store`` (a :class:`repro.kernels.StoreOptions`) builds the
+        series into a segment store of per-segment letter rows that
         spills to an mmap'd on-disk file past its threshold so the mine
         runs in bounded memory (``--store-dir``); it is hit-set only,
         and passing it with ``"apriori"`` raises :class:`MiningError`.

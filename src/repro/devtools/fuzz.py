@@ -1,7 +1,7 @@
 """Coverage-guided differential fuzzer for the counting paths.
 
 In-memory series mine on their interned slot column and store inputs on
-the columnar kernels; the only acceptable difference between them is
+the store's row matrix; the only acceptable difference between them is
 speed.  This module hammers that claim: randomized feature series are mined in
 memory and through a spilled segment store, and the resulting
 ``{letters: count}`` maps must equal a brute-force oracle that
@@ -9,22 +9,24 @@ enumerates every subset of the frequent-1 letters and counts it by
 definition, with no shared code beyond the series itself — and must
 equal the encoded Apriori miner (Algorithm 3.1), which still answers
 when the frequent-1 set is too large to enumerate.  Vocabularies wider
-than 64 letters have no store column: there the store path must refuse
-with a :class:`~repro.core.errors.MiningError`.  Shared multi-period
-mining (Algorithm 3.4) runs over the case's period and the next one,
-and each period must equal the single-period miner and the oracle.
+than 64 letters take several words per store row and mine the same way.
+Shared multi-period mining (Algorithm 3.4) runs over the case's period
+and the next one, and each period must equal the single-period miner
+and the oracle.
 
 Two kernel-level stages compare the scan primitives directly.  One holds
 the slot column's scan kernels equal to the frozenset path: scan 1's
 floor-pruned pair counts, at floor 0 and at the case's support floor,
 and the occurrence-row counts period discovery reads, against
 per-segment letter counting; scan 2's hits (over every letter of the
-series, so wide vocabularies take several words per segment) against a
-:class:`~repro.kernels.store.SegmentStore` hit counter.  The other
-compares the store primitives (``distinct_counts`` / ``letter_counts``
-/ ``hit_counter`` / ``count_masks``) against naive pure-Python
-recomputations, so a bug that happens to cancel out in the end-to-end
-result is still caught at the primitive it lives in.
+series, so wide vocabularies take several words per segment) against
+the segments' frozensets encoded one by one
+(:class:`~repro.encoding.codec.SegmentEncoder`).  The other compares a
+:class:`~repro.kernels.store.SegmentStore`'s rows and primitives
+(``distinct_counts`` / ``letter_counts`` / ``hit_counter`` /
+``count_masks``) against the same per-segment encoding and naive
+pure-Python recomputations, so a bug that happens to cancel out in the
+end-to-end result is still caught at the primitive it lives in.
 
 Coverage guidance is structural, not line-based: every executed case is
 reduced to a small signature (period, vocabulary width, frequent-set
@@ -35,12 +37,12 @@ frequent sets, dense distinct tables) instead of re-rolling the same
 easy cases.
 
 The fuzzer's own alarm is tested by :func:`mutation_check`: it injects
-known bugs into the kernels production calls (a dropped distinct row,
-an off-by-one letter count, a corrupted candidate count, a lying hit
-count in the slot column's scan 2, and in its scan 1 an off-by-one
-letter count, an off-by-one position and feature totals compared with
-``>`` instead of ``>=`` the floor) and demands the fuzzer report a
-divergence for every one; :data:`BOUNDARY_CASE` makes sure the last
+known bugs into the kernels production calls (a dropped distinct row
+and an off-by-one letter count in the store, a corrupted candidate
+count, a lying hit count in the slot column's scan 2, and in its scan 1
+an off-by-one letter count, an off-by-one position and feature totals
+compared with ``>`` instead of ``>=`` the floor) and demands the fuzzer
+report a divergence for every one; :data:`BOUNDARY_CASE` makes sure the last
 one has a letter at exactly the floor to lose.  A
 clean run proves little if the alarm cannot ring.  A case that raises is
 a ``crash`` divergence, so one crashing kernel call cannot end a run.
@@ -57,13 +59,15 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import letter_counts_for_segments, min_count
-from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.multiperiod import mine_periods_shared
 from repro.core.pattern import Letter
 from repro.core.result import MiningResult
+from repro.encoding.vocabulary import LetterVocabulary
 from repro.timeseries.feature_series import FeatureSeries
 
 #: Skip the exponential brute-force oracle past this many frequent-1
@@ -172,9 +176,8 @@ def random_case(rng: random.Random) -> FuzzCase:
         seed=rng.randrange(1 << 30),
         period=period,
         num_segments=rng.randint(1, 40),
-        # Past ~64 distinct (offset, feature) letters the store goes wide
-        # and the store path must refuse; both sides of the cliff stay in
-        # range.
+        # Past 64 distinct (offset, feature) letters a store row takes a
+        # second word; both sides of that boundary stay in range.
         alphabet=rng.choice((2, 3, 5, 9, 17, 40, 90)),
         planted=rng.randint(0, 2),
         planting=rng.choice((0.3, 0.6, 0.9, 1.0)),
@@ -340,6 +343,7 @@ def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
     if min_conf is None:
         # Nothing can mine this case; its scan kernels can still be checked.
         _check_column(case, series, 1.0, divergences)
+        _check_primitives(case, series, divergences)
         return divergences, (case.period, "over-cap")
     mined = _result_map(
         mine_single_period_hitset(series, case.period, min_conf)
@@ -367,16 +371,14 @@ def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
 
     _check_shared(case, series, min_conf, mined, oracle, divergences)
     _check_column(case, series, min_conf, divergences)
-    wide = _check_store_path(case, series, min_conf, mined, divergences)
-    signature_bits = (
-        (0, 0) if wide else _check_primitives(case, series, divergences)
-    )
+    _check_store_path(case, series, min_conf, mined, divergences)
+    words, *signature_bits = _check_primitives(case, series, divergences)
     signature = (
         case.period,
-        wide,
+        words > 1,
         _bucket(len(mined)),
         not mined,
-        signature_bits,
+        tuple(signature_bits),
     )
     return divergences, signature
 
@@ -440,12 +442,11 @@ def _check_column(
 
     Scan 1's letter counts must equal per-segment counting over the
     frozensets, and scan 2's hits over the series' full vocabulary must
-    equal a :class:`~repro.kernels.store.SegmentStore` encoded from the
-    frozensets onto the same vocabulary.
+    equal the >= 2-letter masks of the frozensets encoded one segment at
+    a time onto the same vocabulary.
     """
     from repro.encoding.codec import vocabulary_of_series
     from repro.kernels import slots
-    from repro.kernels.store import SegmentStore
 
     period = case.period
     num_periods = series.num_periods(period)
@@ -491,15 +492,28 @@ def _check_column(
             column.table.letter_ids(vocab.letters),
         )
     )
-    store_hits = SegmentStore.from_series(series, period, vocab).hit_counter()
-    if hits != dict(store_hits):
+    encoded = _encoded_rows(series, period, vocab)
+    expected_hits = {
+        mask: count for mask, count in encoded.items() if mask.bit_count() >= 2
+    }
+    if hits != expected_hits:
         divergences.append(
             Divergence(
                 case,
                 stage="column:scan2",
-                detail=f"{len(hits)} distinct hits vs {len(store_hits)}",
+                detail=f"{len(hits)} distinct hits vs {len(expected_hits)}",
             )
         )
+
+
+def _encoded_rows(
+    series: FeatureSeries, period: int, vocab: LetterVocabulary
+) -> Counter:
+    """Each segment's frozensets encoded onto ``vocab``, as a multiset."""
+    from repro.encoding.codec import SegmentEncoder
+
+    encode = SegmentEncoder(vocab, period).encode_segment
+    return Counter(encode(segment) for segment in series.segments(period))
 
 
 def _check_store_path(
@@ -508,27 +522,17 @@ def _check_store_path(
     min_conf: float,
     mined: dict[frozenset[Letter], int],
     divergences: list[Divergence],
-) -> bool:
-    """Mine through a store spilled to disk; ``True`` when the store is wide.
-
-    A wide (> 64-letter) vocabulary must be refused with a
-    :class:`~repro.core.errors.MiningError` caused by the store's
-    :class:`~repro.kernels.store.WideVocabularyError`.
-    """
-    from repro.kernels.store import StoreOptions, WideVocabularyError
+) -> None:
+    """Mine through a store spilled to disk; it must equal the in-memory mine."""
+    from repro.kernels.store import StoreOptions
 
     with tempfile.TemporaryDirectory(prefix="ppm-fuzz-") as directory:
-        try:
-            result = mine_single_period_hitset(
-                series,
-                case.period,
-                min_conf,
-                store=StoreOptions(directory, spill_bytes=0),
-            )
-        except MiningError as error:
-            if isinstance(error.__cause__, WideVocabularyError):
-                return True
-            raise
+        result = mine_single_period_hitset(
+            series,
+            case.period,
+            min_conf,
+            store=StoreOptions(directory, spill_bytes=0),
+        )
     spilled = _result_map(result)
     if spilled != mined:
         divergences.append(
@@ -538,7 +542,6 @@ def _check_store_path(
                 detail=_diff_maps(spilled, mined),
             )
         )
-    return False
 
 
 def _bucket(value: int) -> int:
@@ -549,18 +552,26 @@ def _bucket(value: int) -> int:
 def _check_primitives(
     case: FuzzCase, series: FeatureSeries, divergences: list[Divergence]
 ) -> tuple[Any, ...]:
-    """Differentially test the store primitives on a packed store.
+    """Differentially test a store's rows and primitives, at any width.
 
-    Returns the coverage signature bits (distinct-row and width buckets).
+    The rows must equal the segments' frozensets encoded one by one, and
+    each primitive must equal its naive recomputation from those.
+    Returns the store's words per row and the coverage signature bits
+    (distinct-row and width buckets).
     """
     from repro.kernels.store import SegmentStore
 
-    store = SegmentStore.from_series_interned(series, case.period)
+    store = SegmentStore.from_series(series, case.period)
     if not len(store):
-        return (0, 0)
+        return (store.words, 0, 0)
 
     rng = random.Random(case.seed ^ 0x5EED)
-    naive_rows: Counter = Counter(int(mask) for mask in store)
+    vocab = store.vocab
+    naive_rows = _encoded_rows(series, case.period, vocab)
+    if +Counter(store) != +naive_rows:
+        divergences.append(
+            Divergence(case, stage="store:rows", detail="rows differ from encoding")
+        )
     distinct = store.distinct_counts()
     if +distinct != +naive_rows:
         divergences.append(
@@ -574,7 +585,6 @@ def _check_primitives(
         )
 
     naive_letters: Counter = Counter()
-    vocab = store.vocab
     for mask, count in naive_rows.items():
         remaining = mask
         while remaining:
@@ -621,7 +631,7 @@ def _check_primitives(
                 detail=f"{wrong}/{len(sample)} candidate counts differ",
             )
         )
-    return (_bucket(len(naive_rows)), _bucket(width))
+    return (store.words, _bucket(len(naive_rows)), _bucket(width))
 
 
 def _submask(row: int, keep: int) -> int:
@@ -691,27 +701,26 @@ def fuzz(budget: int, seed: int = 0) -> FuzzReport:
 
 def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
     """Named bugs to inject: (owner, attribute) -> corrupted wrapper."""
-    from repro.kernels import columnar, slots
+    from repro.kernels import slots
     from repro.kernels.batched import SubmaskCountTable
     from repro.kernels.slots import SlotTable
+    from repro.kernels.store import SegmentStore
 
-    original_distinct = columnar.distinct_counts
+    original_distinct = SegmentStore.distinct_rows
     original_pairs = slots.pair_letter_counts
     original_rows = slots.scan1_rows
-    original_letters = columnar.letter_bit_totals
+    original_totals = SegmentStore.bit_totals
     original_counts = SubmaskCountTable.counts
     original_hits = slots.segment_hits
 
-    def dropped_distinct_row(column: Any) -> Counter:
-        counts = Counter(original_distinct(column))
-        for mask in sorted(counts):
-            if mask:
-                del counts[mask]
-                break
-        return counts
+    def dropped_distinct_row(store: SegmentStore) -> Any:
+        rows, counts = original_distinct(store)
+        keep = np.ones(len(rows), bool)
+        keep[np.flatnonzero(rows.any(axis=1))[:1]] = False
+        return rows[keep], counts[keep]
 
-    def off_by_one_letter(column: Any) -> Any:
-        totals = original_letters(column)
+    def off_by_one_letter(store: SegmentStore) -> Any:
+        totals = original_totals(store)
         totals[0] += 1
         return totals
 
@@ -753,11 +762,9 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
 
     return {
         "dropped-distinct-row": (
-            columnar, "distinct_counts", dropped_distinct_row
+            SegmentStore, "distinct_rows", dropped_distinct_row
         ),
-        "off-by-one-letter-count": (
-            columnar, "letter_bit_totals", off_by_one_letter
-        ),
+        "off-by-one-letter-count": (SegmentStore, "bit_totals", off_by_one_letter),
         "corrupted-candidate-count": (
             SubmaskCountTable, "counts", corrupted_candidate
         ),

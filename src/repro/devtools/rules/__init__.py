@@ -21,7 +21,7 @@ they guard:
   routes through the snapshot helper; append-only logs are the exempt
   journal/WAL idiom);
 * :mod:`.columnar` — REP11xx, vectorized scans (no Python loops over the
-  segment store's row buffer outside the wide-vocabulary fallback).
+  segment store's row matrix).
 """
 
 from repro.devtools.rules import (  # noqa: F401  (imports register rules)

@@ -1,21 +1,17 @@
-"""Columnar-kernel rules (REP11xx).
+"""Segment-store rules (REP11xx).
 
-The columnar kernels reinterpret the packed :class:`SegmentStore` buffer
-as a numpy ``uint64`` column and answer both scans with vectorized array
-ops (:mod:`repro.kernels.columnar`).  A Python ``for`` loop over the
-store's row buffer — ``self._masks``, a ``store`` iterator, or the
-``column()`` array walked element by element — silently reintroduces the
-interpreter-per-row cost the tier removed: results stay correct, only
-the throughput collapses back to the scalar path.  This rule makes that
-regression loud in the hot-path packages (``repro.core`` and
-``repro.kernels``).
-
-The wide-vocabulary fallback is the legitimate exception: masks past 64
-letters are Python ints that no numpy column can hold, so those loops
-carry ``# repro: ignore[REP1101] -- <why>`` suppressions at the loop
-line.  Everything else should go through the store's vectorized
-methods (``letter_counts`` / ``distinct_counts`` / ``hit_counter`` /
-``count_masks``) or the helpers in :mod:`repro.kernels.columnar`.
+A :class:`SegmentStore` holds every whole segment's letters as an
+``(m, k)`` ``uint64`` row matrix and answers both scans with chunked
+numpy ops over it.  A Python ``for`` loop over the store's rows —
+``self._rows``, a ``store`` iterator, or the ``rows()`` matrix walked
+row by row — silently reintroduces the interpreter-per-segment cost the
+matrix removed: results stay correct, only the throughput collapses
+back to the scalar path.  This rule makes that regression loud in the
+hot-path packages (``repro.core`` and ``repro.kernels``).  Every row
+fits the matrix at any vocabulary width, so no loop over it is
+legitimate there: go through the store's methods (``letter_counts`` /
+``distinct_rows`` / ``hit_counter`` / ``project_hits`` /
+``count_masks``) instead.
 """
 
 from __future__ import annotations
@@ -32,20 +28,20 @@ from repro.devtools.registry import Rule, register
 SCOPED_PACKAGES = ("repro.core", "repro.kernels")
 
 #: Attribute names that identify the store's row buffer when iterated.
-ROW_BUFFER_ATTRS = frozenset({"_masks"})
+ROW_BUFFER_ATTRS = frozenset({"_rows"})
 
-#: Zero-argument methods returning the full row column; iterating their
-#: result element-wise is the same scalar regression.
-ROW_COLUMN_CALLS = frozenset({"column"})
+#: Zero-argument methods returning the full row matrix; iterating their
+#: result row by row is the same scalar regression.
+ROW_COLUMN_CALLS = frozenset({"rows"})
 
 
 def _names_row_buffer(expr: ast.expr) -> ast.expr | None:
     """The sub-expression that walks store rows, if the iterable has one.
 
-    Matches ``self._masks`` (and any ``<obj>._masks``) anywhere inside the
-    iterable — including wrapped forms such as ``enumerate(self._masks)``
-    — and calls of ``<obj>.column()``, whose ndarray result iterates one
-    Python scalar per row.
+    Matches ``self._rows`` (and any ``<obj>._rows``) anywhere inside the
+    iterable — including wrapped forms such as ``enumerate(self._rows)``
+    — and calls of ``<obj>.rows()``, whose ndarray result iterates one
+    Python object per row.
     """
     for node in ast.walk(expr):
         if (
@@ -72,12 +68,11 @@ class SegmentRowLoopRule(Rule):
     name = "segment-row-loop"
     severity = Severity.ERROR
     rationale = (
-        "Iterating the SegmentStore row buffer (_masks / column()) in "
-        "Python costs one interpreter round-trip per segment; the "
-        "columnar kernels answer whole scans as vectorized numpy ops "
-        "(SegmentStore.letter_counts / distinct_counts / hit_counter / "
-        "count_masks). Only the wide-vocabulary fallback, whose masks "
-        "exceed 64 bits, may loop — with a suppression stating so."
+        "Iterating the SegmentStore row matrix (_rows / rows()) in "
+        "Python costs one interpreter round-trip per segment; the store "
+        "answers whole scans as chunked numpy ops over its k-word rows "
+        "at any vocabulary width (SegmentStore.letter_counts / "
+        "distinct_rows / hit_counter / project_hits / count_masks)."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -108,9 +103,8 @@ class SegmentRowLoopRule(Rule):
                 ctx,
                 iterable.lineno,
                 iterable.col_offset,
-                "Python loop over the segment-store row buffer; use the "
-                "store's vectorized scan methods (letter_counts / "
-                "distinct_counts / hit_counter / count_masks) or the "
-                "repro.kernels.columnar helpers instead of walking rows "
-                "one interpreter iteration at a time",
+                "Python loop over the segment-store row matrix; use the "
+                "store's scan methods (letter_counts / distinct_rows / "
+                "hit_counter / project_hits / count_masks) instead of "
+                "walking rows one interpreter iteration at a time",
             )

@@ -4,11 +4,12 @@ The representation spine of the mining stack: a
 :class:`LetterVocabulary` interns ``(offset, feature)`` letters to dense
 int ids, and the codec (:class:`SegmentEncoder`) turns each period
 segment into one int bitmask over that vocabulary; the one container of a
-whole encoded series is :class:`repro.kernels.store.SegmentStore`.  All
-hot paths — the F1 scan, hit computation (Algorithm 4.1), the
-max-subpattern tree index, apriori-gen, and the columnar store kernels —
-operate on these masks; letters and :class:`~repro.core.pattern.Pattern`
-objects appear only at the API boundary (see ``docs/encoding.md``).
+whole encoded series is :class:`repro.kernels.store.SegmentStore`, whose
+rows the slot column builds.  All hot paths — the F1 scan, hit
+computation (Algorithm 4.1), the max-subpattern tree index, apriori-gen,
+and the segment store — operate on these masks; letters and
+:class:`~repro.core.pattern.Pattern` objects appear only at the API
+boundary (see ``docs/encoding.md``).
 
 Quickstart
 ----------

@@ -8,8 +8,11 @@ letters (:func:`iter_segment_letters`) or directly as one int bitmask
 
 :class:`SegmentEncoder` precomputes one ``feature -> bit`` dict per offset,
 so encoding a segment costs one dict lookup per feature occurrence — no
-tuple construction, no tuple hashing.  A whole series encoded for one
-period is a :class:`repro.kernels.store.SegmentStore`.
+tuple construction, no tuple hashing.  It is the reference encoder:
+:meth:`~repro.tree.max_subpattern_tree.MaxSubpatternTree.insert_all_segments`
+and the tests encode segments one at a time with it.  A whole series
+encoded for one period is a :class:`repro.kernels.store.SegmentStore`,
+built from the series' slot column instead.
 """
 
 from __future__ import annotations

@@ -1,22 +1,20 @@
-"""Slot-column, batched and columnar kernels plus the cross-query count cache.
+"""Slot-column and batched kernels, the segment store and the count cache.
 
 The performance layer under every miner:
 
+* :mod:`~repro.kernels.slots` — both scans of every in-memory mine, as
+  numpy ops over a series' interned slot column (distinct slots with CSR
+  feature ids plus one slot id per slot), and the per-segment row build
+  every segment store is made with;
 * :mod:`~repro.kernels.batched` — single-pass candidate counting: the
   dense superset-sum table and the sparse projection kernel that replace
   the legacy per-candidate walks of Algorithm 4.2;
-* :mod:`~repro.kernels.columnar` — the vectorized scans over store
-  inputs: the store buffer viewed as a numpy ``uint64`` column, scan 1 as
-  one unpack-and-sum pass, scan 2 as chunked ``np.unique`` projected onto
-  the tree vocabulary;
-* :mod:`~repro.kernels.store` — :class:`SegmentStore`, the contiguous
-  ``array``-backed buffer of encoded segments shared by scan 1, scan 2 and
-  verification — persistable to disk (:meth:`SegmentStore.to_file` /
-  :meth:`SegmentStore.from_file`) and spillable during the encode pass
-  (:class:`StoreOptions`), so out-of-core series mine over ``np.memmap``;
-* :mod:`~repro.kernels.slots` — both scans of every in-memory mine, as
-  numpy ops over a series' interned slot column (distinct slots with CSR
-  feature ids plus one slot id per slot);
+* :mod:`~repro.kernels.store` — :class:`SegmentStore`, every whole
+  segment's letters as a row of ``k = ceil(letters / 64)`` ``uint64``
+  words, shared by scan 1, scan 2 and verification — persistable to disk
+  (:meth:`SegmentStore.to_file` / :meth:`SegmentStore.from_file`) and
+  spillable while it is built (:class:`StoreOptions`), so out-of-core
+  series mine over ``np.memmap``;
 * :mod:`~repro.kernels.cache` — :class:`CountCache`, memoized scan results
   keyed by (series fingerprint, period, letter-order hash) so re-mining at
   a different ``min_conf`` never rescans the data;
@@ -24,12 +22,12 @@ The performance layer under every miner:
   wall-time/cache-counter ledger behind ``ppm mine --profile``.
 
 In-memory series scan on their slot column and store inputs on the
-columnar kernels; both derive on the batched ones, and there is no
-kernel switch.  Every kernel is exact: the randomized sweeps in ``tests/test_kernels.py`` / ``tests/test_columnar.py``
-hold both paths equal to the brute-force counter in
-:mod:`repro.core.counting`, and the differential fuzzer
-(:mod:`repro.devtools.fuzz`, ``ppm fuzz``) hammers the same invariant
-across randomized corners.  See ``docs/kernels.md``.
+store's row matrix; both derive on the batched kernels, and there is no
+kernel switch.  Every kernel is exact: the randomized sweeps in
+``tests/test_kernels.py`` / ``tests/test_columnar.py`` hold both paths
+equal to the brute-force counter in :mod:`repro.core.counting`, and the
+differential fuzzer (:mod:`repro.devtools.fuzz`, ``ppm fuzz``) hammers
+the same invariant across randomized corners.  See ``docs/kernels.md``.
 """
 
 from repro.kernels.batched import (
@@ -41,11 +39,7 @@ from repro.kernels.batched import (
 )
 from repro.kernels.cache import CacheKey, CacheStats, CountCache, letters_hash
 from repro.kernels.profile import MiningProfile, StageTiming
-from repro.kernels.store import (
-    SegmentStore,
-    StoreOptions,
-    WideVocabularyError,
-)
+from repro.kernels.store import SegmentStore, StoreOptions
 
 __all__ = [
     "MAX_TABLE_BITS",
@@ -57,7 +51,6 @@ __all__ = [
     "StageTiming",
     "StoreOptions",
     "SubmaskCountTable",
-    "WideVocabularyError",
     "batched_count_masks",
     "derive_frequent_masks",
     "letters_hash",

@@ -260,7 +260,7 @@ def _sparse_count_masks(
     return dict(zip(ordered, totals.tolist()))
 
 
-def _pack_masks(masks: Sequence[int], words: int) -> np.ndarray:
+def pack_masks(masks: Sequence[int], words: int) -> np.ndarray:
     """Masks as rows of ``words`` little-endian ``uint64`` words."""
     width = 8 * words
     return np.frombuffer(
@@ -281,8 +281,8 @@ def _covering_totals(
     counts.
     """
     words = max(1, -(-universe.bit_length() // 64))
-    wanted = _pack_masks(candidates, words).T.copy()
-    missing = ~_pack_masks(list(projections), words).T
+    wanted = pack_masks(candidates, words).T.copy()
+    missing = ~pack_masks(list(projections), words).T
     weights = np.fromiter(projections.values(), np.int64, len(projections))
     totals = np.zeros(len(candidates), np.int64)
     step = max(1, _COVER_BLOCK // len(candidates))

@@ -32,7 +32,9 @@ slot, period and feature:
   with fewer than two letters drop, and one lexicographic sort plus a
   diff of neighbours collapses the rest to the distinct hits with their
   counts.  The work follows the slots and features at the ``C_max``
-  offsets, never all occurrences or the number of distinct slots.
+  offsets, never all occurrences or the number of distinct slots.  The
+  row build alone is :func:`segment_rows`, which also builds every
+  :class:`~repro.kernels.store.SegmentStore`.
 * :meth:`SlotColumn.occurrences` expands the whole column into one
   ``(position, feature)`` row per feature occurrence
   (:class:`Occurrences`), and :func:`letter_totals` counts every letter
@@ -310,15 +312,34 @@ def segment_hits(
     """Scan 2 for one period: the distinct >= 2-letter hits and counts.
 
     ``letter_ids`` are the ``C_max`` letters in bit order (bit ``i`` is
-    ``letter_ids[i]``).  Each hit is a Python int mask over those bits;
-    a ``C_max`` of ``n`` letters uses ``k = ceil(n / 64)`` words per
-    segment.  Only the column's slots at offsets of ``C_max`` letters are
-    read: at those offsets each distinct slot gets one bit row, built
-    from its CSR features, and every segment ORs in the rows of its slots
-    there.  An offset joins the group of the word holding its lowest bit,
-    so one pass per group (at most ``k``, each over at most 64 offsets)
-    covers every offset, and a group's rows span only the words its
-    letters reach.
+    ``letter_ids[i]``).  Each hit is a Python int mask over those bits.
+    The segments' rows come from :func:`segment_rows`; rows with fewer
+    than two letters drop, and :func:`distinct_rows` collapses the rest.
+    """
+    rows = segment_rows(column, period, num_periods, letter_ids)
+    rows = rows[np.bitwise_count(rows).sum(axis=1, dtype=np.int64) >= 2]
+    distinct, counts = distinct_rows(rows)
+    return list(zip(row_masks(distinct), counts.tolist()))
+
+
+def segment_rows(
+    column: SlotColumn,
+    period: int,
+    num_periods: int,
+    letter_ids: np.ndarray,
+) -> np.ndarray:
+    """Each whole segment's letters as a row of ``k`` ``uint64`` words.
+
+    Returns an ``(num_periods, k)`` matrix where bit ``i`` of a row
+    (word ``i // 64``, bit ``i % 64``) is set when the segment holds
+    letter ``letter_ids[i]``; ``n`` letters take ``k = ceil(n / 64)``
+    words (at least one).  Only the column's slots at offsets of those
+    letters are read: at those offsets each distinct slot gets one bit
+    row, built from its CSR features, and every segment ORs in the rows
+    of its slots there.  An offset joins the group of the word holding
+    its lowest bit, so one pass per group (at most ``k``, each over at
+    most 64 offsets) covers every offset, and a group's rows span only
+    the words its letters reach.
     """
     table = column.table
     width = len(table.features)
@@ -366,27 +387,36 @@ def segment_hits(
         )
         gathered = pair_rows.reshape(-1, span)[inverse.reshape(keys.shape)]
         rows[:, word : word + span] |= np.bitwise_or.reduce(gathered, axis=1)
-    rows = rows[np.bitwise_count(rows).sum(axis=1, dtype=np.int64) >= 2]
-    return _distinct_rows(rows)
+    return rows
 
 
-def _distinct_rows(rows: np.ndarray) -> list[tuple[int, int]]:
-    """Each distinct row of ``rows`` as an int mask, with its count.
+def distinct_rows(
+    rows: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a ``k``-word matrix, with their counts.
 
     One lexicographic sort (word 0 first) brings equal rows together,
     and a diff of neighbours marks where each run of equal rows starts.
+    A row counts once, or ``weights[r]`` times when weights are given.
     """
-    rows = rows[np.lexsort(rows.T[::-1])]
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
     starts = np.ones(len(rows), bool)
     np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
     starts = np.flatnonzero(starts)
-    counts = np.diff(starts, append=len(rows))
-    distinct = rows[starts]
-    masks = distinct[:, 0].tolist()
-    for word in range(1, distinct.shape[1]):
+    if weights is None:
+        counts = np.diff(starts, append=len(rows))
+    else:
+        counts = np.add.reduceat(weights[order], starts)
+    return rows[starts], counts
+
+
+def row_masks(rows: np.ndarray) -> list[int]:
+    """Each ``k``-word row as one Python int mask (word 0 lowest)."""
+    masks = rows[:, 0].tolist()
+    for word in range(1, rows.shape[1]):
         shift = 64 * word
         masks = [
-            mask | high << shift
-            for mask, high in zip(masks, distinct[:, word].tolist())
+            mask | high << shift for mask, high in zip(masks, rows[:, word].tolist())
         ]
-    return list(zip(masks, counts.tolist()))
+    return masks

@@ -1,80 +1,87 @@
-"""The contiguous segment store — one flat buffer of encoded segments.
+"""The segment store — every whole segment's letter set as ``k``-word rows.
 
 Scan 1, scan 2 and brute-force verification all consume the same
 information: the bitmask of every whole period segment over some
-vocabulary.  :class:`SegmentStore` materializes that once into a contiguous
-``array('Q')`` buffer (a Python ``list`` of ints only when the vocabulary
-overflows 64 bits), so that
+vocabulary.  :class:`SegmentStore` materializes that once as an
+``(m, k)`` ``uint64`` matrix — bit ``i`` of a row (word ``i // 64``,
+bit ``i % 64``) is letter ``i`` of the store's
+:class:`~repro.encoding.vocabulary.LetterVocabulary`, and
+``k = ceil(letters / 64)`` — so that
 
-* the buffer pickles as one compact bytes blob instead of per-segment
-  objects — shard payloads and cross-process hand-off ship the raw array,
-  and mmap-backed stores ship only their file path (the worker re-maps);
-* repeated counting passes (hit collection, candidate verification, letter
-  counting) run as vectorized numpy kernels over the buffer viewed as a
-  ``uint64`` column (:mod:`repro.kernels.columnar`) — zero-copy via
-  ``np.frombuffer``;
-* the distinct-mask multiset — the complete scan-2 state of Algorithm 3.2
-  — is computed once and memoized, after which every consumer works on
-  ``O(distinct hits)`` rows instead of ``O(segments)``.
-
-A store is built per ``(series, period, vocabulary)`` and is then shared by
-every stage of that query — and, through
-:class:`~repro.kernels.cache.CountCache`, its derived tables outlive the
-query entirely.
+* the rows are built from the series' interned slot column by
+  :func:`~repro.kernels.slots.segment_rows`, the same per-segment
+  reduction scan 2 of an in-memory mine uses;
+* the matrix pickles as one compact bytes blob, and mmap-backed stores
+  ship only their file path (the receiver re-maps);
+* every counting pass (letter counting, hit collection, candidate
+  verification) is a numpy op over the matrix in fixed-size chunks;
+* the distinct-row multiset — the complete scan-2 state of Algorithm
+  3.2 — is computed once and memoized, after which every consumer works
+  on ``O(distinct rows)`` rows instead of ``O(segments)``.
 
 Out-of-core stores
 ------------------
-A packed store round-trips to disk as a raw little-endian ``uint64`` file
-plus a JSON sidecar (``<path>.meta.json``) carrying the letter order,
-period and row count (:meth:`SegmentStore.to_file` /
+A store round-trips to disk as a raw little-endian ``uint64`` file plus
+a JSON sidecar (``<path>.meta.json``) carrying the letter order, period,
+row count and words per row (:meth:`SegmentStore.to_file` /
 :meth:`SegmentStore.from_file`).  :class:`StoreOptions` makes the build
-itself out-of-core: once the encode pass crosses ``spill_bytes``, masks
-stream to disk in chunks and the finished store is an ``np.memmap`` view —
-series far larger than RAM encode and mine in bounded memory, because
-every columnar kernel works in fixed-size chunks.
+itself out-of-core: once the built rows cross ``spill_bytes`` they
+stream to disk chunk by chunk and the finished store is an
+``np.memmap`` view — series far larger than RAM mine in bounded memory,
+because every kernel here works in fixed-size chunks.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.errors import EncodingError
 from repro.core.pattern import Letter
-from repro.encoding.codec import SegmentEncoder, iter_segment_letters
 from repro.encoding.vocabulary import LetterVocabulary
-from repro.kernels import columnar as _columnar
-from repro.kernels.batched import batched_count_masks
+from repro.kernels.batched import batched_count_masks, pack_masks
+from repro.kernels.slots import (
+    SlotColumn,
+    distinct_rows,
+    pair_letter_counts,
+    row_masks,
+    scan1_rows,
+    segment_rows,
+)
 from repro.timeseries.feature_series import FeatureSeries
 
-#: Vocabulary widths up to this many letters pack into an ``array('Q')``;
-#: wider vocabularies fall back to a plain list of Python ints.
-PACKED_MAX_BITS = 64
-
 #: Default in-memory threshold before :class:`StoreOptions` spills the
-#: buffer to disk: 64 MiB of masks (8M segments).
+#: rows to disk: 64 MiB (8M one-word segments).
 DEFAULT_SPILL_BYTES = 64 * 1024 * 1024
 
-#: Rows buffered between disk flushes while spilling.
-_SPILL_FLUSH_ROWS = _columnar.CHUNK_ROWS
+#: ``uint64`` words each counting pass reads per chunk: 512 KiB of
+#: matrix — small enough that mmap'd stores mine in bounded memory, large
+#: enough to amortize numpy call overhead.
+CHUNK_WORDS = 1 << 16
+
+#: Slots the builder reduces per :func:`segment_rows` call.  It bounds
+#: the per-offset working arrays whatever the series length, and its
+#: sorts run fastest at this size (measured from 16Ki to 4Mi slots).
+_BUILD_SLOTS = 1 << 16
 
 #: Format tag written to the JSON sidecar of an on-disk store.
 _STORE_FORMAT = "repro.segstore/1"
 
 
-class WideVocabularyError(EncodingError):
-    """Raised when a packed-only operation meets a >64-letter vocabulary."""
+def words_for(letters: int) -> int:
+    """``uint64`` words per row for a vocabulary of ``letters`` letters."""
+    return max(1, -(-letters // 64))
 
 
 @dataclass(frozen=True)
 class StoreOptions:
-    """Where (and when) a store's buffer spills to disk.
+    """Where (and when) a store's rows spill to disk.
 
     Attributes
     ----------
@@ -82,9 +89,9 @@ class StoreOptions:
         Directory receiving spilled store files (created on demand) —
         the CLI's ``--store-dir``.
     spill_bytes:
-        In-memory threshold: once the encode pass has buffered this many
-        bytes of masks, the buffer streams to disk and the finished store
-        is mmap-backed.  ``0`` spills unconditionally.
+        In-memory threshold: once the build has produced this many bytes
+        of rows, they stream to disk and the finished store is
+        mmap-backed.  ``0`` spills unconditionally.
     basename:
         Optional file name for the spilled store.  Defaults to a
         deterministic name derived from the series content digest and
@@ -103,35 +110,23 @@ class StoreOptions:
             )
 
 
-def _restore_packed(
-    letters: tuple[Letter, ...], period: int, raw: bytes
-) -> "SegmentStore":
-    """Unpickle helper: rebuild a packed store from its raw buffer."""
-    masks = array("Q")
-    masks.frombytes(raw)
-    vocab = LetterVocabulary(letters, period=period)
-    return SegmentStore(vocab, period, masks, _prebuilt=True)
+def _remap_rows(rows: np.ndarray, table: Sequence[int], words: int) -> np.ndarray:
+    """Move bit ``i`` of every row to bit ``table[i]`` (``-1`` drops it).
 
-
-def _restore_wide(
-    letters: tuple[Letter, ...], period: int, masks: tuple[int, ...]
-) -> "SegmentStore":
-    """Unpickle helper: rebuild a wide (>64-letter) store."""
-    vocab = LetterVocabulary(letters, period=period)
-    return SegmentStore(vocab, period, list(masks), _prebuilt=True)
-
-
-def _restore_mapped(path: str) -> "SegmentStore":
-    """Unpickle helper: re-map an on-disk store instead of copying bytes.
-
-    A pickled mapped store carries only its path; unpickling maps the
-    same file read-only.
+    One shift/AND/OR sweep over the whole matrix per kept bit; the
+    result has ``words`` words per row.
     """
-    return SegmentStore.from_file(path)
+    out = np.zeros((len(rows), words), np.uint64)
+    one = np.uint64(1)
+    for source, target in enumerate(table):
+        if target >= 0:
+            bit = (rows[:, source >> 6] >> np.uint64(source & 63)) & one
+            out[:, target >> 6] |= bit << np.uint64(target & 63)
+    return out
 
 
 class SegmentStore:
-    """Encoded whole segments of one period in a contiguous buffer.
+    """Whole segments of one period as an ``(m, k)`` ``uint64`` row matrix.
 
     Examples
     --------
@@ -143,34 +138,29 @@ class SegmentStore:
     3
     """
 
-    __slots__ = (
-        "_vocab",
-        "_period",
-        "_masks",
-        "_distinct",
-        "_packed",
-        "_path",
-    )
+    __slots__ = ("_vocab", "_period", "_rows", "_distinct", "_path")
 
     def __init__(
         self,
         vocab: LetterVocabulary,
         period: int,
-        masks: "array[int] | list[int] | np.ndarray | Iterable[int]",
-        _prebuilt: bool = False,
+        rows: "np.ndarray | Iterable[int]",
     ):
+        """A store over ``rows``: an ``(m, k)`` matrix or ``m`` int masks."""
         if period < 1:
             raise EncodingError(f"period must be >= 1, got {period}")
+        words = words_for(len(vocab))
+        if not isinstance(rows, np.ndarray):
+            rows = pack_masks(list(rows), words)
+        if rows.ndim != 2 or rows.shape[1] != words:
+            raise EncodingError(
+                f"store rows of shape {rows.shape} do not hold "
+                f"{len(vocab)} letters in {words} words"
+            )
         self._vocab = vocab
         self._period = period
-        if _prebuilt:
-            self._masks = masks  # type: ignore[assignment]
-        elif len(vocab) <= PACKED_MAX_BITS:
-            self._masks = array("Q", masks)
-        else:
-            self._masks = list(masks)
-        self._packed = isinstance(self._masks, (array, np.ndarray))
-        self._distinct: Counter | None = None
+        self._rows = rows
+        self._distinct: tuple[np.ndarray, np.ndarray] | None = None
         self._path: Path | None = None
 
     @classmethod
@@ -181,107 +171,64 @@ class SegmentStore:
         vocab: LetterVocabulary | None = None,
         options: StoreOptions | None = None,
     ) -> "SegmentStore":
-        """Encode every whole segment of a series into one buffer.
+        """Every whole segment of ``series`` as a row over ``vocab``.
 
-        With an explicit vocabulary (the usual case: the sorted ``C_max``
-        letters) this is exactly one scan and letters outside the
-        vocabulary are dropped — encoding *is* the hit projection.  Without
-        one, the full sorted vocabulary of the series is built first (one
-        extra pass).
+        One read of the series' slot column.  With an explicit vocabulary
+        (the sorted ``C_max`` or F1 letters) letters outside it are
+        dropped — the build *is* the hit projection — and its letters the
+        series never holds stay zero.  Without one, the store's
+        vocabulary is every letter of the whole segments, sorted.
 
-        ``options`` makes the build out-of-core: past the spill threshold
-        the masks stream to disk and the store comes back mmap-backed.
-        Wide (>64-letter) vocabularies have no fixed-width on-disk format,
-        so they ignore ``options`` and stay in memory.
+        ``options`` makes the build out-of-core: past the spill
+        threshold the rows stream to disk and the store comes back
+        mmap-backed.
         """
+        num_periods = series.num_periods(period)
+        column = series.slot_column()
         if vocab is None:
-            from repro.encoding.codec import vocabulary_of_series
-
-            vocab = vocabulary_of_series(series, period)
-        encoder = SegmentEncoder(vocab, period)
-        encode = encoder.encode_segment
-        masks = (encode(segment) for segment in series.segments(period))
-        if options is None or len(vocab) > PACKED_MAX_BITS:
-            return cls(vocab, period, masks)
-        return cls._materialize(
-            vocab, period, masks, options, cls._spill_name(series, period, options)
-        )
-
-    @classmethod
-    def from_series_interned(
-        cls,
-        series: FeatureSeries,
-        period: int,
-        options: StoreOptions | None = None,
-    ) -> "SegmentStore":
-        """One streaming scan: intern letters in arrival order while encoding.
-
-        The builder behind store-option mining — unlike :meth:`from_series`
-        with ``vocab=None`` it never pre-scans the series for the
-        vocabulary, so the whole store (and the full-vocabulary letter
-        counts derivable from its column) costs exactly one pass.  Bit
-        order is arrival order, not sorted order; consumers project onto a
-        sorted target via :meth:`LetterVocabulary.remap_table`.
-
-        Raises :class:`WideVocabularyError` as soon as a 65th letter
-        appears: wider vocabularies have no packed column.
-        """
-        vocab = LetterVocabulary((), period=period)
-        intern = vocab.intern
-
-        def masks() -> Iterator[int]:
-            for segment in series.segments(period):
-                mask = 0
-                for letter in iter_segment_letters(segment):
-                    bit_id = intern(letter)
-                    if bit_id >= PACKED_MAX_BITS:
-                        raise WideVocabularyError(
-                            f"vocabulary exceeds {PACKED_MAX_BITS} letters "
-                            f"at {letter!r}; no packed column exists"
-                        )
-                    mask |= 1 << bit_id
-                yield mask
-
+            found = scan1_rows(column, num_periods * period, 0)
+            letter_ids, counts = pair_letter_counts(
+                column.table, found, period, num_periods, 0
+            )
+            vocab = LetterVocabulary.from_letters(
+                column.table.letters_of(letter_ids, counts), period=period
+            )
+        chunks = _row_chunks(column, period, num_periods, vocab)
         if options is None:
-            return cls(vocab, period, array("Q", masks()), _prebuilt=True)
-        return cls._materialize(
-            vocab, period, masks(), options, cls._spill_name(series, period, options)
-        )
-
-    @staticmethod
-    def _spill_name(
-        series: FeatureSeries, period: int, options: StoreOptions
-    ) -> str:
-        """Deterministic spill-file name: content digest + period."""
-        if options.basename is not None:
-            return options.basename
-        return f"{series.content_digest()[:16]}-p{period}.seg"
+            return cls(vocab, period, np.concatenate(list(chunks)))
+        basename = options.basename
+        if basename is None:
+            # Deterministic: re-running the same query overwrites its file.
+            basename = f"{series.content_digest()[:16]}-p{period}.seg"
+        return cls._materialize(vocab, period, chunks, options, basename)
 
     @classmethod
     def _materialize(
         cls,
         vocab: LetterVocabulary,
         period: int,
-        masks: Iterable[int],
+        chunks: Iterable[np.ndarray],
         options: StoreOptions,
         basename: str,
     ) -> "SegmentStore":
-        """Collect masks, spilling the buffer to disk past the threshold.
+        """Collect row chunks, spilling them to disk past the threshold.
 
-        Below ``spill_bytes`` the result is an ordinary in-memory packed
-        store; above it the masks stream to ``<directory>/<basename>``
-        (published with :func:`~repro.durability.files.atomic_write` after
-        its JSON sidecar) and the store comes back as a read-only
+        Below ``spill_bytes`` the result is an ordinary in-memory store;
+        from there on the rows stream to ``<directory>/<basename>``
+        (published with :func:`~repro.durability.files.atomic_write`
+        after its JSON sidecar) and the store comes back as a read-only
         ``np.memmap``.
         """
-        buffer = array("Q")
-        rows = iter(masks)
-        for mask in rows:
-            buffer.append(mask)
-            if len(buffer) * buffer.itemsize >= options.spill_bytes:
+        held: list[np.ndarray] = []
+        size = 0
+        pending = iter(chunks)
+        for chunk in pending:
+            held.append(chunk)
+            size += chunk.nbytes
+            if size >= options.spill_bytes:
                 break
         else:
-            return cls(vocab, period, buffer, _prebuilt=True)
+            return cls(vocab, period, np.concatenate(held))
         # Local import: repro.durability pulls in the streaming layer,
         # which imports the kernels back.
         from repro.durability.files import atomic_write
@@ -289,14 +236,9 @@ class SegmentStore:
         final = Path(options.directory) / basename
         written = 0
         with atomic_write(final) as handle:
-            for mask in rows:
-                buffer.append(mask)
-                if len(buffer) >= _SPILL_FLUSH_ROWS:
-                    buffer.tofile(handle)
-                    written += len(buffer)
-                    buffer = array("Q")
-            buffer.tofile(handle)
-            written += len(buffer)
+            for chunk in chain(held, pending):
+                chunk.astype("<u8", copy=False).tofile(handle)
+                written += len(chunk)
             cls._write_meta(final, vocab.letters, period, written)
         return cls.from_file(final)
 
@@ -308,11 +250,12 @@ class SegmentStore:
     def _write_meta(
         path: Path, letters: tuple[Letter, ...], period: int, segments: int
     ) -> None:
-        """Write the JSON sidecar describing a raw mask file (atomically)."""
+        """Write the JSON sidecar describing a raw row file (atomically)."""
         meta = {
             "format": _STORE_FORMAT,
             "period": period,
             "segments": segments,
+            "words": words_for(len(letters)),
             "letters": [[offset, feature] for offset, feature in letters],
         }
         from repro.durability.files import atomic_write
@@ -322,23 +265,16 @@ class SegmentStore:
             handle.write("\n")
 
     def to_file(self, path: "str | Path") -> Path:
-        """Persist a packed store: raw little-endian ``uint64`` masks + sidecar.
+        """Persist the store: raw little-endian ``uint64`` rows + sidecar.
 
         The data file is published atomically after its sidecar, so a
-        crash mid-write never leaves a readable-but-torn store behind.  Wide stores have no fixed-width row format and
-        raise :class:`WideVocabularyError`.
+        crash mid-write never leaves a readable-but-torn store behind.
         """
-        column = self.column()
-        if column is None:
-            raise WideVocabularyError(
-                f"store with {len(self._vocab)} letters exceeds "
-                f"{PACKED_MAX_BITS} bits; only packed stores persist"
-            )
         from repro.durability.files import atomic_write
 
         path = Path(path)
         with atomic_write(path) as handle:
-            _columnar.as_uint64(column).tofile(handle)
+            self._rows.astype("<u8", copy=False).tofile(handle)
             self._write_meta(path, self._vocab.letters, self._period, len(self))
         return path
 
@@ -346,11 +282,12 @@ class SegmentStore:
     def from_file(cls, path: "str | Path", mmap: bool = True) -> "SegmentStore":
         """Open a persisted store; ``mmap=True`` (default) maps it read-only.
 
-        The mmap-backed store never loads the buffer into RAM: every
-        columnar kernel streams it in fixed-size chunks, so a series far
+        The mmap-backed store never loads the rows into RAM: every
+        counting pass streams them in fixed-size chunks, so a series far
         larger than memory mines at disk bandwidth.  ``mmap=False`` reads
-        the file into an ordinary in-memory ``array('Q')`` store (the
-        equivalence baseline).
+        the file into memory (the equivalence baseline).  A sidecar
+        without ``"words"`` (written before stores held more than 64
+        letters) describes one word per row.
         """
         path = Path(path)
         meta_path = Path(str(path) + ".meta.json")
@@ -371,37 +308,33 @@ class SegmentStore:
             )
         period = int(meta["period"])
         segments = int(meta["segments"])
+        words = int(meta.get("words", 1))
         letters = tuple(
             (int(offset), feature) for offset, feature in meta["letters"]
         )
-        expected = segments * 8
+        expected = segments * words * 8
         actual = path.stat().st_size
         if actual != expected:
             raise EncodingError(
-                f"store file {path} holds {actual} bytes; sidecar "
-                f"promises {segments} segments ({expected} bytes)"
+                f"store file {path} holds {actual} bytes; sidecar promises "
+                f"{segments} segments of {words} words ({expected} bytes)"
             )
         vocab = LetterVocabulary(letters, period=period)
-        if mmap:
-            masks: "np.ndarray | array[int]" = (
-                np.memmap(path, dtype="<u8", mode="r")
-                if segments
-                else np.zeros(0, dtype="<u8")
-            )
+        if mmap and segments:
+            rows = np.memmap(path, dtype="<u8", mode="r", shape=(segments, words))
         else:
-            masks = array("Q")
-            masks.frombytes(path.read_bytes())
-        store = cls(vocab, period, masks, _prebuilt=True)
+            rows = np.fromfile(path, dtype="<u8").reshape(segments, words)
+        store = cls(vocab, period, rows)
         store._path = path
         return store
 
     # ------------------------------------------------------------------
-    # Buffer accessors
+    # Row accessors
     # ------------------------------------------------------------------
 
     @property
     def vocab(self) -> LetterVocabulary:
-        """The vocabulary fixing the bit order of every stored mask."""
+        """The vocabulary fixing the bit order of every row."""
         return self._vocab
 
     @property
@@ -410,179 +343,185 @@ class SegmentStore:
         return self._period
 
     @property
-    def packed(self) -> bool:
-        """True when the buffer is a contiguous 64-bit row buffer."""
-        return self._packed
+    def words(self) -> int:
+        """``uint64`` words per row: ``ceil(letters / 64)``, at least 1."""
+        return int(self._rows.shape[1])
 
     @property
     def mapped(self) -> bool:
-        """True when the buffer is an mmap/ndarray view of an on-disk file."""
-        return isinstance(self._masks, np.ndarray)
+        """True when the rows are an mmap view of an on-disk file."""
+        return isinstance(self._rows, np.memmap)
 
     @property
     def path(self) -> Path | None:
         """The on-disk file backing this store, when one exists."""
         return self._path
 
-    @property
-    def nbytes(self) -> int:
-        """Size of the mask buffer in bytes."""
-        if isinstance(self._masks, np.ndarray):
-            return int(self._masks.nbytes)
-        if isinstance(self._masks, array):
-            return len(self._masks) * self._masks.itemsize
-        return sum(
-            mask.bit_length() // 8 + 1
-            for mask in self._masks  # repro: ignore[REP1101] -- wide-vocab fallback: Python ints wider than 64 bits never form a numpy column
-        )
-
-    def column(self) -> "np.ndarray | None":
-        """The buffer as a numpy ``uint64`` column — zero-copy.
-
-        ``array('Q')`` buffers come back as an ``np.frombuffer`` view and
-        mmap-backed stores as the map itself; both share memory with the
-        store.  ``None`` for wide (>64-letter) stores, whose masks are
-        arbitrary-precision Python ints.
-        """
-        if isinstance(self._masks, np.ndarray):
-            return self._masks
-        if isinstance(self._masks, array):
-            return np.frombuffer(self._masks, dtype=np.uint64)
-        return None
+    def rows(self) -> np.ndarray:
+        """The ``(m, k)`` ``uint64`` row matrix itself (no copy)."""
+        return self._rows
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[int]:
-        if isinstance(self._masks, np.ndarray):
-            return iter(self._masks.tolist())
-        return iter(self._masks)
+        return iter(row_masks(self._rows))
 
     def __getitem__(self, index: int) -> int:
-        return int(self._masks[index])
+        return row_masks(self._rows[index][np.newaxis])[0]
 
     def __reduce__(self):  # type: ignore[override]
-        if isinstance(self._masks, np.ndarray):
-            if self._path is not None:
-                # Ship the path, not the bytes: the worker re-maps the
-                # same file instead of copying an out-of-core buffer
-                # through the pickle stream.
-                return (_restore_mapped, (str(self._path),))
-            return (
-                _restore_packed,
-                (
-                    self._vocab.letters,
-                    self._period,
-                    _columnar.as_uint64(self._masks).tobytes(),
-                ),
-            )
-        if isinstance(self._masks, array):
-            return (
-                _restore_packed,
-                (self._vocab.letters, self._period, self._masks.tobytes()),
-            )
-        return (
-            _restore_wide,
-            (self._vocab.letters, self._period, tuple(self._masks)),
-        )
+        if self.mapped and self._path is not None:
+            # Ship the path, not the bytes: the receiver re-maps the
+            # same file instead of copying an out-of-core matrix
+            # through the pickle stream.
+            return (SegmentStore.from_file, (str(self._path),))
+        return (SegmentStore, (self._vocab, self._period, np.asarray(self._rows)))
 
     # ------------------------------------------------------------------
-    # Counting kernels — every pass below runs on the flat buffer
+    # Counting kernels — chunked numpy passes over the row matrix
     # ------------------------------------------------------------------
+
+    def _chunks(self) -> Iterator[np.ndarray]:
+        """The rows in consecutive blocks of about :data:`CHUNK_WORDS` words."""
+        step = max(1, CHUNK_WORDS // self.words)
+        # An empty store still yields one (empty) chunk.
+        for start in range(0, max(len(self), 1), step):
+            yield self._rows[start : start + step]
+
+    def bit_totals(self) -> np.ndarray:
+        """Scan 1 as one pass: how many rows have each bit set.
+
+        Returns a ``(64 * k,)`` int64 vector whose entry ``i`` is the
+        count of letter ``i``.  Each chunk's bytes unpack to a
+        ``rows x 64k`` bit matrix that is summed per column.
+        """
+        width = 64 * self.words
+        totals = np.zeros(width, np.int64)
+        for chunk in self._chunks():
+            chunk = np.ascontiguousarray(chunk, dtype="<u8")
+            bits = np.unpackbits(chunk.view(np.uint8), bitorder="little")
+            totals += bits.reshape(-1, width).sum(axis=0, dtype=np.int64)
+        return totals
+
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows and their counts, memoized.
+
+        The collapse from ``O(segments)`` to ``O(distinct rows)`` is what
+        every later pass builds on; on periodic data distinct rows are
+        orders of magnitude fewer than segments.  Each chunk collapses
+        on its own (bounded memory on mmap'd stores) and the per-chunk
+        results merge in one more weighted collapse.
+        """
+        if self._distinct is None:
+            parts = [distinct_rows(chunk) for chunk in self._chunks()]
+            if len(parts) > 1:
+                rows, counts = (np.concatenate(part) for part in zip(*parts))
+                parts = [distinct_rows(rows, counts)]
+            self._distinct = parts[0]
+        return self._distinct
 
     @property
     def distinct_count(self) -> int:
-        """Number of distinct segment masks (any bit count)."""
-        return len(self.distinct_counts())
+        """Number of distinct rows (any bit count)."""
+        return len(self.distinct_rows()[0])
 
     def distinct_counts(self) -> Counter:
-        """Multiset of distinct segment masks, memoized.
-
-        The collapse from ``O(segments)`` to ``O(distinct masks)`` rows is
-        what every batched consumer builds on; on periodic data distinct
-        masks are orders of magnitude fewer than segments.  The memo is
-        shared by *every* counting entry point — letter counts, hit
-        collection, single- and batched-mask verification — so cold-path
-        callers never rebuild the pass.  Packed stores compute it as a
-        chunked ``np.unique`` over the column (bounded memory on mmap'd
-        buffers); only the wide fallback walks Python ints.
-        """
-        if self._distinct is None:
-            column = self.column()
-            if column is not None:
-                self._distinct = _columnar.distinct_counts(column)
-            else:
-                counts: Counter = Counter()
-                for mask in self._masks:  # repro: ignore[REP1101] -- wide-vocab fallback: >64-letter masks are Python ints, outside any numpy column
-                    counts[mask] += 1
-                self._distinct = counts
-        return self._distinct
+        """Multiset of distinct rows as ``{int mask: count}``."""
+        rows, counts = self.distinct_rows()
+        return Counter(dict(zip(row_masks(rows), counts.tolist())))
 
     def letter_counts(self) -> Counter:
         """Scan-1 state: the count of every vocabulary letter.
 
-        Packed stores answer straight from the column — one vectorized
-        unpack-and-sum pass
-        (:func:`repro.kernels.columnar.letter_bit_totals`) in bounded
-        chunks, so it never materializes the distinct multiset and stays
-        fast even when nearly every mask is distinct (high-noise data,
-        where a per-distinct-mask bit walk costs more than rescanning the
-        column).  The bit walk over the distinct memo only remains for
-        the wide-vocabulary fallback.
+        Straight from :meth:`bit_totals`, so it never needs the distinct
+        rows and stays fast when nearly every row is distinct.  Letters
+        with zero occurrences are omitted.
         """
-        column = self.column()
-        if column is not None:
-            return _columnar.letter_counts(column, self._vocab)
-        bit_totals: dict[int, int] = {}
-        for mask, count in self.distinct_counts().items():
-            while mask:
-                low = mask & -mask
-                bit_totals[low] = bit_totals.get(low, 0) + count
-                mask ^= low
-        vocab = self._vocab
-        counts: Counter = Counter()
-        for low, total in bit_totals.items():
-            counts[vocab[low.bit_length() - 1]] = total
-        return counts
-
-    def hit_counter(self, min_letters: int = 2) -> Counter:
-        """Scan-2 state: distinct masks with at least ``min_letters`` bits.
-
-        When the store's vocabulary is the sorted ``C_max`` letters this is
-        exactly the max-subpattern tree's mergeable content — feed it to
-        ``insert_mask`` once per distinct hit.  Packed stores filter with
-        a vectorized popcount (``np.bitwise_count``) over the distinct
-        keys.
-        """
-        if self._packed:
-            return _columnar.hit_counter(self.distinct_counts(), min_letters)
+        totals = self.bit_totals().tolist()
         return Counter(
             {
-                mask: count
-                for mask, count in self.distinct_counts().items()
-                if mask.bit_count() >= min_letters
+                letter: totals[bit]
+                for bit, letter in enumerate(self._vocab)
+                if totals[bit]
             }
         )
 
+    def hit_counter(self, min_letters: int = 2) -> Counter:
+        """Scan-2 state: distinct rows with at least ``min_letters`` bits.
+
+        When the store's vocabulary is the sorted ``C_max`` letters this is
+        exactly the max-subpattern tree's mergeable content — feed it to
+        ``insert_mask`` once per distinct hit.
+        """
+        return Counter(self.project_hits(self._vocab, min_letters))
+
+    def project_hits(
+        self, target: LetterVocabulary, min_letters: int = 2
+    ) -> dict[int, int]:
+        """Scan 2 over the stored rows: the hits over ``target``, with counts.
+
+        Each distinct row moves its bits to ``target``'s bit order
+        (letters ``target`` lacks drop — the project-onto-``C_max`` step),
+        rows with fewer than ``min_letters`` bits drop, and rows that
+        project alike merge their counts.
+        """
+        rows, counts = self.distinct_rows()
+        projected = _remap_rows(
+            rows, self._vocab.remap_table(target), words_for(len(target))
+        )
+        kept = np.bitwise_count(projected).sum(axis=1, dtype=np.int64) >= min_letters
+        hits, totals = distinct_rows(projected[kept], counts[kept])
+        return dict(zip(row_masks(hits), totals.tolist()))
+
     def count_mask(self, mask: int) -> int:
         """Frequency count of one candidate mask (over distinct rows)."""
-        return sum(
-            count
-            for stored, count in self.distinct_counts().items()
-            if not mask & ~stored
-        )
+        return self.count_masks([mask])[mask]
 
     def count_masks(self, masks: Sequence[int]) -> dict[int, int]:
-        """Batched frequency counts of many candidates in one pass.
+        """Frequency counts of many candidates in one pass.
 
         Delegates to :func:`~repro.kernels.batched.batched_count_masks`
-        over the distinct-mask rows.
+        over the distinct rows.
         """
         return batched_count_masks(self.distinct_counts().items(), list(masks))
 
     def __repr__(self) -> str:
         return (
-            f"SegmentStore(segments={len(self._masks)}, "
-            f"period={self._period}, letters={len(self._vocab)}, "
-            f"packed={self._packed}, mapped={self.mapped})"
+            f"SegmentStore(segments={len(self)}, period={self._period}, "
+            f"letters={len(self._vocab)}, words={self.words}, "
+            f"mapped={self.mapped})"
         )
+
+
+def _row_chunks(
+    column: SlotColumn,
+    period: int,
+    num_periods: int,
+    vocab: LetterVocabulary,
+) -> Iterator[np.ndarray]:
+    """The store rows of the ``num_periods`` whole segments, chunk by chunk.
+
+    :func:`~repro.kernels.slots.segment_rows` over about
+    :data:`_BUILD_SLOTS` slots at a time.  Letters the column cannot
+    hold (an offset past the period or a feature the series never has)
+    are left out of the reduction and their bits stay zero.
+    """
+    table = column.table
+    features = set(table.features)
+    letters = vocab.letters
+    held = [
+        bit
+        for bit, (offset, feature) in enumerate(letters)
+        if offset < period and feature in features
+    ]
+    letter_ids = table.letter_ids(letters[bit] for bit in held)
+    words = words_for(len(vocab))
+    step = max(1, _BUILD_SLOTS // period)
+    for start in range(0, num_periods, step):
+        count = min(step, num_periods - start)
+        part = SlotColumn(
+            table, column.ids[start * period : (start + count) * period]
+        )
+        rows = segment_rows(part, period, count, letter_ids)
+        yield rows if len(held) == len(vocab) else _remap_rows(rows, held, words)

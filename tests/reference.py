@@ -1,12 +1,12 @@
 """Slow reference miners and series shapes for the equivalence suites.
 
-The production miner counts on the batched kernels (in-memory series) or
-the columnar kernels (store inputs).  The references below share none of
-that counting code: each one re-reads the paper's algorithm literally, so
-the suites can hold production output letter-identical to more than the
-brute-force oracle in :mod:`repro.core.counting`.  :func:`packed_series`
-and :func:`wide_series` build the two sides of the 64-letter store
-column.
+The production miner scans an in-memory series on its slot column and
+a store input on the segment store's rows.  The references below share
+none of that counting code: each one re-reads the paper's algorithm
+literally, so the suites can hold production output letter-identical to
+more than the brute-force oracle in :mod:`repro.core.counting`.
+:func:`packed_series` and :func:`wide_series` build series on either
+side of 64 letters: one word per store row, or several.
 :func:`per_line_load` is the series-file format read one line at a time,
 the reference for the validate-once loader in :mod:`repro.timeseries.io`.
 :func:`per_segment_letter_counts` is scan 1 read literally, the reference
@@ -95,8 +95,9 @@ def letter_set_apriori(
 def packed_series(seed: int, length: int = 60, features: int = 4) -> FeatureSeries:
     """A small random series with empty and multi-feature slots.
 
-    Its vocabulary stays far below the 64-letter store column at the
-    periods the suites mine (``features * period`` letters at most).
+    Its vocabulary stays far below 64 letters (one word per store row)
+    at the periods the suites mine (``features * period`` letters at
+    most).
     """
     rng = random.Random(seed)
     alphabet = [f"f{i}" for i in range(features)]
@@ -109,7 +110,7 @@ def wide_series(seed: int, length: int = 120) -> FeatureSeries:
     """A series whose ``(offset, feature)`` vocabulary exceeds 64 letters.
 
     Two dense features keep the frequent set non-empty while seventy rare
-    features blow past the packed-store bit width (at periods >= 1).
+    features push a store row past one ``uint64`` word (at periods >= 1).
     """
     rng = random.Random(seed)
     slots = []

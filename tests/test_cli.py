@@ -119,6 +119,27 @@ class TestMine:
         assert flag in err and "--algorithm apriori" in err
         assert not store.exists()
 
+    def test_store_dir_mines_wide_vocabulary(self, tmp_path, capsys):
+        # A series of more than 64 (offset, feature) letters mines through
+        # --store-dir (two words per store row) with the in-memory output.
+        from repro.encoding.codec import vocabulary_of_series
+        from tests.reference import wide_series
+
+        path = tmp_path / "wide.txt"
+        save_series(wide_series(5), path)
+        assert len(vocabulary_of_series(load_series(path), 3)) > 64
+        argv = ["mine", str(path), "--period", "3", "--min-conf", "0.3"]
+        assert main(argv) == 0
+        in_memory = capsys.readouterr().out
+        store_dir = tmp_path / "store"
+        assert main(argv + ["--store-dir", str(store_dir), "--spill-mb", "0"]) == 0
+        stored = capsys.readouterr().out
+        patterns = lambda text: [
+            line for line in text.splitlines() if line.startswith("  ")
+        ]
+        assert patterns(in_memory) and patterns(stored) == patterns(in_memory)
+        assert any(store_dir.glob("*.seg"))
+
     def test_missing_file_is_clean_error(self, tmp_path, capsys):
         code = main(["mine", str(tmp_path / "nope.txt"), "--period", "7"])
         assert code == 1

@@ -1,14 +1,15 @@
-"""Tests for the columnar kernels and the out-of-core SegmentStore.
+"""Tests for the SegmentStore row matrix and its out-of-core path.
 
 Store inputs — a prebuilt store (``mine_store``) or a series mined with
-``StoreOptions`` — mine on the columnar kernels; in-memory series mine on
-the batched ones.  Exactness is the whole contract: across seeds,
-periods, and thresholds both paths must produce letter-identical results
-to the brute-force oracle and to Apriori — in memory, spilled to disk,
-mmap-backed, through the streaming engine, through the mining facade,
-and through the CLI.  Wide (> 64-letter) vocabularies mine in memory and
-are refused by the store path; the store's on-disk round trip (atomic
-writes, sidecar metadata, pickle-by-path) is exercised directly.
+``StoreOptions`` — mine on the store's ``(m, k)`` ``uint64`` rows;
+in-memory series mine on their slot column.  Exactness is the whole
+contract: across seeds, periods, and thresholds both paths must produce
+letter-identical results to the brute-force oracle and to Apriori — in
+memory, spilled to disk, mmap-backed, pickled, through the mining
+facade, and through the CLI — on packed (one-word) and wide
+(> 64-letter, several-word) vocabularies alike.  The store's on-disk
+round trip (atomic writes, sidecar metadata, pickle-by-path, files
+written before the sidecar recorded ``words``) is exercised directly.
 """
 
 from __future__ import annotations
@@ -27,18 +28,22 @@ from repro.core.counting import brute_force_frequent
 from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset, mine_store
 from repro.encoding.vocabulary import LetterVocabulary
+from pathlib import Path
+
+from repro.core.errors import EncodingError
+from repro.encoding.codec import SegmentEncoder, vocabulary_of_series
 from repro.kernels.batched import batched_count_masks
-from repro.kernels import columnar
 from repro.kernels.cache import CountCache
 from repro.kernels.profile import MiningProfile
-from repro.kernels.store import (
-    SegmentStore,
-    StoreOptions,
-    WideVocabularyError,
-)
+from repro.kernels.store import SegmentStore, StoreOptions
 from repro.streaming import StreamingMiner
+from repro.timeseries.feature_series import FeatureSeries
 from tests.reference import packed_series as random_series
 from tests.reference import per_candidate_mine, wide_series
+
+#: Store files written in the one-word format whose sidecar has no
+#: ``"words"`` key, with the rows, letter counts and patterns they held.
+SEGSTORE_V1 = Path(__file__).parent / "fixtures" / "segstore_v1"
 
 
 def result_map(result):
@@ -46,19 +51,25 @@ def result_map(result):
 
 
 class TestColumnarPrimitives:
-    """The vectorized kernels against naive recomputation."""
+    """The store's row-matrix passes against naive recomputation.
+
+    Odd seeds build wide stores (several words per row), even seeds
+    packed ones (one word).
+    """
 
     def make_store(self, seed: int, period: int = 4) -> SegmentStore:
+        if seed % 2:
+            return SegmentStore.from_series(wide_series(seed), period)
         series = random_series(seed, length=80, features=5)
-        return SegmentStore.from_series_interned(series, period)
+        return SegmentStore.from_series(series, period)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_letter_bit_totals_matches_naive(self, seed):
         store = self.make_store(seed)
-        column = store.column()
-        totals = columnar.letter_bit_totals(column)
+        totals = store.bit_totals()
+        assert len(totals) == 64 * store.words
         rows = [int(mask) for mask in store]
-        for bit in range(64):
+        for bit in range(64 * store.words):
             expected = sum(1 for row in rows if row >> bit & 1)
             assert int(totals[bit]) == expected
 
@@ -66,15 +77,36 @@ class TestColumnarPrimitives:
     def test_distinct_counts_matches_naive(self, seed):
         store = self.make_store(seed)
         naive = Counter(int(mask) for mask in store)
-        assert +columnar.distinct_counts(store.column()) == +naive
+        assert +store.distinct_counts() == +naive
+        rows, counts = store.distinct_rows()
+        assert rows.shape == (len(naive), store.words)
+        assert int(counts.sum()) == len(store)
 
     def test_distinct_counts_chunking(self):
-        # More rows than one chunk: per-chunk uniques must merge exactly.
+        # More rows than one chunk: per-chunk collapses must merge
+        # exactly, at one word per row and at three.
         rng = random.Random(7)
-        rows = [rng.randrange(1, 32) for _ in range((1 << 16) + 999)]
-        vocab = LetterVocabulary(((0, f"f{i}") for i in range(5)), period=1)
-        store = SegmentStore(vocab, 1, rows)
-        assert +store.distinct_counts() == +Counter(rows)
+        for letters in (5, 140):
+            vocab = LetterVocabulary(
+                ((0, f"f{i}") for i in range(letters)), period=1
+            )
+            palette = [rng.randrange(1, 1 << letters) for _ in range(31)]
+            chunk_rows = (1 << 16) // SegmentStore(vocab, 1, []).words
+            rows = [rng.choice(palette) for _ in range(chunk_rows + 999)]
+            store = SegmentStore(vocab, 1, rows)
+            row_counts = Counter(rows)
+            assert +store.distinct_counts() == +row_counts
+            assert store.letter_counts() == Counter(
+                {
+                    vocab[bit]: total
+                    for bit in range(letters)
+                    if (
+                        total := sum(
+                            n for row, n in row_counts.items() if row >> bit & 1
+                        )
+                    )
+                }
+            )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_hit_counter_filters_popcount(self, seed):
@@ -105,11 +137,14 @@ class TestColumnarPrimitives:
         assert batched_count_masks(rows.items(), sample) == naive
 
     def test_as_uint64_zero_copy(self):
+        # The row matrix is handed out as is, and the passes over it read
+        # it in place rather than copying it.
         store = self.make_store(0)
-        column = store.column()
-        converted = columnar.as_uint64(column)
-        assert converted.dtype == np.uint64
-        assert np.shares_memory(converted, column)
+        rows = store.rows()
+        assert rows.dtype == np.uint64
+        assert rows.shape == (len(store), store.words)
+        assert store.rows() is rows
+        assert np.shares_memory(np.ascontiguousarray(rows, dtype="<u8"), rows)
 
 
 def store_options(tmp_path) -> StoreOptions:
@@ -133,9 +168,7 @@ class TestKernelEquivalence:
         spilled = mine_single_period_hitset(
             series, period, min_conf, store=store_options(tmp_path)
         )
-        prebuilt = mine_store(
-            SegmentStore.from_series_interned(series, period), min_conf
-        )
+        prebuilt = mine_store(SegmentStore.from_series(series, period), min_conf)
         apriori = mine_single_period_apriori(series, period, min_conf)
         for result in (in_memory, spilled, prebuilt, apriori):
             assert result_map(result) == oracle
@@ -147,7 +180,7 @@ class TestKernelEquivalence:
         )
         batched_result = mine_single_period_hitset(series, 3, 0.3)
         assert len(store_result)  # non-degenerate case
-        # One interned encode pass serves both scans.
+        # One build pass over the series serves both scans.
         assert store_result.stats.scans == 1
         assert batched_result.stats.scans == 2
 
@@ -177,16 +210,39 @@ class TestKernelEquivalence:
         )
 
 
+def lettered_series(letters: int, period: int = 5, segments: int = 60):
+    """A series of exactly ``letters`` ``(offset, feature)`` letters.
+
+    One dense letter per offset keeps the frequent set non-empty; every
+    other letter is a feature of its own, planted in one to three
+    segments.
+    """
+    rng = random.Random(letters)
+    slots = [
+        {"hot"} if index % period == 0 else {"warm"}
+        for index in range(period * segments)
+    ]
+    for rare in range(letters - period):
+        for segment in rng.sample(range(segments), rng.randint(1, 3)):
+            slots[segment * period + rare % period].add(f"rare{rare}")
+    return FeatureSeries(slots)
+
+
+def wide_store_series():
+    """Series of 65 and 140 letters: two and three words per store row."""
+    return [(lettered_series(65), 5, 2), (lettered_series(140), 5, 3)]
+
+
 class TestWideVocabularyFallback:
-    """Past 64 letters in-memory mining is exact and stores refuse."""
+    """Past 64 letters a store row takes several words and mines the same."""
 
     @pytest.mark.parametrize("kernel", ("batched", "columnar", "legacy"))
     def test_wide_mining_identical_across_tiers(self, kernel):
         # batched: the production miner; columnar: mine_store over a wide
-        # (unpacked) store; legacy: the per-candidate reference derive.
+        # (several-word) store; legacy: the per-candidate reference derive.
         series = wide_series(11)
         vocab_store = SegmentStore.from_series(series, 3)
-        assert not vocab_store.packed
+        assert vocab_store.words == 2
         oracle = {
             frozenset(p.letters): c
             for p, c in brute_force_frequent(series, 3, 0.5).items()
@@ -203,19 +259,53 @@ class TestWideVocabularyFallback:
             }
         assert observed == oracle
 
-    def test_wide_interning_raises(self):
-        with pytest.raises(WideVocabularyError):
-            SegmentStore.from_series_interned(wide_series(1), 3)
+    def test_wide_store_matches_brute_force(self, tmp_path):
+        # 65..140-letter stores mine letter-identically to the oracle in
+        # memory, spilled, mmap'd from their file, read back into memory
+        # and pickled.
+        for index, (series, period, words) in enumerate(wide_store_series()):
+            store = SegmentStore.from_series(series, period)
+            assert len(store.vocab) in (65, 140) and store.words == words
+            path = store.to_file(tmp_path / f"wide{index}.seg")
+            meta = json.loads(Path(str(path) + ".meta.json").read_text())
+            assert meta["words"] == words
+            spilled = SegmentStore.from_series(
+                series, period, options=store_options(tmp_path / str(index))
+            )
+            stores = {
+                "in-memory": store,
+                "spilled": spilled,
+                "mmap": SegmentStore.from_file(path),
+                "read": SegmentStore.from_file(path, mmap=False),
+                "pickled": pickle.loads(pickle.dumps(store)),
+                "pickled-mmap": pickle.loads(pickle.dumps(spilled)),
+            }
+            assert spilled.mapped and stores["mmap"].mapped
+            for min_conf in (0.2, 0.5):
+                oracle = {
+                    frozenset(p.letters): c
+                    for p, c in brute_force_frequent(
+                        series, period, min_conf
+                    ).items()
+                }
+                assert oracle
+                for name, other in stores.items():
+                    assert list(other) == list(store), name
+                    assert result_map(mine_store(other, min_conf)) == oracle, (
+                        name,
+                        min_conf,
+                    )
 
     def test_wide_store_counts_without_column(self):
+        # Each row of a 99-letter store equals the segment's frozensets
+        # encoded one by one; counts over the rows match naive sums.
         series = wide_series(2)
-        from repro.encoding.codec import vocabulary_of_series
-
         vocab = vocabulary_of_series(series, 3)
         assert len(vocab) > 64
         store = SegmentStore.from_series(series, 3, vocab)
-        assert not store.packed
-        assert store.column() is None
+        assert store.words == 2 and store.rows().shape == (len(store), 2)
+        encode = SegmentEncoder(vocab, 3).encode_segment
+        assert list(store) == [encode(s) for s in series.segments(3)]
         naive = Counter(int(mask) for mask in store)
         assert +store.distinct_counts() == +naive
         sample = list(naive)[:8]
@@ -223,30 +313,64 @@ class TestWideVocabularyFallback:
             mask: sum(c for row, c in naive.items() if not mask & ~row)
             for mask in sample
         }
-        with pytest.raises(WideVocabularyError):
-            store.to_file("unused.seg")
 
-    def test_wide_store_options_fall_back_cleanly(self, tmp_path):
-        # Spill options on a wide series fail loudly, naming the letter
-        # count, and never write a file.
+    def test_wide_store_options_spill_and_mine(self, tmp_path):
+        # Store options on a wide series spill a several-word file and
+        # mine it exactly as the in-memory path does.
         series = wide_series(3)
-        with pytest.raises(MiningError, match=r"has \d+ letters") as raised:
-            mine_single_period_hitset(
-                series, 3, 0.5, store=store_options(tmp_path)
-            )
-        from repro.encoding.codec import vocabulary_of_series
+        mined = mine_single_period_hitset(
+            series, 3, 0.5, store=store_options(tmp_path)
+        )
+        assert result_map(mined) == result_map(
+            mine_single_period_hitset(series, 3, 0.5)
+        )
+        (meta_path,) = tmp_path.glob("*.meta.json")
+        assert json.loads(meta_path.read_text())["words"] == 2
 
-        letters = len(vocabulary_of_series(series, 3))
-        assert f"has {letters} letters" in str(raised.value)
-        assert isinstance(raised.value.__cause__, WideVocabularyError)
-        assert not list(tmp_path.iterdir())
+
+class TestStoreFileFormat:
+    """Store files stay readable, and a torn file is refused."""
+
+    def test_one_word_files_without_words_still_open(self):
+        # The fixture was written by the one-word store format, whose
+        # sidecar has no "words" key: it opens as one word per row.
+        expected = json.loads((SEGSTORE_V1 / "expected.json").read_text())
+        meta = json.loads((SEGSTORE_V1 / "store.seg.meta.json").read_text())
+        assert "words" not in meta
+        for mmap in (True, False):
+            store = SegmentStore.from_file(SEGSTORE_V1 / "store.seg", mmap=mmap)
+            assert store.words == 1 and store.mapped == mmap
+            assert list(store) == expected["masks"]
+            assert sorted(
+                [[offset, feature], count]
+                for (offset, feature), count in store.letter_counts().items()
+            ) == expected["letter_counts"]
+            patterns = sorted(
+                [sorted([offset, feature] for offset, feature in p.letters), c]
+                for p, c in mine_store(store, expected["min_conf"]).items()
+            )
+            assert patterns == expected["patterns"]
+
+    @pytest.mark.parametrize("words", (1, 2))
+    def test_size_mismatch_raises(self, tmp_path, words):
+        series = random_series(1) if words == 1 else wide_series(4)
+        store = SegmentStore.from_series(series, 3)
+        assert store.words == words
+        path = store.to_file(tmp_path / "torn.seg")
+        with open(path, "ab") as handle:
+            handle.write(b"\0" * 8)
+        with pytest.raises(EncodingError, match="sidecar promises"):
+            SegmentStore.from_file(path)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(EncodingError, match="sidecar promises"):
+            SegmentStore.from_file(path, mmap=False)
 
 
 class TestOutOfCoreStore:
     """to_file / from_file / spill: the mmap-backed mining path."""
 
     def test_file_round_trip_and_sidecar(self, tmp_path):
-        store = SegmentStore.from_series_interned(random_series(1), 4)
+        store = SegmentStore.from_series(random_series(1), 4)
         path = store.to_file(tmp_path / "demo.seg")
         meta = json.loads((tmp_path / "demo.seg.meta.json").read_text())
         assert meta["format"] == "repro.segstore/1"
@@ -261,7 +385,7 @@ class TestOutOfCoreStore:
             assert other.vocab.letters == store.vocab.letters
 
     def test_mapped_store_pickles_by_path(self, tmp_path):
-        store = SegmentStore.from_series_interned(random_series(2), 3)
+        store = SegmentStore.from_series(random_series(2), 3)
         path = store.to_file(tmp_path / "p.seg")
         mapped = SegmentStore.from_file(path)
         clone = pickle.loads(pickle.dumps(mapped))
@@ -272,15 +396,15 @@ class TestOutOfCoreStore:
 
     def test_spill_threshold(self, tmp_path):
         series = random_series(3, length=120)
-        spilled = SegmentStore.from_series_interned(
+        spilled = SegmentStore.from_series(
             series, 4, options=StoreOptions(directory=str(tmp_path), spill_bytes=0)
         )
         assert spilled.mapped and spilled.path is not None
         assert spilled.path.parent == tmp_path
-        in_memory = SegmentStore.from_series_interned(series, 4)
+        in_memory = SegmentStore.from_series(series, 4)
         assert list(spilled) == list(in_memory)
         # Below the threshold nothing is written.
-        small = SegmentStore.from_series_interned(
+        small = SegmentStore.from_series(
             series,
             4,
             options=StoreOptions(directory=str(tmp_path / "x"), spill_bytes=1 << 30),
@@ -291,13 +415,13 @@ class TestOutOfCoreStore:
     def test_spill_name_is_deterministic(self, tmp_path):
         series = random_series(4, length=80)
         options = StoreOptions(directory=str(tmp_path), spill_bytes=0)
-        first = SegmentStore.from_series_interned(series, 3, options=options)
-        second = SegmentStore.from_series_interned(series, 3, options=options)
+        first = SegmentStore.from_series(series, 3, options=options)
+        second = SegmentStore.from_series(series, 3, options=options)
         assert first.path == second.path
 
     def test_mine_store_matches_in_memory(self, tmp_path):
         series = random_series(5, length=100)
-        store = SegmentStore.from_series_interned(series, 4)
+        store = SegmentStore.from_series(series, 4)
         path = store.to_file(tmp_path / "m.seg")
         mapped = SegmentStore.from_file(path)
         from_disk = mine_store(mapped, 0.4)
@@ -320,16 +444,16 @@ class TestOutOfCoreStore:
         assert any(p.suffix == ".seg" for p in tmp_path.iterdir())
 
     def test_store_build_timed_in_encode_stage(self, tmp_path, monkeypatch):
-        # The interned-store build is the store path's one pass over the
-        # series; the profile must book it, not leave it unattributed.
-        build = SegmentStore.from_series_interned
+        # The store build is the store path's one pass over the series;
+        # the profile must book it, not leave it unattributed.
+        build = SegmentStore.from_series
 
         def slow_build(cls, *args, **kwargs):
             time.sleep(0.05)
             return build(*args, **kwargs)
 
         monkeypatch.setattr(
-            SegmentStore, "from_series_interned", classmethod(slow_build)
+            SegmentStore, "from_series", classmethod(slow_build)
         )
         profile = MiningProfile()
         mine_single_period_hitset(
@@ -342,16 +466,16 @@ class TestOutOfCoreStore:
         assert stages["scan1"]["elapsed_s"] < stages["encode"]["elapsed_s"]
 
     def test_store_options_require_columnar(self, tmp_path, monkeypatch):
-        # Store options mine on the columnar kernels: scan 1 is the
-        # column's bit-lane sum, not a pass over the series' segments.
+        # Store options mine on the store's rows: scan 1 is their
+        # bit-lane sum, not a pass over the series' segments.
         lanes = []
-        original = columnar.letter_bit_totals
+        original = SegmentStore.bit_totals
 
-        def spy(column):
-            lanes.append(len(column))
-            return original(column)
+        def spy(store):
+            lanes.append(len(store))
+            return original(store)
 
-        monkeypatch.setattr(columnar, "letter_bit_totals", spy)
+        monkeypatch.setattr(SegmentStore, "bit_totals", spy)
         series = random_series(0)
         mine_single_period_hitset(series, 3, 0.5, store=store_options(tmp_path))
         assert lanes == [series.num_periods(3)]
@@ -416,7 +540,7 @@ class TestEngineColumnar:
 
         series = random_series(9, length=90)
         reference = mine_store(
-            SegmentStore.from_series_interned(series, 3), 0.4
+            SegmentStore.from_series(series, 3), 0.4
         )
         miner = PartialPeriodicMiner(series, min_conf=0.4)
         mined = miner.mine(3, workers=2)

@@ -110,6 +110,20 @@ class TestCountCandidates:
         assert counts[candidates[1]] == 2
         assert counts[candidates[2]] == 1
 
+    def test_letters_the_series_never_holds_count_zero(self):
+        # "A" sorts before "a", so a store that skipped its bit would
+        # shift every later letter's bit onto the wrong letter.
+        series = FeatureSeries.from_symbols("abdabc")
+        candidates = [
+            frozenset({(0, "A")}),
+            frozenset({(0, "A"), (0, "a")}),
+            frozenset({(0, "a"), (1, "b")}),
+            frozenset({(2, "d")}),
+            frozenset({(5, "a")}),
+        ]
+        counts = count_candidates(series, 3, candidates)
+        assert [counts[candidate] for candidate in candidates] == [0, 0, 2, 1, 0]
+
     def test_empty_candidates(self):
         series = FeatureSeries.from_symbols("ab")
         assert count_candidates(series, 2, []) == {}

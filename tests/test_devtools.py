@@ -837,7 +837,7 @@ class TestColumnarRules:
         source = """
         def total(self):
             acc = 0
-            for mask in self._masks:
+            for mask in self._rows:
                 acc += mask
             return acc
         """
@@ -848,8 +848,8 @@ class TestColumnarRules:
     def test_comprehension_and_wrapped_iterables_flagged(self):
         source = """
         def rows(store):
-            pairs = [(i, m) for i, m in enumerate(store._masks)]
-            total = sum(int(x) for x in store.column())
+            pairs = [(i, m) for i, m in enumerate(store._rows)]
+            total = sum(int(x) for x in store.rows())
             return pairs, total
         """
         found = findings_of(source, module="repro.core.hitset")
@@ -867,16 +867,16 @@ class TestColumnarRules:
     def test_outside_hot_packages_exempt(self):
         source = """
         def walk(self):
-            return [mask for mask in self._masks]
+            return [mask for mask in self._rows]
         """
         assert findings_of(source, module="repro.encoding.codec") == []
 
     def test_suppression_with_reason_honored(self):
         source = """
-        def wide(self):
+        def walk(self):
             return [
-                mask.bit_count()
-                for mask in self._masks  # repro: ignore[REP1101] -- wide-vocab fallback
+                row.sum()
+                for row in self._rows  # repro: ignore[REP1101] -- reason here
             ]
         """
         assert findings_of(source, module="repro.kernels.store") == []

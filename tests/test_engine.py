@@ -111,12 +111,12 @@ class TestPartition:
         assert list(series.segments(3)) == [series.slots]
 
     def test_plan_chunks_chunk_size(self, tmp_path, monkeypatch):
-        # A spilled store is written in flush chunks; any chunk size
-        # yields the same rows as the in-memory store.
+        # A spilled store is built and written in chunks of segments; any
+        # chunk size yields the same rows as the in-memory store.
         series = random_series(6, length=70)
         expected = list(SegmentStore.from_series(series, 5))
         for rows in (1, 3, 7):
-            monkeypatch.setattr(store_module, "_SPILL_FLUSH_ROWS", rows)
+            monkeypatch.setattr(store_module, "_BUILD_SLOTS", rows * 5)
             spilled = SegmentStore.from_series(
                 series, 5, options=StoreOptions(tmp_path / str(rows), 0)
             )
@@ -400,9 +400,10 @@ class TestEquivalence:
     def test_chunk_sizes_match_serial(
         self, seed, chunk_size, tmp_path, monkeypatch
     ):
-        # Spilled-store mining flushes in chunks of any size exactly.
-        monkeypatch.setattr(store_module, "_SPILL_FLUSH_ROWS", chunk_size)
+        # Spilled-store mining builds and flushes in chunks of any size
+        # exactly.
         series, period, min_conf = _series_for(seed)
+        monkeypatch.setattr(store_module, "_BUILD_SLOTS", chunk_size * period)
         serial = mine_single_period_hitset(series, period, min_conf)
         spilled = PartialPeriodicMiner(series, min_conf=min_conf).mine(
             period, store=StoreOptions(tmp_path, spill_bytes=0)
@@ -543,18 +544,21 @@ class TestChaosEquivalence:
         series, period, min_conf = random_series(seed, 40 + seed % 50), 4, 0.35
         serial = mine_single_period_hitset(series, period, min_conf)
         crash_at = random.Random(seed).randrange(series.num_periods(period))
-        original = FeatureSeries.segments
+        original = store_module.segment_rows
+        calls = []
 
-        def crashing_segments(self, p):
-            for index, segment in enumerate(original(self, p)):
-                if index == crash_at:
-                    raise _SpillCrash(f"injected crash at segment {index}")
-                yield segment
+        def crashing_rows(*args):
+            # One segment per build chunk: call n builds segment n.
+            if len(calls) == crash_at:
+                raise _SpillCrash(f"injected crash at segment {crash_at}")
+            calls.append(None)
+            return original(*args)
 
         options = StoreOptions(tmp_path, spill_bytes=0)
-        monkeypatch.setattr(FeatureSeries, "segments", crashing_segments)
+        monkeypatch.setattr(store_module, "_BUILD_SLOTS", period)
+        monkeypatch.setattr(store_module, "segment_rows", crashing_rows)
         with pytest.raises(_SpillCrash):
-            SegmentStore.from_series_interned(series, period, options)
+            SegmentStore.from_series(series, period, options=options)
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
         rerun = PartialPeriodicMiner(series, min_conf=min_conf).mine(

@@ -240,15 +240,16 @@ class TestSegmentStore:
     def test_packed_and_pickle_roundtrip(self):
         series = random_series(6, length=40)
         store = SegmentStore.from_series(series, 5)
-        assert store.packed  # 4 features x 5 offsets = 20 letters <= 64
+        assert store.words == 1  # 4 features x 5 offsets = 20 letters <= 64
         clone = pickle.loads(pickle.dumps(store))
         assert list(clone) == list(store)
         assert clone.vocab == store.vocab
         assert clone.period == store.period
         assert clone.hit_counter() == store.hit_counter()
 
-    def test_wide_vocabulary_falls_back_to_list(self):
-        # An explicit 70-letter vocabulary (> 64) disables int packing.
+    def test_wide_vocabulary_packs_into_words(self):
+        # An explicit 70-letter vocabulary (> 64) takes two words per row,
+        # and each row still equals the segment encoded on its own.
         series = random_series(7, length=70, features=5)
         letters = tuple(
             (offset, f"f{index}") for offset in range(14) for index in range(5)
@@ -256,10 +257,17 @@ class TestSegmentStore:
         vocab = LetterVocabulary(letters, period=14)
         store = SegmentStore.from_series(series, 14, vocab)
         assert len(store.vocab) > 64
-        assert not store.packed
+        assert store.words == 2
+        from repro.encoding.codec import SegmentEncoder
+
+        encode = SegmentEncoder(vocab).encode_segment
+        assert list(store) == [encode(s) for s in series.segments(14)]
         clone = pickle.loads(pickle.dumps(store))
         assert list(clone) == list(store)
         assert clone.letter_counts() == store.letter_counts()
+        assert clone.letter_counts() == letter_counts_for_segments(
+            series.segments(14)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +279,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", range(20))
     def test_batched_equals_legacy_equals_brute_force(self, seed, tmp_path):
         # Even seeds draw packed series, odd seeds wide (> 64 letters)
-        # ones; packed series also mine through a spilled store.
+        # ones; both also mine through a spilled store.
         if seed % 2:
             series = wide_series(seed, length=120 + (seed % 5) * 12)
             assert len(vocabulary_of_series(series, 3)) > 64
@@ -288,14 +296,13 @@ class TestKernelEquivalence:
                 assert batched == dict(
                     mine_single_period_apriori(series, period, min_conf).items()
                 )
-                if seed % 2 == 0:
-                    spilled = mine_single_period_hitset(
-                        series,
-                        period,
-                        min_conf,
-                        store=StoreOptions(str(tmp_path), spill_bytes=0),
-                    )
-                    assert dict(spilled.items()) == oracle
+                spilled = mine_single_period_hitset(
+                    series,
+                    period,
+                    min_conf,
+                    store=StoreOptions(str(tmp_path), spill_bytes=0),
+                )
+                assert dict(spilled.items()) == oracle
 
     def test_batched_still_two_scans(self):
         scan = ScanCountingSeries(random_series(1, length=60))
@@ -667,19 +674,6 @@ class TestKernelCli:
             line for line in text.splitlines() if line.startswith("  ")
         ]
         assert strip(batched_out) == strip(columnar_out)
-
-    def test_store_dir_wide_vocabulary_exits_2(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.timeseries.io import save_series
-
-        path = tmp_path / "wide.txt"
-        save_series(wide_series(5), path)
-        letters = len(vocabulary_of_series(wide_series(5), 3))
-        store_dir = tmp_path / "store"
-        argv = ["mine", str(path), "--period", "3", "--store-dir", str(store_dir)]
-        assert main(argv) == 2
-        assert f"has {letters} letters" in capsys.readouterr().err
-        assert not store_dir.exists()
 
     def test_profile_requires_period(self, tmp_path):
         from repro.cli import main
