@@ -6,20 +6,42 @@
   indicator vectors.
 """
 
-from repro.baselines.fft import (
-    FFTPeriodScore,
-    detect_dominant_period,
-    fft_period_scores,
-    indicator_vector,
-)
-from repro.baselines.specified import (
-    SpecifiedCheck,
-    enumerate_hypotheses,
-    log10_hypothesis_count,
-    mine_by_enumeration,
-    naive_hypothesis_count,
-    verify_specified,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.fft": (
+        "FFTPeriodScore",
+        "detect_dominant_period",
+        "fft_period_scores",
+        "indicator_vector",
+    ),
+    "repro.baselines.specified": (
+        "SpecifiedCheck",
+        "enumerate_hypotheses",
+        "log10_hypothesis_count",
+        "mine_by_enumeration",
+        "naive_hypothesis_count",
+        "verify_specified",
+    ),
+})
+
+if TYPE_CHECKING:
+    from repro.baselines.fft import (
+        FFTPeriodScore,
+        detect_dominant_period,
+        fft_period_scores,
+        indicator_vector,
+    )
+    from repro.baselines.specified import (
+        SpecifiedCheck,
+        enumerate_hypotheses,
+        log10_hypothesis_count,
+        mine_by_enumeration,
+        naive_hypothesis_count,
+        verify_specified,
+    )
 
 __all__ = [
     "FFTPeriodScore",

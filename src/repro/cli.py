@@ -30,11 +30,9 @@ import time
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
-from repro.analysis.periodogram import suggest_periods
 from repro.core.errors import ReproError
 from repro.core.miner import PartialPeriodicMiner
 from repro.core.result import MiningResult
-from repro.synth.generator import SyntheticSpec
 from repro.timeseries.io import load_series, save_series
 
 if TYPE_CHECKING:
@@ -457,6 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_generate(args: argparse.Namespace) -> int:
+    from repro.synth.generator import SyntheticSpec
+
     spec = SyntheticSpec(
         length=args.length,
         period=args.period,
@@ -668,6 +668,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_suggest(args: argparse.Namespace) -> int:
+    from repro.analysis.periodogram import suggest_periods
+
     series = load_series(args.input)
     low, high = args.period_range
     scores = suggest_periods(

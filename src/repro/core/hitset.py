@@ -49,6 +49,7 @@ from repro.core.maxpattern import FrequentOnePatterns
 from repro.core.pattern import Letter, Pattern
 from repro.core.result import MiningResult, MiningStats
 from repro.encoding.vocabulary import LetterVocabulary
+from repro.kernels import slots as _slots
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 from repro.timeseries.feature_series import FeatureSeries
 
@@ -124,8 +125,6 @@ class _SeriesScans(_Scans):
         self.series = series
 
     def letter_counts(self, floor: int) -> Mapping[Letter, int]:
-        from repro.kernels import slots as _slots
-
         with _stage(self.profile, "scan1", items=self.num_periods):
             column = self.series.slot_column()
             rows = _slots.scan1_rows(
@@ -141,8 +140,6 @@ class _SeriesScans(_Scans):
         return letters
 
     def hits(self, target: LetterVocabulary) -> Mapping[int, int]:
-        from repro.kernels import slots as _slots
-
         with _stage(self.profile, "scan2", items=self.num_periods):
             column = self.series.slot_column()
             hits = dict(

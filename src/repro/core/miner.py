@@ -11,11 +11,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
-from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import check_min_conf
 from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset
-from repro.core.maximal import mine_maximal_hitset
 from repro.core.multiperiod import (
     MultiPeriodResult,
     mine_periods_looping,
@@ -121,6 +119,8 @@ class PartialPeriodicMiner:
                 store=store,
             )
         if algorithm == "apriori":
+            from repro.core.apriori import mine_single_period_apriori
+
             return mine_single_period_apriori(self.series, period, min_conf)
         raise MiningError(
             f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}"
@@ -130,6 +130,8 @@ class PartialPeriodicMiner:
         self, period: int, min_conf: float | None = None
     ) -> MiningResult:
         """Only the maximal frequent patterns of one period (two scans)."""
+        from repro.core.maximal import mine_maximal_hitset
+
         min_conf = self.min_conf if min_conf is None else min_conf
         return mine_maximal_hitset(self.series, period, min_conf)
 

@@ -37,13 +37,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import check_min_conf, min_count
 from repro.core.errors import MiningError
 from repro.core.hitset import _derive, mine_single_period_hitset
 from repro.core.maxpattern import FrequentOnePatterns
 from repro.core.pattern import Pattern
 from repro.core.result import MiningResult, MiningStats
+from repro.kernels import slots as _slots
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 from repro.timeseries.feature_series import FeatureSeries
 
@@ -171,6 +171,8 @@ def mine_periods_looping(
         if algorithm == "hitset":
             result = mine_single_period_hitset(series, period, min_conf)
         else:
+            from repro.core.apriori import mine_single_period_apriori
+
             result = mine_single_period_apriori(series, period, min_conf)
         outcome.results[period] = result
         outcome.scans += result.stats.scans
@@ -196,8 +198,6 @@ def mine_periods_shared(
     (:func:`repro.kernels.slots.segment_hits`), one tree insertion per
     distinct hit.  Derivation then happens entirely in memory.
     """
-    from repro.kernels import slots as _slots
-
     check_min_conf(min_conf)
     usable = _validated_periods(series, periods, min_repetitions)
     length = len(series)

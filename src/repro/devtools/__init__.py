@@ -22,45 +22,92 @@ Three entry points share one engine:
 [('REP402', 1)]
 """
 
-from repro.devtools.analyzer import (
-    META_RULE_IDS,
-    SourceAnalysis,
-    analyze_file,
-    analyze_paths,
-    analyze_source,
-    analyze_source_detailed,
-    iter_python_files,
-    select_rules,
-    selected_meta_ids,
-)
-from repro.devtools.baseline import (
-    Baseline,
-    BaselineError,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.devtools.callgraph import CallGraph
-from repro.devtools.cli import main, run
-from repro.devtools.context import ModuleContext, module_name_of
-from repro.devtools.effects import (
-    Effect,
-    EffectInference,
-    effect_names,
-    parse_effect_annotations,
-)
-from repro.devtools.findings import Finding, Severity, findings_to_json
-from repro.devtools.project import ProjectContext, analyze_project, build_project
-from repro.devtools.registry import (
-    ProjectRule,
-    Rule,
-    all_rules,
-    get_rule,
-    known_rule_ids,
-    project_rules,
-    register,
-)
-from repro.devtools.suppressions import Suppression, parse_suppressions
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.devtools.analyzer": (
+        "META_RULE_IDS",
+        "SourceAnalysis",
+        "analyze_file",
+        "analyze_paths",
+        "analyze_source",
+        "analyze_source_detailed",
+        "iter_python_files",
+        "select_rules",
+        "selected_meta_ids",
+    ),
+    "repro.devtools.baseline": (
+        "Baseline",
+        "BaselineError",
+        "fingerprint",
+        "load_baseline",
+        "write_baseline",
+    ),
+    "repro.devtools.callgraph": ("CallGraph",),
+    "repro.devtools.cli": ("main", "run"),
+    "repro.devtools.context": ("ModuleContext", "module_name_of"),
+    "repro.devtools.effects": (
+        "Effect",
+        "EffectInference",
+        "effect_names",
+        "parse_effect_annotations",
+    ),
+    "repro.devtools.findings": ("Finding", "Severity", "findings_to_json"),
+    "repro.devtools.project": ("ProjectContext", "analyze_project", "build_project"),
+    "repro.devtools.registry": (
+        "ProjectRule",
+        "Rule",
+        "all_rules",
+        "get_rule",
+        "known_rule_ids",
+        "project_rules",
+        "register",
+    ),
+    "repro.devtools.suppressions": ("Suppression", "parse_suppressions"),
+})
+
+if TYPE_CHECKING:
+    from repro.devtools.analyzer import (
+        META_RULE_IDS,
+        SourceAnalysis,
+        analyze_file,
+        analyze_paths,
+        analyze_source,
+        analyze_source_detailed,
+        iter_python_files,
+        select_rules,
+        selected_meta_ids,
+    )
+    from repro.devtools.baseline import (
+        Baseline,
+        BaselineError,
+        fingerprint,
+        load_baseline,
+        write_baseline,
+    )
+    from repro.devtools.callgraph import CallGraph
+    from repro.devtools.cli import main, run
+    from repro.devtools.context import ModuleContext, module_name_of
+    from repro.devtools.effects import (
+        Effect,
+        EffectInference,
+        effect_names,
+        parse_effect_annotations,
+    )
+    from repro.devtools.findings import Finding, Severity, findings_to_json
+    from repro.devtools.project import ProjectContext, analyze_project, build_project
+    from repro.devtools.registry import (
+        ProjectRule,
+        Rule,
+        all_rules,
+        get_rule,
+        known_rule_ids,
+        project_rules,
+        register,
+    )
+    from repro.devtools.suppressions import Suppression, parse_suppressions
 
 __all__ = [
     "META_RULE_IDS",

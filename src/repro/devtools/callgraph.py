@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from repro.devtools.context import (
     ModuleContext,
     dotted_name,
+    iter_lazy_exports,
     local_bound_names,
 )
 
@@ -151,6 +152,8 @@ class ModuleInfo:
     classes: dict[str, str] = field(default_factory=dict)
     #: Names bound at module level (for closure detection).
     bindings: set[str] = field(default_factory=set)
+    #: A lazy package's re-exports: name -> defining module.
+    reexports: dict[str, str] = field(default_factory=dict)
 
 
 class CallGraph:
@@ -180,9 +183,17 @@ class CallGraph:
         return graph
 
     def _index_module(self, ctx: ModuleContext) -> None:
-        info = ModuleInfo(ctx=ctx, imports=ModuleImports(ctx.tree))
+        info = ModuleInfo(
+            ctx=ctx,
+            imports=ModuleImports(ctx.tree),
+            reexports={
+                name: module
+                for name, module, _ in iter_lazy_exports(ctx.tree)
+            },
+        )
         self.modules[ctx.module] = info
         info.bindings.update(info.imports.aliases)
+        info.bindings.update(info.reexports)
         self._index_body(ctx, info, ctx.tree.body, prefix="", class_info=None,
                          enclosing=None)
         for node in ctx.tree.body:
@@ -307,8 +318,29 @@ class CallGraph:
     def _class_fqname(self, info: ModuleInfo, dotted: str) -> str | None:
         if dotted in info.classes:
             return info.classes[dotted]
-        expanded = info.imports.expand(dotted)
+        expanded = self._canonical(info.imports.expand(dotted))
         return expanded if expanded in self.classes else None
+
+    def _canonical(self, dotted: str) -> str:
+        """Follow lazy package re-exports to the defining module's name.
+
+        ``repro.durability.DurableStream`` becomes
+        ``repro.durability.stream.DurableStream`` when the lazy table of
+        ``repro.durability`` names that module for it.
+        """
+        for _ in range(len(self.modules)):  # bounded: tables may cycle
+            parts = dotted.split(".")
+            for split in range(len(parts) - 1, 0, -1):
+                info = self.modules.get(".".join(parts[:split]))
+                if info is not None:
+                    break
+            else:
+                return dotted
+            target = info.reexports.get(parts[split])
+            if target is None:
+                return dotted
+            dotted = ".".join([target, *parts[split:]])
+        return dotted
 
     # ------------------------------------------------------------------
     # Call resolution
@@ -487,7 +519,7 @@ class CallGraph:
             if current in seen:
                 continue
             seen.add(current)
-            class_info = self.classes.get(current)
+            class_info = self.classes.get(self._canonical(current))
             if class_info is None:
                 continue
             if attr in class_info.attr_types:
@@ -504,7 +536,7 @@ class CallGraph:
             if current in seen:
                 continue
             seen.add(current)
-            class_info = self.classes.get(current)
+            class_info = self.classes.get(self._canonical(current))
             if class_info is None:
                 continue
             if name in class_info.methods:
@@ -520,7 +552,7 @@ class CallGraph:
         remainder resolves as a module-level function, a class
         constructor, or a class method.
         """
-        parts = dotted.split(".")
+        parts = self._canonical(dotted).split(".")
         for split in range(len(parts) - 1, 0, -1):
             module = ".".join(parts[:split])
             info = self.modules.get(module)

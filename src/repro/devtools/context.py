@@ -9,6 +9,7 @@ rule catalog.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -211,3 +212,63 @@ def local_bound_names(
         elif isinstance(node, ast.ExceptHandler) and node.name is not None:
             names.add(node.name)
     return names
+
+
+def is_type_checking_block(node: ast.stmt) -> bool:
+    """True for ``if TYPE_CHECKING:`` (or ``if typing.TYPE_CHECKING:``)."""
+    if not isinstance(node, ast.If):
+        return False
+    test = dotted_name(node.test)
+    return test is not None and test.split(".")[-1] == "TYPE_CHECKING"
+
+
+def iter_lazy_exports(tree: ast.Module) -> Iterator[tuple[str, str, int]]:
+    """A lazy package's re-exports as ``(name, defining module, line)``.
+
+    Read from the module-level ``lazy_exports(__name__, {...})`` call of
+    :mod:`repro._lazy`, whose table maps each defining module to a
+    literal tuple or list of names.  Yields nothing when the module has
+    no such call; entries that are not string literals are skipped.
+    """
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.Expr)):
+            continue
+        call = node.value
+        if not isinstance(call, ast.Call) or len(call.args) != 2:
+            continue
+        callee = dotted_name(call.func)
+        if callee is None or callee.split(".")[-1] != "lazy_exports":
+            continue
+        mapping = call.args[1]
+        if not isinstance(mapping, ast.Dict):
+            continue
+        for key, value in zip(mapping.keys, mapping.values):
+            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+                continue
+            if not isinstance(value, (ast.Tuple, ast.List)):
+                continue
+            for element in value.elts:
+                if isinstance(element, ast.Constant) and isinstance(
+                    element.value, str
+                ):
+                    yield element.value, key.value, element.lineno
+
+
+def module_source_path(ctx: ModuleContext, module: str) -> Path | None:
+    """The file of dotted ``module`` in the source tree ``ctx`` lives in.
+
+    The tree's root is found by walking up from ``ctx.path`` one
+    directory per component of ``ctx.module``; ``None`` when ``ctx`` has
+    no file or the module is not below that root.
+    """
+    if ctx.path == "<string>" or not ctx.module:
+        return None
+    parents = Path(ctx.path).resolve().parents
+    depth = len(ctx.module.split(".")) - (0 if ctx.is_package_init else 1)
+    if depth >= len(parents):
+        return None
+    base = parents[depth].joinpath(*module.split("."))
+    for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+        if candidate.is_file():
+            return candidate
+    return None

@@ -11,13 +11,18 @@ assume away.
 from __future__ import annotations
 
 import ast
+import functools
 from collections.abc import Iterator
+from pathlib import Path
 
 from repro.devtools.context import (
     MUTABLE_FACTORIES,
     ModuleContext,
     dotted_name,
+    is_type_checking_block,
     iter_assigned_names,
+    iter_lazy_exports,
+    module_source_path,
 )
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import Rule, register
@@ -63,9 +68,11 @@ def _module_bindings(ctx: ModuleContext) -> dict[str, int]:
                     continue
                 bindings.setdefault(alias.asname or alias.name, node.lineno)
         elif isinstance(node, (ast.If, ast.Try)):
-            # Conditionally-bound names (TYPE_CHECKING blocks, fallback
-            # imports) still count as module bindings.
-            for inner in ast.walk(node):
+            # Conditionally-bound names (fallback imports, version
+            # switches) still count as module bindings; names imported
+            # only under TYPE_CHECKING do not exist at run time.
+            parts = node.orelse if is_type_checking_block(node) else [node]
+            for inner in (sub for part in parts for sub in ast.walk(part)):
                 if isinstance(inner, ast.ImportFrom):
                     for alias in inner.names:
                         if alias.name != "*":
@@ -79,14 +86,33 @@ def _module_bindings(ctx: ModuleContext) -> dict[str, int]:
     return bindings
 
 
-def _public_names(ctx: ModuleContext) -> dict[str, int]:
+def _names_bound_in(path: Path) -> frozenset[str]:
+    """The module-level names of a lazy table's target module."""
+    stat = path.stat()
+    return _cached_names(str(path), stat.st_mtime_ns, stat.st_size)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_names(path: str, mtime_ns: int, size: int) -> frozenset[str]:
+    # Keyed on mtime and size too, so an edited file is parsed again.
+    source = Path(path).read_text(encoding="utf-8")
+    return frozenset(
+        _module_bindings(ModuleContext.from_source(source, path=path))
+    )
+
+
+def _public_names(
+    ctx: ModuleContext, lazy: list[tuple[str, str, int]]
+) -> dict[str, int]:
     """Module-level names that belong in ``__all__`` if one is declared.
 
     Classes, functions, and constants defined here always count; imported
     names count only in package ``__init__`` modules, whose whole purpose
-    is re-export.
+    is re-export.  A lazy package re-exports through its table (``lazy``),
+    so there the table's names count and its imports are plumbing.
     """
-    public: dict[str, int] = {}
+    public: dict[str, int] = {name: line for name, _, line in lazy}
+    reexports_by_import = ctx.is_package_init and not lazy
     for node in ctx.tree.body:
         names: list[tuple[str, int]] = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -102,7 +128,7 @@ def _public_names(ctx: ModuleContext) -> dict[str, int]:
                 (name.id, node.lineno)
                 for name in iter_assigned_names(node.target)
             ]
-        elif ctx.is_package_init and isinstance(node, ast.ImportFrom):
+        elif reexports_by_import and isinstance(node, ast.ImportFrom):
             if node.module == "__future__":
                 continue
             names = [
@@ -155,13 +181,16 @@ class AllDriftRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        lazy = list(iter_lazy_exports(ctx.tree))
+        yield from self._check_lazy_table(ctx, lazy)
         declaration = _all_declaration(ctx)
         if declaration is None:
             return
         node, entries = declaration
-        bindings = _module_bindings(ctx)
+        bound = set(_module_bindings(ctx))
+        bound.update(name for name, _, _ in lazy)
         for entry in entries:
-            if entry not in bindings:
+            if entry not in bound:
                 yield self.finding(
                     ctx,
                     node.lineno,
@@ -169,7 +198,7 @@ class AllDriftRule(Rule):
                     f"__all__ lists {entry!r} but the module never binds it",
                 )
         listed = set(entries)
-        for name, lineno in sorted(_public_names(ctx).items()):
+        for name, lineno in sorted(_public_names(ctx, lazy).items()):
             if name not in listed and name != "__all__":
                 yield self.finding(
                     ctx,
@@ -177,6 +206,48 @@ class AllDriftRule(Rule):
                     0,
                     f"public name {name!r} is not listed in __all__; add it "
                     "or rename it with a leading underscore",
+                )
+
+    def _check_lazy_table(
+        self, ctx: ModuleContext, lazy: list[tuple[str, str, int]]
+    ) -> Iterator[Finding]:
+        """Each table entry names a module that binds it, and the
+        ``TYPE_CHECKING`` imports repeat the table exactly."""
+        if not lazy:
+            return
+        mirror: dict[str, tuple[str, int]] = {}
+        for node in ctx.tree.body:
+            if not is_type_checking_block(node):
+                continue
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.ImportFrom) and inner.module:
+                    for alias in inner.names:
+                        mirror[alias.asname or alias.name] = (
+                            inner.module, inner.lineno,
+                        )
+        table = {name: module for name, module, _ in lazy}
+        for name, module, line in lazy:
+            path = module_source_path(ctx, module)
+            if path is None or name not in _names_bound_in(path):
+                where = "is not in this source tree" if path is None else (
+                    "never binds it"
+                )
+                yield self.finding(
+                    ctx, line, 0,
+                    f"lazy table maps {name!r} to {module!r}, which {where}",
+                )
+            if mirror.get(name, (None, 0))[0] != module:
+                yield self.finding(
+                    ctx, line, 0,
+                    f"lazy table entry {name!r} has no matching 'from "
+                    f"{module} import {name}' under TYPE_CHECKING",
+                )
+        for name, (module, line) in sorted(mirror.items()):
+            if name not in table:
+                yield self.finding(
+                    ctx, line, 0,
+                    f"{name!r} is imported under TYPE_CHECKING but missing "
+                    "from the lazy table, so it does not exist at run time",
                 )
 
 

@@ -17,23 +17,48 @@ Four layers, each usable alone:
   emits the identical window sequence as an uninterrupted one.
 """
 
-from repro.core.errors import DurabilityError, SnapshotCorruption
-from repro.durability.checkpoint import RecoveredState, StreamCheckpointer
-from repro.durability.files import (
-    FileChaos,
-    FileChaosConfig,
-    atomic_write,
-    file_chaos_from_env,
-)
-from repro.durability.snapshot import (
-    ENVELOPE_VERSION,
-    FORMAT_TAG,
-    SnapshotWriter,
-    clean_stale_tmp,
-    read_snapshot,
-    snapshot_bytes,
-)
-from repro.durability.stream import DurableSink, DurableStream
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.errors": ("DurabilityError", "SnapshotCorruption"),
+    "repro.durability.checkpoint": ("RecoveredState", "StreamCheckpointer"),
+    "repro.durability.files": (
+        "FileChaos",
+        "FileChaosConfig",
+        "atomic_write",
+        "file_chaos_from_env",
+    ),
+    "repro.durability.snapshot": (
+        "ENVELOPE_VERSION",
+        "FORMAT_TAG",
+        "SnapshotWriter",
+        "clean_stale_tmp",
+        "read_snapshot",
+        "snapshot_bytes",
+    ),
+    "repro.durability.stream": ("DurableSink", "DurableStream"),
+})
+
+if TYPE_CHECKING:
+    from repro.core.errors import DurabilityError, SnapshotCorruption
+    from repro.durability.checkpoint import RecoveredState, StreamCheckpointer
+    from repro.durability.files import (
+        FileChaos,
+        FileChaosConfig,
+        atomic_write,
+        file_chaos_from_env,
+    )
+    from repro.durability.snapshot import (
+        ENVELOPE_VERSION,
+        FORMAT_TAG,
+        SnapshotWriter,
+        clean_stale_tmp,
+        read_snapshot,
+        snapshot_bytes,
+    )
+    from repro.durability.stream import DurableSink, DurableStream
 
 __all__ = [
     "DurabilityError",

@@ -21,17 +21,28 @@ Quickstart
 ['1011', '0111', '1011']
 """
 
-from repro.encoding.codec import (
-    EncodedSegment,
-    SegmentEncoder,
-    iter_segment_letters,
-    vocabulary_of_series,
-)
-from repro.encoding.vocabulary import (
-    LetterVocabulary,
-    VocabularyLike,
-    remap_mask,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.encoding.codec": (
+        "EncodedSegment",
+        "SegmentEncoder",
+        "iter_segment_letters",
+        "vocabulary_of_series",
+    ),
+    "repro.encoding.vocabulary": ("LetterVocabulary", "VocabularyLike", "remap_mask"),
+})
+
+if TYPE_CHECKING:
+    from repro.encoding.codec import (
+        EncodedSegment,
+        SegmentEncoder,
+        iter_segment_letters,
+        vocabulary_of_series,
+    )
+    from repro.encoding.vocabulary import LetterVocabulary, VocabularyLike, remap_mask
 
 __all__ = [
     "EncodedSegment",

@@ -30,16 +30,34 @@ differential fuzzer (:mod:`repro.devtools.fuzz`, ``ppm fuzz``) hammers
 the same invariant across randomized corners.  See ``docs/kernels.md``.
 """
 
-from repro.kernels.batched import (
-    MAX_TABLE_BITS,
-    SubmaskCountTable,
-    batched_count_masks,
-    derive_frequent_masks,
-    project_hit_counts,
-)
-from repro.kernels.cache import CacheKey, CacheStats, CountCache, letters_hash
-from repro.kernels.profile import MiningProfile, StageTiming
-from repro.kernels.store import SegmentStore, StoreOptions
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.kernels.batched": (
+        "MAX_TABLE_BITS",
+        "SubmaskCountTable",
+        "batched_count_masks",
+        "derive_frequent_masks",
+        "project_hit_counts",
+    ),
+    "repro.kernels.cache": ("CacheKey", "CacheStats", "CountCache", "letters_hash"),
+    "repro.kernels.profile": ("MiningProfile", "StageTiming"),
+    "repro.kernels.store": ("SegmentStore", "StoreOptions"),
+})
+
+if TYPE_CHECKING:
+    from repro.kernels.batched import (
+        MAX_TABLE_BITS,
+        SubmaskCountTable,
+        batched_count_masks,
+        derive_frequent_masks,
+        project_hit_counts,
+    )
+    from repro.kernels.cache import CacheKey, CacheStats, CountCache, letters_hash
+    from repro.kernels.profile import MiningProfile, StageTiming
+    from repro.kernels.store import SegmentStore, StoreOptions
 
 __all__ = [
     "MAX_TABLE_BITS",

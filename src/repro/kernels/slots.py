@@ -358,7 +358,8 @@ def segment_rows(
     grid = column.ids[: num_periods * period].reshape(num_periods, period)
     rank = np.empty(len(offsets), np.int64)
     rows = np.zeros((num_periods, words), np.uint64)
-    for word in np.unique(low).tolist():
+    # A plain np.unique would import numpy.ma on its first call.
+    for word in sorted(set(low.tolist())):
         members = np.flatnonzero(low == word)
         span = int(high[members].max()) - word + 1
         rank[members] = np.arange(len(members))
@@ -398,8 +399,16 @@ def distinct_rows(
     One lexicographic sort (word 0 first) brings equal rows together,
     and a diff of neighbours marks where each run of equal rows starts.
     A row counts once, or ``weights[r]`` times when weights are given.
+    One-word rows sort as a plain column instead, several times faster
+    than ``lexsort`` with a single key.
     """
-    order = np.lexsort(rows.T[::-1])
+    if rows.shape[1] == 1:
+        if weights is None:
+            values, counts = np.unique(rows[:, 0], return_counts=True)
+            return values[:, None], counts
+        order = np.argsort(rows[:, 0])
+    else:
+        order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     starts = np.ones(len(rows), bool)
     np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])

@@ -21,17 +21,36 @@ Layers (each its own module, composable without the others):
 See ``docs/serve.md`` for the API and the operational runbook.
 """
 
-from repro.serve.app import MiningApp, ServeConfig
-from repro.serve.coalesce import SingleFlight
-from repro.serve.protocol import (
-    ProtocolError,
-    Request,
-    read_request,
-    response_bytes,
-)
-from repro.serve.quotas import TenantCacheLedger, TenantQuotas, TokenBucket
-from repro.serve.registry import LoadedSeries, SeriesRegistry
-from repro.serve.server import MiningServer, run_server
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.app": ("MiningApp", "ServeConfig"),
+    "repro.serve.coalesce": ("SingleFlight",),
+    "repro.serve.protocol": (
+        "ProtocolError",
+        "Request",
+        "read_request",
+        "response_bytes",
+    ),
+    "repro.serve.quotas": ("TenantCacheLedger", "TenantQuotas", "TokenBucket"),
+    "repro.serve.registry": ("LoadedSeries", "SeriesRegistry"),
+    "repro.serve.server": ("MiningServer", "run_server"),
+})
+
+if TYPE_CHECKING:
+    from repro.serve.app import MiningApp, ServeConfig
+    from repro.serve.coalesce import SingleFlight
+    from repro.serve.protocol import (
+        ProtocolError,
+        Request,
+        read_request,
+        response_bytes,
+    )
+    from repro.serve.quotas import TenantCacheLedger, TenantQuotas, TokenBucket
+    from repro.serve.registry import LoadedSeries, SeriesRegistry
+    from repro.serve.server import MiningServer, run_server
 
 __all__ = [
     "LoadedSeries",

@@ -16,18 +16,22 @@ The guarantee throughout: every emitted window equals batch-mining that
 window's slice.  See ``docs/streaming.md``.
 """
 
-from repro.streaming.buffer import (
-    ArrivalBuffer,
-    LateEvent,
-    LateEventReport,
-)
-from repro.streaming.engine import StreamingMiner
-from repro.streaming.retirement import DecrementRetirement
-from repro.streaming.windows import (
-    WindowResult,
-    WindowSpec,
-    window_to_dict,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.streaming.buffer": ("ArrivalBuffer", "LateEvent", "LateEventReport"),
+    "repro.streaming.engine": ("StreamingMiner",),
+    "repro.streaming.retirement": ("DecrementRetirement",),
+    "repro.streaming.windows": ("WindowResult", "WindowSpec", "window_to_dict"),
+})
+
+if TYPE_CHECKING:
+    from repro.streaming.buffer import ArrivalBuffer, LateEvent, LateEventReport
+    from repro.streaming.engine import StreamingMiner
+    from repro.streaming.retirement import DecrementRetirement
+    from repro.streaming.windows import WindowResult, WindowSpec, window_to_dict
 
 __all__ = [
     "ArrivalBuffer",

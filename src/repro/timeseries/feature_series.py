@@ -16,12 +16,10 @@ Derivation of a feature series from raw inputs lives in the sibling modules
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING, Union, cast, overload
+from typing import Union, cast, overload
 
 from repro.core.errors import SeriesError
-
-if TYPE_CHECKING:
-    from repro.kernels.slots import SlotColumn
+from repro.kernels.slots import SlotColumn, intern_slots
 
 #: Anything acceptable as one slot of a series.
 SlotLike = Union[str, None, Iterable[str]]
@@ -207,8 +205,6 @@ class FeatureSeries:
         so the column is memoized (pickling drops it).
         """
         if self._column is None:
-            from repro.kernels.slots import intern_slots
-
             self._column = intern_slots(self.slots)
         return self._column
 

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.errors import SeriesError
+from repro.kernels.slots import SlotColumn, SlotTable
 from repro.timeseries.feature_series import FeatureSeries
 
 if TYPE_CHECKING:
@@ -178,8 +179,6 @@ def load_series(
     share one frozenset and one slot id, and every line maps to its id
     through one dictionary lookup in C.
     """
-    from repro.kernels.slots import SlotColumn, SlotTable
-
     source = Path(path)
     if not source.exists():
         raise SeriesError(f"series file not found: {source}")

@@ -33,7 +33,6 @@ from collections.abc import Iterable, Iterator, Mapping
 from repro.core.counting import segment_letters
 from repro.core.errors import EncodingError, MiningError, PatternError
 from repro.core.pattern import Letter, Pattern
-from repro.encoding.codec import SegmentEncoder
 from repro.encoding.vocabulary import LetterVocabulary
 from repro.kernels.batched import (
     MAX_TABLE_BITS,
@@ -358,6 +357,8 @@ class MaxSubpatternTree:
 
         Returns the number of segments whose hit was stored.
         """
+        from repro.encoding.codec import SegmentEncoder
+
         encoder = SegmentEncoder(self._vocab)
         hits: Counter = Counter()
         for segment in series.segments(self._max_pattern.period):

@@ -394,6 +394,137 @@ class TestHygiene:
         assert findings_of(source, module="repro.analysis.thing") == []
 
 
+class TestLazyExports:
+    """REP401 on lazy packages: the table, its targets and its mirror."""
+
+    TARGET = """\
+        def helper():
+            return 1
+        """
+
+    @staticmethod
+    def lazy_findings(tmp_path, init: str) -> list[tuple[str, int, str]]:
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "impl.py").write_text(
+            textwrap.dedent(TestLazyExports.TARGET), encoding="utf-8"
+        )
+        (package / "__init__.py").write_text(
+            textwrap.dedent(init), encoding="utf-8"
+        )
+        return [
+            (finding.rule_id, finding.line, finding.message)
+            for finding in analyze_paths([package], select=["REP401"])
+        ]
+
+    def test_table_entry_bound_by_target_is_clean(self, tmp_path):
+        init = """\
+        from typing import TYPE_CHECKING
+
+        from repro._lazy import lazy_exports
+
+        __getattr__, __dir__ = lazy_exports(__name__, {
+            "pkg.impl": ("helper",),
+        })
+
+        if TYPE_CHECKING:
+            from pkg.impl import helper
+
+        __all__ = ["helper"]
+        """
+        assert self.lazy_findings(tmp_path, init) == []
+
+    def test_name_in_neither_place_flagged(self, tmp_path):
+        init = """\
+        from typing import TYPE_CHECKING
+
+        from repro._lazy import lazy_exports
+
+        __getattr__, __dir__ = lazy_exports(__name__, {
+            "pkg.impl": ("helper",),
+        })
+
+        if TYPE_CHECKING:
+            from pkg.impl import helper
+
+        __all__ = ["ghost", "helper"]
+        """
+        [(rule, line, message)] = self.lazy_findings(tmp_path, init)
+        assert (rule, line) == ("REP401", 12)
+        assert "'ghost'" in message and "never binds" in message
+
+    def test_table_entry_target_does_not_bind_flagged(self, tmp_path):
+        init = """\
+        from typing import TYPE_CHECKING
+
+        from repro._lazy import lazy_exports
+
+        __getattr__, __dir__ = lazy_exports(__name__, {
+            "pkg.impl": ("helper", "missing"),
+        })
+
+        if TYPE_CHECKING:
+            from pkg.impl import helper, missing
+
+        __all__ = ["helper", "missing"]
+        """
+        [(rule, line, message)] = self.lazy_findings(tmp_path, init)
+        assert (rule, line) == ("REP401", 6)
+        assert "'missing'" in message and "'pkg.impl'" in message
+
+    def test_type_checking_import_alone_is_not_a_binding(self):
+        source = """\
+        from typing import TYPE_CHECKING
+
+        if TYPE_CHECKING:
+            from pkg.impl import helper
+
+        __all__ = ["helper"]
+        """
+        assert findings_of(source) == [("REP401", 6)]
+
+    def test_mirror_out_of_step_with_table_flagged(self, tmp_path):
+        init = """\
+        from typing import TYPE_CHECKING
+
+        from repro._lazy import lazy_exports
+
+        __getattr__, __dir__ = lazy_exports(__name__, {
+            "pkg.impl": ("helper",),
+        })
+
+        if TYPE_CHECKING:
+            from pkg.other import helper, extra
+
+        __all__ = ["helper"]
+        """
+        findings = self.lazy_findings(tmp_path, init)
+        assert [(rule, line) for rule, line, _ in findings] == [
+            ("REP401", 6), ("REP401", 10),
+        ]
+        assert "TYPE_CHECKING" in findings[0][2]
+        assert "'extra'" in findings[1][2]
+
+    def test_table_name_missing_from_all_flagged(self, tmp_path):
+        init = """\
+        from typing import TYPE_CHECKING
+
+        from repro._lazy import lazy_exports
+
+        __getattr__, __dir__ = lazy_exports(__name__, {
+            "pkg.impl": ("helper",),
+        })
+
+        if TYPE_CHECKING:
+            from pkg.impl import helper
+
+        __all__ = []
+        """
+        [(rule, line, message)] = self.lazy_findings(tmp_path, init)
+        assert (rule, line) == ("REP401", 6)
+        assert "not listed in __all__" in message
+
+
 # ---------------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------------

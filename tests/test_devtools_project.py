@@ -81,6 +81,42 @@ class TestCallGraph:
         entry = project.graph.functions["repro.main:entry"]
         assert [call.callee for call in entry.calls] == ["repro.util:helper"]
 
+    def test_lazy_reexport_resolves_to_definition(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/pkg/impl.py": """\
+                def helper():
+                    return 1
+
+                class Worker:
+                    def run(self):
+                        return helper()
+            """,
+            "repro/pkg/__init__.py": """\
+                from repro._lazy import lazy_exports
+
+                __getattr__, __dir__ = lazy_exports(__name__, {
+                    "repro.pkg.impl": ("Worker", "helper"),
+                })
+            """,
+            "repro/main.py": """\
+                from repro.pkg import Worker, helper
+
+                class Entry:
+                    def __init__(self):
+                        self.worker = Worker()
+
+                    def go(self):
+                        helper()
+                        return self.worker.run()
+            """,
+        })
+        project, _ = build_project([tmp_path])
+        entry = project.graph.functions["repro.main:Entry.go"]
+        assert sorted(call.callee for call in entry.calls) == [
+            "repro.pkg.impl:Worker.run",
+            "repro.pkg.impl:helper",
+        ]
+
     def test_import_alias_expands_external_call(self, tmp_path):
         write_tree(tmp_path, {
             "repro/mod.py": """\
@@ -224,6 +260,33 @@ class TestRep811:
             """,
         })
         assert project_ids(tmp_path, "REP811") == [("svc.py", 9)]
+
+    def test_blocking_through_lazy_package_name_flagged(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/io/disk.py": """\
+                import time
+
+                def deep():
+                    time.sleep(0.5)
+            """,
+            "repro/io/__init__.py": """\
+                from repro._lazy import lazy_exports
+
+                __getattr__, __dir__ = lazy_exports(__name__, {
+                    "repro.io.disk": ("deep",),
+                })
+            """,
+            "repro/serve/svc.py": """\
+                from repro.io import deep
+
+                def middle():
+                    return deep()
+
+                async def handler(request):
+                    return middle()
+            """,
+        })
+        assert project_ids(tmp_path, "REP811") == [("svc.py", 6)]
 
     def test_chain_message_names_every_hop(self, tmp_path):
         write_tree(tmp_path, {

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import pickle
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.constraints import MiningConstraints, mine_with_constraints
@@ -27,6 +29,7 @@ from repro.kernels.cache import CountCache
 from repro.kernels.slots import (
     SlotColumn,
     SlotTable,
+    distinct_rows,
     pair_letter_counts,
     scan1_rows,
     segment_hits,
@@ -403,6 +406,31 @@ def noisy_series(length=900, alphabet=300, seed=4):
             for _ in range(length)
         ]
     )
+
+
+class TestDistinctRows:
+    """Distinct rows and their counts, ascending, at one word or several."""
+
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_counter(self, words, weighted):
+        rng = np.random.default_rng(words)
+        rows = rng.integers(0, 6, size=(500, words)).astype(np.uint64) << 61
+        weights = rng.integers(1, 9, size=500) if weighted else None
+        expected = Counter()
+        for index, row in enumerate(map(tuple, rows.tolist())):
+            expected[row] += 1 if weights is None else int(weights[index])
+        distinct, counts = distinct_rows(rows, weights)
+        assert distinct.shape == (len(expected), words)
+        assert distinct.dtype == np.uint64
+        got = [tuple(row) for row in distinct.tolist()]
+        assert got == sorted(expected)
+        assert dict(zip(got, counts.tolist())) == expected
+
+    @pytest.mark.parametrize("words", [1, 2])
+    def test_empty(self, words):
+        distinct, counts = distinct_rows(np.zeros((0, words), np.uint64))
+        assert distinct.shape == (0, words) and len(counts) == 0
 
 
 class TestSegmentHits:
