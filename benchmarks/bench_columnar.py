@@ -44,6 +44,7 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -86,28 +87,30 @@ SPEEDUP_BAR_FULL = 10.0
 SPEEDUP_BAR_QUICK = 3.0
 
 #: Timing rounds: each round times the cold columnar, cold in-memory and
-#: store mines once, in turn, and each side keeps its best round.
-REPEATS = 5
+#: store mines once, in turn, and each side is the median of its rounds.
+REPEATS = 9
 
 #: The Figure 2 shape with a packed vocabulary: 12 F1 letters plus one
 #: noise feature spread over the 50 offsets stays within 64 letters.
 PACKED_ALPHABET = 13
 
 
-def _interleaved_best(rounds: int, **fns) -> dict[str, float]:
-    """Best-of-``rounds`` wall time of each function, by name.
+def _interleaved_median(rounds: int, **fns) -> dict[str, float]:
+    """Median-of-``rounds`` wall time of each function, by name.
 
     Every round times each function once, in turn, so a host that speeds
     up or slows down during the run moves every side of a ratio alike
-    instead of the side that happened to be timed then.
+    instead of the side that happened to be timed then.  The median, not
+    the best round, is kept: one lucky ~1 ms store mine would otherwise
+    set the whole ratio.
     """
-    best = dict.fromkeys(fns, float("inf"))
+    times: dict[str, list[float]] = {name: [] for name in fns}
     for _ in range(rounds):
         for name, fn in fns.items():
             started = time.perf_counter()
             fn()
-            best[name] = min(best[name], time.perf_counter() - started)
-    return best
+            times[name].append(time.perf_counter() - started)
+    return {name: statistics.median(samples) for name, samples in times.items()}
 
 
 def packed_figure2_series(length: int, seed: int = 0):
@@ -348,15 +351,15 @@ def run_benchmark(
     store_result = mine_store(store, min_conf)
     if letter_map(store_result) != letter_map(in_memory):
         raise AssertionError("mine_store diverged from the cold in-memory mine")
-    best = _interleaved_best(
+    median = _interleaved_median(
         repeats,
         columnar=lambda: columnar_cold_mine(series, period, min_conf),
         in_memory=lambda: in_memory_cold_mine(series, period, min_conf),
         store=lambda: mine_store(store, min_conf),
     )
-    columnar_cold_s = best["columnar"]
-    in_memory_cold_s = best["in_memory"]
-    scan_s = best["store"]
+    columnar_cold_s = median["columnar"]
+    in_memory_cold_s = median["in_memory"]
+    scan_s = median["store"]
     speedup_scan = in_memory_cold_s / scan_s
 
     report = {
@@ -474,7 +477,7 @@ def main(argv=None) -> int:
         "--repeats",
         type=int,
         default=REPEATS,
-        help=f"timing rounds, best-of; each round times the cold columnar, "
+        help=f"timing rounds, median-of; each round times the cold columnar, "
         f"cold in-memory and store mines in turn (default {REPEATS})",
     )
     parser.add_argument(

@@ -23,6 +23,7 @@ L-length 3 and letter count 4.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from typing import TYPE_CHECKING, Union
@@ -41,15 +42,56 @@ PositionLike = Union[str, None, Iterable[str]]
 #: The don't-care marker used in string renderings.
 DONT_CARE = "*"
 
+#: The characters of the notation: ``*`` and the ``{f1,f2}`` grouping.
+RESERVED_CHARACTERS = "*{},"
+
+#: One position of pattern text: a ``{...}`` group (its body) or one
+#: character.  A ``{`` with no ``}`` after it, or a stray ``}``, comes out
+#: as a bare character and is refused by :meth:`Pattern.from_string`.
+_TOKEN = re.compile(r"\{([^}]*)\}|(.)", re.DOTALL)
+
 #: Shared empty position — most positions of a mined pattern are ``*``.
 _EMPTY_POSITION: frozenset[str] = frozenset()
+
+
+def _feature_problem(feature: object) -> str | None:
+    """Why ``feature`` cannot be a pattern feature, or ``None`` if it can.
+
+    Every validating constructor asks this one question, so a feature is
+    refused with the same message whichever way the pattern is built.
+    """
+    if not isinstance(feature, str) or not feature:
+        return f"features must be non-empty strings, got {feature!r}"
+    if feature == DONT_CARE:
+        return "'*' cannot be used as a feature name"
+    if "{" in feature or "}" in feature or "," in feature:
+        char = next(char for char in "{}," if char in feature)
+        return (
+            f"feature {feature!r} uses the reserved pattern character "
+            f"{char!r}"
+        )
+    return None
+
+
+def reserved_character(feature: str) -> str | None:
+    """A notation character ``feature`` holds (``*`` before ``{``, ``}``,
+    ``,``), or ``None``.
+
+    A feature holding one prints as pattern text that parses back as
+    other features, or not at all, so series files and stream feeds
+    refuse such features at input.
+    """
+    if "*" in feature or "{" in feature or "}" in feature or "," in feature:
+        return next(char for char in RESERVED_CHARACTERS if char in feature)
+    return None
 
 
 def _normalize_position(value: PositionLike) -> frozenset[str]:
     """Coerce one user-supplied position into a frozenset of features.
 
     ``None`` and ``"*"`` mean don't-care (empty set).  A plain string is a
-    single feature; any other iterable is a set of features.
+    single feature; any other iterable is a set of features, checked in
+    the order given, so the first bad one is the one named.
     """
     if value is None:
         return frozenset()
@@ -58,14 +100,12 @@ def _normalize_position(value: PositionLike) -> frozenset[str]:
             return frozenset()
         if not value:
             raise PatternError("empty string is not a valid feature")
-        return frozenset((value,))
-    features = frozenset(value)
+    features = (value,) if isinstance(value, str) else tuple(value)
     for feature in features:
-        if not isinstance(feature, str) or not feature:
-            raise PatternError(f"features must be non-empty strings, got {feature!r}")
-        if feature == DONT_CARE:
-            raise PatternError("'*' cannot be used as a feature name")
-    return features
+        problem = _feature_problem(feature)
+        if problem is not None:
+            raise PatternError(problem)
+    return frozenset(features)
 
 
 def _format_position(features: frozenset[str]) -> str:
@@ -162,30 +202,40 @@ class Pattern:
 
         Each bare character is a single-feature position, ``*`` is don't-care
         and ``{f1,f2,...}`` is a multi-feature (or multi-character-name)
-        position.
+        position.  The text is tokenized once, straight into letters, and
+        the pattern comes from the interned :meth:`from_letters` path.  A
+        malformed group is reported before any refused feature, and
+        refused features in text order.
         """
         if not text:
             raise PatternError("cannot parse an empty pattern string")
-        positions: list[PositionLike] = []
-        index = 0
-        while index < len(text):
-            char = text[index]
-            if char == "{":
-                end = text.find("}", index)
-                if end < 0:
-                    raise PatternError(f"unclosed '{{' in pattern string {text!r}")
-                body = text[index + 1 : end]
-                features = [part for part in body.split(",") if part]
+        tokens = _TOKEN.findall(text)
+        letters: list[Letter] = []
+        problem: str | None = None
+        for offset, (group, char) in enumerate(tokens):
+            if char:
+                if char == DONT_CARE:
+                    continue
+                if char == "{":
+                    raise PatternError(
+                        f"unclosed '{{' in pattern string {text!r}"
+                    )
+                if char == "}":
+                    raise PatternError(
+                        f"unmatched '}}' in pattern string {text!r}"
+                    )
+                features = [char]
+            else:
+                features = [part for part in group.split(",") if part]
                 if not features:
                     raise PatternError(f"empty feature group in {text!r}")
-                positions.append(features)
-                index = end + 1
-            elif char == "}":
-                raise PatternError(f"unmatched '}}' in pattern string {text!r}")
-            else:
-                positions.append(char)
-                index += 1
-        return cls(positions)
+            for feature in features:
+                if problem is None:
+                    problem = _feature_problem(feature)
+                letters.append((offset, feature))
+        if problem is not None:
+            raise PatternError(problem)
+        return _pattern_from_letter_set(cls, len(tokens), frozenset(letters))
 
     @classmethod
     def from_mask(
@@ -443,12 +493,17 @@ def _pattern_from_letter_set(
             raise PatternError(
                 f"letter offset {offset} out of range for period {period}"
             )
-        if not isinstance(feature, str) or not feature:
-            raise PatternError(
-                f"features must be non-empty strings, got {feature!r}"
-            )
-        if feature == DONT_CARE:
-            raise PatternError("'*' cannot be used as a feature name")
+        # _feature_problem's tests, inline: this loop runs once per letter
+        # of every newly mined pattern.
+        if (
+            not isinstance(feature, str)
+            or not feature
+            or feature == DONT_CARE
+            or "{" in feature
+            or "}" in feature
+            or "," in feature
+        ):
+            raise PatternError(_feature_problem(feature))
         grouped.setdefault(offset, set()).add(feature)
     position_list: list[frozenset[str]] = [_EMPTY_POSITION] * period
     for offset, features in grouped.items():

@@ -122,6 +122,7 @@ def analyze_source_detailed(
     module: str | None = None,
     rules: Sequence[Rule] | None = None,
     meta_ids: frozenset[str] = META_RULE_IDS,
+    ctx: ModuleContext | None = None,
 ) -> SourceAnalysis:
     """Lint one source string; the workhorse behind every entry point.
 
@@ -129,6 +130,7 @@ def analyze_source_detailed(
     fire (e.g. ``module="repro.engine.worker"``); fixture tests rely on
     this.  ``meta_ids`` filters the analyzer's own findings so
     ``--select``/``--ignore`` apply to them like any catalog rule.
+    ``ctx`` is the source already parsed (:func:`parse_files`).
     """
     suppressions = parse_suppressions(source)
     findings: list[Finding] = []
@@ -162,7 +164,8 @@ def analyze_source_detailed(
                 )
     analysis = SourceAnalysis(findings=findings, suppressions=suppressions)
     try:
-        ctx = ModuleContext.from_source(source, path=path, module=module)
+        if ctx is None:
+            ctx = ModuleContext.from_source(source, path=path, module=module)
     except SyntaxError as error:
         if "REP000" in meta_ids:
             findings.append(
@@ -237,6 +240,39 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     return ordered
 
 
+@dataclass(slots=True)
+class ParsedFile:
+    """One file of a run: its text, dotted name and parsed context."""
+
+    path: Path
+    source: str
+    module: str
+    #: ``None`` when the file does not parse.
+    ctx: ModuleContext | None
+
+
+def parse_files(paths: Iterable[str | Path]) -> list[ParsedFile]:
+    """Read and parse every file of a run once, before any rule runs.
+
+    Each context's :attr:`ModuleContext.parsed` maps every parsed file of
+    the run, so a rule that reads another module finds it already parsed.
+    """
+    parsed: dict[Path, ModuleContext] = {}
+    files: list[ParsedFile] = []
+    for path in iter_python_files(paths):
+        source = path.read_text(encoding="utf-8")
+        module = module_name_of(path)
+        try:
+            ctx = ModuleContext.from_source(source, path=str(path), module=module)
+        except SyntaxError:
+            files.append(ParsedFile(path, source, module, None))
+            continue
+        ctx.parsed = parsed
+        parsed[path.resolve()] = ctx
+        files.append(ParsedFile(path, source, module, ctx))
+    return files
+
+
 def analyze_paths(
     paths: Iterable[str | Path],
     select: Iterable[str] | None = None,
@@ -246,6 +282,15 @@ def analyze_paths(
     rules = select_rules(select=select, ignore=ignore)
     meta_ids = selected_meta_ids(select=select, ignore=ignore)
     findings: list[Finding] = []
-    for path in iter_python_files(paths):
-        findings.extend(analyze_file(path, rules=rules, meta_ids=meta_ids))
+    for file in parse_files(paths):
+        findings.extend(
+            analyze_source_detailed(
+                file.source,
+                path=str(file.path),
+                module=file.module,
+                rules=rules,
+                meta_ids=meta_ids,
+                ctx=file.ctx,
+            ).findings
+        )
     return sorted(findings)

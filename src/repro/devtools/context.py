@@ -69,6 +69,12 @@ class ModuleContext:
     tree: ast.Module
     #: True when the file is a package ``__init__.py``.
     is_package_init: bool = False
+    #: Every file parsed in the same analyzer run, by resolved path: a
+    #: rule that reads another module (REP401) looks here before it
+    #: parses that file itself.
+    parsed: dict[Path, "ModuleContext"] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     _parents: dict[int, ast.AST] = field(default_factory=dict)
 
     @classmethod

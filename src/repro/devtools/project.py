@@ -6,8 +6,9 @@ coroutine under ``repro.serve`` ever reaches blocking I/O", "no submitted
 shard task ever forks" — is invisible to it the moment the offending call
 moves one helper away.  Project mode closes that gap:
 
-1. every file is parsed **once** into a :class:`ModuleContext`, and the
-   ordinary per-module rules run over it exactly as in file mode;
+1. every file is parsed **once** into a :class:`ModuleContext`
+   (:func:`~repro.devtools.analyzer.parse_files`), and the ordinary
+   per-module rules run over it exactly as in file mode;
 2. the contexts are indexed into a conservative
    :class:`~repro.devtools.callgraph.CallGraph`;
 3. :class:`~repro.devtools.effects.EffectInference` labels every function
@@ -34,12 +35,12 @@ from dataclasses import dataclass
 from repro.devtools.analyzer import (
     SourceAnalysis,
     analyze_source_detailed,
-    iter_python_files,
+    parse_files,
     select_rules,
     selected_meta_ids,
 )
 from repro.devtools.callgraph import CallGraph
-from repro.devtools.context import ModuleContext, module_name_of
+from repro.devtools.context import ModuleContext
 from repro.devtools.effects import (
     EFFECT_NAMES,
     EffectAnnotation,
@@ -92,27 +93,27 @@ def build_project(
     files: dict[str, SourceAnalysis] = {}
     annotations: dict[str, dict[int, EffectAnnotation]] = {}
     contexts: list[ModuleContext] = []
-    for path in iter_python_files(paths):
-        source = path.read_text(encoding="utf-8")
+    for file in parse_files(paths):
         analysis = analyze_source_detailed(
-            source,
-            path=str(path),
-            module=module_name_of(path),
+            file.source,
+            path=str(file.path),
+            module=file.module,
             rules=module_rules,
             meta_ids=meta_ids,
+            ctx=file.ctx,
         )
-        files[str(path)] = analysis
+        files[str(file.path)] = analysis
         findings.extend(analysis.findings)
         if analysis.ctx is None:
             continue
         contexts.append(analysis.ctx)
-        notes = parse_effect_annotations(source)
+        notes = parse_effect_annotations(file.source)
         if not notes:
             continue
         annotations[analysis.ctx.module] = notes
         if "REP004" in meta_ids:
             findings.extend(
-                _malformed_annotation(str(path), note)
+                _malformed_annotation(str(file.path), note)
                 for note in notes.values()
                 if not note.trusted
             )

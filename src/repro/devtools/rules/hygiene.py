@@ -11,7 +11,6 @@ assume away.
 from __future__ import annotations
 
 import ast
-import functools
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -86,19 +85,18 @@ def _module_bindings(ctx: ModuleContext) -> dict[str, int]:
     return bindings
 
 
-def _names_bound_in(path: Path) -> frozenset[str]:
-    """The module-level names of a lazy table's target module."""
-    stat = path.stat()
-    return _cached_names(str(path), stat.st_mtime_ns, stat.st_size)
+def _names_bound_in(ctx: ModuleContext, path: Path) -> frozenset[str]:
+    """The module-level names of a lazy table's target module.
 
-
-@functools.lru_cache(maxsize=256)
-def _cached_names(path: str, mtime_ns: int, size: int) -> frozenset[str]:
-    # Keyed on mtime and size too, so an edited file is parsed again.
-    source = Path(path).read_text(encoding="utf-8")
-    return frozenset(
-        _module_bindings(ModuleContext.from_source(source, path=path))
-    )
+    The target is read from the run's parsed files when it is one of
+    them, and parsed from disk only when it is not (a lint of some files
+    of a package).
+    """
+    target = ctx.parsed.get(path.resolve())
+    if target is None:
+        source = path.read_text(encoding="utf-8")
+        target = ModuleContext.from_source(source, path=str(path))
+    return frozenset(_module_bindings(target))
 
 
 def _public_names(
@@ -226,9 +224,12 @@ class AllDriftRule(Rule):
                             inner.module, inner.lineno,
                         )
         table = {name: module for name, module, _ in lazy}
+        bound: dict[Path, frozenset[str]] = {}
         for name, module, line in lazy:
             path = module_source_path(ctx, module)
-            if path is None or name not in _names_bound_in(path):
+            if path is not None and path not in bound:
+                bound[path] = _names_bound_in(ctx, path)
+            if path is None or name not in bound[path]:
                 where = "is not in this source tree" if path is None else (
                     "never binds it"
                 )

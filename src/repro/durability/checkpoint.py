@@ -66,6 +66,10 @@ if TYPE_CHECKING:
 #: Zero-padded width of the record index embedded in file names.
 _INDEX_WIDTH = 12
 
+#: One WAL line per record: compact, keys sorted.  Built once, since
+#: ``json.dumps`` with options builds a new encoder on every call.
+_WAL_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{%d})\.json$" % _INDEX_WIDTH)
 _WAL_RE = re.compile(r"^wal-(\d{%d})\.jsonl$" % _INDEX_WIDTH)
 
@@ -330,7 +334,7 @@ class StreamCheckpointer:
         entry: dict[str, Any] = {"i": self._next_index, "r": record}
         if meta is not None:
             entry["m"] = meta
-        line = json.dumps(entry, separators=(",", ":"), sort_keys=True)
+        line = _WAL_ENCODER.encode(entry)
         self._handle.write(line + "\n")
         self._handle.flush()
         self._next_index += 1

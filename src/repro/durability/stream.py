@@ -26,11 +26,11 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.core.errors import DurabilityError
+from repro.core.errors import DurabilityError, StreamError
 from repro.durability.checkpoint import RecoveredState, StreamCheckpointer
 from repro.streaming.buffer import ArrivalBuffer
 from repro.streaming.engine import StreamingMiner
-from repro.streaming.windows import WindowResult, window_to_dict
+from repro.streaming.windows import WindowResult, check_features, window_to_dict
 
 if TYPE_CHECKING:
     from repro.durability.files import FileChaos
@@ -70,10 +70,20 @@ class DurableSink:
             self.emitted = raw[:cut].count(b"\n")
         self._handle = self.path.open("a", encoding="utf-8")
 
-    def emit(self, index: int, line: str) -> bool:
-        """Write one window line unless it is already durable."""
+    def suppress(self, index: int) -> bool:
+        """True, and counted as suppressed, if window ``index`` is durable.
+
+        Replay asks this before it builds a window's line, so a window
+        already on disk is never serialized again.
+        """
         if index < self.emitted:
             self.suppressed += 1
+            return True
+        return False
+
+    def emit(self, index: int, line: str) -> bool:
+        """Write one window line unless it is already durable."""
+        if self.suppress(index):
             return False
         if index > self.emitted:
             raise DurabilityError(
@@ -211,7 +221,7 @@ class DurableStream:
             self._buffer = self._fresh_buffer()
         if recovered is not None:
             for record in recovered.tail:
-                self._dispatch(self._apply(record), replay=True)
+                self._dispatch(self._apply(*self._parse(record)), replay=True)
 
     def _fresh_miner(self) -> StreamingMiner:
         config = self._config
@@ -280,38 +290,61 @@ class DurableStream:
         """
         if self._finished:
             raise DurabilityError("stream is finished; cannot feed")
+        when, features = self._parse(record)
         # The parameters ride on record 0, so a directory killed before
         # its first snapshot still refuses a mismatched resume.
         first = self._ckpt.next_index == 0
         self._ckpt.append(record, meta=self._config if first else None)
-        windows = self._apply(record)
-        self._dispatch(windows, replay=False)
+        windows = self._apply(when, features)
+        if windows:
+            self._dispatch(windows, replay=False)
         self._since_snapshot += 1
         if self._since_snapshot >= self._checkpoint_every:
             self.checkpoint()
         return windows
 
-    def _apply(self, record: Any) -> list[WindowResult]:
+    def _parse(self, record: Any) -> tuple[float, list[str]]:
+        """A record's event time (0.0 in slot mode) and features, checked.
+
+        Raises :class:`StreamError` for a record :meth:`_apply` could not
+        apply, so :meth:`feed` refuses it before it is logged: every
+        resume replays the logged records, and one that cannot be applied
+        would leave the directory unrecoverable.
+        """
+        try:
+            if self._events:
+                when = float(record[0])
+                features = record[1]
+            else:
+                when = 0.0
+                features = record
+            texts = list(map(str, features))
+        except (TypeError, ValueError, IndexError) as error:
+            raise StreamError(f"malformed stream record {record!r}") from error
+        if "" in texts:
+            raise StreamError("stream features must be non-empty")
+        check_features(texts)
+        return when, texts
+
+    def _apply(self, when: float, features: list[str]) -> list[WindowResult]:
         if self._events:
             if self._buffer is None:  # pragma: no cover - construction bug
                 raise DurabilityError("event stream without a buffer")
-            when = float(record[0])
-            for feature in record[1]:
-                self._buffer.add(when, str(feature))
-            return self._miner.extend(self._buffer.drain())
-        window = self._miner.append(
-            frozenset(str(feature) for feature in record)
-        )
+            for feature in features:
+                self._buffer.add(when, feature)
+            sealed = self._buffer.drain()
+            return self._miner.extend(sealed) if sealed else []
+        window = self._miner.append(frozenset(features))
         return [] if window is None else [window]
 
     def _dispatch(
         self, windows: list[WindowResult], replay: bool
     ) -> None:
+        sink = self._sink
         for window in windows:
-            if self._sink is not None:
-                self._sink.emit(
-                    window.index, json.dumps(window_to_dict(window))
-                )
+            if sink is not None:
+                if not sink.suppress(window.index):
+                    sink.emit(window.index, json.dumps(window_to_dict(window)))
             elif replay:
                 self.replayed_windows.append(window)
 

@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.errors import StreamError
+from repro.streaming.windows import check_features
 
 #: Late-event samples kept verbatim on a report (counters keep the rest).
 MAX_LATE_SAMPLES = 20
@@ -141,13 +142,19 @@ class ArrivalBuffer:
     def add(self, time: float, feature: str) -> bool:
         """Buffer one event; returns ``False`` when it was quarantined.
 
-        Events from before the time origin, or addressed to a slot the
+        A feature holding a reserved pattern character raises
+        :class:`StreamError` (:func:`check_features`).  Events from before
+        the time origin, or addressed to a slot the
         watermark already sealed, go to the quarantine report — they can
         no longer change any emitted window, so applying them would break
         the exactness guarantee rather than improve the result.
         """
         if not feature:
             raise StreamError("event feature must be non-empty")
+        # A letter-and-digit name (the common case) holds no notation
+        # character; anything else gets the full check.
+        if not feature.isalnum():
+            check_features((feature,))
         if self._max_time is None or time > self._max_time:
             self._max_time = time
         index = int((time - self._start) // self._slot_width)

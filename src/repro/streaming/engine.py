@@ -35,6 +35,7 @@ from repro.streaming.retirement import DecrementRetirement
 from repro.streaming.windows import (
     WindowResult,
     WindowSpec,
+    check_features,
     check_stream_params,
     window_to_dict,
 )
@@ -154,8 +155,15 @@ class StreamingMiner:
     # ------------------------------------------------------------------
 
     def append(self, slot: SlotLike) -> WindowResult | None:
-        """Feed one slot; returns the window it closed, if any."""
-        self._pending.append(_normalize_slot(slot))
+        """Feed one slot; returns the window it closed, if any.
+
+        A feature holding a reserved pattern character raises
+        :class:`StreamError` (:func:`check_features`) before the slot is
+        taken.
+        """
+        features = _normalize_slot(slot)
+        check_features(features)
+        self._pending.append(features)
         self._slots_seen += 1
         if len(self._pending) == self._spec.period:
             if self._next_segment >= self._retained_low:

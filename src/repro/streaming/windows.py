@@ -19,13 +19,14 @@ confidence) — the change feed that is the product of streaming.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.evolution import WindowDiff
 from repro.core.counting import check_min_conf
 from repro.core.errors import StreamError
-from repro.core.pattern import Pattern
+from repro.core.pattern import Pattern, reserved_character
 from repro.core.result import MiningResult
 
 
@@ -162,3 +163,26 @@ def check_stream_params(min_conf: float, change_tolerance: float) -> None:
         raise StreamError(
             f"change_tolerance must be >= 0, got {change_tolerance}"
         )
+
+
+def check_features(features: Collection[str]) -> None:
+    """Refuse fed features whose pattern text would not parse back.
+
+    A feature holding a character of the pattern notation (``*``, ``{``,
+    ``}`` or ``,``) is mined into pattern text that a resumed stream's
+    snapshot reads back as other features, or cannot read at all.  Stream
+    inputs are checked here, before anything is buffered or logged: one
+    scan of the joined features, then one feature at a time only to name
+    the culprit.
+    """
+    # A letter-and-digit name (the common case) holds none of them.
+    text = "".join(features)
+    if text.isalnum() or reserved_character(text) is None:
+        return
+    for feature in features:
+        char = reserved_character(feature)
+        if char is not None:
+            raise StreamError(
+                f"feature {feature!r} uses the reserved pattern character "
+                f"{char!r}"
+            )

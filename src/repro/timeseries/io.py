@@ -6,7 +6,8 @@ line-oriented so a series can be streamed from disk, matching the paper's
 disk-resident-database setting.
 
 Malformed content — bytes that are not UTF-8, features carrying control
-characters, or features using the reserved ``*`` wildcard — fails loudly
+characters, or features using a character of the pattern notation (the
+``*`` wildcard, ``{``, ``}`` or ``,``) — fails loudly
 with the file name and 1-based line number.  Long-running ingestion can
 instead pass ``strict=False`` plus a :class:`LoadReport`: malformed lines
 are *quarantined* (dropped from the series, with later slots shifting up)
@@ -30,6 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.errors import SeriesError
+from repro.core.pattern import reserved_character
 from repro.kernels.slots import SlotColumn, SlotTable
 from repro.timeseries.feature_series import FeatureSeries
 
@@ -67,8 +69,11 @@ class LoadReport:
 
 def _feature_problem(feature: str) -> str | None:
     """Why a feature token is unusable, or ``None`` if it is fine."""
-    if "*" in feature:
+    char = reserved_character(feature)
+    if char == "*":
         return "feature uses the reserved wildcard character '*'"
+    if char is not None:
+        return f"feature uses the reserved pattern character {char!r}"
     if any(ord(ch) < 32 or ord(ch) == 127 for ch in feature):
         return "feature contains control characters"
     return None
@@ -100,9 +105,16 @@ def _parse_line(raw: bytes) -> frozenset[str] | _BadLine | None:
     if line.startswith("#"):
         return None
     features = line.split()
-    # A printable line without '*' cannot hold a bad feature; anything
-    # else is checked feature by feature, so the first problem is named.
-    if "*" in line or not line.isprintable():
+    # A printable line without a reserved character cannot hold a bad
+    # feature; anything else is checked feature by feature, so the first
+    # problem is named.
+    if (
+        "*" in line
+        or "{" in line
+        or "}" in line
+        or "," in line
+        or not line.isprintable()
+    ):
         for feature in features:
             problem = _feature_problem(feature)
             if problem is not None:

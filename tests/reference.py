@@ -14,6 +14,9 @@ for the floor-pruned pair counts of :mod:`repro.kernels.slots`.
 :func:`score_periods_loop` is period discovery's slot pass as a per-slot,
 per-period, per-feature ``Counter`` loop, the reference for the interned
 slot kernel behind :func:`repro.analysis.periodogram.score_periods`.
+:func:`parse_pattern_by_char` is pattern text read one character at a
+time into positions, the reference for the tokenizing
+:meth:`Pattern.from_string`.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from pathlib import Path
 from repro.analysis.periodogram import PeriodScore
 from repro.core.candidates import generate_candidate_masks, generate_candidates
 from repro.core.counting import min_count, segment_letters
-from repro.core.errors import SeriesError
+from repro.core.errors import PatternError, SeriesError
 from repro.core.maxpattern import find_frequent_one_patterns
-from repro.core.pattern import Letter, Pattern
+from repro.core.pattern import Letter, Pattern, PositionLike
 from repro.timeseries.feature_series import FeatureSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
@@ -148,9 +151,15 @@ def per_line_load(
                 if line.startswith("#"):
                     continue
                 for feature in line.split():
+                    grouping = [char for char in "{}," if char in feature]
                     if "*" in feature:
                         reason = (
                             "feature uses the reserved wildcard character '*'"
+                        )
+                    elif grouping:
+                        reason = (
+                            "feature uses the reserved pattern character "
+                            f"{grouping[0]!r}"
                         )
                     elif any(ord(ch) < 32 or ord(ch) == 127 for ch in feature):
                         reason = "feature contains control characters"
@@ -238,3 +247,36 @@ def score_periods_loop(
         )
     scores.sort(key=lambda item: (-item.score, item.period))
     return scores
+
+
+def parse_pattern_by_char(text: str) -> Pattern:
+    """Pattern text walked one character at a time into positions.
+
+    A ``{`` takes everything up to the next ``}`` as one position's
+    comma-separated features; any other character is one position.  The
+    positions go through the validating positional constructor
+    :class:`Pattern`, so a malformed group is reported before any
+    refused feature.
+    """
+    if not text:
+        raise PatternError("cannot parse an empty pattern string")
+    positions: list[PositionLike] = []
+    index = 0
+    while index < len(text):
+        char = text[index]
+        if char == "{":
+            end = text.find("}", index)
+            if end < 0:
+                raise PatternError(f"unclosed '{{' in pattern string {text!r}")
+            body = text[index + 1 : end]
+            features = [part for part in body.split(",") if part]
+            if not features:
+                raise PatternError(f"empty feature group in {text!r}")
+            positions.append(features)
+            index = end + 1
+        elif char == "}":
+            raise PatternError(f"unmatched '}}' in pattern string {text!r}")
+        else:
+            positions.append(char)
+            index += 1
+    return Pattern(positions)

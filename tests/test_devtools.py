@@ -472,6 +472,49 @@ class TestLazyExports:
         assert (rule, line) == ("REP401", 6)
         assert "'missing'" in message and "'pkg.impl'" in message
 
+    CLEAN_INIT = """\
+        from typing import TYPE_CHECKING
+
+        from repro._lazy import lazy_exports
+
+        __getattr__, __dir__ = lazy_exports(__name__, {
+            "pkg.impl": ("helper", "missing"),
+        })
+
+        if TYPE_CHECKING:
+            from pkg.impl import helper, missing
+
+        __all__ = ["helper", "missing"]
+        """
+
+    def test_targets_come_from_the_runs_parsed_files(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.devtools.context import ModuleContext
+
+        parsed: list[str] = []
+        real = ModuleContext.from_source.__func__
+
+        def counting(cls, source, path="<string>", module=None):
+            parsed.append(Path(path).name)
+            return real(cls, source, path=path, module=module)
+
+        monkeypatch.setattr(
+            ModuleContext, "from_source", classmethod(counting)
+        )
+        findings = self.lazy_findings(tmp_path, self.CLEAN_INIT)
+        assert [(rule, line) for rule, line, _ in findings] == [
+            ("REP401", 6)
+        ]
+        assert sorted(parsed) == ["__init__.py", "impl.py"]
+
+    def test_target_outside_the_run_is_read_from_disk(self, tmp_path):
+        self.lazy_findings(tmp_path, self.CLEAN_INIT)
+        findings = analyze_paths(
+            [tmp_path / "pkg" / "__init__.py"], select=["REP401"]
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [("REP401", 6)]
+
     def test_type_checking_import_alone_is_not_a_binding(self):
         source = """\
         from typing import TYPE_CHECKING

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import DurabilityError, SnapshotCorruption, StreamError
+from repro.durability import stream as durable_stream
 from repro.durability import (
     DurableSink,
     DurableStream,
@@ -681,6 +682,101 @@ class TestKillResumeEquivalence:
         # Replayed windows are surfaced (at-least-once without a sink).
         replayed = {w.index for w in resumed.replayed_windows}
         assert replayed <= {w.index for w in live}
+
+
+class TestResumeWork:
+    """A reopen does only the work a resume needs."""
+
+    def test_reopen_serializes_no_suppressed_window(
+        self, tmp_path, monkeypatch
+    ):
+        period, window, slide = 3, 9, 3
+        records = random_records(4, length=120)
+        reference = reference_lines(records, period, window, slide)
+        out = tmp_path / "out.jsonl"
+
+        def make() -> DurableStream:
+            return DurableStream(
+                tmp_path / "ckpt", period=period, window=window,
+                slide=slide, min_conf=0.6, checkpoint_every=40, out=out,
+            )
+
+        stream = make()
+        for record in records[:100]:
+            stream.feed(record)
+        hard_kill(stream)
+        durable = len(out.read_text().splitlines())
+
+        serialized: list[int] = []
+        real = durable_stream.window_to_dict
+
+        def counting(window):
+            serialized.append(window.index)
+            return real(window)
+
+        monkeypatch.setattr(durable_stream, "window_to_dict", counting)
+        stream = make()
+        # The WAL tail past the snapshot at record 80 closes windows
+        # again; every one of them is already in the output file.
+        assert stream.recovery.replayed == 20
+        spec = stream.miner.spec
+        replayed = [
+            index for index in range(len(reference))
+            if 80 < spec.emit_at(index) <= 100
+        ]
+        assert replayed and max(replayed) < durable
+        assert serialized == []
+        assert stream.stats()["out_suppressed"] == len(replayed)
+        for record in records[stream.records_logged:]:
+            stream.feed(record)
+        stream.finish()
+        assert serialized == list(range(durable, len(reference)))
+        assert out.read_text().splitlines() == reference
+
+
+class TestReservedFeatures:
+    """A feature the pattern text cannot carry fails at input, not at
+    resume: it never reaches the WAL, and the directory stays resumable.
+    """
+
+    @pytest.mark.parametrize("feature", ["a,b", "}", "{x", "*"])
+    def test_slot_record_refused_before_logging(self, tmp_path, feature):
+        records = random_records(6, length=60)
+        reference = reference_lines(records, 3, 9, 3)
+        out = tmp_path / "out.jsonl"
+
+        def make() -> DurableStream:
+            return DurableStream(
+                tmp_path / "ckpt", period=3, window=9, slide=3,
+                min_conf=0.6, checkpoint_every=8, out=out,
+            )
+
+        stream = make()
+        for record in records[:30]:
+            stream.feed(record)
+        with pytest.raises(StreamError, match="reserved pattern character"):
+            stream.feed(["a", feature])
+        assert stream.records_logged == 30
+        hard_kill(stream)
+        stream = make()
+        assert stream.records_logged == 30
+        for record in records[30:]:
+            stream.feed(record)
+        stream.finish()
+        assert out.read_text().splitlines() == reference
+
+    def test_event_record_refused_before_logging(self, tmp_path):
+        stream = DurableStream(
+            tmp_path / "ckpt", period=3, window=9, slide=3, min_conf=0.6,
+            events=True, lateness=2.0,
+        )
+        stream.feed([0.5, ["a"]])
+        for bad in ([1.5, ["b", "a,b"]], [1.5, ["}"]], [1.5, [""]], ["x", []]):
+            with pytest.raises(StreamError):
+                stream.feed(bad)
+        assert stream.records_logged == 1
+        assert stream.buffer.flush() == [frozenset({"a"})]
+        stream.close()
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,25 @@ class TestMalformedLines:
         with pytest.raises(SeriesError, match=r"series\.txt:2: .*wildcard"):
             load_series(path)
 
+    @pytest.mark.parametrize("feature", ["a,b", "}", "{x", "{y}"])
+    def test_reserved_pattern_characters_name_file_and_line(
+        self, tmp_path, feature
+    ):
+        # Pattern text groups features as {f1,f2}: a feature holding one
+        # of these characters would print as text that parses back as
+        # other features, or not at all.
+        path = tmp_path / "series.txt"
+        path.write_text(f"a\nb {feature}\nc\n")
+        with pytest.raises(
+            SeriesError, match=r"series\.txt:2: .*reserved pattern character"
+        ):
+            load_series(path)
+        report = LoadReport()
+        series = load_series(path, strict=False, report=report)
+        assert [set(slot) for slot in series] == [{"a"}, {"c"}]
+        assert [q.line for q in report.quarantined] == [2]
+        assert "reserved pattern character" in report.quarantined[0].reason
+
     def test_lenient_load_quarantines_and_reports(self, tmp_path):
         from repro.timeseries.io import LoadReport
 
@@ -233,6 +252,10 @@ LINE_POOL = [
     b"\x7f",
     b"a\x1cb",
     b"a\rb",
+    b"a,b",
+    b"{x} y",
+    b"}",
+    b"d* {",
 ]
 
 lines_strategy = st.lists(

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import PatternError
 from repro.core.pattern import DONT_CARE, Pattern, letters_to_pattern
+from tests.reference import parse_pattern_by_char
 
 
 class TestConstruction:
@@ -99,6 +102,73 @@ class TestParsing:
     def test_empty_group_rejected(self):
         with pytest.raises(PatternError):
             Pattern.from_string("a{}b")
+
+
+class TestReservedCharacters:
+    """``{``, ``}`` and ``,`` are the notation's; no feature may hold one."""
+
+    @pytest.mark.parametrize("feature", ["a,b", "}", "{", "x{y", ","])
+    def test_every_constructor_refuses_them(self, feature):
+        message = (
+            f"feature {feature!r} uses the reserved pattern character"
+        )
+        with pytest.raises(PatternError, match=message):
+            Pattern([feature, "*"])
+        with pytest.raises(PatternError, match=message):
+            Pattern([["ok", feature]])
+        with pytest.raises(PatternError, match=message):
+            Pattern.from_letters(2, [(0, "ok"), (1, feature)])
+
+    def test_parsed_text_refuses_them(self):
+        with pytest.raises(PatternError, match="reserved pattern character ','"):
+            Pattern.from_string("a,*")
+        with pytest.raises(PatternError, match="reserved pattern character '{'"):
+            Pattern.from_string("{{a}*")
+
+    def test_group_errors_come_before_refused_features(self):
+        with pytest.raises(PatternError, match="unmatched"):
+            Pattern.from_string("{*}}")
+        with pytest.raises(PatternError, match="'\\*' cannot be used"):
+            Pattern.from_string("{*}{{a}")
+
+
+#: Feature names: one or more characters, unicode included, and the
+#: notation's own characters inside and around them.
+_NAMES = st.one_of(
+    st.sampled_from(["a", "b1", "*", "{a", "é", "日本", "a*", ",", ""]),
+    st.text(min_size=0, max_size=4),
+)
+
+#: Pieces of pattern text: bare characters, stray braces and commas, and
+#: groups of (possibly malformed) names.
+_PIECES = st.one_of(
+    st.sampled_from(["*", "{", "}", ",", "{}", "{,}", "a", "é", "\n"]),
+    st.lists(_NAMES, max_size=3).map(lambda names: "{" + ",".join(names) + "}"),
+    st.text(max_size=3),
+)
+
+
+def _outcome(parse, text):
+    try:
+        pattern = parse(text)
+    except PatternError as error:
+        return ("error", str(error))
+    return ("pattern", pattern.positions, str(pattern))
+
+
+class TestParserDifferential:
+    """The tokenizing parser against the per-character reference."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=st.lists(_PIECES, max_size=8).map("".join))
+    @example(text="")
+    @example(text="{*}}")
+    @example(text="{b,*}{{a}")
+    @example(text="a{b1,b2}*d*")
+    def test_same_pattern_or_same_error(self, text):
+        assert _outcome(Pattern.from_string, text) == _outcome(
+            parse_pattern_by_char, text
+        )
 
 
 class TestLengths:

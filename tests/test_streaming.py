@@ -137,6 +137,14 @@ class TestArrivalBuffer:
         with pytest.raises(StreamError):
             ArrivalBuffer(slot_width=1.0).add(0.0, "")
 
+    @pytest.mark.parametrize("feature", ["a,b", "}", "{", "*", "x*"])
+    def test_rejects_reserved_pattern_characters(self, feature):
+        buffer = ArrivalBuffer(slot_width=1.0)
+        with pytest.raises(StreamError, match="reserved pattern character"):
+            buffer.add(0.5, feature)
+        assert buffer.watermark is None
+        assert buffer.flush() == []
+
     def test_watermark_none_before_any_event(self):
         buffer = ArrivalBuffer(slot_width=1.0, lateness=2.0)
         assert buffer.watermark is None
@@ -289,6 +297,14 @@ class TestStreamingEngine:
     def test_rejects_non_aligned_slide(self):
         with pytest.raises(StreamError, match="multiple"):
             StreamingMiner(period=3, window=9, slide=4)
+
+    @pytest.mark.parametrize("feature", ["a,b", "}", "{", "*"])
+    def test_rejects_reserved_pattern_characters(self, feature):
+        miner = StreamingMiner(period=2, window=4)
+        with pytest.raises(StreamError, match="reserved pattern character"):
+            miner.append(["a", feature])
+        assert miner.slots_seen == 0
+        assert miner.extend([["a"], ["b"], ["a"], ["b"]])[0].index == 0
 
     def test_emits_at_window_boundaries(self):
         miner = StreamingMiner(period=2, window=4, slide=2)
