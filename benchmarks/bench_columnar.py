@@ -16,9 +16,10 @@ every store input:
   mine), exact output equality enforced against a cold store mine
   (:func:`columnar_cold_mine`: slot column, store build and mine, all
   timed) and a cold per-candidate mine (:func:`legacy_cold_mine`).
-* **out-of-core store** — a multi-million-slot series built straight
-  to a spilled ``.seg`` file (``StoreOptions.spill_bytes``; the timed
-  build includes the slot column), then mined from the mmap'd rows in a
+* **out-of-core store** — a multi-million-slot series built into a
+  store and written to a ``.seg`` file (``SegmentStore.from_series`` →
+  ``to_file``; the timed build includes the slot column and the write),
+  then mined from the mmap'd rows (``from_file`` → ``mine_store``) in a
   subprocess whose peak RSS never scales with the series: only the
   chunk buffer, the distinct-row table and the tree are resident.
   Letter-identical output to an in-memory mine of the same file is
@@ -55,7 +56,7 @@ from repro.core.candidates import generate_candidate_masks
 from repro.core.hitset import mine_single_period_hitset, mine_store
 from repro.core.maxpattern import find_frequent_one_patterns
 from repro.core.pattern import Pattern
-from repro.kernels.store import SegmentStore, StoreOptions
+from repro.kernels.store import SegmentStore
 from repro.synth.generator import SyntheticSpec
 from repro.synth.workloads import FIGURE2_MIN_CONF, FIGURE2_PERIOD
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
@@ -66,15 +67,9 @@ LENGTH_FULL = 500_000
 LENGTH_QUICK = 30_000
 
 #: Out-of-core workload sizes (slots).  The full run mines a 10M-slot
-#: series from a spilled file; quick keeps the same shape at 1M slots.
+#: series from its row file; quick keeps the same shape at 1M slots.
 OOC_SLOTS_FULL = 10_000_000
 OOC_SLOTS_QUICK = 1_000_000
-
-#: The out-of-core spill threshold is sized so the row file lands this
-#: far past it — the build streams to disk instead of materializing the
-#: rows, at any --ooc-slots setting.  (At the full
-#: 10M slots this puts the threshold near 128 KiB for a 1.6 MB file.)
-OOC_FILE_TO_THRESHOLD = 12
 
 #: Peak-RSS budget (MiB) for the out-of-core mining subprocess.  The
 #: interpreter plus numpy plus the mining state fit comfortably; a store
@@ -218,7 +213,7 @@ def out_of_core_series(length: int, period: int = FIGURE2_PERIOD):
 
 
 def _mine_store_subprocess(path: Path, min_conf: float) -> dict:
-    """Mine a spilled store in a fresh interpreter; report time and RSS.
+    """Mine a store file in a fresh interpreter; report time and RSS.
 
     The subprocess never sees the series — it maps the ``.seg`` file and
     mines the rows, so its peak RSS is the honest out-of-core number.
@@ -267,30 +262,19 @@ def _mine_store_subprocess(path: Path, min_conf: float) -> dict:
     return json.loads(proc.stdout)
 
 
-def run_out_of_core(
-    slots: int,
-    spill_bytes: int | None = None,
-    min_conf: float = 0.6,
-) -> dict:
-    """Build a large series' store straight to disk, then mine it mmap-backed."""
-    if spill_bytes is None:
-        mask_bytes = (slots // FIGURE2_PERIOD) * 8
-        spill_bytes = max(1024, mask_bytes // OOC_FILE_TO_THRESHOLD)
+def run_out_of_core(slots: int, min_conf: float = 0.6) -> dict:
+    """Build a large series' store, write its file, mine it mmap-backed."""
     series = out_of_core_series(slots)
     with tempfile.TemporaryDirectory(prefix="bench-columnar-") as tmp:
-        options = StoreOptions(
-            directory=tmp, spill_bytes=spill_bytes, basename="bench.seg"
-        )
-        started = time.perf_counter()
-        store = SegmentStore.from_series(series, FIGURE2_PERIOD, options=options)
-        encode_s = time.perf_counter() - started
         path = Path(tmp) / "bench.seg"
-        if not path.exists():
-            raise AssertionError(
-                "store did not spill; raise slots or lower spill_bytes"
-            )
+        started = time.perf_counter()
+        store = SegmentStore.from_series(series, FIGURE2_PERIOD)
+        store.to_file(path)
+        encode_s = time.perf_counter() - started
         file_bytes = path.stat().st_size
-        del series  # the subprocess must stand on the mmap'd file alone
+        segments = len(store)
+        # The subprocess must stand on the mmap'd file alone.
+        del series, store
 
         outcome = _mine_store_subprocess(path, min_conf)
 
@@ -300,15 +284,11 @@ def run_out_of_core(
             SegmentStore.from_file(path, mmap=False), min_conf
         )
         letter_identical = letter_map(reference) == outcome["patterns"]
-        segments = len(store)
-        del store
 
     return {
         "slots": slots,
         "segments": segments,
-        "spill_bytes": spill_bytes,
         "file_bytes": file_bytes,
-        "file_to_threshold_ratio": round(file_bytes / spill_bytes, 1),
         "encode_seconds": round(encode_s, 6),
         "mine_seconds": round(outcome["seconds"], 6),
         "maxrss_mb": round(outcome["maxrss_kb"] / 1024, 1),
@@ -406,11 +386,6 @@ def check_report(report: dict, quick: bool) -> list[str]:
     ooc = report["out_of_core"]
     if not ooc["letter_identical"]:
         failures.append("mmap-backed mine diverged from the in-memory mine")
-    if ooc["file_to_threshold_ratio"] < 10.0:
-        failures.append(
-            f"spill file only {ooc['file_to_threshold_ratio']:.1f}x the "
-            "threshold (need >= 10x)"
-        )
     if ooc["maxrss_mb"] > ooc["rss_budget_mb"]:
         failures.append(
             f"out-of-core subprocess peaked at {ooc['maxrss_mb']:.0f} MiB "
@@ -445,10 +420,10 @@ def print_report(report: dict) -> None:
         f"{report['speedup_scan']:.2f}x"
     )
     print(
-        f"out-of-core: {ooc['slots']} slots -> {ooc['file_bytes']} B spilled "
-        f"({ooc['file_to_threshold_ratio']:.0f}x threshold), "
-        f"mined in {ooc['mine_seconds']:.3f}s at {ooc['maxrss_mb']:.0f} MiB "
-        f"peak RSS ({ooc['frequent_patterns']} patterns, "
+        f"out-of-core: {ooc['slots']} slots -> {ooc['file_bytes']} B row "
+        f"file in {ooc['encode_seconds']:.2f}s, mined in "
+        f"{ooc['mine_seconds']:.3f}s at {ooc['maxrss_mb']:.0f} MiB peak RSS "
+        f"({ooc['frequent_patterns']} patterns, "
         f"letter-identical: {ooc['letter_identical']})"
     )
 
@@ -542,10 +517,8 @@ def test_columnar_scans_match_and_speed_up(report):
     # The vectorized scans answer from the column; even at smoke scale
     # they must never lose to the cold in-memory scan path.
     assert outcome["speedup_scan"] > 1.0
-    # The spilled file must genuinely be out-of-core relative to the
-    # threshold, and mmap'd mining must be letter-exact.
+    # The mmap'd mine must be letter-exact.
     assert ooc["letter_identical"]
-    assert ooc["file_to_threshold_ratio"] >= 10.0
 
 
 if __name__ == "__main__":

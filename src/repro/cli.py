@@ -109,27 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the result as JSON (single-period mining only)",
     )
     mine.add_argument(
-        "--store-dir",
-        metavar="DIR",
-        help=(
-            "build the series into a segment store of per-segment letter "
-            "rows, spilled to this directory once it crosses --spill-mb "
-            "and mined as an mmap'd on-disk matrix in bounded memory "
-            "(series larger than RAM mine at disk bandwidth; see "
-            "docs/kernels.md)"
-        ),
-    )
-    mine.add_argument(
-        "--spill-mb",
-        type=int,
-        default=64,
-        metavar="MIB",
-        help=(
-            "in-memory threshold before the segment store spills to "
-            "--store-dir (default 64 MiB; 0 spills unconditionally)"
-        ),
-    )
-    mine.add_argument(
         "--profile",
         action="store_true",
         help="print per-stage wall times and cache counters after mining",
@@ -423,9 +402,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="differentially fuzz the counting paths against an oracle",
         description=(
             "Coverage-guided differential fuzzing: randomized series are "
-            "mined in memory and through a spilled segment store and "
-            "checked against a brute-force oracle and Apriori, the slot "
-            "column's scans are cross-checked against the frozenset path "
+            "mined in memory and through a segment store mmap'd from its "
+            "file and checked against a brute-force oracle and Apriori, "
+            "the slot column's scans are cross-checked against the "
+            "frozenset path "
             "and the store primitives against naive recomputation; any "
             "divergence is a bug.  --self-check injects known kernel bugs "
             "and fails unless the fuzzer catches every one."
@@ -510,19 +490,8 @@ def _run_mine(args: argparse.Namespace) -> int:
     if (args.period is None) == (args.period_range is None):
         print("specify exactly one of --period or --period-range", file=sys.stderr)
         return 2
-    if args.store_dir is not None:
-        if args.period is None:
-            print("--store-dir requires --period", file=sys.stderr)
-            return 2
-        if args.maximal:
-            print("--store-dir does not combine with --maximal", file=sys.stderr)
-            return 2
-        if args.spill_mb < 0:
-            print("--spill-mb must be >= 0", file=sys.stderr)
-            return 2
     if args.algorithm == "apriori":
         for flag, given in (
-            ("--store-dir", args.store_dir is not None),
             ("--period-range", args.period_range is not None),
             ("--maximal", args.maximal),
         ):
@@ -563,21 +532,11 @@ def _run_mine(args: argparse.Namespace) -> int:
         from repro.kernels.profile import MiningProfile
 
         profile = MiningProfile()
-    store = None
-    if args.store_dir is not None:
-        from repro.kernels.store import StoreOptions
-
-        store = StoreOptions(
-            directory=args.store_dir,
-            spill_bytes=args.spill_mb * 1024 * 1024,
-        )
     if args.period is not None:
         if args.maximal:
             result = miner.mine_maximal(args.period)
         else:
-            result = miner.mine(
-                args.period, cache=cache, profile=profile, store=store
-            )
+            result = miner.mine(args.period, cache=cache, profile=profile)
         _print_result(result, args.limit, args.maximal)
         if cache is not None:
             print(f"  [cache {cache.stats.summary()}]")

@@ -23,12 +23,10 @@ collects the distinct hits with
 :func:`~repro.kernels.slots.segment_hits` from the column's slots at the
 ``C_max`` offsets only, both bulk numpy ops, and the
 derivation answers every candidate level from one superset-sum pass
-(:mod:`repro.kernels.batched`).  Store inputs —
-a prebuilt store (:func:`mine_store`) or a series mined with
-:class:`~repro.kernels.store.StoreOptions` — mine on the store's row
-matrix instead: one pass builds every segment's row from the slot
-column (spilling to an mmap'd on-disk file past the threshold), and both
-scans then run as chunked numpy ops over the rows — letter counting as
+(:mod:`repro.kernels.batched`).  A prebuilt
+:class:`~repro.kernels.store.SegmentStore` (:func:`mine_store`, in
+memory or mmap'd from its file) mines on the store's row matrix instead:
+both scans run as chunked numpy ops over the rows — letter counting as
 one unpack-and-sum pass, hit collection as the distinct rows projected
 onto the tree vocabulary.  A :class:`~repro.kernels.cache.CountCache`
 removes the scans entirely on re-queries of the same series/period (the
@@ -56,7 +54,7 @@ from repro.timeseries.feature_series import FeatureSeries
 if TYPE_CHECKING:
     from repro.kernels.cache import CountCache
     from repro.kernels.profile import MiningProfile
-    from repro.kernels.store import SegmentStore, StoreOptions
+    from repro.kernels.store import SegmentStore
 
 
 def _stage(
@@ -155,56 +153,29 @@ class _SeriesScans(_Scans):
 
 
 class _StoreScans(_Scans):
-    """The two scans over a segment store's row matrix.
+    """The two scans over a prebuilt segment store's row matrix.
 
-    ``build`` returns the store; it runs once, on the first scan that
-    needs the data (a cache hit on both scans never builds it), and that
-    one pass is the only scan booked — both scans then read the stored
-    rows, not the series.
+    Both scans read the stored rows, not the series; the pass that built
+    the store is the one scan booked.
     """
 
-    __slots__ = ("build", "_store")
+    __slots__ = ("store",)
 
     def __init__(
-        self,
-        build: Callable[[], "SegmentStore"],
-        period: int,
-        num_periods: int,
-        profile: "MiningProfile | None",
+        self, store: "SegmentStore", profile: "MiningProfile | None"
     ) -> None:
-        super().__init__(period, num_periods, profile)
-        self.build = build
-        self._store: "SegmentStore | None" = None
-
-    def store(self) -> "SegmentStore":
-        if self._store is None:
-            self._store = self.build()
-            self.stats.scans += 1
-        return self._store
+        super().__init__(store.period, len(store), profile)
+        self.store = store
+        self.stats.scans = 1
 
     def letter_counts(self, floor: int) -> Mapping[Letter, int]:
-        store = self.store()
         with _stage(self.profile, "scan1", items=self.num_periods):
-            counts = store.letter_counts()
+            counts = self.store.letter_counts()
         return {letter: count for letter, count in counts.items() if count >= floor}
 
     def hits(self, target: LetterVocabulary) -> Mapping[int, int]:
-        store = self.store()
         with _stage(self.profile, "scan2", items=self.num_periods):
-            return store.project_hits(target)
-
-
-def _build_store(
-    series: FeatureSeries,
-    period: int,
-    options: "StoreOptions",
-    profile: "MiningProfile | None",
-) -> "SegmentStore":
-    """``series`` built into a (possibly spilled) store, as the ``encode`` stage."""
-    from repro.kernels.store import SegmentStore
-
-    with _stage(profile, "encode", items=series.num_periods(period)):
-        return SegmentStore.from_series(series, period, options=options)
+            return self.store.project_hits(target)
 
 
 def _scan1(
@@ -217,9 +188,8 @@ def _scan1(
 
     With a cache, the *unfiltered* letter counts (floor 0) are fetched or
     computed and stored, so a future re-query at any ``min_conf`` rebuilds
-    its own F1 from the cached counts without a scan.  Both scan sources
-    count every letter, so their counts are cache-compatible.  Without a
-    cache, the scan keeps only the letters at or above the threshold.
+    its own F1 from the cached counts without a scan.  Without a cache,
+    the scan keeps only the letters at or above the threshold.
     """
     profile = scans.profile
     threshold = min_count(min_conf, scans.num_periods)
@@ -290,9 +260,8 @@ def _series_scans(
     series: FeatureSeries,
     period: int,
     profile: "MiningProfile | None" = None,
-    store: "StoreOptions | None" = None,
-) -> _Scans:
-    """The scan source over ``series``: its slot column, or a store with ``store``.
+) -> _SeriesScans:
+    """The scan source over ``series``' slot column.
 
     Raises :class:`~repro.core.errors.MiningError` when the series holds
     no whole period of ``period``.
@@ -302,15 +271,7 @@ def _series_scans(
         raise MiningError(
             f"series of length {len(series)} has no whole period of {period}"
         )
-    if store is None:
-        return _SeriesScans(series, period, num_periods, profile)
-    options = store
-    return _StoreScans(
-        lambda: _build_store(series, period, options, profile),
-        period,
-        num_periods,
-        profile,
-    )
+    return _SeriesScans(series, period, num_periods, profile)
 
 
 def _two_scans(
@@ -405,7 +366,6 @@ def mine_single_period_hitset(
     max_letters: int | None = None,
     cache: "CountCache | None" = None,
     profile: "MiningProfile | None" = None,
-    store: "StoreOptions | None" = None,
 ) -> MiningResult:
     """Find all frequent partial periodic patterns of one period (Alg. 3.2).
 
@@ -429,13 +389,6 @@ def mine_single_period_hitset(
     profile:
         Optional :class:`~repro.kernels.profile.MiningProfile` accumulating
         per-stage wall times and cache counters.
-    store:
-        Optional :class:`~repro.kernels.store.StoreOptions`.  The series is
-        then built into a segment store in one pass (timed as the
-        ``encode`` profile stage) and mined exactly as :func:`mine_store`
-        mines a prebuilt store; with a ``directory`` set, stores crossing
-        the spill threshold stream straight to an mmap'd on-disk file so
-        the mine runs in bounded memory.
 
     Returns
     -------
@@ -444,7 +397,7 @@ def mine_single_period_hitset(
         invariant), obtained with at most two scans — fewer on cache hits.
     """
     _check_max_letters(max_letters)
-    scans = _series_scans(series, period, profile, store)
+    scans = _series_scans(series, period, profile)
     cache_key = cache.key_for(series, period) if cache is not None else None
     return _mine(scans, min_conf, max_letters, cache, cache_key)
 
@@ -485,12 +438,11 @@ def mine_store(
     stream the rows in bounded chunks and only the distinct-row table and
     the tree live in memory.  Results are identical to running
     :func:`mine_single_period_hitset` over the series the store encodes
-    (a tested invariant); the booked scan count is 1 because the encode
-    pass already happened when the store was built.
+    (a tested invariant); the booked scan count is 1, the pass that
+    built the store.
     """
     _check_max_letters(max_letters)
-    num_periods = len(store)
-    if num_periods == 0:
+    if len(store) == 0:
         raise MiningError("segment store holds no segments; nothing to mine")
-    scans = _StoreScans(lambda: store, store.period, num_periods, profile)
+    scans = _StoreScans(store, profile)
     return _mine(scans, min_conf, max_letters)

@@ -46,7 +46,6 @@ from repro.core.counting import check_min_conf, min_count
 from repro.core.errors import MiningError
 from repro.core.pattern import Letter, Pattern
 from repro.core.result import MiningResult, MiningStats
-from repro.encoding.codec import iter_segment_letters
 from repro.encoding.vocabulary import LetterVocabulary, remap_mask
 from repro.timeseries.feature_series import (
     FeatureSeries,
@@ -88,8 +87,9 @@ class SegmentPartial:
                 f"partial wants {period}"
             )
         self._period = period
-        #: Streaming vocabulary: letters interned in arrival order.  Masks
-        #: never invalidate as it grows (bits keep their meaning).
+        #: Streaming vocabulary: letters interned in arrival order (each
+        #: segment's new letters sorted).  Masks never invalidate as it
+        #: grows (bits keep their meaning).
         self._vocab = vocab
         self._letter_counts: Counter[Letter] = Counter()
         #: Signature mask (over ``_vocab``) -> number of segments with
@@ -139,19 +139,23 @@ class SegmentPartial:
         The returned mask is the segment's complete contribution: a later
         :meth:`retire` with it removes the segment exactly.  Letters never
         repeat within a segment (each slot is a set), so one counter bump
-        and one interned bit per letter suffice.
+        and one interned bit per letter suffice.  Letters the vocabulary
+        has not seen take their bits in sorted order, so the vocabulary and
+        every mask over it (and so a snapshot's bytes) do not depend on
+        the string hash seed.
         """
         if len(segment) != self._period:
             raise MiningError(
                 f"segment of {len(segment)} slots does not match "
                 f"period {self._period}"
             )
-        mask = 0
-        intern = self._vocab.intern
-        letter_counts = self._letter_counts
-        for letter in iter_segment_letters(segment):
-            letter_counts[letter] += 1
-            mask |= 1 << intern(letter)
+        letters = [
+            (offset, feature)
+            for offset, slot in enumerate(segment)
+            for feature in slot
+        ]
+        self._letter_counts.update(letters)
+        mask = self._vocab.intern_mask(letters)
         if mask:
             self._signatures[mask] += 1
         self._num_periods += 1

@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     from repro.core.constraints import MiningConstraints
     from repro.kernels.cache import CountCache
     from repro.kernels.profile import MiningProfile
-    from repro.kernels.store import StoreOptions
 
 #: The single-period algorithms selectable by name.
 ALGORITHMS = ("hitset", "apriori")
@@ -82,15 +81,9 @@ class PartialPeriodicMiner:
         workers: int | None = None,
         cache: CountCache | None = None,
         profile: MiningProfile | None = None,
-        store: StoreOptions | None = None,
     ) -> MiningResult:
         """All frequent patterns of one period.
 
-        ``store`` (a :class:`repro.kernels.StoreOptions`) builds the
-        series into a segment store of per-segment letter rows that
-        spills to an mmap'd on-disk file past its threshold so the mine
-        runs in bounded memory (``--store-dir``); it is hit-set only,
-        and passing it with ``"apriori"`` raises :class:`MiningError`.
         ``cache`` memoizes scan results across queries and ``profile``
         collects per-stage timings — both hit-set only; the Apriori path
         ignores them.
@@ -105,10 +98,6 @@ class PartialPeriodicMiner:
         algorithm = self.algorithm if algorithm is None else algorithm
         if workers is not None and workers < 1:
             raise MiningError(f"workers must be >= 1, got {workers}")
-        if algorithm == "apriori" and store is not None:
-            raise MiningError(
-                "store options apply to hitset mining only, not 'apriori'"
-            )
         if algorithm == "hitset":
             return mine_single_period_hitset(
                 self.series,
@@ -116,7 +105,6 @@ class PartialPeriodicMiner:
                 min_conf,
                 cache=cache,
                 profile=profile,
-                store=store,
             )
         if algorithm == "apriori":
             from repro.core.apriori import mine_single_period_apriori

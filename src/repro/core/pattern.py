@@ -54,35 +54,24 @@ _TOKEN = re.compile(r"\{([^}]*)\}|(.)", re.DOTALL)
 _EMPTY_POSITION: frozenset[str] = frozenset()
 
 
-def _feature_problem(feature: object) -> str | None:
-    """Why ``feature`` cannot be a pattern feature, or ``None`` if it can.
+def feature_problem(feature: object) -> str | None:
+    """Why ``feature`` cannot name a feature, or ``None`` if it can.
 
-    Every validating constructor asks this one question, so a feature is
-    refused with the same message whichever way the pattern is built.
+    The one feature-name rule: a feature is a non-empty string holding
+    none of :data:`RESERVED_CHARACTERS`.  A feature holding one prints as
+    pattern text that parses back as other features, or not at all, so
+    every entry point asks this question — series files, ``FeatureSeries``,
+    ``Pattern`` and stream feeds — and a feature is refused with the same
+    message whichever way it comes in.
     """
     if not isinstance(feature, str) or not feature:
         return f"features must be non-empty strings, got {feature!r}"
-    if feature == DONT_CARE:
-        return "'*' cannot be used as a feature name"
-    if "{" in feature or "}" in feature or "," in feature:
-        char = next(char for char in "{}," if char in feature)
+    if "*" in feature or "{" in feature or "}" in feature or "," in feature:
+        char = next(char for char in RESERVED_CHARACTERS if char in feature)
         return (
             f"feature {feature!r} uses the reserved pattern character "
-            f"{char!r}"
+            f"{char!r}" + (" (the wildcard)" if char == DONT_CARE else "")
         )
-    return None
-
-
-def reserved_character(feature: str) -> str | None:
-    """A notation character ``feature`` holds (``*`` before ``{``, ``}``,
-    ``,``), or ``None``.
-
-    A feature holding one prints as pattern text that parses back as
-    other features, or not at all, so series files and stream feeds
-    refuse such features at input.
-    """
-    if "*" in feature or "{" in feature or "}" in feature or "," in feature:
-        return next(char for char in RESERVED_CHARACTERS if char in feature)
     return None
 
 
@@ -102,7 +91,7 @@ def _normalize_position(value: PositionLike) -> frozenset[str]:
             raise PatternError("empty string is not a valid feature")
     features = (value,) if isinstance(value, str) else tuple(value)
     for feature in features:
-        problem = _feature_problem(feature)
+        problem = feature_problem(feature)
         if problem is not None:
             raise PatternError(problem)
     return frozenset(features)
@@ -231,7 +220,7 @@ class Pattern:
                     raise PatternError(f"empty feature group in {text!r}")
             for feature in features:
                 if problem is None:
-                    problem = _feature_problem(feature)
+                    problem = feature_problem(feature)
                 letters.append((offset, feature))
         if problem is not None:
             raise PatternError(problem)
@@ -493,17 +482,17 @@ def _pattern_from_letter_set(
             raise PatternError(
                 f"letter offset {offset} out of range for period {period}"
             )
-        # _feature_problem's tests, inline: this loop runs once per letter
+        # feature_problem's tests, inline: this loop runs once per letter
         # of every newly mined pattern.
         if (
             not isinstance(feature, str)
             or not feature
-            or feature == DONT_CARE
+            or "*" in feature
             or "{" in feature
             or "}" in feature
             or "," in feature
         ):
-            raise PatternError(_feature_problem(feature))
+            raise PatternError(feature_problem(feature))
         grouped.setdefault(offset, set()).add(feature)
     position_list: list[frozenset[str]] = [_EMPTY_POSITION] * period
     for offset, features in grouped.items():

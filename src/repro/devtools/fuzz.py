@@ -2,13 +2,14 @@
 
 In-memory series mine on their interned slot column and store inputs on
 the store's row matrix; the only acceptable difference between them is
-speed.  This module hammers that claim: randomized feature series are mined in
-memory and through a spilled segment store, and the resulting
-``{letters: count}`` maps must equal a brute-force oracle that
-enumerates every subset of the frequent-1 letters and counts it by
-definition, with no shared code beyond the series itself — and must
-equal the encoded Apriori miner (Algorithm 3.1), which still answers
-when the frequent-1 set is too large to enumerate.  Vocabularies wider
+speed.  This module hammers that claim: randomized feature series are
+mined in memory and through a segment store written to its file and
+mmap'd back, and the resulting ``{letters: count}`` maps must equal a
+brute-force oracle that enumerates every subset of the frequent-1
+letters and counts it by definition, with no shared code beyond the
+series itself — and must equal the encoded Apriori miner (Algorithm
+3.1), which still answers when the frequent-1 set is too large to
+enumerate.  Vocabularies wider
 than 64 letters take several words per store row and mine the same way.
 Shared multi-period mining (Algorithm 3.4) runs over the case's period
 and the next one, and each period must equal the single-period miner
@@ -63,7 +64,7 @@ import numpy as np
 
 from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import letter_counts_for_segments, min_count
-from repro.core.hitset import mine_single_period_hitset
+from repro.core.hitset import mine_single_period_hitset, mine_store
 from repro.core.multiperiod import mine_periods_shared
 from repro.core.pattern import Letter
 from repro.core.result import MiningResult
@@ -523,23 +524,20 @@ def _check_store_path(
     mined: dict[frozenset[Letter], int],
     divergences: list[Divergence],
 ) -> None:
-    """Mine through a store spilled to disk; it must equal the in-memory mine."""
-    from repro.kernels.store import StoreOptions
+    """Mine a store written to its file and mmap'd back; it must equal
+    the in-memory mine (at any vocabulary width)."""
+    from repro.kernels.store import SegmentStore
 
+    store = SegmentStore.from_series(series, case.period)
     with tempfile.TemporaryDirectory(prefix="ppm-fuzz-") as directory:
-        result = mine_single_period_hitset(
-            series,
-            case.period,
-            min_conf,
-            store=StoreOptions(directory, spill_bytes=0),
-        )
-    spilled = _result_map(result)
-    if spilled != mined:
+        path = store.to_file(f"{directory}/case.seg")
+        mapped = _result_map(mine_store(SegmentStore.from_file(path), min_conf))
+    if mapped != mined:
         divergences.append(
             Divergence(
                 case,
-                stage="mine:spilled-store",
-                detail=_diff_maps(spilled, mined),
+                stage="mine:mapped-store",
+                detail=_diff_maps(mapped, mined),
             )
         )
 

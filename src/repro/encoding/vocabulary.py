@@ -186,6 +186,28 @@ class LetterVocabulary:
         self._ids[letter] = letter_id
         return letter_id
 
+    def intern_mask(self, letters: Iterable[Letter]) -> int:
+        """The bitmask of ``letters``, interning the unseen ones in sorted
+        order.
+
+        Sorted, not in iteration order: letters drawn from sets come in
+        an order that follows the string hash seed, and the ids (so every
+        mask over them) must not.  Letters already interned keep their
+        ids.
+        """
+        mask = 0
+        ids = self._ids
+        unseen: list[Letter] = []
+        for letter in letters:
+            bit_id = ids.get(letter)
+            if bit_id is None:
+                unseen.append(letter)
+            else:
+                mask |= 1 << bit_id
+        for letter in sorted(unseen):
+            mask |= 1 << self.intern(letter)
+        return mask
+
     def id_of(self, letter: Letter) -> int:
         """The id of an already-interned letter."""
         try:

@@ -12,9 +12,8 @@ The performance layer under every miner:
 * :mod:`~repro.kernels.store` — :class:`SegmentStore`, every whole
   segment's letters as a row of ``k = ceil(letters / 64)`` ``uint64``
   words, shared by scan 1, scan 2 and verification — persistable to disk
-  (:meth:`SegmentStore.to_file` / :meth:`SegmentStore.from_file`) and
-  spillable while it is built (:class:`StoreOptions`), so out-of-core
-  series mine over ``np.memmap``;
+  (:meth:`SegmentStore.to_file` / :meth:`SegmentStore.from_file`), so a
+  prebuilt row file mines out-of-core over ``np.memmap``;
 * :mod:`~repro.kernels.cache` — :class:`CountCache`, memoized scan results
   keyed by (series fingerprint, period, letter-order hash) so re-mining at
   a different ``min_conf`` never rescans the data;
@@ -44,7 +43,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.kernels.cache": ("CacheKey", "CacheStats", "CountCache", "letters_hash"),
     "repro.kernels.profile": ("MiningProfile", "StageTiming"),
-    "repro.kernels.store": ("SegmentStore", "StoreOptions"),
+    "repro.kernels.store": ("SegmentStore",),
 })
 
 if TYPE_CHECKING:
@@ -57,7 +56,7 @@ if TYPE_CHECKING:
     )
     from repro.kernels.cache import CacheKey, CacheStats, CountCache, letters_hash
     from repro.kernels.profile import MiningProfile, StageTiming
-    from repro.kernels.store import SegmentStore, StoreOptions
+    from repro.kernels.store import SegmentStore
 
 __all__ = [
     "MAX_TABLE_BITS",
@@ -67,7 +66,6 @@ __all__ = [
     "MiningProfile",
     "SegmentStore",
     "StageTiming",
-    "StoreOptions",
     "SubmaskCountTable",
     "batched_count_masks",
     "derive_frequent_masks",

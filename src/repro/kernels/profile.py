@@ -1,10 +1,10 @@
 """Per-stage profiling for mining runs — the kernels' observability hook.
 
 :class:`MiningProfile` accumulates wall-clock time, item counts and event
-counters per named stage (``encode``, ``scan1``, ``tree``, ``scan2``,
-``derive``).  The miners time their stages directly, callers such as the
-serve app record externally timed stages through :meth:`add_stage`, and
-the count cache reports hits and misses through :meth:`count`.
+counters per named stage (``scan1``, ``tree``, ``scan2``, ``derive``).
+The miners time their stages directly, callers such as the serve app
+record externally timed stages through :meth:`add_stage`, and the count
+cache reports hits and misses through :meth:`count`.
 
 It renders as a fixed-width table for ``ppm mine --profile`` and as plain
 JSON for ``--profile-json`` — no dependency beyond the standard library.
@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 #: Canonical stage order for display; unknown stages append after these.
-STAGE_ORDER = ("encode", "scan1", "tree", "scan2", "derive")
+STAGE_ORDER = ("scan1", "tree", "scan2", "derive")
 
 
 @dataclass(slots=True)

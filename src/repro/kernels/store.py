@@ -24,11 +24,9 @@ Out-of-core stores
 A store round-trips to disk as a raw little-endian ``uint64`` file plus
 a JSON sidecar (``<path>.meta.json``) carrying the letter order, period,
 row count and words per row (:meth:`SegmentStore.to_file` /
-:meth:`SegmentStore.from_file`).  :class:`StoreOptions` makes the build
-itself out-of-core: once the built rows cross ``spill_bytes`` they
-stream to disk chunk by chunk and the finished store is an
-``np.memmap`` view — series far larger than RAM mine in bounded memory,
-because every kernel here works in fixed-size chunks.
+:meth:`SegmentStore.from_file`).  A store opened from its file is an
+``np.memmap`` view, and every kernel here works in fixed-size chunks, so
+a row file far larger than RAM mines in bounded memory.
 """
 
 from __future__ import annotations
@@ -36,14 +34,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.errors import EncodingError
-from repro.core.pattern import Letter
 from repro.encoding.vocabulary import LetterVocabulary
 from repro.kernels.batched import batched_count_masks, pack_masks
 from repro.kernels.slots import (
@@ -55,10 +50,6 @@ from repro.kernels.slots import (
     segment_rows,
 )
 from repro.timeseries.feature_series import FeatureSeries
-
-#: Default in-memory threshold before :class:`StoreOptions` spills the
-#: rows to disk: 64 MiB (8M one-word segments).
-DEFAULT_SPILL_BYTES = 64 * 1024 * 1024
 
 #: ``uint64`` words each counting pass reads per chunk: 512 KiB of
 #: matrix — small enough that mmap'd stores mine in bounded memory, large
@@ -77,37 +68,6 @@ _STORE_FORMAT = "repro.segstore/1"
 def words_for(letters: int) -> int:
     """``uint64`` words per row for a vocabulary of ``letters`` letters."""
     return max(1, -(-letters // 64))
-
-
-@dataclass(frozen=True)
-class StoreOptions:
-    """Where (and when) a store's rows spill to disk.
-
-    Attributes
-    ----------
-    directory:
-        Directory receiving spilled store files (created on demand) —
-        the CLI's ``--store-dir``.
-    spill_bytes:
-        In-memory threshold: once the build has produced this many bytes
-        of rows, they stream to disk and the finished store is
-        mmap-backed.  ``0`` spills unconditionally.
-    basename:
-        Optional file name for the spilled store.  Defaults to a
-        deterministic name derived from the series content digest and
-        period, so re-running the same query overwrites (never leaks)
-        its own file.
-    """
-
-    directory: str | Path
-    spill_bytes: int = DEFAULT_SPILL_BYTES
-    basename: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.spill_bytes < 0:
-            raise EncodingError(
-                f"spill_bytes must be >= 0, got {self.spill_bytes}"
-            )
 
 
 def _remap_rows(rows: np.ndarray, table: Sequence[int], words: int) -> np.ndarray:
@@ -169,7 +129,6 @@ class SegmentStore:
         series: FeatureSeries,
         period: int,
         vocab: LetterVocabulary | None = None,
-        options: StoreOptions | None = None,
     ) -> "SegmentStore":
         """Every whole segment of ``series`` as a row over ``vocab``.
 
@@ -178,10 +137,6 @@ class SegmentStore:
         dropped — the build *is* the hit projection — and its letters the
         series never holds stay zero.  Without one, the store's
         vocabulary is every letter of the whole segments, sorted.
-
-        ``options`` makes the build out-of-core: past the spill
-        threshold the rows stream to disk and the store comes back
-        mmap-backed.
         """
         num_periods = series.num_periods(period)
         column = series.slot_column()
@@ -194,88 +149,35 @@ class SegmentStore:
                 column.table.letters_of(letter_ids, counts), period=period
             )
         chunks = _row_chunks(column, period, num_periods, vocab)
-        if options is None:
-            return cls(vocab, period, np.concatenate(list(chunks)))
-        basename = options.basename
-        if basename is None:
-            # Deterministic: re-running the same query overwrites its file.
-            basename = f"{series.content_digest()[:16]}-p{period}.seg"
-        return cls._materialize(vocab, period, chunks, options, basename)
-
-    @classmethod
-    def _materialize(
-        cls,
-        vocab: LetterVocabulary,
-        period: int,
-        chunks: Iterable[np.ndarray],
-        options: StoreOptions,
-        basename: str,
-    ) -> "SegmentStore":
-        """Collect row chunks, spilling them to disk past the threshold.
-
-        Below ``spill_bytes`` the result is an ordinary in-memory store;
-        from there on the rows stream to ``<directory>/<basename>``
-        (published with :func:`~repro.durability.files.atomic_write`
-        after its JSON sidecar) and the store comes back as a read-only
-        ``np.memmap``.
-        """
-        held: list[np.ndarray] = []
-        size = 0
-        pending = iter(chunks)
-        for chunk in pending:
-            held.append(chunk)
-            size += chunk.nbytes
-            if size >= options.spill_bytes:
-                break
-        else:
-            return cls(vocab, period, np.concatenate(held))
-        # Local import: repro.durability pulls in the streaming layer,
-        # which imports the kernels back.
-        from repro.durability.files import atomic_write
-
-        final = Path(options.directory) / basename
-        written = 0
-        with atomic_write(final) as handle:
-            for chunk in chain(held, pending):
-                chunk.astype("<u8", copy=False).tofile(handle)
-                written += len(chunk)
-            cls._write_meta(final, vocab.letters, period, written)
-        return cls.from_file(final)
+        return cls(vocab, period, np.concatenate(list(chunks)))
 
     # ------------------------------------------------------------------
     # On-disk round trip (out-of-core stores)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _write_meta(
-        path: Path, letters: tuple[Letter, ...], period: int, segments: int
-    ) -> None:
-        """Write the JSON sidecar describing a raw row file (atomically)."""
-        meta = {
-            "format": _STORE_FORMAT,
-            "period": period,
-            "segments": segments,
-            "words": words_for(len(letters)),
-            "letters": [[offset, feature] for offset, feature in letters],
-        }
-        from repro.durability.files import atomic_write
-
-        with atomic_write(Path(str(path) + ".meta.json"), "w") as handle:
-            json.dump(meta, handle)
-            handle.write("\n")
-
     def to_file(self, path: "str | Path") -> Path:
         """Persist the store: raw little-endian ``uint64`` rows + sidecar.
 
-        The data file is published atomically after its sidecar, so a
-        crash mid-write never leaves a readable-but-torn store behind.
+        The data file is published atomically after its JSON sidecar, so
+        a crash mid-write never leaves a readable-but-torn store behind.
         """
+        # Local import: repro.durability pulls in the streaming layer,
+        # which imports the kernels back.
         from repro.durability.files import atomic_write
 
         path = Path(path)
+        meta = {
+            "format": _STORE_FORMAT,
+            "period": self._period,
+            "segments": len(self),
+            "words": self.words,
+            "letters": [[offset, feature] for offset, feature in self._vocab],
+        }
         with atomic_write(path) as handle:
             self._rows.astype("<u8", copy=False).tofile(handle)
-            self._write_meta(path, self._vocab.letters, self._period, len(self))
+            with atomic_write(Path(str(path) + ".meta.json"), "w") as sidecar:
+                json.dump(meta, sidecar)
+                sidecar.write("\n")
         return path
 
     @classmethod

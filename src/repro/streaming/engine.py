@@ -35,7 +35,6 @@ from repro.streaming.retirement import DecrementRetirement
 from repro.streaming.windows import (
     WindowResult,
     WindowSpec,
-    check_features,
     check_stream_params,
     window_to_dict,
 )
@@ -158,11 +157,9 @@ class StreamingMiner:
         """Feed one slot; returns the window it closed, if any.
 
         A feature holding a reserved pattern character raises
-        :class:`StreamError` (:func:`check_features`) before the slot is
-        taken.
+        :class:`StreamError` before the slot is taken.
         """
-        features = _normalize_slot(slot)
-        check_features(features)
+        features = _normalize_slot(slot, StreamError)
         self._pending.append(features)
         self._slots_seen += 1
         if len(self._pending) == self._spec.period:

@@ -26,7 +26,7 @@ from typing import Any
 from repro.analysis.evolution import WindowDiff
 from repro.core.counting import check_min_conf
 from repro.core.errors import StreamError
-from repro.core.pattern import Pattern, reserved_character
+from repro.core.pattern import Pattern, feature_problem
 from repro.core.result import MiningResult
 
 
@@ -177,12 +177,9 @@ def check_features(features: Collection[str]) -> None:
     """
     # A letter-and-digit name (the common case) holds none of them.
     text = "".join(features)
-    if text.isalnum() or reserved_character(text) is None:
+    if text.isalnum() or feature_problem(text) is None:
         return
     for feature in features:
-        char = reserved_character(feature)
-        if char is not None:
-            raise StreamError(
-                f"feature {feature!r} uses the reserved pattern character "
-                f"{char!r}"
-            )
+        problem = feature_problem(feature)
+        if problem is not None:
+            raise StreamError(problem)

@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Union, cast, overload
 
-from repro.core.errors import SeriesError
+from repro.core.errors import ReproError, SeriesError
+from repro.core.pattern import feature_problem
 from repro.kernels.slots import SlotColumn, intern_slots
 
 #: Anything acceptable as one slot of a series.
@@ -28,22 +29,26 @@ SlotLike = Union[str, None, Iterable[str]]
 Segment = tuple[frozenset[str], ...]
 
 
-def _normalize_slot(value: SlotLike) -> frozenset[str]:
+def _normalize_slot(
+    value: SlotLike, error: type[ReproError] = SeriesError
+) -> frozenset[str]:
     """Coerce one slot into a frozenset of feature strings.
 
     ``None`` or ``""`` mean "no features observed at this instant".  A plain
     string is a single feature; other iterables are feature collections.
+    Every feature must pass :func:`~repro.core.pattern.feature_problem`
+    (no ``*``, ``{``, ``}`` or ``,``), or ``error`` (the caller's error
+    class) names it.
     """
-    if value is None:
+    if value is None or (isinstance(value, str) and not value):
         return frozenset()
-    if isinstance(value, str):
-        if not value:
-            return frozenset()
-        return frozenset((value,))
-    features = frozenset(value)
+    features = frozenset((value,) if isinstance(value, str) else value)
     for feature in features:
-        if not isinstance(feature, str) or not feature:
-            raise SeriesError(f"features must be non-empty strings, got {feature!r}")
+        # A letter-and-digit name (the common case) needs no closer look.
+        if not (isinstance(feature, str) and feature.isalnum()):
+            problem = feature_problem(feature)
+            if problem is not None:
+                raise error(problem)
     return features
 
 
@@ -175,8 +180,8 @@ class FeatureSeries:
         slot, one slot per line), so equal series always digest equally
         regardless of how their slots were constructed.  The series is
         immutable, so the digest is memoized on first use — repeated
-        identity checks (count-cache keys, serve registry fingerprints,
-        store spill names) cost one pass total, not one pass each.  The
+        identity checks (count-cache keys, serve registry fingerprints)
+        cost one pass total, not one pass each.  The
         digest is read off the interned slot column, so the canonical text
         of each distinct slot is built once and reused.
         """

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.errors import SeriesError
-from repro.core.pattern import reserved_character
+from repro.core.pattern import feature_problem
 from repro.kernels.slots import SlotColumn, SlotTable
 from repro.timeseries.feature_series import FeatureSeries
 
@@ -68,15 +68,15 @@ class LoadReport:
 
 
 def _feature_problem(feature: str) -> str | None:
-    """Why a feature token is unusable, or ``None`` if it is fine."""
-    char = reserved_character(feature)
-    if char == "*":
-        return "feature uses the reserved wildcard character '*'"
-    if char is not None:
-        return f"feature uses the reserved pattern character {char!r}"
-    if any(ord(ch) < 32 or ord(ch) == 127 for ch in feature):
+    """Why a feature token is unusable, or ``None`` if it is fine.
+
+    The shared feature-name rule (:func:`~repro.core.pattern.feature_problem`)
+    plus the file format's own: no control characters.
+    """
+    problem = feature_problem(feature)
+    if problem is None and any(ord(ch) < 32 or ord(ch) == 127 for ch in feature):
         return "feature contains control characters"
-    return None
+    return problem
 
 
 def _snippet(raw: bytes) -> str:

@@ -16,7 +16,9 @@ per-period, per-feature ``Counter`` loop, the reference for the interned
 slot kernel behind :func:`repro.analysis.periodogram.score_periods`.
 :func:`parse_pattern_by_char` is pattern text read one character at a
 time into positions, the reference for the tokenizing
-:meth:`Pattern.from_string`.
+:meth:`Pattern.from_string`.  :func:`mine_mapped` is not a reference but
+the second production path the suites compare against: a series' store
+written to its file and mined mmap'd back.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from repro.core.candidates import generate_candidate_masks, generate_candidates
 from repro.core.counting import min_count, segment_letters
 from repro.core.errors import PatternError, SeriesError
 from repro.core.maxpattern import find_frequent_one_patterns
+from repro.core.hitset import mine_store
 from repro.core.pattern import Letter, Pattern, PositionLike
+from repro.core.result import MiningResult
+from repro.kernels.store import SegmentStore
 from repro.timeseries.feature_series import FeatureSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
@@ -154,12 +159,13 @@ def per_line_load(
                     grouping = [char for char in "{}," if char in feature]
                     if "*" in feature:
                         reason = (
-                            "feature uses the reserved wildcard character '*'"
+                            f"feature {feature!r} uses the reserved pattern "
+                            "character '*' (the wildcard)"
                         )
                     elif grouping:
                         reason = (
-                            "feature uses the reserved pattern character "
-                            f"{grouping[0]!r}"
+                            f"feature {feature!r} uses the reserved pattern "
+                            f"character {grouping[0]!r}"
                         )
                     elif any(ord(ch) < 32 or ord(ch) == 127 for ch in feature):
                         reason = "feature contains control characters"
@@ -280,3 +286,24 @@ def parse_pattern_by_char(text: str) -> Pattern:
             positions.append(char)
             index += 1
     return Pattern(positions)
+
+
+def mine_mapped(
+    series: FeatureSeries,
+    period: int,
+    min_conf: float,
+    directory: str | Path,
+    max_letters: int | None = None,
+) -> MiningResult:
+    """Mine ``series`` the out-of-core way, through an mmap'd store file.
+
+    ``SegmentStore.from_series`` -> ``to_file`` (under ``directory``) ->
+    ``from_file`` (mmap) -> :func:`mine_store`; the store must come back
+    mapped.
+    """
+    path = SegmentStore.from_series(series, period).to_file(
+        Path(directory) / f"p{period}.seg"
+    )
+    store = SegmentStore.from_file(path)
+    assert store.mapped
+    return mine_store(store, min_conf, max_letters)

@@ -1,13 +1,12 @@
 """Tests for the SegmentStore row matrix and its out-of-core path.
 
-Store inputs — a prebuilt store (``mine_store``) or a series mined with
-``StoreOptions`` — mine on the store's ``(m, k)`` ``uint64`` rows;
-in-memory series mine on their slot column.  Exactness is the whole
-contract: across seeds, periods, and thresholds both paths must produce
-letter-identical results to the brute-force oracle and to Apriori — in
-memory, spilled to disk, mmap-backed, pickled, through the mining
-facade, and through the CLI — on packed (one-word) and wide
-(> 64-letter, several-word) vocabularies alike.  The store's on-disk
+A prebuilt store (``mine_store``) mines on its ``(m, k)`` ``uint64``
+rows; in-memory series mine on their slot column.  Exactness is the
+whole contract: across seeds, periods, and thresholds both paths must
+produce letter-identical results to the brute-force oracle and to
+Apriori — in memory, written to a file and mmap'd back, pickled and
+through the mining facade — on packed (one-word) and wide (> 64-letter,
+several-word) vocabularies alike.  The store's on-disk
 round trip (atomic writes, sidecar metadata, pickle-by-path, files
 written before the sidecar recorded ``words``) is exercised directly.
 """
@@ -17,7 +16,6 @@ from __future__ import annotations
 import json
 import pickle
 import random
-import time
 from collections import Counter
 
 import numpy as np
@@ -33,13 +31,11 @@ from pathlib import Path
 from repro.core.errors import EncodingError
 from repro.encoding.codec import SegmentEncoder, vocabulary_of_series
 from repro.kernels.batched import batched_count_masks
-from repro.kernels.cache import CountCache
-from repro.kernels.profile import MiningProfile
-from repro.kernels.store import SegmentStore, StoreOptions
+from repro.kernels.store import SegmentStore
 from repro.streaming import StreamingMiner
 from repro.timeseries.feature_series import FeatureSeries
 from tests.reference import packed_series as random_series
-from tests.reference import per_candidate_mine, wide_series
+from tests.reference import mine_mapped, per_candidate_mine, wide_series
 
 #: Store files written in the one-word format whose sidecar has no
 #: ``"words"`` key, with the rows, letter counts and patterns they held.
@@ -147,11 +143,6 @@ class TestColumnarPrimitives:
         assert np.shares_memory(np.ascontiguousarray(rows, dtype="<u8"), rows)
 
 
-def store_options(tmp_path) -> StoreOptions:
-    """Options spilling every store to disk, whatever its size."""
-    return StoreOptions(directory=str(tmp_path), spill_bytes=0)
-
-
 class TestKernelEquivalence:
     """Both counting paths, letter-identical — the exactness gate."""
 
@@ -165,22 +156,18 @@ class TestKernelEquivalence:
             for p, c in brute_force_frequent(series, period, min_conf).items()
         }
         in_memory = mine_single_period_hitset(series, period, min_conf)
-        spilled = mine_single_period_hitset(
-            series, period, min_conf, store=store_options(tmp_path)
-        )
+        mapped = mine_mapped(series, period, min_conf, tmp_path)
         prebuilt = mine_store(SegmentStore.from_series(series, period), min_conf)
         apriori = mine_single_period_apriori(series, period, min_conf)
-        for result in (in_memory, spilled, prebuilt, apriori):
+        for result in (in_memory, mapped, prebuilt, apriori):
             assert result_map(result) == oracle
 
     def test_columnar_books_one_scan(self, tmp_path):
         series = random_series(3, length=60)
-        store_result = mine_single_period_hitset(
-            series, 3, 0.3, store=store_options(tmp_path)
-        )
+        store_result = mine_mapped(series, 3, 0.3, tmp_path)
         batched_result = mine_single_period_hitset(series, 3, 0.3)
         assert len(store_result)  # non-degenerate case
-        # One build pass over the series serves both scans.
+        # The pass that built the store is the one scan booked.
         assert store_result.stats.scans == 1
         assert batched_result.stats.scans == 2
 
@@ -188,27 +175,6 @@ class TestKernelEquivalence:
         # There is one counting path: no call takes a kernel choice.
         with pytest.raises(TypeError, match="kernel"):
             mine_single_period_hitset(random_series(0), 3, 0.5, kernel="numpy")
-
-    def test_columnar_populates_shared_cache(self, tmp_path):
-        series = random_series(5, length=60)
-        cache = CountCache(str(tmp_path / "cache"))
-        first = mine_single_period_hitset(
-            series, 4, 0.4, cache=cache, store=store_options(tmp_path)
-        )
-        assert first.stats.scans == 1
-        warm = mine_single_period_hitset(series, 4, 0.4, cache=cache)
-        assert result_map(first) == result_map(warm)
-        assert warm.stats.scans == 0
-        # A warm store-option query answers from the cache too: no encode.
-        warm_store = mine_single_period_hitset(
-            series, 4, 0.5, cache=cache, store=store_options(tmp_path / "s")
-        )
-        assert warm_store.stats.scans == 0
-        assert not (tmp_path / "s").exists()
-        assert result_map(warm_store) == result_map(
-            mine_single_period_hitset(series, 4, 0.5)
-        )
-
 
 def lettered_series(letters: int, period: int = 5, segments: int = 60):
     """A series of exactly ``letters`` ``(offset, feature)`` letters.
@@ -261,26 +227,23 @@ class TestWideVocabularyFallback:
 
     def test_wide_store_matches_brute_force(self, tmp_path):
         # 65..140-letter stores mine letter-identically to the oracle in
-        # memory, spilled, mmap'd from their file, read back into memory
-        # and pickled.
+        # memory, mmap'd from their file, read back into memory and
+        # pickled.
         for index, (series, period, words) in enumerate(wide_store_series()):
             store = SegmentStore.from_series(series, period)
             assert len(store.vocab) in (65, 140) and store.words == words
             path = store.to_file(tmp_path / f"wide{index}.seg")
             meta = json.loads(Path(str(path) + ".meta.json").read_text())
             assert meta["words"] == words
-            spilled = SegmentStore.from_series(
-                series, period, options=store_options(tmp_path / str(index))
-            )
+            mapped = SegmentStore.from_file(path)
             stores = {
                 "in-memory": store,
-                "spilled": spilled,
-                "mmap": SegmentStore.from_file(path),
+                "mmap": mapped,
                 "read": SegmentStore.from_file(path, mmap=False),
                 "pickled": pickle.loads(pickle.dumps(store)),
-                "pickled-mmap": pickle.loads(pickle.dumps(spilled)),
+                "pickled-mmap": pickle.loads(pickle.dumps(mapped)),
             }
-            assert spilled.mapped and stores["mmap"].mapped
+            assert mapped.mapped and stores["pickled-mmap"].mapped
             for min_conf in (0.2, 0.5):
                 oracle = {
                     frozenset(p.letters): c
@@ -315,12 +278,10 @@ class TestWideVocabularyFallback:
         }
 
     def test_wide_store_options_spill_and_mine(self, tmp_path):
-        # Store options on a wide series spill a several-word file and
-        # mine it exactly as the in-memory path does.
+        # A wide series' store file holds several words per row and
+        # mines, mmap'd, exactly as the in-memory path does.
         series = wide_series(3)
-        mined = mine_single_period_hitset(
-            series, 3, 0.5, store=store_options(tmp_path)
-        )
+        mined = mine_mapped(series, 3, 0.5, tmp_path)
         assert result_map(mined) == result_map(
             mine_single_period_hitset(series, 3, 0.5)
         )
@@ -367,7 +328,7 @@ class TestStoreFileFormat:
 
 
 class TestOutOfCoreStore:
-    """to_file / from_file / spill: the mmap-backed mining path."""
+    """to_file / from_file: the mmap-backed mining path."""
 
     def test_file_round_trip_and_sidecar(self, tmp_path):
         store = SegmentStore.from_series(random_series(1), 4)
@@ -394,31 +355,6 @@ class TestOutOfCoreStore:
         # The pickle payload carries the path, not the buffer.
         assert len(pickle.dumps(mapped)) < 600
 
-    def test_spill_threshold(self, tmp_path):
-        series = random_series(3, length=120)
-        spilled = SegmentStore.from_series(
-            series, 4, options=StoreOptions(directory=str(tmp_path), spill_bytes=0)
-        )
-        assert spilled.mapped and spilled.path is not None
-        assert spilled.path.parent == tmp_path
-        in_memory = SegmentStore.from_series(series, 4)
-        assert list(spilled) == list(in_memory)
-        # Below the threshold nothing is written.
-        small = SegmentStore.from_series(
-            series,
-            4,
-            options=StoreOptions(directory=str(tmp_path / "x"), spill_bytes=1 << 30),
-        )
-        assert not small.mapped
-        assert not (tmp_path / "x").exists()
-
-    def test_spill_name_is_deterministic(self, tmp_path):
-        series = random_series(4, length=80)
-        options = StoreOptions(directory=str(tmp_path), spill_bytes=0)
-        first = SegmentStore.from_series(series, 3, options=options)
-        second = SegmentStore.from_series(series, 3, options=options)
-        assert first.path == second.path
-
     def test_mine_store_matches_in_memory(self, tmp_path):
         series = random_series(5, length=100)
         store = SegmentStore.from_series(series, 4)
@@ -436,38 +372,14 @@ class TestOutOfCoreStore:
 
     def test_spilled_mine_equals_in_memory(self, tmp_path):
         series = random_series(6, length=150, features=5)
-        spilled = mine_single_period_hitset(
-            series, 5, 0.3, store=store_options(tmp_path)
-        )
+        mapped = mine_mapped(series, 5, 0.3, tmp_path)
         reference = mine_single_period_hitset(series, 5, 0.3)
-        assert result_map(spilled) == result_map(reference)
+        assert result_map(mapped) == result_map(reference)
         assert any(p.suffix == ".seg" for p in tmp_path.iterdir())
 
-    def test_store_build_timed_in_encode_stage(self, tmp_path, monkeypatch):
-        # The store build is the store path's one pass over the series;
-        # the profile must book it, not leave it unattributed.
-        build = SegmentStore.from_series
-
-        def slow_build(cls, *args, **kwargs):
-            time.sleep(0.05)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(
-            SegmentStore, "from_series", classmethod(slow_build)
-        )
-        profile = MiningProfile()
-        mine_single_period_hitset(
-            random_series(7), 4, 0.4, profile=profile,
-            store=store_options(tmp_path),
-        )
-        stages = profile.to_json()["stages"]
-        assert stages["encode"]["elapsed_s"] >= 0.05
-        assert stages["encode"]["calls"] == 1
-        assert stages["scan1"]["elapsed_s"] < stages["encode"]["elapsed_s"]
-
     def test_store_options_require_columnar(self, tmp_path, monkeypatch):
-        # Store options mine on the store's rows: scan 1 is their
-        # bit-lane sum, not a pass over the series' segments.
+        # A store mines on its rows: scan 1 is their bit-lane sum, not a
+        # pass over the series' segments.
         lanes = []
         original = SegmentStore.bit_totals
 
@@ -477,7 +389,7 @@ class TestOutOfCoreStore:
 
         monkeypatch.setattr(SegmentStore, "bit_totals", spy)
         series = random_series(0)
-        mine_single_period_hitset(series, 3, 0.5, store=store_options(tmp_path))
+        mine_mapped(series, 3, 0.5, tmp_path)
         assert lanes == [series.num_periods(3)]
         mine_single_period_hitset(series, 3, 0.5)
         assert len(lanes) == 1  # the in-memory path never touches it
@@ -544,8 +456,6 @@ class TestEngineColumnar:
         )
         miner = PartialPeriodicMiner(series, min_conf=0.4)
         mined = miner.mine(3, workers=2)
-        stored = miner.mine(
-            3, store=StoreOptions(str(tmp_path), spill_bytes=0)
-        )
+        stored = mine_mapped(series, 3, 0.4, tmp_path)
         assert result_map(mined) == result_map(reference)
         assert result_map(stored) == result_map(reference)

@@ -17,6 +17,8 @@ import json
 import os
 import random
 import shutil
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -180,29 +182,14 @@ def _cache_writes(directory):
 
 
 def _store_writes(directory, kind):
-    from repro.kernels.store import SegmentStore, StoreOptions
+    from repro.kernels.store import SegmentStore
     from repro.timeseries.feature_series import FeatureSeries
 
     one = FeatureSeries([set(r) for r in random_records(2)])
     two = FeatureSeries([set(r) for r in random_records(3)])
     path = directory / "col.seg"
-    if kind == "spill":
-        options = StoreOptions(directory, spill_bytes=0, basename="col.seg")
-        return (
-            path,
-            lambda: SegmentStore.from_series(one, 3, options=options),
-            lambda: SegmentStore.from_series(two, 3, options=options),
-        )
-    if kind == "meta":
-        store = SegmentStore.from_series(one, 3)
-        meta = directory / "col.seg.meta.json"
-        return (
-            meta,
-            lambda: SegmentStore._write_meta(path, store.vocab.letters, 3, 1),
-            lambda: SegmentStore._write_meta(path, store.vocab.letters, 3, 2),
-        )
     return (
-        path,
+        path if kind == "to_file" else directory / "col.seg.meta.json",
         lambda: SegmentStore.from_series(one, 3).to_file(path),
         lambda: SegmentStore.from_series(two, 3).to_file(path),
     )
@@ -211,7 +198,6 @@ def _store_writes(directory, kind):
 ATOMIC_CALLERS = {
     "snapshot": _snapshot_writes,
     "cache": _cache_writes,
-    "spill": lambda d: _store_writes(d, "spill"),
     "meta": lambda d: _store_writes(d, "meta"),
     "to_file": lambda d: _store_writes(d, "to_file"),
 }
@@ -894,6 +880,38 @@ class TestCheckpointFormat:
         assert (tmp_path / "out.jsonl").read_bytes() == (
             FIXTURE / "expected.jsonl"
         ).read_bytes()
+
+    def test_snapshot_bytes_do_not_follow_the_hash_seed(self, tmp_path):
+        # Set iteration order follows PYTHONHASHSEED; what a checkpoint
+        # writes must not.  The fixture feed puts several features in one
+        # slot, so a letter order taken from a set would show here.
+        script = (
+            "import sys\n"
+            "from repro.durability import DurableStream\n"
+            "from tests.test_durability import FIXTURE_CONFIG, fixture_records\n"
+            "stream = DurableStream(sys.argv[1], **FIXTURE_CONFIG,\n"
+            "                       checkpoint_every=10)\n"
+            "for record in fixture_records():\n"
+            "    stream.feed(record)\n"
+            "stream.finish()\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        written = []
+        for seed in (1, 2, 3):
+            directory = tmp_path / f"seed{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+            subprocess.run(
+                [sys.executable, "-c", script, str(directory)],
+                env=env, cwd=root, check=True,
+            )
+            files = {
+                path.relative_to(directory): path.read_bytes()
+                for path in sorted(directory.iterdir())
+            }
+            assert any(name.name.startswith("snapshot-") for name in files)
+            written.append(files)
+        assert written[0] == written[1] == written[2]
 
     def test_ring_checkpoint_is_refused(self, tmp_path):
         shutil.copytree(FIXTURE / "ring-ckpt", tmp_path / "ckpt")

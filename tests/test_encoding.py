@@ -23,7 +23,7 @@ from repro.encoding import (
     remap_mask,
     vocabulary_of_series,
 )
-from repro.kernels.store import SegmentStore, StoreOptions
+from repro.kernels.store import SegmentStore
 from repro.timeseries.feature_series import FeatureSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
@@ -206,11 +206,9 @@ class TestEncodedShard:
             encoder.encode_segment(segment) for segment in series.segments(3)
         ]
         in_memory = SegmentStore.from_series(series, 3, vocab)
-        spilled = SegmentStore.from_series(
-            series, 3, vocab, options=StoreOptions(tmp_path, spill_bytes=0)
-        )
-        assert spilled.mapped and not in_memory.mapped
-        assert list(in_memory) == list(spilled) == expected
+        mapped = SegmentStore.from_file(in_memory.to_file(tmp_path / "s.seg"))
+        assert mapped.mapped and not in_memory.mapped
+        assert list(in_memory) == list(mapped) == expected
 
     def test_shard_letter_sets_survive_encoding(self):
         series = FeatureSeries.from_symbols("abdabcabd")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.errors import SeriesError
@@ -31,6 +33,17 @@ class TestConstruction:
             FeatureSeries([{"a", ""}])
         with pytest.raises(SeriesError):
             FeatureSeries([{1}])
+
+    @pytest.mark.parametrize("feature", ["a,b", "{", "x}", "*", "x*"])
+    def test_reserved_characters_rejected(self, feature):
+        # The feature-name rule of series files, patterns and stream
+        # feeds: a series refuses the feature when it is built, naming
+        # it, so mining never meets a feature no pattern can hold.
+        for slots in ([[feature], ["c"]] * 6, ["c", feature], [{"c", feature}]):
+            with pytest.raises(SeriesError, match="reserved pattern character"):
+                FeatureSeries(slots)
+        with pytest.raises(SeriesError, match=re.escape(repr(feature))):
+            FeatureSeries([["c"], [feature]])
 
     def test_equal_slots_share_one_frozenset(self):
         series = FeatureSeries(

@@ -168,7 +168,7 @@ class TestMalformedLines:
         with pytest.raises(SeriesError, match=r"series\.txt:2: .*wildcard"):
             load_series(path)
 
-    @pytest.mark.parametrize("feature", ["a,b", "}", "{x", "{y}"])
+    @pytest.mark.parametrize("feature", ["a,b", "}", "{x", "{y}", "x*"])
     def test_reserved_pattern_characters_name_file_and_line(
         self, tmp_path, feature
     ):
@@ -413,8 +413,8 @@ class TestChunkedRead:
 class TestDigestGolden:
     """``content_digest`` values pinned from before ingest interning.
 
-    ``--cache-dir`` entries, serve fingerprints and store spill names key
-    on these, so a change here orphans every stored artefact.
+    ``--cache-dir`` entries and serve fingerprints key on these, so a
+    change here orphans every stored artefact.
     """
 
     def test_edge_case_fixture(self):

@@ -5,7 +5,7 @@ The heart of the suite is the randomized equivalence sweep: across seeds,
 periods, and thresholds, the batched production miner, the per-candidate
 reference derivation, Apriori, and the brute-force oracle must produce
 letter-for-letter identical frequent sets — on packed (<= 64-letter)
-series, on wide ones, and through a spilled segment store.
+series, on wide ones, and through a segment store mmap'd from its file.
 The cache tests pin the invalidation contract (fingerprint, letter order,
 threshold direction) and assert zero data scans on warm re-queries.
 """
@@ -41,12 +41,12 @@ from repro.kernels.batched import (
 )
 from repro.kernels.cache import CacheKey, CountCache, letters_hash
 from repro.kernels.profile import MiningProfile
-from repro.kernels.store import SegmentStore, StoreOptions
+from repro.kernels.store import SegmentStore
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.scan import ScanCountingSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 from tests.reference import packed_series as random_series
-from tests.reference import per_candidate_mine, wide_series
+from tests.reference import mine_mapped, per_candidate_mine, wide_series
 
 
 def random_hits(
@@ -279,7 +279,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", range(20))
     def test_batched_equals_legacy_equals_brute_force(self, seed, tmp_path):
         # Even seeds draw packed series, odd seeds wide (> 64 letters)
-        # ones; both also mine through a spilled store.
+        # ones; both also mine through an mmap'd store file.
         if seed % 2:
             series = wide_series(seed, length=120 + (seed % 5) * 12)
             assert len(vocabulary_of_series(series, 3)) > 64
@@ -296,13 +296,8 @@ class TestKernelEquivalence:
                 assert batched == dict(
                     mine_single_period_apriori(series, period, min_conf).items()
                 )
-                spilled = mine_single_period_hitset(
-                    series,
-                    period,
-                    min_conf,
-                    store=StoreOptions(str(tmp_path), spill_bytes=0),
-                )
-                assert dict(spilled.items()) == oracle
+                mapped = mine_mapped(series, period, min_conf, tmp_path)
+                assert dict(mapped.items()) == oracle
 
     def test_batched_still_two_scans(self):
         scan = ScanCountingSeries(random_series(1, length=60))
@@ -659,16 +654,16 @@ class TestKernelCli:
         return path
 
     def test_kernel_flags_agree(self, tmp_path, capsys):
-        # The in-memory (batched) and --store-dir (columnar) paths print
-        # the same patterns.
-        from repro.cli import main
+        # ``ppm mine`` (in memory, on the slot column) prints the same
+        # patterns as the store path over the same file, mmap'd back.
+        from repro.cli import _print_result, main
+        from repro.timeseries.io import load_series
 
         path = self.write_series(tmp_path)
         assert main(["mine", str(path), "--period", "4"]) == 0
         batched_out = capsys.readouterr().out
-        store_dir = str(tmp_path / "store")
-        argv = ["mine", str(path), "--period", "4", "--store-dir", store_dir]
-        assert main(argv + ["--spill-mb", "0"]) == 0
+        mapped = mine_mapped(load_series(path), 4, 0.5, tmp_path)
+        _print_result(mapped, 25, maximal=False)
         columnar_out = capsys.readouterr().out
         strip = lambda text: [
             line for line in text.splitlines() if line.startswith("  ")

@@ -53,18 +53,6 @@ class TestMine:
         with pytest.raises(MiningError):
             miner.mine(3, algorithm="nope")
 
-    def test_apriori_rejects_store_options(self, paper_series, tmp_path):
-        from repro.kernels.store import StoreOptions
-
-        miner = PartialPeriodicMiner(paper_series, algorithm="apriori")
-        with pytest.raises(MiningError, match="apriori"):
-            miner.mine(3, store=StoreOptions(str(tmp_path), spill_bytes=0))
-        with pytest.raises(MiningError, match="apriori"):
-            PartialPeriodicMiner(paper_series).mine(
-                3, algorithm="apriori", store=StoreOptions(str(tmp_path))
-            )
-        assert not list(tmp_path.iterdir())
-
     def test_mine_maximal(self, paper_series):
         miner = PartialPeriodicMiner(paper_series, min_conf=0.5)
         maximal = miner.mine_maximal(3)

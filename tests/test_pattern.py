@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -105,11 +107,12 @@ class TestParsing:
 
 
 class TestReservedCharacters:
-    """``{``, ``}`` and ``,`` are the notation's; no feature may hold one."""
+    """``*``, ``{``, ``}`` and ``,`` are the notation's; no feature may hold
+    one."""
 
-    @pytest.mark.parametrize("feature", ["a,b", "}", "{", "x{y", ","])
+    @pytest.mark.parametrize("feature", ["a,b", "}", "{", "x{y", ",", "a*"])
     def test_every_constructor_refuses_them(self, feature):
-        message = (
+        message = re.escape(
             f"feature {feature!r} uses the reserved pattern character"
         )
         with pytest.raises(PatternError, match=message):
@@ -125,10 +128,18 @@ class TestReservedCharacters:
         with pytest.raises(PatternError, match="reserved pattern character '{'"):
             Pattern.from_string("{{a}*")
 
+    def test_parsed_text_refuses_a_wildcard_inside_a_name(self):
+        # A '*' position is a don't-care; a '*' inside a grouped name is
+        # refused, as the series loader and the stream feed refuse it.
+        with pytest.raises(PatternError, match="'a\\*' uses the reserved"):
+            Pattern.from_string("{a*}b")
+        with pytest.raises(PatternError, match="'\\*b' uses the reserved"):
+            Pattern.from_string("a{c,*b}")
+
     def test_group_errors_come_before_refused_features(self):
         with pytest.raises(PatternError, match="unmatched"):
             Pattern.from_string("{*}}")
-        with pytest.raises(PatternError, match="'\\*' cannot be used"):
+        with pytest.raises(PatternError, match="'\\*' uses the reserved"):
             Pattern.from_string("{*}{{a}")
 
 

@@ -6,7 +6,8 @@ and the structural properties the paper proves must hold.  The seeded
 sweep in :class:`TestEncodedPathEquivalence` additionally pins the
 interned-bitmask miners to a letter-set Apriori reference and to the
 oracle byte for byte over hundreds of random series — packed and wide
-(> 64-letter) vocabularies alike, in memory and through spilled stores.
+(> 64-letter) vocabularies alike, in memory and through mmap'd store
+files.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ class TestEncodedPathEquivalence:
     """The tentpole invariant: every mining path is one miner.
 
     Every trial draws a fresh series/period/threshold and checks that the
-    bitmask paths (hit-set scans, spilled stores, apriori levels, the
+    bitmask paths (hit-set scans, mmap'd store files, apriori levels, the
     facade's ``workers=`` keyword, incremental signature replay, shared
     multi-period scans)
     return *exactly* the patterns and counts of a letter-set Apriori
@@ -214,7 +215,7 @@ class TestEncodedPathEquivalence:
 
     def test_random_series_encoded_equals_legacy_equals_oracle(self, tmp_path):
         from repro.encoding.codec import vocabulary_of_series
-        from repro.kernels.store import StoreOptions
+        from tests.reference import mine_mapped
 
         rng = random.Random(0x1999)
         for trial in range(self.TRIALS):
@@ -232,13 +233,8 @@ class TestEncodedPathEquivalence:
             assert dict(apriori.items()) == oracle
             assert letter_set_apriori(series, period, conf) == oracle
             if not wide:
-                spilled = mine_single_period_hitset(
-                    series,
-                    period,
-                    conf,
-                    store=StoreOptions(str(tmp_path), spill_bytes=0),
-                )
-                assert dict(spilled.items()) == oracle
+                mapped = mine_mapped(series, period, conf, tmp_path)
+                assert dict(mapped.items()) == oracle
 
     def test_random_series_merged_shards_equal_oracle(self):
         """``mine(p, workers=n)`` is ``mine(p)``: the keyword is accepted for
