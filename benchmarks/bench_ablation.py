@@ -20,7 +20,7 @@ import time
 from benchmarks.conftest import LENGTH_SHORT
 from repro.core.constraints import MiningConstraints, mine_with_constraints
 from repro.core.counting import segment_letters
-from repro.core.hitset import build_hit_tree, mine_single_period_hitset
+from repro.core.hitset import mine_single_period_hitset
 from repro.core.maximal import mine_maximal_hitset
 from repro.core.pattern import Pattern
 from repro.synth.workloads import (
@@ -28,6 +28,7 @@ from repro.synth.workloads import (
     FIGURE2_PERIOD,
     figure2_series,
 )
+from tests.reference import build_hit_tree
 
 
 def test_derivation_depth_ablation(report):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.bounds import hit_set_bound, tree_node_bound
-from repro.core.hitset import build_hit_tree
 from repro.synth.generator import SyntheticSpec
+from tests.reference import build_hit_tree
 
 
 def _measure(length, period, f1_size, max_pat_length, min_conf, seed=0):

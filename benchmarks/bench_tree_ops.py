@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import LENGTH_SHORT
-from repro.core.hitset import build_hit_tree
 from repro.core.maxpattern import find_frequent_one_patterns
 from repro.synth.workloads import (
     FIGURE2_MIN_CONF,
@@ -21,6 +20,7 @@ from repro.synth.workloads import (
     figure2_series,
 )
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
+from tests.reference import build_hit_tree
 
 
 @pytest.fixture(scope="module")

@@ -15,12 +15,12 @@ from __future__ import annotations
 from collections import Counter
 
 from benchmarks.conftest import LENGTH_SHORT
-from repro.core.hitset import build_hit_tree
 from repro.synth.workloads import (
     FIGURE2_MIN_CONF,
     FIGURE2_PERIOD,
     figure2_series,
 )
+from tests.reference import build_hit_tree
 
 
 def test_hit_mass_by_length(report):

@@ -6,14 +6,14 @@ natural follow-ups.  This module implements the constraint classes that
 push down cleanly into the hit-set pipeline:
 
 * **anti-monotone** constraints (violated by a pattern ⇒ violated by every
-  superpattern) are pushed into the F1 filter and the tree derivation:
+  superpattern) are pushed into the F1 filter and the derivation:
   allowed offsets, forbidden features, maximum letters / L-length;
 * **monotone** constraints (satisfied by a pattern ⇒ satisfied by every
   superpattern) are applied as a post-filter, with their counts already
   exact: required features, minimum letters.
 
 Pushing the anti-monotone constraints down shrinks ``C_max`` itself, so
-scan 2 and the tree only ever touch the constrained search space.  The
+scan 2 and the hit table only ever touch the constrained search space.  The
 scans and the derivation are :mod:`repro.core.hitset`'s pipeline, with
 the letter constraints as its F1 filter and ``max_letters`` as its
 derivation cap.
@@ -122,7 +122,7 @@ def mine_with_constraints(
     """Hit-set mining with constraint push-down (two scans).
 
     Anti-monotone constraints prune F1 before ``C_max`` is formed, so the
-    tree and the derivation only explore admissible letters; size caps
+    hit table and the derivation only explore admissible letters; size caps
     bound the derivation depth; monotone constraints filter the final
     output.  Counts are exact frequency counts in all cases.
     """
@@ -133,7 +133,7 @@ def mine_with_constraints(
             raise MiningError(
                 f"constraint offsets {bad} out of range for period {period}"
             )
-    one_patterns, tree, stats = _two_scans(
+    one_patterns, table, stats = _two_scans(
         _series_scans(series, period),
         min_conf,
         admits=constraints.admits_letter,
@@ -146,7 +146,7 @@ def mine_with_constraints(
         "constrained-hitset",
         min_conf,
         one_patterns,
-        tree,
+        table,
         stats,
         max_letters=constraints.max_letters,
     )

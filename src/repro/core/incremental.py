@@ -12,7 +12,7 @@ both are additive over segments.  :class:`SegmentPartial` maintains
   letters in arrival order,
 
 as whole segments stream in.  Mining then remaps the signature masks onto
-the tree's sorted ``C_max`` vocabulary and replays them — **no scan of the
+the sorted ``C_max`` vocabulary as a hit table — **no scan of the
 accumulated series, ever**, and any confidence threshold can be queried
 after the fact because the signatures are kept unrestricted (not projected
 onto one ``C_max``).
@@ -44,7 +44,8 @@ from typing import Any
 
 from repro.core.counting import check_min_conf, min_count
 from repro.core.errors import MiningError
-from repro.core.pattern import Letter, Pattern
+from repro.core.hittable import HitTable
+from repro.core.pattern import Letter
 from repro.core.result import MiningResult, MiningStats
 from repro.encoding.vocabulary import LetterVocabulary, remap_mask
 from repro.timeseries.feature_series import (
@@ -52,7 +53,6 @@ from repro.timeseries.feature_series import (
     SlotLike,
     _normalize_slot,
 )
-from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
 
 class SegmentPartial:
@@ -311,39 +311,39 @@ class SegmentPartial:
         }
         return f1, threshold
 
-    def build_tree(self, f1: Mapping[Letter, int]) -> MaxSubpatternTree:
-        """Scan 2 from the counters: the populated max-subpattern tree.
+    def hit_table(self, f1: Mapping[Letter, int]) -> HitTable:
+        """Scan 2 from the counters: the hit table over ``C_max``.
 
         Projects each signature onto ``C_max`` by remapping its bits from
-        the arrival-order vocabulary to the tree's sorted vocabulary;
-        letters outside F1 simply drop out of the mask.
+        the arrival-order vocabulary to the sorted ``C_max`` vocabulary;
+        letters outside F1 simply drop out of the mask, and signatures
+        that project alike merge their counts.
         """
-        tree = MaxSubpatternTree(
-            Pattern.from_letters(self._period, frozenset(f1))
-        )
-        table = self._vocab.remap_table(tree.vocab)
+        table = HitTable.over(self._period, f1)
+        hits = table.hits
+        remap = self._vocab.remap_table(table.vocab)
         for signature, count in self._signatures.items():
-            hit = remap_mask(signature, table)
+            hit = remap_mask(signature, remap)
             if hit & (hit - 1):
-                tree.insert_mask(hit, count=count)
-        return tree
+                hits[hit] = hits.get(hit, 0) + count
+        return table
 
     def mine(
         self,
         min_conf: float,
         max_letters: int | None = None,
         algorithm: str = "incremental-hitset",
-        tree: MaxSubpatternTree | None = None,
+        table: HitTable | None = None,
     ) -> MiningResult:
         """All frequent patterns of the summarized whole segments.
 
         Identical to running Algorithm 3.2 over the equivalent series
         (a tested invariant), but touches only the maintained counters.
-        ``tree`` optionally supplies an externally maintained
-        max-subpattern tree whose hit counts already equal this partial's
-        (the streaming decrement retirement keeps one alive across windows
-        and hands it in instead of rebuilding); its ``C_max`` letters must
-        be exactly the current F1 letters.
+        ``table`` optionally supplies an externally maintained hit table
+        whose counts already equal this partial's projected signatures
+        (the streaming decrement retirement keeps one alive across
+        windows and hands it in instead of rebuilding); its ``C_max``
+        letters must be exactly the current F1 letters.
         """
         f1, threshold = self.frequent_one(min_conf)
         stats = MiningStats()
@@ -356,11 +356,11 @@ class SegmentPartial:
                 counts={},
                 stats=stats,
             )
-        if tree is None:
-            tree = self.build_tree(f1)
-        stats.tree_nodes = tree.node_count
-        stats.hit_set_size = tree.hit_set_size
-        letter_counts, candidate_counts = tree.derive_frequent(
+        if table is None:
+            table = self.hit_table(f1)
+        stats.tree_nodes = table.node_count()
+        stats.hit_set_size = len(table.hits)
+        counts, candidate_counts = table.derive(
             threshold, f1, max_letters=max_letters
         )
         stats.candidate_counts = candidate_counts
@@ -369,10 +369,7 @@ class SegmentPartial:
             period=self._period,
             min_conf=min_conf,
             num_periods=self._num_periods,
-            counts={
-                Pattern.from_letters(self._period, letters): count
-                for letters, count in letter_counts.items()
-            },
+            counts=counts,
             stats=stats,
         )
 

@@ -4,8 +4,8 @@ Section 4 of the paper notes that users are often only interested in the
 *maximal* frequent patterns — the frequent patterns with no frequent proper
 superpattern — and sketches (Section 5 end) a hybrid of the max-subpattern
 hit-set method with Bayardo's MaxMiner that avoids MaxMiner's repeated
-scans: count lookups are served by the populated max-subpattern tree, so the
-whole search still costs exactly two scans of the series.
+scans: count lookups are served by scan 2's hit table, so the whole search
+still costs exactly two scans of the series.
 
 This module provides both the standalone maximality filter and that hybrid
 miner (:func:`mine_maximal_hitset`): a set-enumeration search over the F1
@@ -19,11 +19,11 @@ from collections.abc import Mapping
 
 from repro.core.counting import check_min_conf
 from repro.core.hitset import _series_scans, _two_scans
+from repro.core.hittable import HitTable
 from repro.core.maxpattern import FrequentOnePatterns
 from repro.core.pattern import Pattern
 from repro.core.result import MiningResult
 from repro.timeseries.feature_series import FeatureSeries
-from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
 
 def maximal_patterns(counts: Mapping[Pattern, int]) -> dict[Pattern, int]:
@@ -50,10 +50,10 @@ def mine_maximal_hitset(
 ) -> MiningResult:
     """Mine only the maximal frequent patterns in two scans.
 
-    Runs the two scans of Algorithm 3.2 to populate the max-subpattern
-    tree, then performs a MaxMiner-style set-enumeration search over the F1
-    letters where every count lookup is answered from the tree.  The
-    search runs on bitmasks over the tree's vocabulary.  An empty F1 stops
+    Runs the two scans of Algorithm 3.2 to fill the hit table, then
+    performs a MaxMiner-style set-enumeration search over the F1 letters
+    where every count lookup is answered from the stored hits.  The
+    search runs on bitmasks over the table's vocabulary.  An empty F1 stops
     after scan 1 with an empty result.
 
     Returns
@@ -63,12 +63,12 @@ def mine_maximal_hitset(
         the maximal frequent patterns.
     """
     check_min_conf(min_conf)
-    one_patterns, tree, stats = _two_scans(_series_scans(series, period), min_conf)
+    one_patterns, table, stats = _two_scans(_series_scans(series, period), min_conf)
     counts: dict[Pattern, int] = {}
-    if tree is not None:
-        counts, lookups = _search_maximal(tree, one_patterns)
-        stats.tree_nodes = tree.node_count
-        stats.hit_set_size = tree.hit_set_size
+    if table is not None:
+        counts, lookups = _search_maximal(table, one_patterns)
+        stats.tree_nodes = table.node_count()
+        stats.hit_set_size = len(table.hits)
         stats.candidate_counts = {0: lookups}
     return MiningResult(
         algorithm="maximal-hitset",
@@ -81,25 +81,24 @@ def mine_maximal_hitset(
 
 
 def _search_maximal(
-    tree: MaxSubpatternTree, one_patterns: FrequentOnePatterns
+    table: HitTable, one_patterns: FrequentOnePatterns
 ) -> tuple[dict[Pattern, int], int]:
     """MaxMiner's search over the F1 letters: the maximal set and lookups."""
     threshold = one_patterns.threshold
     f1_counts = one_patterns.letters
-    vocab = tree.vocab
+    vocab = table.vocab
     # F1 and the C_max letters coincide, so every candidate the search
-    # touches is a submask of the tree's full mask.
+    # touches is a submask of the table's full mask.
     bits = [vocab.bit_of(letter) for letter in sorted(f1_counts)]
     f1_count_of_bit = {
         vocab.bit_of(letter): count for letter, count in f1_counts.items()
     }
-    stored = [
-        (node.missing_mask, node.count) for node in tree.nodes() if node.count
-    ]
+    full_mask = vocab.full_mask
+    stored = [(full_mask & ~hit, count) for hit, count in table.hits.items()]
     lookups = 0
 
     def frequency(candidate: int) -> int:
-        """Exact count: F1 for singletons, tree-derived for larger masks."""
+        """Exact count: F1 for singletons, hit-derived for larger masks."""
         nonlocal lookups
         lookups += 1
         if not candidate & (candidate - 1):

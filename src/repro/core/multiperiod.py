@@ -7,7 +7,7 @@ Two strategies from the paper:
   method.
 * **Algorithm 3.4** (:func:`mine_periods_shared`) — shared mining: a single
   slot-level pass computes the F1 sets of *every* period at once, and a
-  second slot-level pass feeds every period's max-subpattern tree at once;
+  second slot-level pass fills every period's hit table at once;
   **at most two scans total**, independent of how many periods are mined
   (one when no period has a frequent 1-pattern).
 
@@ -23,8 +23,8 @@ and, per period, only its slots at the offsets of that period's
 ``C_max`` letters: each distinct slot there becomes one bit row of
 ``ceil(|C_max| / 64)`` ``uint64`` words, so wide ``C_max`` needs no
 separate path, and each segment ORs in the rows of its slots.  One sort
-collapses the segments to their distinct hits, and each distinct hit
-enters the tree once with its count.  Python code runs once per
+collapses the segments to their distinct hits, which with their counts
+make that period's hit table.  Python code runs once per
 distinct hit and per period, never per slot occurrence.
 
 Note the paper's Section 3.2 counterexample: frequent patterns of period
@@ -40,11 +40,11 @@ from dataclasses import dataclass, field
 from repro.core.counting import check_min_conf, min_count
 from repro.core.errors import MiningError
 from repro.core.hitset import _derive, mine_single_period_hitset
+from repro.core.hittable import HitTable
 from repro.core.maxpattern import FrequentOnePatterns
 from repro.core.pattern import Pattern
 from repro.core.result import MiningResult, MiningStats
 from repro.kernels import slots as _slots
-from repro.tree.max_subpattern_tree import MaxSubpatternTree
 from repro.timeseries.feature_series import FeatureSeries
 
 
@@ -195,8 +195,8 @@ def mine_periods_shared(
     frequent 1-pattern the run stops there, after one scan.  Otherwise
     scan 2 reads the column once more and collects every period's
     distinct hits from the slots at its ``C_max`` offsets
-    (:func:`repro.kernels.slots.segment_hits`), one tree insertion per
-    distinct hit.  Derivation then happens entirely in memory.
+    (:func:`repro.kernels.slots.segment_hits`) into its hit table.
+    Derivation then happens entirely in memory.
     """
     check_min_conf(min_conf)
     usable = _validated_periods(series, periods, min_repetitions)
@@ -225,8 +225,8 @@ def mine_periods_shared(
             threshold=threshold,
             letters=table.letters_of(letter_ids, counts),
         )
-    trees = {
-        period: MaxSubpatternTree(one_patterns.max_pattern)
+    hit_tables = {
+        period: HitTable.over(period, one_patterns.letters)
         for period, one_patterns in f1_sets.items()
         if not one_patterns.is_empty
     }
@@ -234,18 +234,18 @@ def mine_periods_shared(
 
     # ----- Scan 2: every period's hits from one more pass ---------------
     del rows
-    if trees:
+    if hit_tables:
         column = series.slot_column()
         scans = 2
-        for period, tree in trees.items():
-            hits = _slots.segment_hits(
-                column,
-                period,
-                f1_sets[period].num_periods,
-                table.letter_ids(tree.vocab.letters),
+        for period, hit_table in hit_tables.items():
+            hit_table.hits = dict(
+                _slots.segment_hits(
+                    column,
+                    period,
+                    f1_sets[period].num_periods,
+                    table.letter_ids(hit_table.vocab.letters),
+                )
             )
-            for mask, count in hits:
-                tree.insert_mask(mask, count=count)
 
     # ----- Derivation (in memory, no scans) ------------------------------
     outcome = MultiPeriodResult(
@@ -256,7 +256,7 @@ def mine_periods_shared(
             "shared",
             min_conf,
             f1_sets[period],
-            trees.get(period),
+            hit_tables.get(period),
             MiningStats(scans=scans),
         )
     return outcome

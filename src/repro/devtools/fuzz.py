@@ -42,8 +42,9 @@ known bugs into the kernels production calls (a dropped distinct row
 and an off-by-one letter count in the store, a corrupted candidate
 count, a lying hit count in the slot column's scan 2, and in its scan 1
 an off-by-one letter count, an off-by-one position and feature totals
-compared with ``>`` instead of ``>=`` the floor) and demands the fuzzer
-report a divergence for every one; :data:`BOUNDARY_CASE` makes sure the last
+compared with ``>`` instead of ``>=`` the floor, and a key the slot
+kernels' grouping puts in its neighbour's group, which scan 2's hits
+must show) and demands the fuzzer report a divergence for every one; :data:`BOUNDARY_CASE` makes sure the last
 one has a letter at exactly the floor to lose.  A
 clean run proves little if the alarm cannot ring.  A case that raises is
 a ``crash`` divergence, so one crashing kernel call cannot end a run.
@@ -710,6 +711,7 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
     original_totals = SegmentStore.bit_totals
     original_counts = SubmaskCountTable.counts
     original_hits = slots.segment_hits
+    original_group = slots.group_keys
 
     def dropped_distinct_row(store: SegmentStore) -> Any:
         rows, counts = original_distinct(store)
@@ -758,6 +760,12 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
         # Integer totals > floor are exactly totals >= floor + 1.
         return original_rows(column, length, floor + 1)
 
+    def misgrouped_key(keys: Any) -> Any:
+        distinct, inverse = original_group(keys)
+        inverse = inverse.copy()
+        inverse[np.flatnonzero(inverse)[:1]] -= 1
+        return distinct, inverse
+
     return {
         "dropped-distinct-row": (
             SegmentStore, "distinct_rows", dropped_distinct_row
@@ -772,6 +780,7 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
         ),
         "off-by-one-column-position": (slots, "scan1_rows", off_by_one_position),
         "strict-feature-floor": (slots, "scan1_rows", strict_feature_floor),
+        "misgrouped-key": (slots, "group_keys", misgrouped_key),
     }
 
 

@@ -56,8 +56,9 @@ from typing import IO, TYPE_CHECKING, Any
 from repro.core.errors import DurabilityError, SnapshotCorruption
 from repro.durability.snapshot import (
     SnapshotWriter,
-    clean_stale_tmp,
+    is_stale_tmp,
     read_snapshot,
+    remove_stale_tmp,
 )
 
 if TYPE_CHECKING:
@@ -183,14 +184,33 @@ class StreamCheckpointer:
 
     # -- directory scan --------------------------------------------------
 
-    def _scan(self, pattern: re.Pattern[str]) -> list[tuple[int, Path]]:
-        found = []
-        for entry in self.directory.iterdir():
-            match = pattern.match(entry.name)
-            if match is not None and entry.is_file():
-                found.append((int(match.group(1)), entry))
-        found.sort()
-        return found
+    def _scan(
+        self,
+    ) -> tuple[list[Path], list[tuple[int, Path]], list[tuple[int, Path]]]:
+        """One listing of the directory, classified.
+
+        Returns the stale tmp files, then the snapshots and the WAL
+        segments as ``(index, path)``, each sorted.
+        """
+        stale: list[Path] = []
+        snapshots: list[tuple[int, Path]] = []
+        segments: list[tuple[int, Path]] = []
+        with os.scandir(self.directory) as listing:
+            for entry in listing:
+                if not entry.is_file():
+                    continue
+                name = entry.name
+                path = self.directory / name
+                if is_stale_tmp(name):
+                    stale.append(path)
+                elif match := _SNAPSHOT_RE.match(name):
+                    snapshots.append((int(match.group(1)), path))
+                elif match := _WAL_RE.match(name):
+                    segments.append((int(match.group(1)), path))
+        stale.sort()
+        snapshots.sort()
+        segments.sort()
+        return stale, snapshots, segments
 
     # -- recovery --------------------------------------------------------
 
@@ -203,9 +223,9 @@ class StreamCheckpointer:
         if self._recovered:
             raise DurabilityError("recover() may only be called once")
         self._recovered = True
-        removed = clean_stale_tmp(self.directory)
-        snapshots = self._scan(_SNAPSHOT_RE)
-        segments = self._scan(_WAL_RE)
+        stale, snapshots, segments = self._scan()
+        # Swept before anything is read, as step 1 of the ladder.
+        removed = remove_stale_tmp(stale)
 
         state: dict[str, Any] | None = None
         consumed = 0
@@ -381,7 +401,7 @@ class StreamCheckpointer:
     def _prune(self) -> None:
         """Apply retention: newest ``keep`` snapshots (extended older
         until one validates) plus every WAL segment still needed."""
-        snapshots = self._scan(_SNAPSHOT_RE)
+        _, snapshots, segments = self._scan()
         kept = 0
         valid_floor: int | None = None
         cut = 0  # snapshots[:cut] get deleted
@@ -403,7 +423,6 @@ class StreamCheckpointer:
             path.unlink(missing_ok=True)
         if valid_floor is None:
             return  # nothing validates: keep the whole WAL
-        segments = self._scan(_WAL_RE)
         for position, (_, path) in enumerate(segments[:-1]):
             next_start = segments[position + 1][0]
             if next_start <= valid_floor:

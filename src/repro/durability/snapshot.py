@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
@@ -165,6 +166,23 @@ def read_snapshot(
     return payload
 
 
+def is_stale_tmp(name: str) -> bool:
+    """Whether a file name is an interrupted write's leftover temp file."""
+    return ".tmp." in name
+
+
+def remove_stale_tmp(paths: Iterable[Path]) -> list[Path]:
+    """Remove stale temp files; returns the ones actually removed."""
+    removed = []
+    for path in paths:
+        try:
+            path.unlink()
+        except OSError:
+            continue
+        removed.append(path)
+    return removed
+
+
 def clean_stale_tmp(directory: str | Path) -> list[Path]:
     """Remove leftover ``*.tmp*`` files from interrupted writes.
 
@@ -173,15 +191,11 @@ def clean_stale_tmp(directory: str | Path) -> list[Path]:
     writer when the process died before the rename, and the snapshot it
     was going to replace is still the latest valid one.
     """
-    removed = []
     base = Path(directory)
     if not base.is_dir():
-        return removed
-    for entry in sorted(base.iterdir()):
-        if ".tmp." in entry.name and entry.is_file():
-            try:
-                entry.unlink()
-            except OSError:
-                continue
-            removed.append(entry)
-    return removed
+        return []
+    return remove_stale_tmp(
+        entry
+        for entry in sorted(base.iterdir())
+        if is_stale_tmp(entry.name) and entry.is_file()
+    )

@@ -305,17 +305,17 @@ def derive_frequent_masks(
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Algorithm 4.2 on the batched kernels — all frequent masks at once.
 
-    The derivation behind
-    :meth:`~repro.tree.max_subpattern_tree.MaxSubpatternTree.derive_frequent`:
-    level-wise apriori-gen, where every level's candidates are counted
-    by one :class:`SubmaskCountTable` lookup apiece (the table is built
-    once, up front, over the F1 universe) instead of one pass over the
-    stored hits apiece.
+    The derivation behind :meth:`~repro.core.hittable.HitTable.derive`
+    (and the reference tree's ``derive_frequent``): level-wise
+    apriori-gen, where every level's candidates are counted by one
+    :class:`SubmaskCountTable` lookup apiece (the table is built once, up
+    front, over the F1 universe) instead of one pass over the stored hits
+    apiece.
 
     Parameters
     ----------
     hits:
-        ``(hit mask, count)`` rows — e.g. a tree's stored hits or a
+        ``(hit mask, count)`` rows — e.g. a hit table's items or a
         :meth:`~repro.kernels.store.SegmentStore.hit_counter` item view.
     threshold:
         The integer frequency threshold.

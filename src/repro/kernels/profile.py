@@ -1,7 +1,9 @@
 """Per-stage profiling for mining runs — the kernels' observability hook.
 
 :class:`MiningProfile` accumulates wall-clock time, item counts and event
-counters per named stage (``scan1``, ``tree``, ``scan2``, ``derive``).
+counters per named stage (``scan1``, ``tree``, ``scan2``, ``derive``;
+``tree`` times the build of scan 2's hit table, the state the paper
+keeps in its max-subpattern tree).
 The miners time their stages directly, callers such as the serve app
 record externally timed stages through :meth:`add_stage`, and the count
 cache reports hits and misses through :meth:`count`.

@@ -272,20 +272,62 @@ def pair_letter_counts(
     owners = owners[capable]
     letters = (pairs // distinct_slots)[owners] * len(table.features)
     letters += features[capable]
-    order = np.argsort(letters)
-    letters = letters[order]
-    starts = _run_starts(letters)
-    counts = np.add.reduceat(pair_counts[owners[order]], starts)
-    letters = letters[starts]
+    letters, inverse = group_keys(letters)
+    counts = np.bincount(
+        inverse, weights=pair_counts[owners], minlength=len(letters)
+    ).astype(np.int64)
     kept = counts >= floor
     return letters[kept], counts[kept]
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Where each run of equal neighbours in ``values`` starts."""
+    return np.flatnonzero(_run_flags(values))
+
+
+def _run_flags(values: np.ndarray) -> np.ndarray:
+    """Whether each entry of sorted ``values`` starts a run of equal ones."""
     starts = np.ones(len(values), bool)
     np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return np.flatnonzero(starts)
+    return starts
+
+
+def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct integer ``keys``, ascending, and each key's group.
+
+    What ``np.unique(keys, return_inverse=True)`` returns for a flat
+    array, from one ``np.sort``: each key, less the smallest, is packed
+    above its position into one ``int64`` word (``key << b | position``),
+    so the sorted words hold the keys in order with their positions
+    alongside.  Where a run of equal keys starts gives the distinct keys,
+    and the positions in the low bits say where each key's group number
+    goes.  When the keys' range and the position bits together need more
+    than 63 bits, an ``argsort`` orders the keys instead: the result is
+    the same.  ``np.unique`` is not called, since its first call imports
+    ``numpy.ma``.
+    """
+    size = len(keys)
+    if not size:
+        return keys.copy(), np.zeros(0, np.intp)
+    low = int(keys.min())
+    shift = max(1, (size - 1).bit_length())
+    if (int(keys.max()) - low).bit_length() + shift <= 63:
+        packed = keys.astype(np.int64)
+        packed -= low
+        packed <<= shift
+        packed |= np.arange(size)
+        packed.sort()
+        order = packed & ((1 << shift) - 1)
+        packed >>= shift
+        packed += low
+        ordered = packed
+    else:
+        order = np.argsort(keys)
+        ordered = keys[order]
+    starts = _run_flags(ordered)
+    inverse = np.empty(size, np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts].astype(keys.dtype, copy=False), inverse
 
 
 def letter_totals(
@@ -346,8 +388,8 @@ def segment_rows(
     distinct_slots = len(table.slots)
     words = max(1, -(-len(letter_ids) // 64))
     word_of = np.arange(len(letter_ids)) >> 6
-    offsets, letter_offset = np.unique(letter_ids // width, return_inverse=True)
-    kinds, letter_kind = np.unique(letter_ids % width, return_inverse=True)
+    offsets, letter_offset = group_keys(letter_ids // width)
+    kinds, letter_kind = group_keys(letter_ids % width)
     # Feature id -> its index among the C_max features, -1 for the rest.
     kind_of = np.full(width, -1, np.int64)
     kind_of[kinds] = np.arange(len(kinds))
@@ -374,7 +416,7 @@ def segment_rows(
         # sort finds the distinct slots at every offset of the group.
         keys = grid[:, offsets[members]].astype(np.int64)
         keys += np.arange(len(members)) * distinct_slots
-        pairs, inverse = np.unique(keys, return_inverse=True)
+        pairs, inverse = group_keys(keys.ravel())
         owners, features = table.feature_rows(pairs % distinct_slots)
         kind = kind_of[features]
         owners, kind = owners[kind >= 0], kind[kind >= 0]

@@ -9,12 +9,11 @@ signature masks :meth:`absorb` returned, in arrival order.  Retiring pops
 the oldest mask and subtracts it from the partial
 (:meth:`SegmentPartial.retire` is the exact inverse of ``absorb``).
 
-It also keeps the :class:`~repro.tree.max_subpattern_tree.MaxSubpatternTree`
-alive across windows: while the frequent-1 letter set is unchanged, each
-mining applies only the *delta* — ``insert_mask`` for segments that
-entered, ``remove_mask`` (count decrement with subtree pruning) for
-segments that left — instead of rebuilding from every retained signature.
-Per-window work is proportional to what changed.
+It also keeps the :class:`~repro.core.hittable.HitTable` alive across
+windows: while the frequent-1 letter set is unchanged, each mining
+applies only the *delta* — +1 for each segment that entered, −1 for each
+that left, a hit dropping out at zero — instead of rebuilding from every
+retained signature.  Per-window work is proportional to what changed.
 
 Retirement is of *whole segments by count*: the engine owns window
 geometry and only ever says "the oldest ``n`` segments left".
@@ -27,15 +26,15 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.core.errors import StreamError
+from repro.core.hittable import HitTable
 from repro.core.incremental import SegmentPartial
 from repro.core.pattern import Letter
 from repro.core.result import MiningResult
 from repro.encoding.vocabulary import remap_mask
-from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
 
 class DecrementRetirement:
-    """Running partial + mask ring + persistent delta-maintained tree.
+    """Running partial + mask ring + persistent delta-maintained hit table.
 
     Segments enter via :meth:`absorb` in stream order and leave oldest
     first via :meth:`retire`; :meth:`mine` at every point equals
@@ -45,20 +44,20 @@ class DecrementRetirement:
     #: The name recorded in persisted state (``to_state()["name"]``).
     name = "decrement"
 
-    __slots__ = ("_partial", "_ring", "_added", "_removed", "_tree",
-                 "_tree_f1")
+    __slots__ = ("_partial", "_ring", "_added", "_removed", "_table",
+                 "_table_f1")
 
     def __init__(self, period: int):
         self._partial = SegmentPartial(period)
         #: Signature masks of the retained segments, oldest first — the
         #: exact retirement ledger (drained head-first by retire()).
         self._ring: deque[int] = deque()
-        #: Masks absorbed / retired since the tree was last brought
+        #: Masks absorbed / retired since the table was last brought
         #: current, in order (cleared on every mine()).
         self._added: list[int] = []
         self._removed: list[int] = []
-        self._tree: MaxSubpatternTree | None = None
-        self._tree_f1: frozenset[Letter] | None = None
+        self._table: HitTable | None = None
+        self._table_f1: frozenset[Letter] | None = None
 
     @property
     def retained(self) -> int:
@@ -93,43 +92,43 @@ class DecrementRetirement:
         """Frequent patterns of exactly the retained segments."""
         f1, _ = self._partial.frequent_one(min_conf)
         f1_letters = frozenset(f1)
-        tree = self._tree
+        table = self._table
         if not f1:
-            tree = None
-        elif tree is not None and f1_letters == self._tree_f1:
+            table = None
+        elif table is not None and f1_letters == self._table_f1:
             # C_max is unchanged, so every stored hit's projection is
-            # unchanged too: bring the tree current by replaying only the
+            # unchanged too: bring the table current by replaying only the
             # segments that entered or left since the last emission.
-            # Inserts go first so a mask that both entered and would later
-            # leave never dips a node below zero.
-            table = self._partial.vocab.remap_table(tree.vocab)
+            # Additions go first so a mask that both entered and left
+            # never dips a count below zero.
+            remap = self._partial.vocab.remap_table(table.vocab)
             for mask in self._added:
-                hit = remap_mask(mask, table)
+                hit = remap_mask(mask, remap)
                 if hit & (hit - 1):
-                    tree.insert_mask(hit)
+                    table.add(hit)
             for mask in self._removed:
-                hit = remap_mask(mask, table)
+                hit = remap_mask(mask, remap)
                 if hit & (hit - 1):
-                    tree.remove_mask(hit)
+                    table.remove(hit)
         else:
             # F1 moved: the projection of every signature changes, so the
             # delta ledger is useless — rebuild from the retained state.
-            tree = self._partial.build_tree(f1)
+            table = self._partial.hit_table(f1)
         self._added.clear()
         self._removed.clear()
-        self._tree = tree
-        self._tree_f1 = f1_letters if f1 else None
+        self._table = table
+        self._table_f1 = f1_letters if f1 else None
         return self._partial.mine(
             min_conf,
             max_letters=max_letters,
             algorithm="streaming-decrement",
-            tree=tree,
+            table=table,
         )
 
     def to_state(self) -> dict[str, Any]:
         """The JSON-ready durable form of the retained-set state.
 
-        The persistent tree and its delta ledger are deliberately
+        The persistent hit table and its delta ledger are deliberately
         dropped: they are a pure function of the retained state and are
         rebuilt on the first mine after restore, so a restored instance
         mines identically by construction.
@@ -161,9 +160,9 @@ class DecrementRetirement:
                 f"{len(self._ring)} ring masks for "
                 f"{partial.num_periods} retained segments"
             )
-        # The tree and its delta ledger are derived state: the next
+        # The table and its delta ledger are derived state: the next
         # mine() rebuilds from the restored partial, which is exact.
         self._added.clear()
         self._removed.clear()
-        self._tree = None
-        self._tree_f1 = None
+        self._table = None
+        self._table_f1 = None

@@ -23,6 +23,10 @@ Following the paper, hits with fewer than two letters are not inserted: the
 counts of 1-letter patterns are already known exactly from the F1 scan, and
 a 1-letter node could never contribute to the count of any multi-letter
 pattern.
+
+No miner builds a tree: a count reads only the non-zero nodes, so the
+miners keep the same hits as a :class:`~repro.core.hittable.HitTable`.
+The tree is the reference the tests hold that table to.
 """
 
 from __future__ import annotations

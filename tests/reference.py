@@ -31,9 +31,9 @@ from pathlib import Path
 from repro.analysis.periodogram import PeriodScore
 from repro.core.candidates import generate_candidate_masks, generate_candidates
 from repro.core.counting import min_count, segment_letters
-from repro.core.errors import PatternError, SeriesError
-from repro.core.maxpattern import find_frequent_one_patterns
-from repro.core.hitset import mine_store
+from repro.core.errors import MiningError, PatternError, SeriesError
+from repro.core.hitset import _series_scans, _two_scans, mine_store
+from repro.core.maxpattern import FrequentOnePatterns, find_frequent_one_patterns
 from repro.core.pattern import Letter, Pattern, PositionLike
 from repro.core.result import MiningResult
 from repro.kernels.store import SegmentStore
@@ -73,6 +73,31 @@ def per_candidate_mine(
                 next_level.add(candidate)
         level_masks = next_level
     return {Pattern.from_mask(vocab, mask): c for mask, c in counts.items()}
+
+
+def build_hit_tree(
+    series: FeatureSeries,
+    period: int,
+    min_conf: float,
+) -> tuple[MaxSubpatternTree, FrequentOnePatterns]:
+    """Production's two scans, with the hit table registered in a tree.
+
+    Algorithm 4.1 read literally over the hits scan 2 found: each
+    distinct hit enters a :class:`MaxSubpatternTree` with its count.
+    Returns ``(tree, one_patterns)``; raises
+    :class:`~repro.core.errors.MiningError` on a period with no whole
+    segment and when F1 is empty.
+    """
+    one_patterns, table, _ = _two_scans(_series_scans(series, period), min_conf)
+    if table is None:
+        raise MiningError(
+            f"no frequent 1-patterns at period {period}; "
+            "there is no candidate max-pattern"
+        )
+    tree = MaxSubpatternTree(one_patterns.max_pattern)
+    for mask, count in table.hits.items():
+        tree.insert_mask(mask, count=count)
+    return tree, one_patterns
 
 
 def letter_set_apriori(

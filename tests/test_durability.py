@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import DurabilityError, SnapshotCorruption, StreamError
+from repro.durability import checkpoint as durable_checkpoint
 from repro.durability import stream as durable_stream
 from repro.durability import (
     DurableSink,
@@ -465,6 +466,33 @@ class TestStreamCheckpointer:
         assert recovered.stale_tmp_removed == 1
         assert not list(tmp_path.glob("*.tmp.*"))
         again.close()
+
+    def test_recovery_lists_the_directory_once(self, tmp_path, monkeypatch):
+        ckpt = StreamCheckpointer(tmp_path, kind="t/1")
+        ckpt.recover()
+        ckpt.append("x")
+        ckpt.snapshot({"n": 1})
+        ckpt.append("y")
+        ckpt.close()
+        (tmp_path / "snapshot-000000000002.json.tmp.9.1").write_text("h")
+        listings = []
+        scandir = os.scandir
+
+        def counted(path):
+            listings.append(path)
+            return scandir(path)
+
+        monkeypatch.setattr(durable_checkpoint.os, "scandir", counted)
+        monkeypatch.setattr(
+            Path, "iterdir", lambda self: pytest.fail("listed with iterdir")
+        )
+        again = StreamCheckpointer(tmp_path, kind="t/1")
+        recovered = again.recover()
+        again.close()
+        assert len(listings) == 1
+        assert recovered.state == {"n": 1}
+        assert recovered.tail == ["y"]
+        assert recovered.stale_tmp_removed == 1
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ class TestOracle:
 class TestMutationCheck:
     def test_all_injected_bugs_caught(self):
         caught = mutation_check(budget=30, seed=4)
-        assert len(caught) == 7
+        assert len(caught) == 8
         assert all(caught.values()), caught
 
     @pytest.mark.parametrize(
@@ -122,6 +122,18 @@ class TestMutationCheck:
         stages = {d.stage.split("[")[0] for d in report.divergences}
         assert {"mine:brute-force-oracle", "mine:shared", "column:scan1"} <= stages
         assert not any(stage.startswith("store:") for stage in stages)
+
+    def test_misgrouped_key_caught_by_scan2(self):
+        # The grouping behind scan 2's (offset, slot) groups: a key put in
+        # its neighbour's group gives a segment the wrong slot's letters.
+        owner, attribute, corrupted = fuzz_mod._mutation_targets()["misgrouped-key"]
+        pristine = getattr(owner, attribute)
+        setattr(owner, attribute, corrupted)
+        try:
+            report = fuzz(25, seed=6)
+        finally:
+            setattr(owner, attribute, pristine)
+        assert "column:scan2" in {d.stage for d in report.divergences}
 
     def test_mutations_are_restored_after_check(self):
         before = {

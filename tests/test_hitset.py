@@ -7,10 +7,11 @@ import pytest
 from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import brute_force_frequent
 from repro.core.errors import MiningError
-from repro.core.hitset import build_hit_tree, mine_single_period_hitset
+from repro.core.hitset import mine_single_period_hitset
 from repro.core.pattern import Pattern
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.scan import ScanCountingSeries
+from tests.reference import build_hit_tree
 
 
 class TestCorrectness:

@@ -37,6 +37,7 @@ UNUSED_BY_MINING = (
     "repro.kernels.store",
     "repro.kernels.cache",
     "repro.encoding.codec",
+    "repro.tree",
     "asyncio",
 )
 

