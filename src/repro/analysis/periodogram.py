@@ -58,11 +58,11 @@ def score_periods(
     (:meth:`~repro.kernels.slots.SlotColumn.occurrences`); every period's
     letter counts (:func:`repro.kernels.slots.letter_totals`) and the
     feature base rates come from that one array, and each score is an
-    exactly rounded sum (``math.fsum``).  The miners' floor-pruned pair
-    counts prune nothing here, since the best confidence needs every
-    letter of every period, and re-sorting pairs per period costs more:
-    over periods 2..100 of a 100k-slot Figure 2 series (2 vCPUs) the
-    pair counts took 205 ms against 79 ms from occurrence rows.  Periods
+    exactly rounded sum (``math.fsum``).  The miners' floor-pruned letter
+    tallies prune nothing here, since the best confidence needs every
+    letter of every period, and they are no faster at floor 0: over
+    periods 2..100 of a 100k-slot Figure 2 series (2 vCPUs, best of 5)
+    the tallies took 57-74 ms against 66 ms from occurrence rows.  Periods
     that do not repeat at least ``min_repetitions`` times are skipped.
     Results are sorted by descending score.
     """

@@ -17,9 +17,9 @@ miner: the maximal and constrained miners call them too, and Algorithm
 In-memory series mine on their interned slot column
 (:meth:`~repro.timeseries.feature_series.FeatureSeries.slot_column`,
 built while a file is parsed or once on first mine): scan 1 counts only
-the letters that can reach its floor, as floor-pruned ``(offset, slot)``
-pair counts (:func:`~repro.kernels.slots.scan1_rows` keeps the positions
-whose slot holds a feature frequent enough overall,
+the letters that can reach its floor, as floor-pruned letter tallies
+(:func:`~repro.kernels.slots.scan1_rows` keeps the positions whose slot
+holds a feature frequent enough overall,
 :func:`~repro.kernels.slots.pair_letter_counts` counts them), and scan 2
 collects the distinct hits with
 :func:`~repro.kernels.slots.segment_hits` from the column's slots at the
@@ -103,9 +103,9 @@ class _Scans:
 class _SeriesScans(_Scans):
     """The two scans over an in-memory series, on its interned slot column.
 
-    Each scan reads the column once: scan 1 counts ``(offset, slot)``
-    pairs at the positions whose slot holds a feature that can reach the
-    floor, and returns the letters at or above it (every letter at floor
+    Each scan reads the column once: scan 1 tallies the letters at the
+    positions whose slot holds a feature that can reach the floor, and
+    returns the letters at or above it (every letter at floor
     0), booking the positions it read as the ``scan1_rows`` profile
     counter; scan 2 reads the slots at
     the ``C_max`` vocabulary's offsets, ORs each segment's letters there into

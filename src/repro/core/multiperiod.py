@@ -188,9 +188,10 @@ def mine_periods_shared(
     """Algorithm 3.4: shared mining of all periods in at most two scans.
 
     Scan 1 reads the series' slot column once and keeps the positions
-    that can hold a letter at the lowest period's floor
+    that can hold a letter at the lowest period's floor, coded once by
+    how many capable features their slot holds
     (:func:`repro.kernels.slots.scan1_rows`); every period's F1 then
-    comes from its ``(offset, slot)`` pair counts over those rows
+    comes from one letter tally over those rows
     (:func:`repro.kernels.slots.pair_letter_counts`).  When no period has a
     frequent 1-pattern the run stops there, after one scan.  Otherwise
     scan 2 reads the column once more and collects every period's

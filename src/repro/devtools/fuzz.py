@@ -17,7 +17,7 @@ and the oracle.
 
 Two kernel-level stages compare the scan primitives directly.  One holds
 the slot column's scan kernels equal to the frozenset path: scan 1's
-floor-pruned pair counts, at floor 0 and at the case's support floor,
+floor-pruned letter tallies, at floor 0 and at the case's support floor,
 and the occurrence-row counts period discovery reads, against
 per-segment letter counting; scan 2's hits (over every letter of the
 series, so wide vocabularies take several words per segment) against
@@ -41,8 +41,10 @@ The fuzzer's own alarm is tested by :func:`mutation_check`: it injects
 known bugs into the kernels production calls (a dropped distinct row
 and an off-by-one letter count in the store, a corrupted candidate
 count, a lying hit count in the slot column's scan 2, and in its scan 1
-an off-by-one letter count, an off-by-one position and feature totals
-compared with ``>`` instead of ``>=`` the floor, and a key the slot
+an off-by-one letter count, an off-by-one position in the
+multi-feature rows, an off-by-one feature rank in the single-feature
+rows and feature totals compared with ``>`` instead of ``>=`` the
+floor, and a key the slot
 kernels' grouping puts in its neighbour's group, which scan 2's hits
 must show) and demands the fuzzer report a divergence for every one; :data:`BOUNDARY_CASE` makes sure the last
 one has a letter at exactly the floor to lose.  A
@@ -753,8 +755,19 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
         return letter_ids, counts
 
     def off_by_one_position(column: Any, length: int, floor: int) -> Any:
+        # The multi-feature half: its (offset, slot) pairs shift offset.
         rows = original_rows(column, length, floor)
-        return replace(rows, positions=rows.positions + 1)
+        return replace(rows, multi_positions=rows.multi_positions + 1)
+
+    def off_by_one_rank(column: Any, length: int, floor: int) -> Any:
+        # The single-feature rows: each tallies the next capable
+        # feature's letter.
+        rows = original_rows(column, length, floor)
+        width = len(rows.features)
+        single = rows.codes < width
+        codes = rows.codes.copy()
+        codes[single] = (codes[single] + 1) % width
+        return replace(rows, codes=codes)
 
     def strict_feature_floor(column: Any, length: int, floor: int) -> Any:
         # Integer totals > floor are exactly totals >= floor + 1.
@@ -779,6 +792,7 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
             slots, "pair_letter_counts", off_by_one_column_letter
         ),
         "off-by-one-column-position": (slots, "scan1_rows", off_by_one_position),
+        "off-by-one-single-rank": (slots, "scan1_rows", off_by_one_rank),
         "strict-feature-floor": (slots, "scan1_rows", strict_feature_floor),
         "misgrouped-key": (slots, "group_keys", misgrouped_key),
     }

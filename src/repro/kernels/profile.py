@@ -1,9 +1,10 @@
 """Per-stage profiling for mining runs — the kernels' observability hook.
 
 :class:`MiningProfile` accumulates wall-clock time, item counts and event
-counters per named stage (``scan1``, ``tree``, ``scan2``, ``derive``;
-``tree`` times the build of scan 2's hit table, the state the paper
-keeps in its max-subpattern tree).
+counters per named stage, listed in the order a mine runs them:
+``scan1``, ``scan2``, ``tree`` (the build of the hit table from scan
+2's hits, the state the paper keeps in its max-subpattern tree) and
+``derive``.
 The miners time their stages directly, callers such as the serve app
 record externally timed stages through :meth:`add_stage`, and the count
 cache reports hits and misses through :meth:`count`.
@@ -20,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 #: Canonical stage order for display; unknown stages append after these.
-STAGE_ORDER = ("scan1", "tree", "scan2", "derive")
+STAGE_ORDER = ("scan1", "scan2", "tree", "derive")
 
 
 @dataclass(slots=True)

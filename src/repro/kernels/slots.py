@@ -9,19 +9,25 @@ mine (:func:`intern_slots`).  Every in-memory scan then runs as bulk
 numpy ops over the column instead of one interpreter round-trip per
 slot, period and feature:
 
-* Scan 1 is floor-pruned pair counting.  It needs only the letters
+* Scan 1 is floor-pruned letter tallying.  It needs only the letters
   found in at least ``floor`` of the ``m`` whole segments, and a letter
   ``(o, f)`` can get there only if feature ``f`` occurs that often in
   the ``m * p`` whole-segment slots.  :func:`scan1_rows` takes every
   feature's total from one ``np.bincount`` of the slot ids fanned out
-  through the CSR, and keeps the positions whose slot holds a feature
-  that can reach the floor (:class:`Scan1Rows`).
-  :func:`pair_letter_counts` then counts one period: one sort of the
-  ``(i % p) * D + slot id`` keys of those positions, run-length counts
-  for each distinct ``(offset, slot)`` pair, and each pair fanned out to
-  its capable features and summed by letter id.  No occurrence is ever
-  expanded, and at floor 0 (a count cache keeps every letter) it counts
-  every non-empty slot.
+  through the CSR, keeps the positions whose slot holds a feature that
+  can reach the floor, and codes each by how many such *capable*
+  features its slot holds (:class:`Scan1Rows`): exactly one gives that
+  feature's rank, more than one gives the code ``C`` and lists the
+  position, with its slot id, among the multi-feature rows.
+  :func:`pair_letter_counts` then counts one period: one
+  ``np.bincount`` of ``(i % p) * (C + 1) + code`` tallies the
+  single-feature rows, and the multi-feature rows' ``(offset, slot)``
+  pair counts fan out through a CSR of capable features into the same
+  bins.  On sparse data nearly every kept row holds one capable
+  feature, so a period costs no sort; wherever bins would outnumber
+  the rows they count, the same keys are grouped by sort instead.  No
+  occurrence is ever expanded, and at floor 0 (a count cache keeps
+  every letter) it counts every non-empty slot.
 * :func:`segment_hits` is scan 2 for one period.  It asks only which
   ``C_max`` letters each segment holds, and those sit on at most
   ``|C_max|`` of the ``p`` offsets, so it reads only the column's slots
@@ -47,7 +53,8 @@ forms) call the scans for one period; shared multi-period mining
 (Algorithm 3.4) selects scan 1's rows once, over the longest prefix at
 the lowest floor, and counts every period from them.  Memory is
 ``O(N)`` for scan 1's position selection plus arrays sized by the kept
-positions, the distinct slots and the features, and ``O(m * k)`` plus
+positions, the distinct slots, the features and a period's ``p * (C +
+1)`` letter bins, and ``O(m * k)`` plus
 one group of offsets' bit rows for scan 2; no distinct-slots x features
 matrix is ever built, because on noisy data there are about as many
 distinct slots as slots.
@@ -131,19 +138,9 @@ class SlotTable:
         in CSR order, and owners ascend.  Apart from ``slot_ids`` itself,
         every array here is sized by its non-empty slots or by the rows.
         """
-        sizes = self._sizes[slot_ids]
-        occupied = np.flatnonzero(sizes)
-        lengths = sizes[occupied]
-        del sizes
-        # Row r of a slot reads feature_ids[start + r - first], where
-        # start is its distinct slot's CSR row and first is the slot's
-        # first row.
-        shift = self._indptr[slot_ids[occupied]]
-        shift -= np.cumsum(lengths) - lengths
-        index = np.repeat(shift, lengths)
-        del shift
-        index += np.arange(len(index))
-        return np.repeat(occupied, lengths), self._feature_ids[index]
+        return _fan_out(
+            self._indptr, self._feature_ids, slot_ids, self._sizes[slot_ids]
+        )
 
     def expand(self, slot_ids: np.ndarray) -> Occurrences:
         """The occurrence rows of a series given as its slot ids."""
@@ -156,11 +153,19 @@ class SlotTable:
             self._feature_ids, weights=weights, minlength=len(self.features)
         ).astype(np.int64)
 
-    def holding(self, wanted: np.ndarray) -> np.ndarray:
-        """Whether each distinct slot holds a feature id where ``wanted`` is set."""
+    def wanted_ranks(self, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each distinct slot's features where ``wanted`` is set, as a CSR.
+
+        A wanted feature's rank is its place among the wanted feature ids,
+        ascending.  Distinct slot ``d`` holds the ranks
+        ``ranks[indptr[d]:indptr[d + 1]]``, in CSR order, so
+        ``np.diff(indptr)`` is how many wanted features each slot holds.
+        """
+        flags = wanted[self._feature_ids]
         held = np.zeros(len(self._feature_ids) + 1, np.int64)
-        np.cumsum(wanted[self._feature_ids], out=held[1:])
-        return held[self._indptr[1:]] > held[self._indptr[:-1]]
+        np.cumsum(flags, out=held[1:])
+        rank = np.cumsum(wanted) - 1
+        return held[self._indptr], rank[self._feature_ids[flags]]
 
     def letters_of(
         self, letter_ids: np.ndarray, counts: np.ndarray
@@ -211,17 +216,30 @@ class Scan1Rows:
 
     A position is kept when its slot holds a *capable* feature: one whose
     total over the prefix reaches the floor (and at least 1), the only
-    features a letter at or above the floor can have.  ``positions``
-    ascends, so the rows inside a shorter prefix are a prefix of both
-    arrays.
+    features a letter at or above the floor can have.  Each kept position
+    gets a code: a slot holding exactly one capable feature gives that
+    feature's rank (its index in ``features``), and any other slot gives
+    ``C = len(features)``, a bin no letter reads.  The positions coded
+    ``C`` are also listed apart with their slot ids, and the capable-only
+    CSR fans those slots out.  Positions ascend in both lists, so the
+    rows inside a shorter prefix are a prefix of each list's arrays.
     """
 
     #: ``int64`` kept positions, ascending.
     positions: np.ndarray
-    #: Distinct-slot id of each kept position.
-    slot_ids: np.ndarray
-    #: Per feature id, whether the feature is capable.
-    capable: np.ndarray
+    #: Each kept position's code: its one capable feature's rank, or ``C``.
+    codes: np.ndarray
+    #: ``int64`` positions whose slot holds two or more capable features.
+    multi_positions: np.ndarray
+    #: Distinct-slot id of each multi position.
+    multi_slots: np.ndarray
+    #: Feature ids of the capable features, ascending: rank ``r`` is
+    #: feature ``features[r]``.
+    features: np.ndarray
+    #: The capable-only CSR: distinct slot ``d`` holds the capable ranks
+    #: ``ranks[indptr[d]:indptr[d + 1]]``.
+    indptr: np.ndarray
+    ranks: np.ndarray
 
 
 def scan1_rows(column: SlotColumn, length: int, floor: int) -> Scan1Rows:
@@ -230,15 +248,35 @@ def scan1_rows(column: SlotColumn, length: int, floor: int) -> Scan1Rows:
     One ``np.bincount`` of the slot ids, fanned out through the CSR,
     gives every feature's total; a letter ``(o, f)`` occurs at most as
     often as ``f`` does, so only features with a total of at least
-    ``max(floor, 1)`` can reach the floor.  Everything but the one pass
-    over the slot ids is sized by the distinct slots and features.
+    ``max(floor, 1)`` can reach the floor.  The capable-only CSR
+    (:meth:`SlotTable.wanted_ranks`) says how many capable features each
+    distinct slot holds, which keeps a position and gives its code.
+    Everything but that lookup of the slot ids is sized by the distinct
+    slots, the features and the kept positions.
     """
     table = column.table
     ids = column.ids[:length]
     totals = table.feature_totals(np.bincount(ids, minlength=len(table.slots)))
     capable = totals >= max(floor, 1)
-    positions = np.flatnonzero(table.holding(capable).take(ids))
-    return Scan1Rows(positions, ids[positions], capable)
+    features = np.flatnonzero(capable)
+    indptr, ranks = table.wanted_ranks(capable)
+    held = np.diff(indptr)
+    code = np.full(len(held), len(features), np.int32)
+    single = np.flatnonzero(held == 1)
+    code[single] = ranks[indptr[single]]
+    positions = np.flatnonzero(held.astype(bool).take(ids))
+    kept = ids.take(positions)
+    codes = code.take(kept)
+    multi = np.flatnonzero(codes == len(features))
+    return Scan1Rows(
+        positions,
+        codes,
+        positions.take(multi),
+        kept.take(multi),
+        features,
+        indptr,
+        ranks,
+    )
 
 
 def pair_letter_counts(
@@ -251,38 +289,110 @@ def pair_letter_counts(
     """Scan 1 for one period: the letters at or above ``floor``, with counts.
 
     ``rows`` must cover at least the ``num_periods`` whole segments and
-    have been selected at a floor no higher than ``floor``.  The kept
-    positions there become ``(offset, slot)`` pair keys
-    ``(i % p) * D + slot id``, and one sort with run-length counts gives
-    each distinct pair's count.  Each pair then fans out through the CSR
-    to its capable features, and the counts are summed by letter id
-    (``offset * num_features + feature``).  Returns ascending letter ids
+    have been selected at a floor no higher than ``floor``.  Letters are
+    tallied in bins ``offset * (C + 1) + rank`` over the ``C`` capable
+    features, and two :func:`_tally` calls count them, with no sort while
+    the bins are fewer than the rows:
+
+    * every kept position is one row of bin ``(i % p) * (C + 1) + code``,
+      which is its letter's bin when its slot holds one capable feature
+      (the bins of code ``C`` are read by no letter);
+    * the multi-feature positions are tallied as ``(offset, slot)`` pair
+      keys ``(i % p) * D + slot id``, and each distinct pair fans out
+      through the capable-only CSR into the bins of its capable
+      features, weighted by its count.
+
+    Returns ascending letter ids (``offset * num_features + feature``)
     and their counts; at floor 0 that is every letter that occurs.
     """
-    end = int(np.searchsorted(rows.positions, num_periods * period))
+    length = num_periods * period
+    capable = len(rows.features)
+    stride = capable + 1
+    positions = rows.positions[: int(np.searchsorted(rows.positions, length))]
+    bins = _offsets(positions, period)
+    bins *= stride
+    bins += rows.codes[: len(positions)]
+    end = int(np.searchsorted(rows.multi_positions, length))
     distinct_slots = len(table.slots)
-    keys = (rows.positions[:end] % period) * distinct_slots
-    keys += rows.slot_ids[:end]
-    keys.sort()
-    starts = _run_starts(keys)
-    pair_counts = np.diff(starts, append=len(keys))
-    pairs = keys[starts]
-    owners, features = table.feature_rows(pairs % distinct_slots)
-    capable = rows.capable[features]
-    owners = owners[capable]
-    letters = (pairs // distinct_slots)[owners] * len(table.features)
-    letters += features[capable]
-    letters, inverse = group_keys(letters)
-    counts = np.bincount(
-        inverse, weights=pair_counts[owners], minlength=len(letters)
-    ).astype(np.int64)
-    kept = counts >= floor
-    return letters[kept], counts[kept]
+    pairs = _offsets(rows.multi_positions[:end], period)
+    pairs *= distinct_slots
+    pairs += rows.multi_slots[:end]
+    pairs, pair_counts = _tally(pairs, period * distinct_slots)
+    pair_offsets, slot_ids = np.divmod(pairs, distinct_slots)
+    indptr = rows.indptr
+    owners, ranks = _fan_out(
+        indptr, rows.ranks, slot_ids, indptr[slot_ids + 1] - indptr[slot_ids]
+    )
+    fanned = pair_offsets[owners] * stride
+    fanned += ranks
+    bins, counts = _tally(bins, period * stride, fanned, pair_counts[owners])
+    offsets, ranks = np.divmod(bins, stride)
+    # Rank C is the bin of the multi-feature rows themselves: no letter.
+    kept = (counts >= max(floor, 1)) & (ranks < capable)
+    letters = offsets[kept] * len(table.features)
+    letters += rows.features[ranks[kept]]
+    return letters, counts[kept]
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal neighbours in ``values`` starts."""
-    return np.flatnonzero(_run_flags(values))
+def _offsets(positions: np.ndarray, period: int) -> np.ndarray:
+    """``positions % period``, as ``positions - positions // period * period``.
+
+    numpy divides by a scalar several times faster than it takes a
+    remainder.
+    """
+    offsets = positions // period
+    offsets *= -period
+    offsets += positions
+    return offsets
+
+
+def _fan_out(
+    indptr: np.ndarray, values: np.ndarray, ids: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ``(owner, value)`` row per CSR value of each id.
+
+    Id ``ids[i]`` holds the ``sizes[i]`` values from
+    ``values[indptr[ids[i]]]`` on.  ``owners[r]`` indexes ``ids``: an
+    id's rows are consecutive, in CSR order, and owners ascend.
+    """
+    occupied = np.flatnonzero(sizes)
+    lengths = sizes[occupied]
+    # Row r of an id reads values[start + r - first], where start is its
+    # CSR row and first is the id's first row.
+    shift = indptr[ids[occupied]]
+    shift -= np.cumsum(lengths) - lengths
+    index = np.repeat(shift, lengths)
+    del shift
+    index += np.arange(len(index))
+    return np.repeat(occupied, lengths), values[index]
+
+
+def _tally(
+    keys: np.ndarray,
+    size: int,
+    weighted: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in ``range(size)``, ascending, with their counts.
+
+    Each of ``keys`` counts 1, and each of ``weighted`` (when given) its
+    entry of ``weights``.  One ``np.bincount`` into ``size`` bins when
+    there are no more bins than keys; past that (long periods over wide
+    vocabularies or many distinct slots) the bins would outgrow the rows
+    they count, and :func:`group_keys` groups the same keys by sort
+    instead.
+    """
+    if weighted is None:
+        weighted = weights = keys[:0]
+    if size <= len(keys) + len(weighted):
+        counts = np.bincount(keys, minlength=size)
+        np.add.at(counts, weighted, weights)
+        present = np.flatnonzero(counts)
+        return present, counts[present]
+    distinct, inverse = group_keys(np.concatenate([keys, weighted]))
+    counts = np.bincount(inverse[: len(keys)], minlength=len(distinct))
+    np.add.at(counts, inverse[len(keys) :], weights)
+    return distinct, counts
 
 
 def _run_flags(values: np.ndarray) -> np.ndarray:

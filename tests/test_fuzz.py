@@ -97,7 +97,7 @@ class TestOracle:
 class TestMutationCheck:
     def test_all_injected_bugs_caught(self):
         caught = mutation_check(budget=30, seed=4)
-        assert len(caught) == 8
+        assert len(caught) == 9
         assert all(caught.values()), caught
 
     @pytest.mark.parametrize(
@@ -105,6 +105,7 @@ class TestMutationCheck:
         [
             "off-by-one-column-letter-count",
             "off-by-one-column-position",
+            "off-by-one-single-rank",
             "strict-feature-floor",
         ],
     )

@@ -633,7 +633,7 @@ class TestMiningProfile:
         )
         names = [stage.name for stage in profile.stages]
         assert names == [
-            name for name in ("scan1", "tree", "scan2", "derive") if name in names
+            name for name in ("scan1", "scan2", "tree", "derive") if name in names
         ]
         for expected in ("scan1", "scan2", "derive"):
             assert expected in names, expected

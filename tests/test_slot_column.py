@@ -17,11 +17,17 @@ import pickle
 import random
 from collections import Counter
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.constraints import MiningConstraints, mine_with_constraints
-from repro.core.counting import brute_force_frequent, min_count
+from repro.core.counting import (
+    brute_force_frequent,
+    letter_counts_for_segments,
+    min_count,
+)
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.maximal import maximal_patterns, mine_maximal_hitset
 from repro.core.multiperiod import mine_periods_shared
@@ -247,8 +253,7 @@ class TestPairLetterCounts:
         def capable(floor):
             rows = scan1_rows(column, 60, floor)
             return {
-                column.table.features[index]
-                for index in rows.capable.nonzero()[0].tolist()
+                column.table.features[index] for index in rows.features.tolist()
             }
 
         assert "z" in capable(12) and "z" not in capable(13)
@@ -354,6 +359,105 @@ class TestPairLetterCounts:
         low = mine_single_period_hitset(scan, 6, 0.3, cache=cache)
         assert scan.scans == 1
         assert dict(low.items()) == brute_force_frequent(series, 6, 0.3)
+
+
+@st.composite
+def tally_cases(draw):
+    """A column, a selection over a prefix that may end mid-segment, and
+    several periods with floors at or above the selection's.
+
+    ``single`` columns hold at most one feature a slot and ``multi`` ones
+    at least two, so at floor 0 every kept row is in one half; ``mixed``
+    slots hold 0 to 3 features, and a floor splits them further.  Up to
+    12 features and periods up to 30 put the period x feature product
+    above the row count about as often as below it.
+    """
+    shape = draw(st.sampled_from(["mixed", "single", "multi"]))
+    alphabet = [f"f{index}" for index in range(draw(st.integers(1, 12)))]
+    low, high = {"mixed": (0, 3), "single": (0, 1), "multi": (2, 3)}[shape]
+    slot = st.sets(
+        st.sampled_from(alphabet), min_size=min(low, len(alphabet)), max_size=high
+    )
+    series = FeatureSeries(draw(st.lists(slot, min_size=1, max_size=90)))
+    periods = draw(
+        st.lists(
+            st.integers(1, min(30, len(series))), min_size=1, max_size=4, unique=True
+        )
+    )
+    whole = max(series.num_periods(period) * period for period in periods)
+    length = whole + draw(st.integers(0, len(series) - whole))
+    top = max(Counter(f for slot in series for f in slot).values(), default=0) + 2
+    selection = draw(st.integers(0, top))
+    floors = {period: draw(st.integers(selection, top)) for period in periods}
+    return series, length, selection, floors
+
+
+class TestTallyProperty:
+    """The two-half tally against per-segment counting, on any shape."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tally_cases())
+    def test_matches_per_segment_counting(self, case):
+        series, length, selection, floors = case
+        column = series.slot_column()
+        table = column.table
+        rows = scan1_rows(column, length, selection)
+        for period, floor in floors.items():
+            letter_ids, counts = pair_letter_counts(
+                table, rows, period, series.num_periods(period), floor
+            )
+            assert letter_ids.tolist() == sorted(set(letter_ids.tolist()))
+            expected = letter_counts_for_segments(series.segments(period))
+            assert table.letters_of(letter_ids, counts) == {
+                letter: count
+                for letter, count in expected.items()
+                if count >= floor
+            }
+
+    @pytest.mark.parametrize(
+        "slots_of, singles, multis",
+        [
+            (lambda i: {"a"} if i % 3 else set(), True, False),
+            (lambda i: {"a", "b", "c"} if i % 3 else {"a", "b"}, False, True),
+            (lambda i: [set(), {"a"}, {"a", "b"}][i % 3], True, True),
+        ],
+        ids=["all-single", "all-multi", "mixed"],
+    )
+    def test_rows_split_by_capable_features(self, slots_of, singles, multis):
+        series = FeatureSeries([slots_of(index) for index in range(60)])
+        rows = scan1_rows(series.slot_column(), 60, 0)
+        width = len(rows.features)
+        assert (rows.codes < width).any() == singles
+        assert (len(rows.multi_positions) > 0) == multis
+        assert rows.multi_positions.tolist() == (
+            rows.positions[rows.codes == width].tolist()
+        )
+        for period in (1, 4, 7):
+            assert pair_counts(series, period, 0) == (
+                per_segment_letter_counts(series, period)
+            )
+
+    @pytest.mark.parametrize("period, sorts", [(2, 0), (60, 2)])
+    def test_bins_or_sort_by_size(self, monkeypatch, period, sorts):
+        # 120 slots alternating {a} and {b, c}: 3 capable features, 60
+        # single and 60 multi rows.  At period 2 there are 8 letter bins
+        # and 4 pair bins, fewer than the rows, so both tallies bincount.
+        # At period 60, 240 letter bins outnumber the 120 rows and 60
+        # fanned pairs, and 120 pair bins the 60 multi rows: both sort.
+        series = FeatureSeries([[{"a"}, {"b", "c"}][i % 2] for i in range(120)])
+        calls = []
+
+        def spy(keys):
+            calls.append(len(keys))
+            return group_keys(keys)
+
+        monkeypatch.setattr(slots, "group_keys", spy)
+        for floor in (0, 2, 3):
+            calls.clear()
+            assert pair_counts(series, period, floor) == (
+                per_segment_letter_counts(series, period, floor)
+            )
+            assert len(calls) == sorts
 
 
 def reference_hits(series, period, letters):
