@@ -52,7 +52,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.result": ("MiningResult", "MiningStats"),
     "repro.core.serialize": ("load_result", "save_result"),
     "repro.encoding.vocabulary": ("LetterVocabulary",),
-    "repro.encoding.codec": ("SegmentEncoder",),
     "repro.streaming.buffer": ("ArrivalBuffer",),
     "repro.streaming.engine": ("StreamingMiner",),
     "repro.streaming.windows": ("WindowResult", "WindowSpec"),
@@ -91,7 +90,6 @@ if TYPE_CHECKING:
     from repro.core.result import MiningResult, MiningStats
     from repro.core.serialize import load_result, save_result
     from repro.encoding.vocabulary import LetterVocabulary
-    from repro.encoding.codec import SegmentEncoder
     from repro.streaming.buffer import ArrivalBuffer
     from repro.streaming.engine import StreamingMiner
     from repro.streaming.windows import WindowResult, WindowSpec
@@ -120,7 +118,6 @@ __all__ = [
     "PatternError",
     "ReproError",
     "ScanCountingSeries",
-    "SegmentEncoder",
     "SegmentPartial",
     "SeriesError",
     "StreamingMiner",

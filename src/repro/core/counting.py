@@ -58,6 +58,16 @@ def segment_letters(segment: Segment) -> frozenset[Letter]:
     )
 
 
+def vocabulary_of_series(
+    series: FeatureSeries, period: int
+) -> LetterVocabulary:
+    """The canonical (sorted) vocabulary of every letter in the series."""
+    letters: set[Letter] = set()
+    for segment in series.segments(period):
+        letters.update(segment_letters(segment))
+    return LetterVocabulary.from_letters(letters, period=period)
+
+
 def count_pattern(series: FeatureSeries, pattern: Pattern) -> int:
     """Frequency count of one pattern (single scan; the definitional count)."""
     return sum(1 for segment in series.segments(pattern.period) if pattern.matches(segment))

@@ -56,18 +56,17 @@ from repro.timeseries.feature_series import (
 
 
 class SegmentPartial:
-    """A mergeable, retirable summary of a multiset of whole segments.
+    """A retirable summary of a multiset of whole segments.
 
     Parameters
     ----------
     period:
         The fixed period every absorbed segment must have.
     vocab:
-        Optional shared streaming vocabulary.  Partials handed the *same*
-        vocabulary object speak the same bit language, so merging them is
-        plain counter addition (no mask remapping).  Omitted, the
-        partial owns a private vocabulary interning letters in arrival
-        order.
+        Optional streaming vocabulary to encode over (a :meth:`copy`
+        shares its original's; :meth:`from_state` passes the restored
+        one).  Omitted, the partial owns a private vocabulary interning
+        letters in arrival order.
 
     The maintained state is threshold-independent: :meth:`mine` accepts
     any ``min_conf`` after the fact and produces exactly the result of
@@ -130,7 +129,7 @@ class SegmentPartial:
         return self._signatures.items()
 
     # ------------------------------------------------------------------
-    # Absorb / retire / merge — the three composition operations
+    # Absorb / retire — the two composition operations
     # ------------------------------------------------------------------
 
     def absorb(self, segment: Sequence[frozenset[str]]) -> int:
@@ -191,34 +190,6 @@ class SegmentPartial:
                     del letter_counts[letter]
         self._num_periods -= 1
 
-    def merge(self, other: "SegmentPartial") -> None:
-        """Fold another partial's whole segments into this one.
-
-        Segment counting is additive, so shards of a partitioned series
-        can be absorbed in parallel and merged.  Partials sharing one
-        vocabulary object merge by plain counter addition; otherwise the
-        other vocabulary is interned into ours and its masks rewritten.
-        """
-        if other is self:
-            raise MiningError("cannot merge a partial into itself")
-        if other._period != self._period:
-            raise MiningError(
-                f"cannot merge period {other._period} into {self._period}"
-            )
-        self._letter_counts.update(other._letter_counts)
-        if other._vocab is self._vocab:
-            self._signatures.update(other._signatures)
-        else:
-            # The two partials interned letters in different arrival
-            # orders; intern the other vocabulary into ours and rewrite
-            # its masks.
-            table = tuple(
-                self._vocab.intern(letter) for letter in other._vocab
-            )
-            for signature, count in other._signatures.items():
-                self._signatures[remap_mask(signature, table)] += count
-        self._num_periods += other._num_periods
-
     def copy(self) -> "SegmentPartial":
         """An independent snapshot (the vocabulary stays shared)."""
         duplicate = SegmentPartial(self._period, vocab=self._vocab)
@@ -261,6 +232,8 @@ class SegmentPartial:
 
         The letter list in the state is re-interned in its recorded (id)
         order, so every stored mask keeps its meaning bit for bit.
+        Malformed or inconsistent state raises :class:`MiningError` here,
+        not at the first mine.
         """
         data: Mapping[str, Any] = state
         try:
@@ -290,7 +263,54 @@ class SegmentPartial:
             raise MiningError(
                 f"malformed segment-partial state: {error}"
             ) from error
+        partial._check_consistent()
         return partial
+
+    def _check_consistent(self) -> None:
+        """Refuse restored state that no absorb/retire sequence produces.
+
+        ``O(signatures + letters)`` in C-level passes (``min`` / ``max`` /
+        ``sum``, popcounts): no signature is walked bit by bit.  What it
+        cannot see is letter counts that disagree with the signatures
+        letter by letter but agree in total.
+        """
+        signatures = self._signatures
+        letter_counts = self._letter_counts
+        width = len(self._vocab)
+        if signatures and (min(signatures) < 1 or max(signatures) >> width):
+            raise MiningError(
+                "corrupt segment-partial state: a signature is outside the "
+                f"{width}-letter vocabulary"
+            )
+        if signatures and min(signatures.values()) < 1:
+            raise MiningError(
+                "corrupt segment-partial state: a signature has a count below 1"
+            )
+        segments = sum(signatures.values())
+        if segments > self._num_periods:
+            raise MiningError(
+                f"corrupt segment-partial state: signatures hold {segments} "
+                f"segments, more than num_periods {self._num_periods}"
+            )
+        if letter_counts and min(letter_counts.values()) < 1:
+            raise MiningError(
+                "corrupt segment-partial state: a letter has a count below 1"
+            )
+        unknown = letter_counts.keys() - set(self._vocab)
+        if unknown:
+            raise MiningError(
+                f"corrupt segment-partial state: letters {sorted(unknown)} "
+                "are counted but not in the vocabulary"
+            )
+        letter_total = sum(letter_counts.values())
+        in_signatures = sum(
+            count * mask.bit_count() for mask, count in signatures.items()
+        )
+        if letter_total != in_signatures:
+            raise MiningError(
+                "corrupt segment-partial state: letter counts sum to "
+                f"{letter_total}, the signatures hold {in_signatures} letters"
+            )
 
     # ------------------------------------------------------------------
     # Mining
@@ -385,7 +405,7 @@ class IncrementalHitSetMiner:
 
     A slot-level facade over one :class:`SegmentPartial`: slots buffer
     into whole segments, the trailing partial segment stays pending (never
-    mined, never dropped), and mining/merging delegate to the partial.
+    mined, never dropped), and mining delegates to the partial.
 
     Parameters
     ----------
@@ -473,27 +493,6 @@ class IncrementalHitSetMiner:
         """
         min_conf = self._min_conf if min_conf is None else min_conf
         return self._partial.mine(min_conf, max_letters=max_letters)
-
-    def merge(self, other: "IncrementalHitSetMiner") -> None:
-        """Fold another miner's whole segments into this one (same period).
-
-        Segment counting is additive, so shards of a partitioned series
-        can be absorbed in parallel and merged.  ``other`` must sit at a
-        segment boundary: its pending trailing slots have no position in
-        this miner's stream, so transferring them could only drop or
-        double-count a segment — the merge refuses loudly instead.  This
-        miner's *own* pending slots are untouched: the partial trailing
-        segment keeps filling after the merge and is absorbed exactly once
-        when it completes (pinned by regression tests).
-        """
-        if other is self:
-            raise MiningError("cannot merge a miner into itself")
-        if other._pending:
-            raise MiningError(
-                "merge requires the other miner at a segment boundary "
-                f"({len(other._pending)} pending slots would be dropped)"
-            )
-        self._partial.merge(other._partial)
 
     def __repr__(self) -> str:
         return (

@@ -22,12 +22,15 @@ and the occurrence-row counts period discovery reads, against
 per-segment letter counting; scan 2's hits (over every letter of the
 series, so wide vocabularies take several words per segment) against
 the segments' frozensets encoded one by one
-(:class:`~repro.encoding.codec.SegmentEncoder`).  The other compares a
-:class:`~repro.kernels.store.SegmentStore`'s rows and primitives
-(``distinct_counts`` / ``letter_counts`` / ``hit_counter`` /
+(``vocab.encode_letters(segment_letters(segment))``).  The other compares
+a :class:`~repro.kernels.store.SegmentStore`'s rows and primitives
+(``distinct_counts`` / ``letter_counts`` / ``project_hits`` /
 ``count_masks``) against the same per-segment encoding and naive
 pure-Python recomputations, so a bug that happens to cancel out in the
 end-to-end result is still caught at the primitive it lives in.
+``project_hits`` projects onto a random proper subset of the store's
+letters, so the letters a ``C_max`` lacks drop as they do in
+:func:`~repro.core.hitset.mine_store`.
 
 Coverage guidance is structural, not line-based: every executed case is
 reduced to a small signature (period, vocabulary width, frequent-set
@@ -66,7 +69,12 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.apriori import mine_single_period_apriori
-from repro.core.counting import letter_counts_for_segments, min_count
+from repro.core.counting import (
+    letter_counts_for_segments,
+    min_count,
+    segment_letters,
+    vocabulary_of_series,
+)
 from repro.core.hitset import mine_single_period_hitset, mine_store
 from repro.core.multiperiod import mine_periods_shared
 from repro.core.pattern import Letter
@@ -449,7 +457,6 @@ def _check_column(
     equal the >= 2-letter masks of the frozensets encoded one segment at
     a time onto the same vocabulary.
     """
-    from repro.encoding.codec import vocabulary_of_series
     from repro.kernels import slots
 
     period = case.period
@@ -514,10 +521,10 @@ def _encoded_rows(
     series: FeatureSeries, period: int, vocab: LetterVocabulary
 ) -> Counter:
     """Each segment's frozensets encoded onto ``vocab``, as a multiset."""
-    from repro.encoding.codec import SegmentEncoder
-
-    encode = SegmentEncoder(vocab, period).encode_segment
-    return Counter(encode(segment) for segment in series.segments(period))
+    encode = vocab.encode_letters
+    return Counter(
+        encode(segment_letters(segment)) for segment in series.segments(period)
+    )
 
 
 def _check_store_path(
@@ -597,16 +604,25 @@ def _check_primitives(
             Divergence(case, stage="store:letter_counts", detail="count mismatch")
         )
 
-    naive_hits = Counter(
-        {mask: count for mask, count in naive_rows.items() if mask.bit_count() >= 2}
-    )
-    if +store.hit_counter() != +naive_hits:
-        divergences.append(
-            Divergence(case, stage="store:hit_counter", detail="hit mismatch")
-        )
+    width = len(vocab)
+    if width >= 2:
+        kept = sorted(rng.sample(vocab.letters, rng.randrange(1, width)))
+        target = LetterVocabulary.from_letters(kept, period=case.period)
+        naive_hits: Counter = Counter()
+        for mask, count in naive_rows.items():
+            hit = [letter for letter in vocab.decode_mask(mask) if letter in target]
+            if len(hit) >= 2:
+                naive_hits[target.encode_letters(hit)] += count
+        if store.project_hits(target) != naive_hits:
+            divergences.append(
+                Divergence(
+                    case,
+                    stage="store:project_hits",
+                    detail=f"hit mismatch onto {len(kept)} of {width} letters",
+                )
+            )
 
     sample: list[int] = list(naive_rows)[:_SAMPLE_MASKS // 2]
-    width = len(vocab)
     for row in list(sample):
         if row:
             keep = rng.randrange(1, 1 << row.bit_count())

@@ -10,8 +10,7 @@ back to the scalar path.  This rule makes that regression loud in the
 hot-path packages (``repro.core`` and ``repro.kernels``).  Every row
 fits the matrix at any vocabulary width, so no loop over it is
 legitimate there: go through the store's methods (``letter_counts`` /
-``distinct_rows`` / ``hit_counter`` / ``project_hits`` /
-``count_masks``) instead.
+``distinct_rows`` / ``project_hits`` / ``count_masks``) instead.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class SegmentRowLoopRule(Rule):
         "Python costs one interpreter round-trip per segment; the store "
         "answers whole scans as chunked numpy ops over its k-word rows "
         "at any vocabulary width (SegmentStore.letter_counts / "
-        "distinct_rows / hit_counter / project_hits / count_masks)."
+        "distinct_rows / project_hits / count_masks)."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -105,6 +104,6 @@ class SegmentRowLoopRule(Rule):
                 iterable.col_offset,
                 "Python loop over the segment-store row matrix; use the "
                 "store's scan methods (letter_counts / distinct_rows / "
-                "hit_counter / project_hits / count_masks) instead of "
+                "project_hits / count_masks) instead of "
                 "walking rows one interpreter iteration at a time",
             )

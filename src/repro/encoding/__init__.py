@@ -1,10 +1,10 @@
-"""repro.encoding — interned letters and bitmask segment codecs.
+"""repro.encoding — interned letters and bitmask letter sets.
 
 The representation spine of the mining stack: a
 :class:`LetterVocabulary` interns ``(offset, feature)`` letters to dense
-int ids, and the codec (:class:`SegmentEncoder`) turns each period
-segment into one int bitmask over that vocabulary; the one container of a
-whole encoded series is :class:`repro.kernels.store.SegmentStore`, whose
+int ids, and every letter set — a period segment, a hit, a candidate —
+is one int bitmask over that vocabulary; the one container of a whole
+encoded series is :class:`repro.kernels.store.SegmentStore`, whose
 rows the slot column builds.  All hot paths — the F1 scan, hit
 computation (Algorithm 4.1), the max-subpattern tree index, apriori-gen,
 and the segment store — operate on these masks; letters and
@@ -13,12 +13,10 @@ boundary (see ``docs/encoding.md``).
 
 Quickstart
 ----------
->>> from repro.encoding import SegmentEncoder, vocabulary_of_series
->>> from repro.timeseries.feature_series import FeatureSeries
->>> series = FeatureSeries.from_symbols("abdabcabd")
->>> encoder = SegmentEncoder(vocabulary_of_series(series, 3))
->>> [f"{encoder.encode_segment(segment):04b}" for segment in series.segments(3)]
-['1011', '0111', '1011']
+>>> from repro.encoding import LetterVocabulary
+>>> vocab = LetterVocabulary.from_letters([(2, "d"), (0, "a"), (1, "b")], period=3)
+>>> f"{vocab.encode_letters([(0, 'a'), (2, 'd')]):03b}"
+'101'
 """
 
 from typing import TYPE_CHECKING
@@ -26,30 +24,14 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.encoding.codec": (
-        "EncodedSegment",
-        "SegmentEncoder",
-        "iter_segment_letters",
-        "vocabulary_of_series",
-    ),
     "repro.encoding.vocabulary": ("LetterVocabulary", "VocabularyLike", "remap_mask"),
 })
 
 if TYPE_CHECKING:
-    from repro.encoding.codec import (
-        EncodedSegment,
-        SegmentEncoder,
-        iter_segment_letters,
-        vocabulary_of_series,
-    )
     from repro.encoding.vocabulary import LetterVocabulary, VocabularyLike, remap_mask
 
 __all__ = [
-    "EncodedSegment",
     "LetterVocabulary",
-    "SegmentEncoder",
     "VocabularyLike",
-    "iter_segment_letters",
     "remap_mask",
-    "vocabulary_of_series",
 ]

@@ -264,7 +264,7 @@ class LetterVocabulary:
             mask ^= low
 
     # ------------------------------------------------------------------
-    # Cross-vocabulary translation (shard merging)
+    # Cross-vocabulary translation (projection onto C_max)
     # ------------------------------------------------------------------
 
     def remap_table(self, target: "LetterVocabulary") -> tuple[int, ...]:

@@ -218,21 +218,20 @@ class SubmaskCountTable:
 def batched_count_masks(
     hits: HitRows,
     candidates: Sequence[int],
-    max_table_bits: int = MAX_TABLE_BITS,
 ) -> dict[int, int]:
     """Counts of every candidate mask against the hit rows, in one pass.
 
     Equivalent to ``{c: sum(n for mask, n in hits if c & ~mask == 0)}``
     but never loops candidates-times-hits: a dense superset-sum table when
-    the combined candidate universe fits ``max_table_bits``, the sparse
-    projection kernel otherwise.
+    the combined candidate universe fits :data:`MAX_TABLE_BITS`, the
+    sparse projection kernel otherwise.
     """
     if not candidates:
         return {}
     universe = 0
     for candidate in candidates:
         universe |= candidate
-    if universe.bit_count() <= max_table_bits:
+    if universe.bit_count() <= MAX_TABLE_BITS:
         table = SubmaskCountTable.from_hits(hits, universe)
         return table.counts(candidates)
     return _sparse_count_masks(hits, candidates, universe)
@@ -300,8 +299,6 @@ def derive_frequent_masks(
     threshold: int,
     f1_bit_counts: Mapping[int, int],
     max_letters: int | None = None,
-    max_table_bits: int = MAX_TABLE_BITS,
-    table: "SubmaskCountTable | None" = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Algorithm 4.2 on the batched kernels — all frequent masks at once.
 
@@ -315,8 +312,8 @@ def derive_frequent_masks(
     Parameters
     ----------
     hits:
-        ``(hit mask, count)`` rows — e.g. a hit table's items or a
-        :meth:`~repro.kernels.store.SegmentStore.hit_counter` item view.
+        ``(hit mask, count)`` rows — e.g. a hit table's items or
+        :meth:`~repro.kernels.store.SegmentStore.project_hits` output.
     threshold:
         The integer frequency threshold.
     f1_bit_counts:
@@ -324,11 +321,6 @@ def derive_frequent_masks(
         from the F1 scan.
     max_letters:
         Optional cap on derived pattern size.
-    table:
-        Optional prebuilt :class:`SubmaskCountTable` whose universe covers
-        the F1 letters — e.g. the tree's memoized full-universe table, so
-        repeated derivations skip the build entirely.  Ignored (a fresh
-        table is built) when its universe does not cover F1.
 
     Returns
     -------
@@ -341,11 +333,10 @@ def derive_frequent_masks(
     universe = 0
     for bit in f1_bit_counts:
         universe |= bit
-    if table is not None and universe & ~table.universe:
-        table = None
+    table: SubmaskCountTable | None = None
     hit_rows: list[tuple[int, int]] | None = None
-    if frequent_level and table is None:
-        if universe.bit_count() <= max_table_bits:
+    if frequent_level:
+        if universe.bit_count() <= MAX_TABLE_BITS:
             table = SubmaskCountTable.from_hits(hits, universe)
         else:
             hit_rows = list(hits)

@@ -94,7 +94,8 @@ class SegmentStore:
     >>> store = SegmentStore.from_series(series, 3)
     >>> len(store), store.distinct_count
     (3, 2)
-    >>> store.count_mask(store.vocab.encode_letters([(0, "a"), (1, "b")]))
+    >>> ab = store.vocab.encode_letters([(0, "a"), (1, "b")])
+    >>> store.count_masks([ab])[ab]
     3
     """
 
@@ -349,15 +350,6 @@ class SegmentStore:
             }
         )
 
-    def hit_counter(self, min_letters: int = 2) -> Counter:
-        """Scan-2 state: distinct rows with at least ``min_letters`` bits.
-
-        When the store's vocabulary is the sorted ``C_max`` letters this is
-        exactly the max-subpattern tree's mergeable content — feed it to
-        ``insert_mask`` once per distinct hit.
-        """
-        return Counter(self.project_hits(self._vocab, min_letters))
-
     def project_hits(
         self, target: LetterVocabulary, min_letters: int = 2
     ) -> dict[int, int]:
@@ -375,10 +367,6 @@ class SegmentStore:
         kept = np.bitwise_count(projected).sum(axis=1, dtype=np.int64) >= min_letters
         hits, totals = distinct_rows(projected[kept], counts[kept])
         return dict(zip(row_masks(hits), totals.tolist()))
-
-    def count_mask(self, mask: int) -> int:
-        """Frequency count of one candidate mask (over distinct rows)."""
-        return self.count_masks([mask])[mask]
 
     def count_masks(self, masks: Sequence[int]) -> dict[int, int]:
         """Frequency counts of many candidates in one pass.

@@ -21,7 +21,7 @@ geometry and only ever says "the oldest ``n`` segments left".
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -152,14 +152,23 @@ class DecrementRetirement:
                 f"checkpointed strategy has period {partial.period}, "
                 f"stream wants {self._partial.period}"
             )
-        self._partial = partial
-        self._ring = deque(int(mask) for mask in state["ring"])
-        if len(self._ring) != partial.num_periods:
+        ring = deque(int(mask) for mask in state["ring"])
+        if len(ring) != partial.num_periods:
             raise StreamError(
                 f"checkpointed decrement state is inconsistent: "
-                f"{len(self._ring)} ring masks for "
+                f"{len(ring)} ring masks for "
                 f"{partial.num_periods} retained segments"
             )
+        ring_masks = Counter(ring)
+        ring_masks.pop(0, None)  # empty segments have no signature
+        # Plain dict equality: Counter's own == loops in Python.
+        if dict(ring_masks) != dict(partial.signature_items()):
+            raise StreamError(
+                "checkpointed decrement state is inconsistent: the ring's "
+                "masks are not the partial's signatures"
+            )
+        self._partial = partial
+        self._ring = ring
         # The table and its delta ledger are derived state: the next
         # mine() rebuilds from the restored partial, which is exact.
         self._added.clear()

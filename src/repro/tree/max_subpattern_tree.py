@@ -15,7 +15,7 @@ terminology.
 Representation: every subpattern of ``C_max`` is an int bitmask over the
 tree's :class:`~repro.encoding.vocabulary.LetterVocabulary` (the sorted
 ``C_max`` letters), and the node index is keyed by *missing-letter* masks.
-Hit registration, merging, ancestor enumeration and derivation all run on
+Hit registration, retirement, ancestor enumeration and derivation all run on
 masks; letters reappear only at the API boundary (``hit_counts``,
 ``pattern_of``, ``derive_frequent`` results).
 
@@ -38,12 +38,7 @@ from repro.core.counting import segment_letters
 from repro.core.errors import EncodingError, MiningError, PatternError
 from repro.core.pattern import Letter, Pattern
 from repro.encoding.vocabulary import LetterVocabulary
-from repro.kernels.batched import (
-    MAX_TABLE_BITS,
-    SubmaskCountTable,
-    batched_count_masks,
-    derive_frequent_masks,
-)
+from repro.kernels.batched import batched_count_masks, derive_frequent_masks
 from repro.tree.node import MaxSubpatternNode
 from repro.timeseries.feature_series import FeatureSeries, Segment
 
@@ -78,7 +73,6 @@ class MaxSubpatternTree:
         "_hit_set_size",
         "_stored_rows",
         "_hit_memo",
-        "_count_table",
     )
 
     def __init__(self, max_pattern: Pattern):
@@ -98,14 +92,10 @@ class MaxSubpatternTree:
         #: Nodes with non-zero count, maintained on insert (O(1) reads).
         self._hit_set_size = 0
         #: Memoized ``(missing_mask, count)`` rows of non-zero nodes;
-        #: invalidated by any insert/merge (see :meth:`_insert_missing_mask`).
+        #: invalidated by any insert/remove (see :meth:`_insert_missing_mask`).
         self._stored_rows: list[tuple[int, int]] | None = None
         #: Memoized :meth:`hit_counts` result, same invalidation.
         self._hit_memo: dict[frozenset[Letter], int] | None = None
-        #: Memoized superset-sum table over the full C_max universe, same
-        #: invalidation; serves every batched count/derivation until the
-        #: next insert (see :meth:`_superset_table`).
-        self._count_table: SubmaskCountTable | None = None
 
     # ------------------------------------------------------------------
     # Structure accessors
@@ -224,9 +214,9 @@ class MaxSubpatternTree:
     ) -> MaxSubpatternNode:
         """Bump the node of a missing-mask, creating its path if absent.
 
-        The single mutation point of the tree (``insert``/``insert_mask``/
-        ``merge`` all land here), so it is also where the memoized hit
-        state invalidates.
+        Every insert (``insert``/``insert_mask``/``insert_letters``/
+        ``insert_all_segments``) lands here, so it is also where the
+        memoized hit state invalidates (``remove_mask`` does the same).
         """
         node = self._index.get(missing_mask)
         if node is None:
@@ -237,7 +227,6 @@ class MaxSubpatternTree:
         self._total_hits += count
         self._stored_rows = None
         self._hit_memo = None
-        self._count_table = None
         return node
 
     def _create_path(self, missing_mask: int) -> MaxSubpatternNode:
@@ -307,7 +296,6 @@ class MaxSubpatternTree:
             self._prune(node, missing_mask)
         self._stored_rows = None
         self._hit_memo = None
-        self._count_table = None
 
     def _prune(self, node: MaxSubpatternNode, missing_mask: int) -> None:
         """Drop a zero-count leaf and any emptied ancestors above it.
@@ -332,43 +320,25 @@ class MaxSubpatternTree:
         """The hit of a segment: its letters intersected with ``C_max``'s."""
         return segment_letters(segment) & self._letters
 
-    def insert_segment(self, segment: Segment) -> MaxSubpatternNode | None:
-        """Compute a segment's hit and register it if it has >= 2 letters.
-
-        Returns the updated node, or ``None`` when the hit was empty or a
-        single letter (1-letter counts live in the F1 scan, not the tree).
-        """
-        hit = self.hit_of_segment(segment)
-        if len(hit) < 2:
-            return None
-        return self.insert(
-            Pattern.from_letters(self._max_pattern.period, hit)
-        )
-
     def insert_all_segments(self, series: FeatureSeries) -> int:
         """Scan 2 of Algorithm 3.2, standalone: register every segment's hit.
 
-        Encodes each segment into a bitmask
-        (:class:`~repro.encoding.codec.SegmentEncoder` projects onto the
-        ``C_max`` letters as a side effect), collapses identical hits in a
-        counter, and inserts once per *distinct* hit — on periodic data
-        distinct hits are far fewer than segments.
+        Each segment's hit is its letter set intersected with ``C_max``'s
+        (:meth:`hit_of_segment`), encoded over :attr:`vocab`; identical
+        hits collapse in a counter and insert once per *distinct* hit.
 
         No miner calls this: production scan 2 runs in
-        :mod:`repro.core.hitset`.  It stays as the scan 2 of the test
-        suite's per-candidate reference miner and as the comparator the
-        benchmarks time production against.
+        :mod:`repro.core.hitset`.  It stays as the definitional scan 2
+        the tests hold production to.
 
         Returns the number of segments whose hit was stored.
         """
-        from repro.encoding.codec import SegmentEncoder
-
-        encoder = SegmentEncoder(self._vocab)
+        encode = self._vocab.encode_letters
         hits: Counter = Counter()
         for segment in series.segments(self._max_pattern.period):
-            mask = encoder.encode_segment(segment)
-            if mask & (mask - 1):  # at least two bits set
-                hits[mask] += 1
+            hit = self.hit_of_segment(segment)
+            if len(hit) >= 2:
+                hits[encode(hit)] += 1
         full_mask = self._full_mask
         stored = 0
         for mask, count in hits.items():
@@ -409,10 +379,9 @@ class MaxSubpatternTree:
         """The stored hits as ``{pattern letters: exact-hit count}``.
 
         Only nodes with a non-zero count appear; this is the complete
-        mergeable state of the tree (rebuilding a tree from it and merging
-        is equivalent to merging the tree itself).  The decoded mapping is
-        memoized until the next insert/merge; callers get a fresh shallow
-        copy each time.
+        state of the tree (a tree rebuilt from it is equal).  The decoded
+        mapping is memoized until the next insert/remove; callers get a
+        fresh shallow copy each time.
         """
         memo = self._hit_memo
         if memo is None:
@@ -511,40 +480,14 @@ class MaxSubpatternTree:
                 total += count
         return total
 
-    def _superset_table(self) -> SubmaskCountTable | None:
-        """Memoized superset-sum table over the full C_max universe.
-
-        Built on first batched count/derivation and reused until the next
-        insert/merge (the same invalidation as the other memos), so
-        repeated derivations — threshold sweeps, re-queries — pay the table
-        build once.  ``None`` when C_max is too wide for a dense table; the
-        callers then fall back to the sparse projection kernel.
-        """
-        if self._full_mask.bit_count() > MAX_TABLE_BITS:
-            return None
-        table = self._count_table
-        if table is None:
-            table = SubmaskCountTable.from_hits(
-                self.stored_hits().items(), self._full_mask
-            )
-            self._count_table = table
-        return table
-
     def count_masks(self, masks: Iterable[int]) -> dict[int, int]:
         """Counts of a whole candidate mask set in one bottom-up pass.
 
-        The batched form of :meth:`count_of_mask`: answers from the
-        memoized full-universe superset-sum table when C_max fits one,
-        falling back to :func:`repro.kernels.batched.batched_count_masks`
-        (the sparse projection kernel) otherwise — never a loop of
-        candidates times stored rows.
+        The batched form of :meth:`count_of_mask`:
+        :func:`repro.kernels.batched.batched_count_masks` over the stored
+        hits — never a loop of candidates times stored rows.
         """
-        table = self._superset_table()
-        if table is not None:
-            return table.counts(masks)
-        return batched_count_masks(
-            self.stored_hits().items(), list(masks)
-        )
+        return batched_count_masks(self.stored_hits().items(), list(masks))
 
     def derive_frequent(
         self,
@@ -580,17 +523,11 @@ class MaxSubpatternTree:
         f1_bit_counts = {
             vocab.bit_of(letter): count for letter, count in f1_counts.items()
         }
-        # The memoized full-universe table always covers F1 (F1 letters
-        # are C_max letters), so the hit rows are only materialized when
-        # no dense table exists.
-        table = self._superset_table()
-        hits = () if table is not None else self.stored_hits().items()
         mask_counts, candidate_counts = derive_frequent_masks(
-            hits,
+            self.stored_hits().items(),
             threshold,
             f1_bit_counts,
             max_letters=max_letters,
-            table=table,
         )
         counts = {
             vocab.decode_mask(mask): count

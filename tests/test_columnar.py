@@ -22,14 +22,17 @@ import numpy as np
 import pytest
 
 from repro.core.apriori import mine_single_period_apriori
-from repro.core.counting import brute_force_frequent
+from repro.core.counting import (
+    brute_force_frequent,
+    segment_letters,
+    vocabulary_of_series,
+)
 from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset, mine_store
 from repro.encoding.vocabulary import LetterVocabulary
 from pathlib import Path
 
 from repro.core.errors import EncodingError
-from repro.encoding.codec import SegmentEncoder, vocabulary_of_series
 from repro.kernels.batched import batched_count_masks
 from repro.kernels.store import SegmentStore
 from repro.streaming import StreamingMiner
@@ -106,6 +109,8 @@ class TestColumnarPrimitives:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_hit_counter_filters_popcount(self, seed):
+        # Projected onto the store's own vocabulary, the hits are the
+        # distinct rows holding at least two letters.
         store = self.make_store(seed)
         naive = Counter(
             {
@@ -114,7 +119,7 @@ class TestColumnarPrimitives:
                 if mask.bit_count() >= 2
             }
         )
-        assert +store.hit_counter() == +naive
+        assert store.project_hits(store.vocab) == +naive
 
     @pytest.mark.parametrize("seed", range(5))
     def test_count_masks_matches_batched_and_naive(self, seed):
@@ -267,8 +272,9 @@ class TestWideVocabularyFallback:
         assert len(vocab) > 64
         store = SegmentStore.from_series(series, 3, vocab)
         assert store.words == 2 and store.rows().shape == (len(store), 2)
-        encode = SegmentEncoder(vocab, 3).encode_segment
-        assert list(store) == [encode(s) for s in series.segments(3)]
+        assert list(store) == [
+            vocab.encode_letters(segment_letters(s)) for s in series.segments(3)
+        ]
         naive = Counter(int(mask) for mask in store)
         assert +store.distinct_counts() == +naive
         sample = list(naive)[:8]

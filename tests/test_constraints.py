@@ -7,7 +7,7 @@ import pytest
 from repro.core.constraints import MiningConstraints, mine_with_constraints
 from repro.core.counting import brute_force_frequent
 from repro.core.errors import MiningError
-from repro.encoding.codec import vocabulary_of_series
+from repro.core.counting import vocabulary_of_series
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.pattern import Pattern
 from repro.timeseries.feature_series import FeatureSeries

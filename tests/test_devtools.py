@@ -1043,7 +1043,7 @@ class TestColumnarRules:
         def walk(self):
             return [mask for mask in self._rows]
         """
-        assert findings_of(source, module="repro.encoding.codec") == []
+        assert findings_of(source, module="repro.encoding.vocabulary") == []
 
     def test_suppression_with_reason_honored(self):
         source = """

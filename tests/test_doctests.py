@@ -25,7 +25,6 @@ MODULES = [
     "repro.devtools.suppressions",
     "repro.durability.files",
     "repro.encoding",
-    "repro.encoding.codec",
     "repro.encoding.vocabulary",
     "repro.serve.deadline",
     "repro.timeseries.calendar",

@@ -1,4 +1,4 @@
-"""Unit tests for repro.encoding — vocabularies, codecs, and the facades.
+"""Unit tests for repro.encoding — vocabularies, segment masks, and the facades.
 
 The equivalence of whole mining runs against letter-set references and
 the oracle is asserted in ``tests/test_properties.py``; this module pins down the
@@ -13,16 +13,14 @@ import pickle
 
 import pytest
 
-from repro.core.counting import count_pattern, segment_letters
-from repro.core.errors import EncodingError, PatternError
-from repro.core.pattern import Pattern
-from repro.encoding import (
-    LetterVocabulary,
-    SegmentEncoder,
-    iter_segment_letters,
-    remap_mask,
+from repro.core.counting import (
+    count_pattern,
+    segment_letters,
     vocabulary_of_series,
 )
+from repro.core.errors import EncodingError, PatternError
+from repro.core.pattern import Pattern
+from repro.encoding import LetterVocabulary, remap_mask
 from repro.kernels.store import SegmentStore
 from repro.timeseries.feature_series import FeatureSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
@@ -112,26 +110,31 @@ class TestLetterVocabulary:
 
 
 class TestSegmentCodec:
+    """A segment store's build encodes every segment onto its vocabulary."""
+
     SERIES = FeatureSeries.from_symbols("abdabcabd")
 
     def test_encoder_projects_onto_vocabulary(self):
         vocab = LetterVocabulary.from_letters([A, B], period=3)
-        encoder = SegmentEncoder(vocab)
-        segment = self.SERIES.segment(3, 1)  # "abc": c is out of vocabulary
-        assert encoder.encode_segment(segment) == vocab.encode_letters([A, B])
+        store = SegmentStore.from_series(self.SERIES, 3, vocab)
+        # Segment 1 is "abc": c is out of vocabulary and drops.
+        assert store[1] == vocab.encode_letters([A, B])
 
     def test_encoder_matches_letterwise_encoding(self):
         vocab = vocabulary_of_series(self.SERIES, 3)
-        encoder = SegmentEncoder(vocab)
-        for segment in self.SERIES.segments(3):
-            expected = vocab.encode_letters(iter_segment_letters(segment))
-            assert encoder.encode_segment(segment) == expected
+        store = SegmentStore.from_series(self.SERIES, 3, vocab)
+        assert list(store) == [
+            vocab.encode_letters(segment_letters(segment))
+            for segment in self.SERIES.segments(3)
+        ]
 
     def test_encoder_requires_period(self):
+        with pytest.raises(EncodingError, match="period must be >= 1"):
+            SegmentStore(LetterVocabulary([A]), 0, [])
         with pytest.raises(EncodingError):
-            SegmentEncoder(LetterVocabulary([A]))
-        with pytest.raises(EncodingError):
-            SegmentEncoder(LetterVocabulary([C]), period=2)
+            SegmentStore.from_series(
+                self.SERIES, 2, LetterVocabulary([C], period=2)
+            )
 
     def test_encoded_series_counts_match_definition(self):
         store = SegmentStore.from_series(self.SERIES, 3)
@@ -139,11 +142,13 @@ class TestSegmentCodec:
         for letters in ([A], [A, B], [B, D], [A, B, C]):
             pattern = Pattern.from_letters(3, letters)
             mask = store.vocab.encode_letters(letters)
-            assert store.count_mask(mask) == count_pattern(self.SERIES, pattern)
+            assert store.count_masks([mask])[mask] == count_pattern(
+                self.SERIES, pattern
+            )
 
     def test_hit_counter_collapses_identical_segments(self):
         store = SegmentStore.from_series(self.SERIES, 3)
-        hits = store.hit_counter()
+        hits = store.project_hits(store.vocab)
         assert sum(hits.values()) == 3
         abd = store.vocab.encode_letters([A, B, D])
         assert hits[abd] == 2
@@ -201,9 +206,9 @@ class TestEncodedShard:
     def test_shard_masks_match_segment_encoding(self, tmp_path):
         series = FeatureSeries.from_symbols("abdabcabdabc")
         vocab = vocabulary_of_series(series, 3)
-        encoder = SegmentEncoder(vocab)
         expected = [
-            encoder.encode_segment(segment) for segment in series.segments(3)
+            vocab.encode_letters(segment_letters(segment))
+            for segment in series.segments(3)
         ]
         in_memory = SegmentStore.from_series(series, 3, vocab)
         mapped = SegmentStore.from_file(in_memory.to_file(tmp_path / "s.seg"))

@@ -207,7 +207,7 @@ class TestTreeMerge:
         whole = MaxSubpatternTree(cmax)
         whole.insert_all_segments(series)
         bulk = MaxSubpatternTree(cmax)
-        hits = SegmentStore.from_series(series, 4, bulk.vocab).hit_counter()
+        hits = SegmentStore.from_series(series, 4).project_hits(bulk.vocab)
         for mask, count in hits.items():
             bulk.insert_mask(mask, count)
         assert bulk.total_hits == whole.total_hits
@@ -229,11 +229,12 @@ class TestTreeMerge:
         cmax = _cmax_of(series, 3, 0.3)
         forward, backward = MaxSubpatternTree(cmax), MaxSubpatternTree(cmax)
         segments = list(series.segments(3))
-        for segment in segments:
-            forward.insert_segment(segment)
-        for segment in reversed(segments):
-            backward.insert_segment(segment)
+        forward.insert_all_segments(series)
+        backward.insert_all_segments(
+            FeatureSeries([slot for segment in reversed(segments) for slot in segment])
+        )
         assert forward.hit_counts() == backward.hit_counts()
+        assert not hasattr(forward, "insert_segment")
 
     def test_merge_rejects_different_cmax(self):
         tree = MaxSubpatternTree(Pattern.from_string("ab*"))
@@ -353,9 +354,9 @@ class TestWorkerKernels:
         cmax = _cmax_of(series, period, 0.3)
         reference = MaxSubpatternTree(cmax)
         reference.insert_all_segments(series)
-        hits = SegmentStore.from_series(
-            series, period, reference.vocab
-        ).hit_counter()
+        hits = SegmentStore.from_series(series, period).project_hits(
+            reference.vocab
+        )
         assert hits == reference.stored_hits()
 
 

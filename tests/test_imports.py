@@ -36,7 +36,6 @@ UNUSED_BY_MINING = (
     "repro.core.constraints",
     "repro.kernels.store",
     "repro.kernels.cache",
-    "repro.encoding.codec",
     "repro.tree",
     "asyncio",
 )

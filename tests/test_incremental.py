@@ -124,77 +124,6 @@ class TestMining:
             assert dict(incremental.items()) == dict(batch.items())
 
 
-class TestMerge:
-    def test_merge_equals_single_feed(self):
-        left = IncrementalHitSetMiner(2)
-        right = IncrementalHitSetMiner(2)
-        left.extend("abab")
-        right.extend("abcd")
-        left.merge(right)
-        # Feeding both chunks into one miner must give the same state.
-        single = IncrementalHitSetMiner(2)
-        single.extend("abab")
-        single.extend("abcd")
-        assert dict(left.mine(0.5).items()) == dict(single.mine(0.5).items())
-        assert left.num_periods == 4
-
-    def test_merge_period_mismatch(self):
-        left = IncrementalHitSetMiner(2)
-        right = IncrementalHitSetMiner(3)
-        with pytest.raises(MiningError):
-            left.merge(right)
-
-    def test_merge_with_pending_rejected(self):
-        left = IncrementalHitSetMiner(2)
-        right = IncrementalHitSetMiner(2)
-        right.extend("aba")  # one pending slot
-        with pytest.raises(MiningError):
-            left.merge(right)
-
-    def test_merge_into_itself_rejected(self):
-        miner = IncrementalHitSetMiner(2)
-        miner.extend("abab")
-        with pytest.raises(MiningError):
-            miner.merge(miner)
-
-    def test_own_pending_survives_merge(self):
-        """Regression: merging must not drop this miner's pending slots.
-
-        The receiving miner may sit mid-segment; only the *other* side
-        must be at a boundary.  The pending slots keep filling afterwards
-        and the segment is absorbed exactly once when it completes.
-        """
-        left = IncrementalHitSetMiner(2)
-        right = IncrementalHitSetMiner(2)
-        left.extend("aba")  # one pending slot ('a')
-        right.extend("cdcd")
-        left.merge(right)
-        assert left.pending_slots == 1
-        assert left.num_periods == 3
-        left.append("b")  # completes the interrupted segment
-        assert left.pending_slots == 0
-        assert left.num_periods == 4
-        # Same slots, one miner, contiguous order per shard: same result.
-        sequential = IncrementalHitSetMiner(2)
-        sequential.extend("abab")
-        sequential.extend("cdcd")
-        assert dict(left.mine(0.25).items()) == dict(
-            sequential.mine(0.25).items()
-        )
-
-    def test_pending_not_double_absorbed_across_merges(self):
-        left = IncrementalHitSetMiner(3)
-        left.extend("ab")  # two pending slots
-        for chunk in ("abc", "abd"):
-            shard = IncrementalHitSetMiner(3)
-            shard.extend(chunk)
-            left.merge(shard)
-            assert left.pending_slots == 2
-        left.append("c")
-        assert left.num_periods == 3
-        assert left.pending_slots == 0
-
-
 class TestSegmentPartial:
     def segment(self, symbols):
         return tuple(frozenset(s) if s else frozenset() for s in symbols)
@@ -247,11 +176,6 @@ class TestSegmentPartial:
         with pytest.raises(MiningError, match="does not match"):
             SegmentPartial(3).absorb(self.segment("ab"))
 
-    def test_merge_into_itself_rejected(self):
-        partial = SegmentPartial(2)
-        with pytest.raises(MiningError):
-            partial.merge(partial)
-
     def test_shared_vocab_period_mismatch_rejected(self):
         from repro.encoding.vocabulary import LetterVocabulary
 
@@ -267,40 +191,64 @@ class TestSegmentPartial:
         assert partial.num_periods == 2
         assert snapshot.vocab is partial.vocab
 
-    def test_cross_vocab_merge_remaps_masks(self):
-        left = SegmentPartial(2)
-        right = SegmentPartial(2)
-        # Different arrival orders intern letters onto different bits.
-        left.absorb(self.segment("ab"))
-        right.absorb(self.segment("ba"))
-        right.absorb(self.segment("ab"))
-        left.merge(right)
-        sequential = SegmentPartial(2)
-        for symbols in ("ab", "ba", "ab"):
-            sequential.absorb(self.segment(symbols))
-        assert dict(left.mine(0.3).items()) == dict(
-            sequential.mine(0.3).items()
+
+def _corrupt(state, case):
+    """``state`` with one inconsistency of the named kind."""
+    signatures = state["signatures"]
+    letter_counts = state["letter_counts"]
+    if case == "mask-past-letters":
+        signatures[0][0] = 1 << len(state["letters"])
+    elif case == "negative-mask":
+        signatures[0][0] = -1
+    elif case == "zero-mask":
+        signatures[0][0] = 0
+    elif case == "zero-count":
+        signatures[0][1] = 0
+    elif case == "negative-count":
+        signatures[0][1] = -1
+    elif case == "counts-above-num-periods":
+        state["num_periods"] = sum(count for _, count in signatures) - 1
+    elif case == "letter-counts-disagree":
+        letter_counts[0][2] += 1
+    elif case == "letter-not-in-vocabulary":
+        letter_counts[0][1] = "zz"
+    elif case == "zero-letter-count":
+        letter_counts[0][2] = 0
+    return state
+
+
+class TestStateRestore:
+    def partial(self):
+        partial = SegmentPartial(2)
+        for symbols in ("ab", "ab", "cb", "ad", "  "):
+            partial.absorb(
+                tuple(frozenset(s.strip()) for s in symbols)
+            )
+        return partial
+
+    def test_round_trip_mines_identically(self):
+        partial = self.partial()
+        restored = SegmentPartial.from_state(partial.to_state())
+        assert restored.to_state() == partial.to_state()
+        assert dict(restored.mine(0.25).items()) == dict(
+            partial.mine(0.25).items()
         )
 
-
-class TestShardProperty:
-    @settings(max_examples=25, deadline=None)
-    @given(series=series_strategy(6, 36))
-    def test_sharded_merge_equals_sequential(self, series):
-        period = 3
-        whole = (len(series) // period) * period
-        if whole < 2 * period:
-            return
-        # Split at a segment boundary, feed each half into its own shard.
-        midpoint = (whole // (2 * period)) * period
-        left = IncrementalHitSetMiner(period)
-        right = IncrementalHitSetMiner(period)
-        left.extend(series[:midpoint])
-        right.extend(series[midpoint:whole])
-        left.merge(right)
-        sequential = IncrementalHitSetMiner(period)
-        sequential.extend(series[:whole])
-        for conf in (0.34, 0.75):
-            assert dict(left.mine(conf).items()) == dict(
-                sequential.mine(conf).items()
-            )
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("mask-past-letters", "outside the 4-letter vocabulary"),
+            ("negative-mask", "outside the 4-letter vocabulary"),
+            ("zero-mask", "outside the 4-letter vocabulary"),
+            ("zero-count", "signature has a count below 1"),
+            ("negative-count", "signature has a count below 1"),
+            ("counts-above-num-periods", "more than num_periods"),
+            ("letter-counts-disagree", "letter counts sum to"),
+            ("letter-not-in-vocabulary", "not in the vocabulary"),
+            ("zero-letter-count", "letter has a count below 1"),
+        ],
+    )
+    def test_inconsistent_state_refused(self, case, match):
+        state = _corrupt(self.partial().to_state(), case)
+        with pytest.raises(MiningError, match=match):
+            SegmentPartial.from_state(state)

@@ -24,13 +24,14 @@ from repro.core.apriori import mine_single_period_apriori
 from repro.core.counting import (
     brute_force_frequent,
     letter_counts_for_segments,
+    segment_letters,
+    vocabulary_of_series,
 )
 from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.multiperiod import mine_periods_looping, mine_periods_shared
 from repro.core.miner import PartialPeriodicMiner
 from repro.core.pattern import Pattern
-from repro.encoding.codec import vocabulary_of_series
 from repro.encoding.vocabulary import LetterVocabulary
 from repro.kernels import batched
 from repro.kernels.batched import (
@@ -204,11 +205,9 @@ class TestSegmentStore:
     def test_masks_match_per_segment_encoding(self):
         series = random_series(3, length=40)
         store = SegmentStore.from_series(series, 5)
-        from repro.encoding.codec import SegmentEncoder
-
-        encoder = SegmentEncoder(store.vocab)
         expected = [
-            encoder.encode_segment(segment) for segment in series.segments(5)
+            store.vocab.encode_letters(segment_letters(segment))
+            for segment in series.segments(5)
         ]
         assert list(store) == expected
         assert len(store) == series.num_periods(5)
@@ -224,7 +223,9 @@ class TestSegmentStore:
     def test_hit_counter_drops_sub_two_letter_hits(self):
         series = FeatureSeries([{"a", "b"}, set(), {"a"}, set()] * 3)
         store = SegmentStore.from_series(series, 2)
-        for mask in store.hit_counter():
+        hits = store.project_hits(store.vocab)
+        assert hits
+        for mask in hits:
             assert mask & (mask - 1), "single-letter hit leaked through"
 
     def test_count_masks_matches_definition(self):
@@ -245,7 +246,7 @@ class TestSegmentStore:
         assert list(clone) == list(store)
         assert clone.vocab == store.vocab
         assert clone.period == store.period
-        assert clone.hit_counter() == store.hit_counter()
+        assert clone.project_hits(clone.vocab) == store.project_hits(store.vocab)
 
     def test_wide_vocabulary_packs_into_words(self):
         # An explicit 70-letter vocabulary (> 64) takes two words per row,
@@ -258,10 +259,9 @@ class TestSegmentStore:
         store = SegmentStore.from_series(series, 14, vocab)
         assert len(store.vocab) > 64
         assert store.words == 2
-        from repro.encoding.codec import SegmentEncoder
-
-        encode = SegmentEncoder(vocab).encode_segment
-        assert list(store) == [encode(s) for s in series.segments(14)]
+        assert list(store) == [
+            vocab.encode_letters(segment_letters(s)) for s in series.segments(14)
+        ]
         clone = pickle.loads(pickle.dumps(store))
         assert list(clone) == list(store)
         assert clone.letter_counts() == store.letter_counts()
@@ -395,20 +395,6 @@ class TestTreeMemoization:
         for mask in candidates:
             assert batched[mask] == tree.count_of_mask(mask)  # repro: ignore[REP701] -- cross-checking the probe against its batched replacement
 
-    def test_superset_table_memo_invalidated_by_insert(self):
-        tree = self.make_tree()
-        tree.insert_mask(0b011)
-        assert tree.count_masks([0b011]) == {0b011: 1}
-        memoized = tree._count_table
-        assert memoized is not None
-        # A second batched query reuses the exact table object.
-        tree.count_masks([0b011])
-        assert tree._count_table is memoized
-        # An insert drops the memo and the next query sees the new hit.
-        tree.insert_mask(0b011)
-        assert tree._count_table is None
-        assert tree.count_masks([0b011]) == {0b011: 2}
-
 
 # ---------------------------------------------------------------------------
 # CountCache
@@ -537,12 +523,14 @@ class TestCountCache:
             narrow_order = tuple(sorted(rng.sample(wide_order, keep)))
             cache = CountCache()
             key = CacheKey("fp-test", 4)
-            cache.put_hit_table(key, wide_order, store_wide.hit_counter())
+            cache.put_hit_table(
+                key, wide_order, store_wide.project_hits(store_wide.vocab)
+            )
             projected = cache.get_hit_table(key, narrow_order)
             narrow_vocab = LetterVocabulary(narrow_order, period=4)
             expected = SegmentStore.from_series(
                 series, 4, narrow_vocab
-            ).hit_counter()
+            ).project_hits(narrow_vocab)
             assert projected == dict(expected), trial
 
     def test_engine_warm_requery_skips_fanouts(self):

@@ -9,7 +9,7 @@ from repro.core.counting import brute_force_frequent
 from repro.core.maximal import maximal_patterns, mine_maximal_hitset
 from repro.core.pattern import Pattern
 from repro.timeseries.feature_series import FeatureSeries
-from repro.encoding.codec import vocabulary_of_series
+from repro.core.counting import vocabulary_of_series
 from repro.timeseries.scan import ScanCountingSeries
 from tests.reference import packed_series, wide_series
 

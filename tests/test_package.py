@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro.core.incremental import IncrementalHitSetMiner
+from repro.timeseries.feature_series import FeatureSeries
+from repro.tree.max_subpattern_tree import MaxSubpatternTree
+
+API_DOC = Path(__file__).resolve().parent.parent / "docs" / "api.md"
 
 
 class TestExports:
@@ -108,3 +115,70 @@ class TestModuleEntryPoint:
 
         with pytest.raises(SystemExit):
             main(["not-a-command"])
+
+
+def _api_section(heading: str) -> str:
+    """The text of one ``## `` section of docs/api.md."""
+    text = API_DOC.read_text(encoding="utf-8")
+    start = text.index(f"## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def _api_bullet(lead: str) -> str:
+    """The bullet of docs/api.md starting with ``* `lead``, unwrapped."""
+    lines = API_DOC.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"* `{lead}"))
+    bullet = [lines[start]]
+    for line in lines[start + 1 :]:
+        if not line.startswith("  "):
+            break
+        bullet.append(line.strip())
+    return " ".join(bullet)
+
+
+def _method_names(bullet: str) -> list[str]:
+    """The lower-case identifiers a bullet names in backticks.
+
+    ``derive_frequent(threshold, ...)`` names ``derive_frequent`` and
+    ``segment(s)`` names ``segment``; dotted paths, class and error
+    names, and notation like ``*`` are not methods.
+    """
+    names = []
+    for quoted in re.findall(r"`([^`]+)`", bullet):
+        name = quoted.split("(", 1)[0]
+        if re.fullmatch(r"[a-z_][a-z0-9_]*", name):
+            names.append(name)
+    return names
+
+
+class TestApiDocs:
+    def test_top_level_table_names_resolve(self):
+        rows = [
+            line
+            for line in _api_section("Top-level (`repro`)").splitlines()
+            if line.startswith("| `")
+        ]
+        names = [
+            name
+            for row in rows
+            for name in re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", row.split("|")[1])
+        ]
+        assert len(names) > 20
+        for name in names:
+            assert name in repro.__all__, name
+            assert getattr(repro, name) is not None, name
+
+    @pytest.mark.parametrize(
+        "lead, cls",
+        [
+            ("FeatureSeries", FeatureSeries),
+            ("MaxSubpatternTree(", MaxSubpatternTree),
+            ("incremental.IncrementalHitSetMiner(", IncrementalHitSetMiner),
+        ],
+    )
+    def test_documented_methods_exist(self, lead, cls):
+        names = _method_names(_api_bullet(lead))
+        assert len(names) >= 5, names
+        missing = [name for name in names if not hasattr(cls, name)]
+        assert missing == [], f"docs/api.md lists {missing} on {cls.__name__}"

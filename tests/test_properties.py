@@ -214,7 +214,7 @@ class TestEncodedPathEquivalence:
     TRIALS = 200
 
     def test_random_series_encoded_equals_legacy_equals_oracle(self, tmp_path):
-        from repro.encoding.codec import vocabulary_of_series
+        from repro.core.counting import vocabulary_of_series
         from tests.reference import mine_mapped
 
         rng = random.Random(0x1999)
@@ -241,7 +241,7 @@ class TestEncodedPathEquivalence:
         old callers, validated, and changes nothing — on packed (<= 64
         letters) and wide series alike."""
         from repro.core.miner import PartialPeriodicMiner
-        from repro.encoding.codec import vocabulary_of_series
+        from repro.core.counting import vocabulary_of_series
 
         rng = random.Random(0x4211)
         for trial in range(self.TRIALS):

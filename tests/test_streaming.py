@@ -251,6 +251,31 @@ class TestRetirementStrategies:
         retirement.retire(1)
         assert retirement.retained == 0
 
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            "one-mask-replaced",  # ab, ab, ab: cd's mask is gone
+            "empty-for-a-mask",  # ab, <empty>, ab: 3 masks, 2 signatures
+            "mask-for-the-empty",  # ab, cd, ab, ab: the empty one is a mask
+        ],
+    )
+    def test_ring_must_match_the_signatures(self, ring):
+        retirement = DecrementRetirement(period=2)
+        for segment in ("ab", "cd", "ab", "  "):
+            retirement.absorb(tuple(frozenset(s.strip()) for s in segment))
+        state = json.loads(json.dumps(retirement.to_state()))
+        ab, cd, _, empty = state["ring"]
+        assert empty == 0
+        state["ring"] = {
+            "one-mask-replaced": [ab, ab, ab, empty],
+            "empty-for-a-mask": [ab, 0, ab, empty],
+            "mask-for-the-empty": [ab, cd, ab, ab],
+        }[ring]
+        fresh = DecrementRetirement(period=2)
+        with pytest.raises(StreamError, match="not the partial's signatures"):
+            fresh.restore(state)
+        assert fresh.retained == 0  # a refused state loads nothing
+
     @pytest.mark.parametrize("path", PATHS)
     def test_interleaved_absorb_retire_stays_exact(self, path):
         series = random_series(seed=3, length=60, period=3)

@@ -230,14 +230,15 @@ class TestSegments:
 
     def test_single_letter_hit_not_stored(self):
         tree = make_tree()
-        segment = self.segment({"a"}, set(), set(), set(), set())
-        assert tree.insert_segment(segment) is None
+        series = FeatureSeries([{"a"}, set(), set(), set(), set()])
+        assert tree.insert_all_segments(series) == 0
         assert tree.node_count == 1
 
     def test_empty_hit_not_stored(self):
         tree = make_tree()
-        segment = self.segment({"z"}, set(), set(), set(), set())
-        assert tree.insert_segment(segment) is None
+        series = FeatureSeries([{"z"}, set(), set(), set(), set()])
+        assert tree.insert_all_segments(series) == 0
+        assert tree.total_hits == 0
 
     def test_insert_all_segments_counts_stored(self):
         series = FeatureSeries(
