@@ -40,7 +40,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 from typing import Any
+
+import numpy as np
 
 from repro.core.counting import check_min_conf, min_count
 from repro.core.errors import MiningError
@@ -63,10 +66,9 @@ class SegmentPartial:
     period:
         The fixed period every absorbed segment must have.
     vocab:
-        Optional streaming vocabulary to encode over (a :meth:`copy`
-        shares its original's; :meth:`from_state` passes the restored
-        one).  Omitted, the partial owns a private vocabulary interning
-        letters in arrival order.
+        Optional streaming vocabulary to encode over (:meth:`from_state`
+        passes the restored one).  Omitted, the partial owns a private
+        vocabulary interning letters in arrival order.
 
     The maintained state is threshold-independent: :meth:`mine` accepts
     any ``min_conf`` after the fact and produces exactly the result of
@@ -190,14 +192,6 @@ class SegmentPartial:
                     del letter_counts[letter]
         self._num_periods -= 1
 
-    def copy(self) -> "SegmentPartial":
-        """An independent snapshot (the vocabulary stays shared)."""
-        duplicate = SegmentPartial(self._period, vocab=self._vocab)
-        duplicate._letter_counts = Counter(self._letter_counts)
-        duplicate._signatures = Counter(self._signatures)
-        duplicate._num_periods = self._num_periods
-        return duplicate
-
     # ------------------------------------------------------------------
     # Durable state (checkpoint/restore)
     # ------------------------------------------------------------------
@@ -269,10 +263,11 @@ class SegmentPartial:
     def _check_consistent(self) -> None:
         """Refuse restored state that no absorb/retire sequence produces.
 
-        ``O(signatures + letters)`` in C-level passes (``min`` / ``max`` /
-        ``sum``, popcounts): no signature is walked bit by bit.  What it
-        cannot see is letter counts that disagree with the signatures
-        letter by letter but agree in total.
+        ``O(signatures x letters)`` in C-level passes (``min`` / ``max`` /
+        ``sum``, the masks' bytes unpacked and weighted by a matrix
+        product): no signature is walked bit by bit.  Every letter's
+        count must equal the summed counts of the signatures that hold
+        it.
         """
         signatures = self._signatures
         letter_counts = self._letter_counts
@@ -292,24 +287,34 @@ class SegmentPartial:
                 f"corrupt segment-partial state: signatures hold {segments} "
                 f"segments, more than num_periods {self._num_periods}"
             )
-        if letter_counts and min(letter_counts.values()) < 1:
+        # A letter occurs at most once a segment.
+        if letter_counts and (
+            min(letter_counts.values()) < 1
+            or max(letter_counts.values()) > self._num_periods
+        ):
             raise MiningError(
-                "corrupt segment-partial state: a letter has a count below 1"
+                "corrupt segment-partial state: a letter has a count below 1 "
+                f"or above num_periods {self._num_periods}"
             )
-        unknown = letter_counts.keys() - set(self._vocab)
-        if unknown:
+        counted = np.fromiter(
+            map(letter_counts.get, self._vocab, repeat(0, width)), np.int64, width
+        )
+        # Every count is >= 1, so the vocabulary's letters hold them all
+        # exactly when their counts add up to the whole.
+        if int(counted.sum()) != sum(letter_counts.values()):
+            unknown = letter_counts.keys() - set(self._vocab)
             raise MiningError(
                 f"corrupt segment-partial state: letters {sorted(unknown)} "
                 "are counted but not in the vocabulary"
             )
-        letter_total = sum(letter_counts.values())
-        in_signatures = sum(
-            count * mask.bit_count() for mask, count in signatures.items()
-        )
-        if letter_total != in_signatures:
+        held = _bit_totals(signatures, width)
+        wrong = np.flatnonzero(counted != held)
+        if len(wrong):
+            bit = int(wrong[0])
             raise MiningError(
                 "corrupt segment-partial state: letter counts sum to "
-                f"{letter_total}, the signatures hold {in_signatures} letters"
+                f"{counted[bit]} at {self._vocab[bit]}, the signatures "
+                f"hold it {held[bit]} times"
             )
 
     # ------------------------------------------------------------------
@@ -398,6 +403,32 @@ class SegmentPartial:
             f"SegmentPartial(period={self._period}, "
             f"m={self._num_periods}, signatures={self.distinct_signatures})"
         )
+
+
+#: Mask bits :func:`_bit_totals` unpacks at a time (9 bytes each).
+_UNPACK_BITS = 1 << 20
+
+
+def _bit_totals(signatures: Mapping[int, int], width: int) -> np.ndarray:
+    """Each bit's summed count over ``{mask: count}`` masks of ``width`` bits.
+
+    The masks' little-endian bytes form one matrix; blocks of its rows,
+    of at most :data:`_UNPACK_BITS` bits, are unpacked to one byte per
+    bit and weighted by their counts in one matrix product each.
+    """
+    size = (width + 7) // 8
+    raw = np.frombuffer(
+        b"".join(mask.to_bytes(size, "little") for mask in signatures), np.uint8
+    ).reshape(len(signatures), size)
+    counts = np.fromiter(signatures.values(), np.float64, len(signatures))
+    totals = np.zeros(width)
+    step = max(1, _UNPACK_BITS // max(width, 1))
+    for start in range(0, len(raw), step):
+        bits = np.unpackbits(
+            raw[start : start + step], axis=1, count=width, bitorder="little"
+        )
+        totals += counts[start : start + step] @ bits
+    return totals.astype(np.int64)
 
 
 class IncrementalHitSetMiner:

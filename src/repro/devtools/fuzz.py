@@ -46,11 +46,12 @@ and an off-by-one letter count in the store, a corrupted candidate
 count, a lying hit count in the slot column's scan 2, and in its scan 1
 an off-by-one letter count, an off-by-one position in the
 multi-feature rows, an off-by-one feature rank in the single-feature
-rows and feature totals compared with ``>`` instead of ``>=`` the
-floor, and a key the slot
+rows, feature totals compared with ``>`` instead of ``>=`` the floor
+and a prefix's slot counts less one slot too many, and a key the slot
 kernels' grouping puts in its neighbour's group, which scan 2's hits
-must show) and demands the fuzzer report a divergence for every one; :data:`BOUNDARY_CASE` makes sure the last
-one has a letter at exactly the floor to lose.  A
+must show) and demands the fuzzer report a divergence for every
+one; :data:`BOUNDARY_CASE` makes sure the floor and slot-count bugs
+have a letter at exactly the floor to lose.  A
 clean run proves little if the alarm cannot ring.  A case that raises is
 a ``crash`` divergence, so one crashing kernel call cannot end a run.
 
@@ -720,7 +721,7 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
     """Named bugs to inject: (owner, attribute) -> corrupted wrapper."""
     from repro.kernels import slots
     from repro.kernels.batched import SubmaskCountTable
-    from repro.kernels.slots import SlotTable
+    from repro.kernels.slots import SlotColumn, SlotTable
     from repro.kernels.store import SegmentStore
 
     original_distinct = SegmentStore.distinct_rows
@@ -730,6 +731,7 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
     original_counts = SubmaskCountTable.counts
     original_hits = slots.segment_hits
     original_group = slots.group_keys
+    original_slot_counts = SlotColumn.slot_counts
 
     def dropped_distinct_row(store: SegmentStore) -> Any:
         rows, counts = original_distinct(store)
@@ -795,6 +797,11 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
         inverse[np.flatnonzero(inverse)[:1]] -= 1
         return distinct, inverse
 
+    def over_subtracted_tail(column: SlotColumn, length: int) -> Any:
+        # The tail past the prefix starts one slot early: the prefix's
+        # last slot leaves its features' totals.
+        return original_slot_counts(column, length - 1)
+
     return {
         "dropped-distinct-row": (
             SegmentStore, "distinct_rows", dropped_distinct_row
@@ -811,6 +818,7 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
         "off-by-one-single-rank": (slots, "scan1_rows", off_by_one_rank),
         "strict-feature-floor": (slots, "scan1_rows", strict_feature_floor),
         "misgrouped-key": (slots, "group_keys", misgrouped_key),
+        "over-subtracted-tail": (SlotColumn, "slot_counts", over_subtracted_tail),
     }
 
 

@@ -13,25 +13,28 @@ slot, period and feature:
   found in at least ``floor`` of the ``m`` whole segments, and a letter
   ``(o, f)`` can get there only if feature ``f`` occurs that often in
   the ``m * p`` whole-segment slots.  :func:`scan1_rows` takes every
-  feature's total from one ``np.bincount`` of the slot ids fanned out
-  through the CSR, keeps the positions whose slot holds a feature that
-  can reach the floor, and codes each by how many such *capable*
-  features its slot holds (:class:`Scan1Rows`): exactly one gives that
-  feature's rank, more than one gives the code ``C`` and lists the
-  position, with its slot id, among the multi-feature rows.
+  feature's total from the prefix's slot counts fanned out through the
+  CSR (the column keeps its whole slot counts from its first mine on,
+  and a prefix subtracts the fewer than ``p`` slots past it), keeps the
+  positions whose slot holds a feature that can reach the floor, and
+  codes each by how many such *capable* features its slot holds
+  (:class:`Scan1Rows`): exactly one gives that feature's rank, more
+  than one gives the code ``C`` and lists the position, with its slot
+  id, among the multi-feature rows.
   :func:`pair_letter_counts` then counts one period: one
   ``np.bincount`` of ``(i % p) * (C + 1) + code`` tallies the
   single-feature rows, and the multi-feature rows' ``(offset, slot)``
   pair counts fan out through a CSR of capable features into the same
   bins.  On sparse data nearly every kept row holds one capable
   feature, so a period costs no sort; wherever bins would outnumber
-  the rows they count, the same keys are grouped by sort instead.  No
-  occurrence is ever expanded, and at floor 0 (a count cache keeps
-  every letter) it counts every non-empty slot.
+  the rows they count, the same keys are grouped by :func:`group_keys`
+  instead.  No occurrence is ever expanded, and at floor 0 (a count
+  cache keeps every letter) it counts every non-empty slot.
 * :func:`segment_hits` is scan 2 for one period.  It asks only which
   ``C_max`` letters each segment holds, and those sit on at most
   ``|C_max|`` of the ``p`` offsets, so it reads only the column's slots
-  at those offsets.  The distinct slots there (found by one sort) each
+  at those offsets.  The distinct slots there (found by
+  :func:`group_keys`, with no sort while they span few values) each
   get one bit row, built from their CSR features through a feature ->
   bit table, and every segment ORs in the rows of its slots: ``k``
   ``uint64`` words per segment, with ``k = ceil(|C_max| / 64)``.  Rows
@@ -63,7 +66,7 @@ distinct slots as slots.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -195,10 +198,37 @@ class SlotColumn:
     table: SlotTable
     #: ``int32`` distinct-slot id of every slot, in slot order.
     ids: np.ndarray
+    #: Read-only occurrences of each distinct slot in the whole column,
+    #: counted on first use; ``None`` until then.
+    _counts: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def occurrences(self) -> Occurrences:
         """One read of the column: its occurrence rows."""
         return self.table.expand(self.ids)
+
+    def slot_counts(self, length: int) -> np.ndarray:
+        """How often each distinct slot occurs among the first ``length`` slots.
+
+        The whole column's counts are one ``np.bincount`` of the slot
+        ids, made on first use and kept with the column (not its table,
+        which a store build's part columns share); a prefix then costs
+        a copy of them less the slots past it.  Two threads that race to
+        make the counts each build a whole array and keep one of them,
+        so neither ever reads a half-built one.
+        """
+        counts = self._counts
+        if counts is None:
+            counts = np.bincount(self.ids, minlength=len(self.table.slots))
+            counts.flags.writeable = False
+            object.__setattr__(self, "_counts", counts)
+        tail = self.ids[length:]
+        if not len(tail):
+            return counts
+        counts = counts.copy()
+        np.subtract.at(counts, tail, 1)
+        return counts
 
 
 def intern_slots(slots: Sequence[frozenset[str]]) -> SlotColumn:
@@ -245,18 +275,20 @@ class Scan1Rows:
 def scan1_rows(column: SlotColumn, length: int, floor: int) -> Scan1Rows:
     """The rows of the first ``length`` slots that can hold a letter >= ``floor``.
 
-    One ``np.bincount`` of the slot ids, fanned out through the CSR,
-    gives every feature's total; a letter ``(o, f)`` occurs at most as
-    often as ``f`` does, so only features with a total of at least
-    ``max(floor, 1)`` can reach the floor.  The capable-only CSR
+    The prefix's slot counts (:meth:`SlotColumn.slot_counts`: the
+    column's kept counts less the slots past ``length``), fanned out
+    through the CSR, give every feature's total; a letter ``(o, f)``
+    occurs at most as often as ``f`` does, so only features with a
+    total of at least ``max(floor, 1)`` can reach the floor.  The capable-only CSR
     (:meth:`SlotTable.wanted_ranks`) says how many capable features each
     distinct slot holds, which keeps a position and gives its code.
-    Everything but that lookup of the slot ids is sized by the distinct
-    slots, the features and the kept positions.
+    Past the column's first count, everything but that lookup of the
+    slot ids is sized by the distinct slots, the features and the kept
+    positions.
     """
     table = column.table
     ids = column.ids[:length]
-    totals = table.feature_totals(np.bincount(ids, minlength=len(table.slots)))
+    totals = table.feature_totals(column.slot_counts(length))
     capable = totals >= max(floor, 1)
     features = np.flatnonzero(capable)
     indptr, ranks = table.wanted_ranks(capable)
@@ -402,31 +434,52 @@ def _run_flags(values: np.ndarray) -> np.ndarray:
     return starts
 
 
+#: :func:`group_keys` groups keys spanning at most this many values per
+#: key through a presence table, and sorts keys spread wider.
+DENSE_SPAN = 4
+
+
 def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct integer ``keys``, ascending, and each key's group.
 
     What ``np.unique(keys, return_inverse=True)`` returns for a flat
-    array, from one ``np.sort``: each key, less the smallest, is packed
-    above its position into one ``int64`` word (``key << b | position``),
-    so the sorted words hold the keys in order with their positions
-    alongside.  Where a run of equal keys starts gives the distinct keys,
-    and the positions in the low bits say where each key's group number
-    goes.  When the keys' range and the position bits together need more
-    than 63 bits, an ``argsort`` orders the keys instead: the result is
-    the same.  ``np.unique`` is not called, since its first call imports
-    ``numpy.ma``.
+    array.  Keys whose observed range spans at most :data:`DENSE_SPAN`
+    values per key are grouped without a sort: one scatter marks each
+    present key, less the smallest, in a ``bool`` table the size of the
+    range, the marks' positions are the distinct keys, and a lookup
+    table over the range numbers them for one gather.  Wider keys take
+    one ``np.sort``: each key, less the smallest, is packed above its
+    position into one ``int64`` word (``key << b | position``), so the
+    sorted words hold the keys in order with their positions alongside.
+    Where a run of equal keys starts gives the distinct keys, and the
+    positions in the low bits say where each key's group number goes.
+    When the keys' range and the position bits together need more than
+    63 bits, an ``argsort`` orders the keys instead.  The choice follows
+    the sizes alone, and the result is the same.  ``np.unique`` is not
+    called, since its first call imports ``numpy.ma``.
     """
     size = len(keys)
     if not size:
         return keys.copy(), np.zeros(0, np.intp)
     low = int(keys.min())
+    span = int(keys.max()) - low + 1
+    if span <= DENSE_SPAN * size:
+        shifted = keys.astype(np.intp)
+        shifted -= low
+        present = np.zeros(span, bool)
+        present[shifted] = True
+        distinct = np.flatnonzero(present)
+        group = np.empty(span, np.intp)
+        group[distinct] = np.arange(len(distinct))
+        distinct += low
+        return distinct.astype(keys.dtype, copy=False), group[shifted]
     shift = max(1, (size - 1).bit_length())
-    if (int(keys.max()) - low).bit_length() + shift <= 63:
+    if (span - 1).bit_length() + shift <= 63:
         packed = keys.astype(np.int64)
         packed -= low
         packed <<= shift
         packed |= np.arange(size)
-        packed.sort()
+        packed = np.sort(packed)
         order = packed & ((1 << shift) - 1)
         packed >>= shift
         packed += low

@@ -350,21 +350,19 @@ class SegmentStore:
             }
         )
 
-    def project_hits(
-        self, target: LetterVocabulary, min_letters: int = 2
-    ) -> dict[int, int]:
+    def project_hits(self, target: LetterVocabulary) -> dict[int, int]:
         """Scan 2 over the stored rows: the hits over ``target``, with counts.
 
         Each distinct row moves its bits to ``target``'s bit order
         (letters ``target`` lacks drop — the project-onto-``C_max`` step),
-        rows with fewer than ``min_letters`` bits drop, and rows that
-        project alike merge their counts.
+        rows with fewer than two bits drop, and rows that project alike
+        merge their counts.
         """
         rows, counts = self.distinct_rows()
         projected = _remap_rows(
             rows, self._vocab.remap_table(target), words_for(len(target))
         )
-        kept = np.bitwise_count(projected).sum(axis=1, dtype=np.int64) >= min_letters
+        kept = np.bitwise_count(projected).sum(axis=1, dtype=np.int64) >= 2
         hits, totals = distinct_rows(projected[kept], counts[kept])
         return dict(zip(row_masks(hits), totals.tolist()))
 

@@ -97,7 +97,7 @@ class TestOracle:
 class TestMutationCheck:
     def test_all_injected_bugs_caught(self):
         caught = mutation_check(budget=30, seed=4)
-        assert len(caught) == 9
+        assert len(caught) == 10
         assert all(caught.values()), caught
 
     @pytest.mark.parametrize(
@@ -107,6 +107,7 @@ class TestMutationCheck:
             "off-by-one-column-position",
             "off-by-one-single-rank",
             "strict-feature-floor",
+            "over-subtracted-tail",
         ],
     )
     def test_column_kernel_bug_caught_by_column_and_shared_stages(self, name):

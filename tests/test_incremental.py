@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -182,15 +183,6 @@ class TestSegmentPartial:
         with pytest.raises(MiningError, match="period"):
             SegmentPartial(3, vocab=LetterVocabulary(period=2))
 
-    def test_copy_is_independent(self):
-        partial = SegmentPartial(2)
-        partial.absorb(self.segment("ab"))
-        snapshot = partial.copy()
-        partial.absorb(self.segment("cd"))
-        assert snapshot.num_periods == 1
-        assert partial.num_periods == 2
-        assert snapshot.vocab is partial.vocab
-
 
 def _corrupt(state, case):
     """``state`` with one inconsistency of the named kind."""
@@ -214,6 +206,8 @@ def _corrupt(state, case):
         letter_counts[0][1] = "zz"
     elif case == "zero-letter-count":
         letter_counts[0][2] = 0
+    elif case == "letter-count-above-num-periods":
+        letter_counts[0][2] = state["num_periods"] + 1
     return state
 
 
@@ -246,9 +240,46 @@ class TestStateRestore:
             ("letter-counts-disagree", "letter counts sum to"),
             ("letter-not-in-vocabulary", "not in the vocabulary"),
             ("zero-letter-count", "letter has a count below 1"),
+            ("letter-count-above-num-periods", "above num_periods 5"),
         ],
     )
     def test_inconsistent_state_refused(self, case, match):
         state = _corrupt(self.partial().to_state(), case)
         with pytest.raises(MiningError, match=match):
+            SegmentPartial.from_state(state)
+
+    def test_letter_counts_moved_between_letters_refused(self):
+        # The totals still agree: only a letter-by-letter check sees it.
+        partial = SegmentPartial(2)
+        for symbols in ("ab", "ab", "ab", "cd"):
+            partial.absorb(tuple(frozenset(s) for s in symbols))
+        state = partial.to_state()
+        counts = {(row[0], row[1]): row for row in state["letter_counts"]}
+        counts[0, "a"][2] -= 1
+        counts[0, "c"][2] += 1
+        with pytest.raises(MiningError, match=r"sum to 2 at \(0, 'a'\)"):
+            SegmentPartial.from_state(state)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_letter_checked_over_wide_vocabularies(self, seed):
+        rng = np.random.default_rng(seed)
+        partial = SegmentPartial(5)
+        for _ in range(40):
+            partial.absorb(
+                tuple(
+                    frozenset(
+                        f"f{i}" for i in range(30) if rng.random() < 0.15
+                    )
+                    for _ in range(5)
+                )
+            )
+        SegmentPartial.from_state(partial.to_state())
+        state = partial.to_state()
+        rows = state["letter_counts"]
+        gains, loses = rng.choice(
+            [i for i, row in enumerate(rows) if row[2] > 1], 2, replace=False
+        )
+        rows[gains][2] += 1
+        rows[loses][2] -= 1
+        with pytest.raises(MiningError, match="letter counts sum to"):
             SegmentPartial.from_state(state)

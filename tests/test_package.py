@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.incremental import IncrementalHitSetMiner
+from repro.core.incremental import IncrementalHitSetMiner, SegmentPartial
 from repro.timeseries.feature_series import FeatureSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
@@ -175,6 +175,7 @@ class TestApiDocs:
             ("FeatureSeries", FeatureSeries),
             ("MaxSubpatternTree(", MaxSubpatternTree),
             ("incremental.IncrementalHitSetMiner(", IncrementalHitSetMiner),
+            ("incremental.SegmentPartial(", SegmentPartial),
         ],
     )
     def test_documented_methods_exist(self, lead, cls):

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
+import threading
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -33,6 +35,7 @@ from repro.core.maximal import maximal_patterns, mine_maximal_hitset
 from repro.core.multiperiod import mine_periods_shared
 from repro.kernels.cache import CountCache
 from repro.kernels import slots
+from repro.kernels import store as store_module
 from repro.kernels.slots import (
     SlotColumn,
     SlotTable,
@@ -42,6 +45,7 @@ from repro.kernels.slots import (
     scan1_rows,
     segment_hits,
 )
+from repro.kernels.store import SegmentStore
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.io import load_series, save_series
 from repro.timeseries.scan import ScanCountingSeries
@@ -541,7 +545,8 @@ class TestDistinctRows:
 
 
 class TestGroupKeys:
-    """The packed-sort grouping against ``np.unique(return_inverse=True)``."""
+    """The grouping (presence table or packed sort) against
+    ``np.unique(return_inverse=True)``."""
 
     def check(self, keys):
         distinct, inverse = group_keys(keys)
@@ -597,6 +602,136 @@ class TestGroupKeys:
         assert not calls
         self.check(keys << 17)
         assert calls
+
+    def sorts(self, monkeypatch, keys):
+        """The ``np.sort`` / ``np.argsort`` calls grouping ``keys`` makes."""
+        calls = []
+        for name in ("sort", "argsort"):
+            real = getattr(np, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(slots.np, name, spy)
+        group_keys(keys)
+        monkeypatch.undo()
+        self.check(keys)
+        return calls
+
+    def test_dense_keys_group_without_a_sort(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        dense = rng.integers(0, 5_000, 4_000)
+        sparse = rng.integers(0, 1 << 40, 4_000)
+        assert self.sorts(monkeypatch, dense) == []
+        assert self.sorts(monkeypatch, sparse) == ["sort"]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("low", [0, -7_000])
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_span_bound(self, monkeypatch, dtype, low, outside):
+        # 1,000 keys spanning DENSE_SPAN * 1,000 values group densely;
+        # one value more and they sort.
+        size = 1_000
+        span = slots.DENSE_SPAN * size + outside
+        rng = np.random.default_rng(span)
+        keys = rng.integers(low, low + span, size).astype(dtype)
+        keys[:2] = low, low + span - 1
+        assert self.sorts(monkeypatch, keys) == (["sort"] if outside else [])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_one_repeated_key(self, monkeypatch, dtype):
+        assert self.sorts(monkeypatch, np.full(500, -3, dtype)) == []
+
+
+class TestSlotCounts:
+    """The column's kept slot counts, less the tail past a prefix."""
+
+    @staticmethod
+    def columns(tmp_path, monkeypatch):
+        """Columns from load_series, intern_slots (a series' lazy column)
+        and the parts a store build cuts from that lazy column."""
+        series = packed_series(4, length=203)
+        path = tmp_path / "series.txt"
+        save_series(series, path)
+        parts = []
+        build = store_module.segment_rows
+
+        def keep(part, *args):
+            parts.append(part)
+            return build(part, *args)
+
+        monkeypatch.setattr(store_module, "_BUILD_SLOTS", 60)
+        monkeypatch.setattr(store_module, "segment_rows", keep)
+        SegmentStore.from_series(series, 5)
+        assert len(parts) == 4
+        return [load_series(path).slot_column(), series.slot_column(), *parts]
+
+    def test_prefix_counts_equal_a_fresh_bincount(self, tmp_path, monkeypatch):
+        for column in self.columns(tmp_path, monkeypatch):
+            slot_ids = len(column.table.slots)
+            for length in (len(column.ids), len(column.ids) - 1, 37, 1, 0):
+                expected = np.bincount(column.ids[:length], minlength=slot_ids)
+                assert column.slot_counts(length).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("floor", [0, 3, 9])
+    def test_scan1_rows_on_a_prefix(self, tmp_path, monkeypatch, floor):
+        # The capable features and kept positions follow the prefix's
+        # own feature totals, counted here from a fresh bincount.
+        for column in self.columns(tmp_path, monkeypatch):
+            table = column.table
+            for length in (len(column.ids), len(column.ids) - 4, 25):
+                prefix = column.ids[:length]
+                totals = table.feature_totals(
+                    np.bincount(prefix, minlength=len(table.slots))
+                )
+                capable = np.flatnonzero(totals >= max(floor, 1))
+                names = {table.features[feature] for feature in capable}
+                rows = scan1_rows(column, length, floor)
+                assert rows.features.tolist() == capable.tolist()
+                assert rows.positions.tolist() == [
+                    i for i, slot in enumerate(table.slots_of(prefix)) if slot & names
+                ]
+
+    def test_counts_kept_per_column(self, tmp_path, monkeypatch):
+        columns = self.columns(tmp_path, monkeypatch)
+        whole = [column.slot_counts(len(column.ids)) for column in columns]
+        for column, counts in zip(columns, whole):
+            assert column.slot_counts(len(column.ids)) is counts
+            assert not counts.flags.writeable
+            assert counts.sum() == len(column.ids)
+        # The parts share the lazy column's table, not its counts.
+        assert {column.table for column in columns[2:]} == {columns[1].table}
+        assert len({id(counts) for counts in whole}) == len(whole)
+
+    def test_threads_racing_to_count(self):
+        # More threads than cores, switching often: each must read whole
+        # counts, whichever thread's array the column kept.
+        series = packed_series(9, length=5_000)
+        table = series.slot_column().table
+        ids = series.slot_column().ids
+        expected = np.bincount(ids[:4_990], minlength=len(table.slots)).tolist()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                column = SlotColumn(table, ids)
+                barrier = threading.Barrier(4, timeout=10)
+                results = []
+
+                def count():
+                    barrier.wait()
+                    results.append(column.slot_counts(4_990).tolist())
+
+                threads = [threading.Thread(target=count) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert results == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSegmentHits:
