@@ -39,9 +39,7 @@ is worthwhile (the paper's remark after Property 3.2).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
-from itertools import repeat
-from typing import Any
+from collections.abc import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,7 +64,7 @@ class SegmentPartial:
     period:
         The fixed period every absorbed segment must have.
     vocab:
-        Optional streaming vocabulary to encode over (:meth:`from_state`
+        Optional streaming vocabulary to encode over (:meth:`from_masks`
         passes the restored one).  Omitted, the partial owns a private
         vocabulary interning letters in arrival order.
 
@@ -97,6 +95,38 @@ class SegmentPartial:
         #: exactly that letter set.
         self._signatures: Counter[int] = Counter()
         self._num_periods = 0
+
+    @classmethod
+    def from_masks(
+        cls, period: int, vocab: LetterVocabulary, masks: Collection[int]
+    ) -> "SegmentPartial":
+        """The partial of the segments whose :meth:`absorb` masks are ``masks``.
+
+        One mask per segment, over ``vocab`` (``0`` for an empty
+        segment).  Everything else is derived from them: the signatures
+        are the nonzero masks as a multiset, each letter's count is its
+        bit's total over the signatures, and ``num_periods`` is
+        ``len(masks)``.  A mask outside ``vocab`` raises
+        :class:`MiningError`.
+        """
+        partial = cls(period, vocab=vocab)
+        width = len(vocab)
+        if masks and (min(masks) < 0 or max(masks) >> width):
+            raise MiningError(
+                f"a segment mask is outside the {width}-letter vocabulary"
+            )
+        signatures = Counter(masks)
+        signatures.pop(0, None)
+        if signatures:
+            totals = _bit_totals(signatures, width)
+            held = np.flatnonzero(totals)
+            letters = map(vocab.__getitem__, held.tolist())
+            partial._letter_counts = Counter(
+                dict(zip(letters, totals[held].tolist()))
+            )
+        partial._signatures = signatures
+        partial._num_periods = len(masks)
+        return partial
 
     # ------------------------------------------------------------------
     # Accessors
@@ -191,131 +221,6 @@ class SegmentPartial:
                 else:
                     del letter_counts[letter]
         self._num_periods -= 1
-
-    # ------------------------------------------------------------------
-    # Durable state (checkpoint/restore)
-    # ------------------------------------------------------------------
-
-    def to_state(self) -> dict[str, object]:
-        """The JSON-ready durable form of this partial.
-
-        Signature masks are stored as-is: they are meaningful only
-        against the vocabulary's letter order, which is why the letters
-        ride along in id order.
-        """
-        return {
-            "period": self._period,
-            "letter_counts": [
-                [offset, feature, count]
-                for (offset, feature), count in sorted(
-                    self._letter_counts.items()
-                )
-            ],
-            "signatures": sorted(
-                [mask, count] for mask, count in self._signatures.items()
-            ),
-            "num_periods": self._num_periods,
-            "letters": [
-                [offset, feature] for offset, feature in self._vocab
-            ],
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "SegmentPartial":
-        """Rebuild a partial from :meth:`to_state` output.
-
-        The letter list in the state is re-interned in its recorded (id)
-        order, so every stored mask keeps its meaning bit for bit.
-        Malformed or inconsistent state raises :class:`MiningError` here,
-        not at the first mine.
-        """
-        data: Mapping[str, Any] = state
-        try:
-            period = int(data["period"])
-            vocab = LetterVocabulary(
-                (
-                    (int(offset), str(feature))
-                    for offset, feature in data["letters"]
-                ),
-                period=period,
-            )
-            partial = cls(period, vocab=vocab)
-            partial._letter_counts = Counter(
-                {
-                    (int(offset), str(feature)): int(count)
-                    for offset, feature, count in data["letter_counts"]
-                }
-            )
-            partial._signatures = Counter(
-                {
-                    int(mask): int(count)
-                    for mask, count in data["signatures"]
-                }
-            )
-            partial._num_periods = int(data["num_periods"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise MiningError(
-                f"malformed segment-partial state: {error}"
-            ) from error
-        partial._check_consistent()
-        return partial
-
-    def _check_consistent(self) -> None:
-        """Refuse restored state that no absorb/retire sequence produces.
-
-        ``O(signatures x letters)`` in C-level passes (``min`` / ``max`` /
-        ``sum``, the masks' bytes unpacked and weighted by a matrix
-        product): no signature is walked bit by bit.  Every letter's
-        count must equal the summed counts of the signatures that hold
-        it.
-        """
-        signatures = self._signatures
-        letter_counts = self._letter_counts
-        width = len(self._vocab)
-        if signatures and (min(signatures) < 1 or max(signatures) >> width):
-            raise MiningError(
-                "corrupt segment-partial state: a signature is outside the "
-                f"{width}-letter vocabulary"
-            )
-        if signatures and min(signatures.values()) < 1:
-            raise MiningError(
-                "corrupt segment-partial state: a signature has a count below 1"
-            )
-        segments = sum(signatures.values())
-        if segments > self._num_periods:
-            raise MiningError(
-                f"corrupt segment-partial state: signatures hold {segments} "
-                f"segments, more than num_periods {self._num_periods}"
-            )
-        # A letter occurs at most once a segment.
-        if letter_counts and (
-            min(letter_counts.values()) < 1
-            or max(letter_counts.values()) > self._num_periods
-        ):
-            raise MiningError(
-                "corrupt segment-partial state: a letter has a count below 1 "
-                f"or above num_periods {self._num_periods}"
-            )
-        counted = np.fromiter(
-            map(letter_counts.get, self._vocab, repeat(0, width)), np.int64, width
-        )
-        # Every count is >= 1, so the vocabulary's letters hold them all
-        # exactly when their counts add up to the whole.
-        if int(counted.sum()) != sum(letter_counts.values()):
-            unknown = letter_counts.keys() - set(self._vocab)
-            raise MiningError(
-                f"corrupt segment-partial state: letters {sorted(unknown)} "
-                "are counted but not in the vocabulary"
-            )
-        held = _bit_totals(signatures, width)
-        wrong = np.flatnonzero(counted != held)
-        if len(wrong):
-            bit = int(wrong[0])
-            raise MiningError(
-                "corrupt segment-partial state: letter counts sum to "
-                f"{counted[bit]} at {self._vocab[bit]}, the signatures "
-                f"hold it {held[bit]} times"
-            )
 
     # ------------------------------------------------------------------
     # Mining

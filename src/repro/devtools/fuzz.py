@@ -32,6 +32,10 @@ end-to-end result is still caught at the primitive it lives in.
 letters, so the letters a ``C_max`` lacks drop as they do in
 :func:`~repro.core.hitset.mine_store`.
 
+One stateful stage (``stream:restore``) slides a decrement retirement
+over the case's segments, round-trips its JSON state at a random segment
+and holds the next mine equal to batch mining of the retained slice.
+
 Coverage guidance is structural, not line-based: every executed case is
 reduced to a small signature (period, vocabulary width, frequent-set
 size, distinct-mask and pattern-count buckets) and cases that produce a
@@ -49,7 +53,8 @@ multi-feature rows, an off-by-one feature rank in the single-feature
 rows, feature totals compared with ``>`` instead of ``>=`` the floor
 and a prefix's slot counts less one slot too many, and a key the slot
 kernels' grouping puts in its neighbour's group, which scan 2's hits
-must show) and demands the fuzzer report a divergence for every
+must show, and a restored window's letter count one short for the
+highest bit its signatures set) and demands the fuzzer report a divergence for every
 one; :data:`BOUNDARY_CASE` makes sure the floor and slot-count bugs
 have a letter at exactly the floor to lose.  A
 clean run proves little if the alarm cannot ring.  A case that raises is
@@ -61,6 +66,7 @@ smoke plus the mutation check.
 
 from __future__ import annotations
 
+import json
 import random
 import tempfile
 from collections import Counter
@@ -385,6 +391,7 @@ def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
     _check_shared(case, series, min_conf, mined, oracle, divergences)
     _check_column(case, series, min_conf, divergences)
     _check_store_path(case, series, min_conf, mined, divergences)
+    _check_stream_restore(case, series, min_conf, divergences)
     words, *signature_bits = _check_primitives(case, series, divergences)
     signature = (
         case.period,
@@ -558,6 +565,51 @@ def _bucket(value: int) -> int:
     return value.bit_length()
 
 
+def _check_stream_restore(
+    case: FuzzCase,
+    series: FeatureSeries,
+    min_conf: float,
+    divergences: list[Divergence],
+) -> None:
+    """A sliding decrement retirement restored from JSON, against batch mining.
+
+    The case's whole segments stream through a
+    :class:`~repro.streaming.retirement.DecrementRetirement` keeping at
+    most a random window of them.  At a random segment its JSON state
+    restores into a fresh instance, which takes the next segment; its
+    mine must equal batch mining of the slice it retains, at a confidence
+    raised as for the case until the frequent-1 cap holds there.
+    """
+    from repro.streaming.retirement import DecrementRetirement
+
+    segments = list(series.segments(case.period))
+    if not segments:
+        return
+    rng = random.Random(case.seed ^ 0x57AE)
+    window = rng.randint(max(1, len(segments) // 2), len(segments))
+    restore_at = rng.randrange(len(segments))
+    fed = segments[: restore_at + 2]
+    retirement = DecrementRetirement(case.period)
+    for index, segment in enumerate(fed):
+        retirement.absorb(segment)
+        retirement.retire(max(0, retirement.retained - window))
+        if index == restore_at:
+            state = json.loads(json.dumps(retirement.to_state()))
+            retirement = DecrementRetirement(case.period)
+            retirement.restore(state)
+    kept = fed[len(fed) - retirement.retained :]
+    retained = FeatureSeries([slot for segment in kept for slot in segment])
+    conf = _effective_conf(retained, case.period, min_conf)
+    if conf is None:
+        return
+    got = _result_map(retirement.mine(conf))
+    expected = _result_map(mine_single_period_hitset(retained, case.period, conf))
+    if got != expected:
+        divergences.append(
+            Divergence(case, stage="stream:restore", detail=_diff_maps(got, expected))
+        )
+
+
 def _check_primitives(
     case: FuzzCase, series: FeatureSeries, divergences: list[Divergence]
 ) -> tuple[Any, ...]:
@@ -719,6 +771,7 @@ def fuzz(budget: int, seed: int = 0) -> FuzzReport:
 
 def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
     """Named bugs to inject: (owner, attribute) -> corrupted wrapper."""
+    from repro.core import incremental
     from repro.kernels import slots
     from repro.kernels.batched import SubmaskCountTable
     from repro.kernels.slots import SlotColumn, SlotTable
@@ -732,6 +785,7 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
     original_hits = slots.segment_hits
     original_group = slots.group_keys
     original_slot_counts = SlotColumn.slot_counts
+    original_bit_totals = incremental._bit_totals
 
     def dropped_distinct_row(store: SegmentStore) -> Any:
         rows, counts = original_distinct(store)
@@ -802,6 +856,13 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
         # last slot leaves its features' totals.
         return original_slot_counts(column, length - 1)
 
+    def short_top_letter(signatures: Any, width: int) -> Any:
+        # A restored window's letter counts: the highest bit any
+        # signature sets counts one segment short.
+        totals = original_bit_totals(signatures, width)
+        totals[np.flatnonzero(totals)[-1:]] -= 1
+        return totals
+
     return {
         "dropped-distinct-row": (
             SegmentStore, "distinct_rows", dropped_distinct_row
@@ -819,6 +880,9 @@ def _mutation_targets() -> dict[str, tuple[Any, str, Callable[..., Any]]]:
         "strict-feature-floor": (slots, "scan1_rows", strict_feature_floor),
         "misgrouped-key": (slots, "group_keys", misgrouped_key),
         "over-subtracted-tail": (SlotColumn, "slot_counts", over_subtracted_tail),
+        "short-restored-letter-count": (
+            incremental, "_bit_totals", short_top_letter
+        ),
     }
 
 

@@ -5,7 +5,7 @@ The streaming tier turns the batch hit-set miner into a window operator:
 * :class:`~repro.streaming.windows.WindowSpec` — the window algebra
   (period-aligned slides, the exactness invariant);
 * :class:`~repro.streaming.retirement.DecrementRetirement` — exact segment
-  retirement by in-place decrement (delta-maintained tree);
+  retirement by in-place decrement (delta-maintained hit table);
 * :class:`~repro.streaming.buffer.ArrivalBuffer` — out-of-order event
   reordering under a bounded-lateness watermark, with late-event
   quarantine;

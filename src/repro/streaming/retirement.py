@@ -8,6 +8,8 @@ slice.  :class:`DecrementRetirement` keeps one running
 signature masks :meth:`absorb` returned, in arrival order.  Retiring pops
 the oldest mask and subtracts it from the partial
 (:meth:`SegmentPartial.retire` is the exact inverse of ``absorb``).
+The ring is the retained segments themselves, so a checkpoint keeps it
+and the vocabulary only and rebuilds the partial from them.
 
 It also keeps the :class:`~repro.core.hittable.HitTable` alive across
 windows: while the frequent-1 letter set is unchanged, each mining
@@ -21,16 +23,16 @@ geometry and only ever says "the oldest ``n`` segments left".
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.core.errors import StreamError
+from repro.core.errors import EncodingError, MiningError, StreamError
 from repro.core.hittable import HitTable
 from repro.core.incremental import SegmentPartial
 from repro.core.pattern import Letter
 from repro.core.result import MiningResult
-from repro.encoding.vocabulary import remap_mask
+from repro.encoding.vocabulary import LetterVocabulary, remap_mask
 
 
 class DecrementRetirement:
@@ -126,46 +128,53 @@ class DecrementRetirement:
         )
 
     def to_state(self) -> dict[str, Any]:
-        """The JSON-ready durable form of the retained-set state.
+        """The JSON-ready durable form: the letters in id order and the ring.
 
-        The persistent hit table and its delta ledger are deliberately
-        dropped: they are a pure function of the retained state and are
-        rebuilt on the first mine after restore, so a restored instance
-        mines identically by construction.
+        The partial's counters (:meth:`SegmentPartial.from_masks`), the
+        hit table and its delta ledger are all derived from the ring on
+        restore, so a restored instance mines identically by construction.
         """
         return {
             "name": self.name,
-            "partial": self._partial.to_state(),
+            "letters": [[offset, feature] for offset, feature in self._partial.vocab],
             "ring": list(self._ring),
         }
 
     def restore(self, state: Mapping[str, Any]) -> None:
-        """Load :meth:`to_state` output into this (fresh) instance."""
+        """Load :meth:`to_state` output into this (fresh) instance.
+
+        State that still carries the partial's counters under a
+        ``"partial"`` key (written before they were derived on restore)
+        loads the same way, from its letters and ring, and is refused
+        unless the stored counters equal the derived ones.  Refused
+        state raises :class:`StreamError` and loads nothing.
+        """
         if state["name"] != self.name:
             raise StreamError(
                 f"unknown retirement strategy {state['name']!r} in "
                 f"checkpointed state; only {self.name!r} state restores"
             )
-        partial = SegmentPartial.from_state(state["partial"])
-        if partial.period != self._partial.period:
-            raise StreamError(
-                f"checkpointed strategy has period {partial.period}, "
-                f"stream wants {self._partial.period}"
-            )
+        period = self._partial.period
+        stored = state.get("partial")
+        letters = state["letters"] if stored is None else stored["letters"]
         ring = deque(int(mask) for mask in state["ring"])
-        if len(ring) != partial.num_periods:
-            raise StreamError(
-                f"checkpointed decrement state is inconsistent: "
-                f"{len(ring)} ring masks for "
-                f"{partial.num_periods} retained segments"
+        try:
+            vocab = LetterVocabulary(
+                ((int(offset), str(feature)) for offset, feature in letters),
+                period=period,
             )
-        ring_masks = Counter(ring)
-        ring_masks.pop(0, None)  # empty segments have no signature
-        # Plain dict equality: Counter's own == loops in Python.
-        if dict(ring_masks) != dict(partial.signature_items()):
+            if len(vocab) != len(letters):
+                raise EncodingError("its letters list repeats a letter")
+            partial = SegmentPartial.from_masks(period, vocab, ring)
+        except (EncodingError, MiningError) as error:
+            raise StreamError(f"corrupt decrement state: {error}") from error
+        if stored is not None and any(
+            stored.get(key) != value
+            for key, value in _stored_counters(partial).items()
+        ):
             raise StreamError(
-                "checkpointed decrement state is inconsistent: the ring's "
-                "masks are not the partial's signatures"
+                "corrupt decrement state: its stored period, num_periods, "
+                "signatures or letter_counts are not the ones its ring derives"
             )
         self._partial = partial
         self._ring = ring
@@ -175,3 +184,19 @@ class DecrementRetirement:
         self._removed.clear()
         self._table = None
         self._table_f1 = None
+
+
+def _stored_counters(partial: SegmentPartial) -> dict[str, Any]:
+    """``partial``'s counters as state with a ``"partial"`` key stored them."""
+    return {
+        "period": partial.period,
+        "num_periods": partial.num_periods,
+        "signatures": sorted(
+            [mask, count] for mask, count in partial.signature_items()
+        ),
+        "letter_counts": [
+            [offset, feature, count]
+            for offset, feature in sorted(partial.vocab)
+            if (count := partial.letter_count((offset, feature)))
+        ],
+    }

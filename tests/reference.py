@@ -18,7 +18,10 @@ slot kernel behind :func:`repro.analysis.periodogram.score_periods`.
 time into positions, the reference for the tokenizing
 :meth:`Pattern.from_string`.  :func:`mine_mapped` is not a reference but
 the second production path the suites compare against: a series' store
-written to its file and mined mmap'd back.
+written to its file and mined mmap'd back.  :func:`decrement_state_v1`
+writes a decrement retirement's state in the layout that stored the
+window's counters beside its ring (format 1), which restore still reads,
+recounting them from the ring bit by bit.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable
 from pathlib import Path
+from typing import Any
 
 from repro.analysis.periodogram import PeriodScore
 from repro.core.candidates import generate_candidate_masks, generate_candidates
@@ -332,3 +336,37 @@ def mine_mapped(
     store = SegmentStore.from_file(path)
     assert store.mapped
     return mine_store(store, min_conf, max_letters)
+
+
+def decrement_state_v1(state: dict[str, Any], period: int) -> dict[str, Any]:
+    """``DecrementRetirement.to_state()`` output in the format-1 layout.
+
+    Format 1 kept the window's partial under a ``"partial"`` key: its
+    letters, period and segment count, its signatures (the ring's nonzero
+    masks with their counts) and its letter counts (each letter's total
+    over the signatures), sorted.  Counted here bit by bit from the ring.
+    """
+    letters = [list(letter) for letter in state["letters"]]
+    ring = list(state["ring"])
+    signatures = Counter(mask for mask in ring if mask)
+    letter_counts: Counter = Counter()
+    for mask, count in signatures.items():
+        for bit, (offset, feature) in enumerate(letters):
+            if mask >> bit & 1:
+                letter_counts[offset, feature] += count
+    return {
+        "name": state["name"],
+        "partial": {
+            "period": period,
+            "letter_counts": [
+                [offset, feature, count]
+                for (offset, feature), count in sorted(letter_counts.items())
+            ],
+            "signatures": sorted(
+                [mask, count] for mask, count in signatures.items()
+            ),
+            "num_periods": len(ring),
+            "letters": letters,
+        },
+        "ring": ring,
+    }

@@ -41,6 +41,8 @@ from repro.durability import (
 )
 from repro.streaming import ArrivalBuffer, StreamingMiner, window_to_dict
 
+from tests.reference import decrement_state_v1
+
 ALPHABET = "abcde"
 
 #: (period, window, slide): sliding, tumbling, and gapped geometries.
@@ -902,6 +904,50 @@ class TestCheckpointFormat:
         )
         assert stream.recovery.records_consumed == 20
         assert stream.recovery.replayed == 7
+        for record in fixture_records()[stream.records_logged:]:
+            stream.feed(record)
+        stream.finish()
+        assert (tmp_path / "out.jsonl").read_bytes() == (
+            FIXTURE / "expected.jsonl"
+        ).read_bytes()
+
+    def test_format1_checkpoint_resumes_through_a_format2_snapshot(
+        self, tmp_path
+    ):
+        # The committed snapshots store the window's counters beside its
+        # ring (format 1); a checkpoint taken after resuming writes the
+        # letters and the ring only (format 2), and reopening from that
+        # must finish the stream byte-identically too.
+        def strategy(directory):
+            latest = sorted(directory.glob("snapshot-*.json"))[-1]
+            payload = read_snapshot(latest, kind="repro.stream/1")
+            return payload["state"]["miner"]["strategy"]
+
+        stored = strategy(FIXTURE / "ckpt")
+        current = {key: stored[key] for key in ("name", "ring")}
+        current["letters"] = stored["partial"]["letters"]
+        assert decrement_state_v1(current, FIXTURE_CONFIG["period"]) == stored
+
+        shutil.copytree(FIXTURE / "ckpt", tmp_path / "ckpt")
+        shutil.copy(FIXTURE / "out.jsonl", tmp_path / "out.jsonl")
+
+        def reopen():
+            return DurableStream(
+                tmp_path / "ckpt", **FIXTURE_CONFIG, checkpoint_every=10,
+                out=tmp_path / "out.jsonl",
+            )
+
+        stream = reopen()
+        assert stream.recovery.replayed == 7
+        stream.checkpoint()
+        stream.close()
+        written = strategy(tmp_path / "ckpt")
+        assert set(written) == {"name", "letters", "ring"}
+        letters = current["letters"]
+        assert written["letters"][: len(letters)] == letters
+        stream = reopen()
+        assert stream.recovery.records_consumed == 27
+        assert stream.recovery.replayed == 0
         for record in fixture_records()[stream.records_logged:]:
             stream.feed(record)
         stream.finish()

@@ -97,7 +97,7 @@ class TestOracle:
 class TestMutationCheck:
     def test_all_injected_bugs_caught(self):
         caught = mutation_check(budget=30, seed=4)
-        assert len(caught) == 10
+        assert len(caught) == 11
         assert all(caught.values()), caught
 
     @pytest.mark.parametrize(
@@ -136,6 +136,20 @@ class TestMutationCheck:
         finally:
             setattr(owner, attribute, pristine)
         assert "column:scan2" in {d.stage for d in report.divergences}
+
+    def test_short_restored_letter_count_caught_by_stream_restore(self):
+        # Only a restored stream window derives its letter counts from
+        # signature bits; no batch stage does.
+        owner, attribute, corrupted = fuzz_mod._mutation_targets()[
+            "short-restored-letter-count"
+        ]
+        pristine = getattr(owner, attribute)
+        setattr(owner, attribute, corrupted)
+        try:
+            report = fuzz(25, seed=6)
+        finally:
+            setattr(owner, attribute, pristine)
+        assert {d.stage for d in report.divergences} == {"stream:restore"}
 
     def test_mutations_are_restored_after_check(self):
         before = {

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 
-from repro.core.errors import MiningError
+from repro.core.errors import MiningError, StreamError
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.incremental import IncrementalHitSetMiner, SegmentPartial
 from repro.core.pattern import Pattern
+from repro.streaming.retirement import DecrementRetirement
 from repro.timeseries.feature_series import FeatureSeries
 
 from tests.conftest import series_strategy
+from tests.reference import decrement_state_v1
 
 
 class TestIngestion:
@@ -185,11 +189,12 @@ class TestSegmentPartial:
 
 
 def _corrupt(state, case):
-    """``state`` with one inconsistency of the named kind."""
-    signatures = state["signatures"]
-    letter_counts = state["letter_counts"]
+    """Format-1 ``state`` with one inconsistency of the named kind."""
+    partial = state["partial"]
+    signatures = partial["signatures"]
+    letter_counts = partial["letter_counts"]
     if case == "mask-past-letters":
-        signatures[0][0] = 1 << len(state["letters"])
+        signatures[0][0] = 1 << len(partial["letters"])
     elif case == "negative-mask":
         signatures[0][0] = -1
     elif case == "zero-mask":
@@ -199,7 +204,7 @@ def _corrupt(state, case):
     elif case == "negative-count":
         signatures[0][1] = -1
     elif case == "counts-above-num-periods":
-        state["num_periods"] = sum(count for _, count in signatures) - 1
+        partial["num_periods"] = sum(count for _, count in signatures) - 1
     elif case == "letter-counts-disagree":
         letter_counts[0][2] += 1
     elif case == "letter-not-in-vocabulary":
@@ -207,29 +212,48 @@ def _corrupt(state, case):
     elif case == "zero-letter-count":
         letter_counts[0][2] = 0
     elif case == "letter-count-above-num-periods":
-        letter_counts[0][2] = state["num_periods"] + 1
+        letter_counts[0][2] = partial["num_periods"] + 1
     return state
 
 
+#: What a format-1 state whose stored counters are not its ring's raises.
+NOT_DERIVED = "not the ones its ring derives"
+
+
+def _retirement(period, segments):
+    retirement = DecrementRetirement(period)
+    for segment in segments:
+        retirement.absorb(tuple(frozenset(slot) for slot in segment))
+    return retirement
+
+
+def _restored(state, period):
+    retirement = DecrementRetirement(period)
+    retirement.restore(json.loads(json.dumps(state)))
+    return retirement
+
+
+def _format1(retirement, period):
+    state = json.loads(json.dumps(retirement.to_state()))
+    return decrement_state_v1(state, period)
+
+
 class TestStateRestore:
-    def partial(self):
-        partial = SegmentPartial(2)
-        for symbols in ("ab", "ab", "cb", "ad", "  "):
-            partial.absorb(
-                tuple(frozenset(s.strip()) for s in symbols)
-            )
-        return partial
+    def retirement(self):
+        segments = ("ab", "ab", "cb", "ad", "  ")
+        return _retirement(2, [[s.strip() for s in seg] for seg in segments])
 
     def test_round_trip_mines_identically(self):
-        partial = self.partial()
-        restored = SegmentPartial.from_state(partial.to_state())
-        assert restored.to_state() == partial.to_state()
-        assert dict(restored.mine(0.25).items()) == dict(
-            partial.mine(0.25).items()
-        )
+        retirement = self.retirement()
+        for state in (retirement.to_state(), _format1(retirement, 2)):
+            restored = _restored(state, 2)
+            assert restored.to_state() == retirement.to_state()
+            assert dict(restored.mine(0.25).items()) == dict(
+                retirement.mine(0.25).items()
+            )
 
     @pytest.mark.parametrize(
-        "case, match",
+        "case, corruption",
         [
             ("mask-past-letters", "outside the 4-letter vocabulary"),
             ("negative-mask", "outside the 4-letter vocabulary"),
@@ -243,43 +267,84 @@ class TestStateRestore:
             ("letter-count-above-num-periods", "above num_periods 5"),
         ],
     )
-    def test_inconsistent_state_refused(self, case, match):
-        state = _corrupt(self.partial().to_state(), case)
-        with pytest.raises(MiningError, match=match):
-            SegmentPartial.from_state(state)
+    def test_inconsistent_state_refused(self, case, corruption):
+        # ``corruption`` says how the stored counters are wrong; one
+        # comparison with the counters the ring derives refuses them all.
+        state = _corrupt(_format1(self.retirement(), 2), case)
+        with pytest.raises(StreamError, match=NOT_DERIVED):
+            _restored(state, 2)
 
     def test_letter_counts_moved_between_letters_refused(self):
         # The totals still agree: only a letter-by-letter check sees it.
-        partial = SegmentPartial(2)
-        for symbols in ("ab", "ab", "ab", "cd"):
-            partial.absorb(tuple(frozenset(s) for s in symbols))
-        state = partial.to_state()
-        counts = {(row[0], row[1]): row for row in state["letter_counts"]}
+        state = _format1(_retirement(2, ["ab", "ab", "ab", "cd"]), 2)
+        rows = state["partial"]["letter_counts"]
+        counts = {(row[0], row[1]): row for row in rows}
         counts[0, "a"][2] -= 1
         counts[0, "c"][2] += 1
-        with pytest.raises(MiningError, match=r"sum to 2 at \(0, 'a'\)"):
-            SegmentPartial.from_state(state)
+        with pytest.raises(StreamError, match=NOT_DERIVED):
+            _restored(state, 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_every_letter_checked_over_wide_vocabularies(self, seed):
         rng = np.random.default_rng(seed)
-        partial = SegmentPartial(5)
-        for _ in range(40):
-            partial.absorb(
-                tuple(
-                    frozenset(
-                        f"f{i}" for i in range(30) if rng.random() < 0.15
-                    )
+        retirement = _retirement(
+            5,
+            [
+                [
+                    [f"f{i}" for i in range(30) if rng.random() < 0.15]
                     for _ in range(5)
-                )
-            )
-        SegmentPartial.from_state(partial.to_state())
-        state = partial.to_state()
-        rows = state["letter_counts"]
+                ]
+                for _ in range(40)
+            ],
+        )
+        state = _format1(retirement, 5)
+        _restored(state, 5)
+        rows = state["partial"]["letter_counts"]
         gains, loses = rng.choice(
             [i for i, row in enumerate(rows) if row[2] > 1], 2, replace=False
         )
         rows[gains][2] += 1
         rows[loses][2] -= 1
-        with pytest.raises(MiningError, match="letter counts sum to"):
-            SegmentPartial.from_state(state)
+        with pytest.raises(StreamError, match=NOT_DERIVED):
+            _restored(state, 5)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("mask-past-letters", "outside the 4-letter vocabulary"),
+            ("negative-mask", "outside the 4-letter vocabulary"),
+            ("repeated-letter", "repeats a letter"),
+            ("offset-past-the-period", "out of range for period 2"),
+        ],
+    )
+    def test_corrupt_state_refused(self, case, match):
+        state = json.loads(json.dumps(self.retirement().to_state()))
+        assert len(state["letters"]) == 4
+        if case == "mask-past-letters":
+            state["ring"][0] = 1 << 4
+        elif case == "negative-mask":
+            state["ring"][0] = -1
+        elif case == "repeated-letter":
+            # A, B, A, D reads as a 3-letter vocabulary: every bit after
+            # the repeat would change its meaning.
+            state["letters"][2] = state["letters"][0]
+        elif case == "offset-past-the-period":
+            state["letters"][1][0] = 2
+        fresh = DecrementRetirement(2)
+        with pytest.raises(StreamError, match=match):
+            fresh.restore(state)
+        assert fresh.retained == 0  # a refused state loads nothing
+
+    def test_from_masks_derives_the_counters(self):
+        partial = SegmentPartial(2)
+        masks = [
+            partial.absorb(tuple(frozenset(s.strip()) for s in symbols))
+            for symbols in ("ab", "ab", "cb", "ad", "  ")
+        ]
+        rebuilt = SegmentPartial.from_masks(2, partial.vocab, masks)
+        assert rebuilt.num_periods == partial.num_periods == 5
+        assert dict(rebuilt.signature_items()) == dict(partial.signature_items())
+        for letter in partial.vocab:
+            assert rebuilt.letter_count(letter) == partial.letter_count(letter)
+        with pytest.raises(MiningError, match="outside the 4-letter"):
+            SegmentPartial.from_masks(2, partial.vocab, [*masks, 1 << 4])

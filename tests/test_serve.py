@@ -945,6 +945,32 @@ class TestStreamPersistence:
         finally:
             fresh.close()
 
+    def test_corrupt_retirement_state_starts_clean(self, tmp_path):
+        # Checksum-valid, but a ring mask sets a bit past the session's
+        # letters: restore refuses it with a StreamError, which
+        # rehydration reports instead of failing to start.
+        state_dir = tmp_path / "state"
+        app = build_app(stream_state_dir=str(state_dir))
+        try:
+            self.open_and_feed(app)
+            app.persist_streams()
+        finally:
+            app.close()
+        path = state_dir / "streams.json"
+        payload = read_snapshot(path, kind=STREAM_STATE_KIND)
+        strategy = payload["sessions"][0]["miner"]["strategy"]
+        strategy["ring"][0] = 1 << len(strategy["letters"])
+        SnapshotWriter(state_dir).write(
+            "streams.json", kind=STREAM_STATE_KIND, payload=payload
+        )
+        fresh = build_app(stream_state_dir=str(state_dir))
+        try:
+            assert fresh.stream_state["rehydrated"] == 0
+            assert "corrupt decrement state" in fresh.stream_state["error"]
+            assert len(fresh.streams) == 0
+        finally:
+            fresh.close()
+
     def test_without_state_dir_nothing_persists(self):
         app = build_app()
         try:

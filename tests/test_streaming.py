@@ -29,6 +29,8 @@ from repro.streaming import (
 from repro.streaming.buffer import MAX_LATE_SAMPLES
 from repro.timeseries.feature_series import FeatureSeries
 
+from tests.reference import decrement_state_v1
+
 ALPHABET = ["a", "b", "c", "d"]
 
 #: How the equivalence cases drive the decrement retirement: ``decrement``
@@ -263,7 +265,9 @@ class TestRetirementStrategies:
         retirement = DecrementRetirement(period=2)
         for segment in ("ab", "cd", "ab", "  "):
             retirement.absorb(tuple(frozenset(s.strip()) for s in segment))
-        state = json.loads(json.dumps(retirement.to_state()))
+        state = decrement_state_v1(
+            json.loads(json.dumps(retirement.to_state())), period=2
+        )
         ab, cd, _, empty = state["ring"]
         assert empty == 0
         state["ring"] = {
@@ -272,7 +276,7 @@ class TestRetirementStrategies:
             "mask-for-the-empty": [ab, cd, ab, ab],
         }[ring]
         fresh = DecrementRetirement(period=2)
-        with pytest.raises(StreamError, match="not the partial's signatures"):
+        with pytest.raises(StreamError, match="not the ones its ring derives"):
             fresh.restore(state)
         assert fresh.retained == 0  # a refused state loads nothing
 
